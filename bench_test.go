@@ -33,7 +33,7 @@ func simLockBench(b *testing.B, tp topo.Topology, lockName string, procs int) {
 	}
 	var cyc, traf float64
 	for i := 0; i < b.N; i++ {
-		res, err := simsync.RunLock(
+		res, err := simsync.RunLockIn(nil,
 			machine.Config{Procs: procs, Topo: tp, Seed: uint64(i + 1)},
 			info,
 			simsync.LockOpts{Iters: 40, CS: 25, Think: 50, CheckMutex: true},
@@ -55,7 +55,7 @@ func simBarrierBench(b *testing.B, tp topo.Topology, barName string, procs int) 
 	}
 	var cyc, traf float64
 	for i := 0; i < b.N; i++ {
-		res, err := simsync.RunBarrier(
+		res, err := simsync.RunBarrierIn(nil,
 			machine.Config{Procs: procs, Topo: tp, Seed: uint64(i + 1)},
 			info,
 			simsync.BarrierOpts{Episodes: 12, Work: 150},
@@ -105,7 +105,7 @@ func BenchmarkMachineSpinContended(b *testing.B) {
 			b.ReportAllocs()
 			var ops, acqs uint64
 			for i := 0; i < b.N; i++ {
-				res, err := simsync.RunLock(
+				res, err := simsync.RunLockIn(nil,
 					machine.Config{Procs: 8, Topo: topo.Bus, Seed: uint64(i + 1),
 						SharedWords: 1 << 12, LocalWords: 1 << 8},
 					info,
@@ -450,7 +450,7 @@ func BenchmarkF5_BackoffAblation(b *testing.B) {
 						return simsync.NewTASBackoffParams(m, bp)
 					},
 				}
-				res, err := simsync.RunLock(
+				res, err := simsync.RunLockIn(nil,
 					machine.Config{Procs: 16, Topo: topo.Bus, Seed: uint64(i + 1)},
 					info, simsync.LockOpts{Iters: 40, CS: 25, Think: 50, CheckMutex: true},
 				)
@@ -476,7 +476,7 @@ func BenchmarkF6_CSLength(b *testing.B) {
 				info, _ := simsync.LockByName(name)
 				var cyc float64
 				for i := 0; i < b.N; i++ {
-					res, err := simsync.RunLock(
+					res, err := simsync.RunLockIn(nil,
 						machine.Config{Procs: 16, Topo: topo.Bus, Seed: uint64(i + 1)},
 						info, simsync.LockOpts{Iters: 40, CS: sim.Time(cs), Think: sim.Time(2 * cs), CheckMutex: true},
 					)
@@ -570,7 +570,7 @@ func BenchmarkF14_SimSemaphores(b *testing.B) {
 			b.Run(fmt.Sprintf("%s/P=%d", si.Name, p), func(b *testing.B) {
 				var cyc, traf float64
 				for i := 0; i < b.N; i++ {
-					res, err := simsync.RunProducerConsumer(
+					res, err := simsync.RunProducerConsumerIn(nil,
 						machine.Config{Procs: p, Topo: topo.Bus, Seed: uint64(i + 1)},
 						si, simsync.PCOpts{Items: 60, Capacity: 4, Work: 20},
 					)
@@ -594,7 +594,7 @@ func BenchmarkF13_SimRWLocks(b *testing.B) {
 			b.Run(fmt.Sprintf("%s/read=%.1f", ri.Name, frac), func(b *testing.B) {
 				var cyc float64
 				for i := 0; i < b.N; i++ {
-					res, err := simsync.RunRW(
+					res, err := simsync.RunRWIn(nil,
 						machine.Config{Procs: 16, Topo: topo.Bus, Seed: uint64(i + 1)},
 						ri, simsync.RWOpts{Iters: 30, ReadFraction: frac, Work: 40, Think: 60},
 					)
@@ -667,7 +667,7 @@ func BenchmarkF16_Counters(b *testing.B) {
 			b.Run(fmt.Sprintf("%s/P=%d", ci.Name, p), func(b *testing.B) {
 				var cyc, traf float64
 				for i := 0; i < b.N; i++ {
-					res, err := simsync.RunCounter(
+					res, err := simsync.RunCounterIn(nil,
 						machine.Config{Procs: p, Topo: topo.NUMA, Seed: uint64(i + 1)},
 						ci, simsync.CounterOpts{Incs: 40},
 					)

@@ -15,10 +15,9 @@
 // Topologies resolve through the registry in internal/topo (-names
 // lists them); -model remains as a legacy spelling of -topo. -faults
 // drives the lock and barrier workloads through a named fault level
-// (the FT-sweep axis; -names lists the levels) using the
-// crash-recovery runners, reporting availability-style counters —
-// orphaned acquisitions, time-to-recovery — instead of the fault-free
-// latency breakdown.
+// (the FT-sweep axis; -names lists the levels), reporting
+// availability-style counters — orphaned acquisitions,
+// time-to-recovery — instead of the fault-free latency breakdown.
 package main
 
 import (
@@ -140,7 +139,7 @@ func main() {
 	switch *kind {
 	case "lock":
 		for _, info := range selectFrom(simsync.LockSet, selection, "qsync") {
-			res, err := simsync.RunLock(cfg, info, simsync.LockOpts{
+			res, err := simsync.RunLockIn(nil, cfg, info, simsync.LockOpts{
 				Iters: *iters, CS: sim.Time(*cs), Think: sim.Time(*think),
 				CheckMutex: true, RecordOrder: true,
 			})
@@ -157,7 +156,7 @@ func main() {
 		}
 	case "barrier":
 		for _, info := range selectFrom(simsync.BarrierSet, selection, "qsync-tree") {
-			res, err := simsync.RunBarrier(cfg, info, simsync.BarrierOpts{
+			res, err := simsync.RunBarrierIn(nil, cfg, info, simsync.BarrierOpts{
 				Episodes: *episodes, Work: sim.Time(*think),
 			})
 			if err != nil {
@@ -171,7 +170,7 @@ func main() {
 		}
 	case "rw":
 		for _, info := range selectFrom(simsync.RWLockSet, selection, "rw-qsync") {
-			res, err := simsync.RunRW(cfg, info, simsync.RWOpts{
+			res, err := simsync.RunRWIn(nil, cfg, info, simsync.RWOpts{
 				Iters: *iters, ReadFraction: *readfrac,
 				Work: sim.Time(*cs), Think: sim.Time(*think),
 			})
@@ -187,7 +186,7 @@ func main() {
 		}
 	case "sem":
 		for _, info := range selectFrom(simsync.SemaphoreSet, selection, "sem-qsync") {
-			res, err := simsync.RunProducerConsumer(cfg, info, simsync.PCOpts{
+			res, err := simsync.RunProducerConsumerIn(nil, cfg, info, simsync.PCOpts{
 				Items: *items, Capacity: 4, Work: sim.Time(*cs),
 			})
 			if err != nil {
@@ -201,7 +200,7 @@ func main() {
 		}
 	case "counter":
 		for _, info := range selectFrom(simsync.CounterSet, selection, "ctr-sharded") {
-			res, err := simsync.RunCounter(cfg, info, simsync.CounterOpts{
+			res, err := simsync.RunCounterIn(nil, cfg, info, simsync.CounterOpts{
 				Incs: *incs, Think: sim.Time(*think),
 			})
 			if err != nil {
@@ -219,12 +218,11 @@ func main() {
 }
 
 // runFaulted drives the selected algorithms through one named fault
-// level using the crash-recovery runners, the single-cell microscope
-// for the FT sweeps. Only the lock and barrier kinds have resilience
-// runners; the other families are rejected rather than silently run
-// fault-free.
+// level, the single-cell microscope for the FT sweeps. Only the lock
+// and barrier runners report resilience counters; the other families
+// are rejected rather than silently run fault-free.
 func runFaulted(cfg machine.Config, lv harness.FaultLevel, kind string, selection []string, iters, episodes int, cs, think sim.Time) {
-	const maxSteps = 2_000_000
+	cfg.MaxSteps = 2_000_000
 	plan := func(units int) *fault.Plan {
 		if lv.None {
 			return fault.NewPlan(lv.Name)
@@ -233,15 +231,15 @@ func runFaulted(cfg machine.Config, lv harness.FaultLevel, kind string, selectio
 	}
 	switch kind {
 	case "lock":
+		cfg.Faults = plan(iters)
 		for _, info := range selectFrom(simsync.LockSet, selection, "qsync") {
-			res, err := simsync.RunLockRecovery(nil, cfg, info, plan(iters), simsync.RecoveryLockOpts{
-				Iters: iters, CS: cs, Think: think,
-				Budget: 4096, MaxSteps: maxSteps,
+			res, err := simsync.RunLockIn(nil, cfg, info, simsync.LockOpts{
+				Iters: iters, CS: cs, Think: think, Budget: 4096,
 			})
 			if err != nil {
 				fail("%v", err)
 			}
-			fmt.Printf("lock=%s model=%s procs=%d iters=%d faults=%s\n", res.Lock, res.Topo.Name(), res.Procs, iters, res.Plan)
+			fmt.Printf("lock=%s model=%s procs=%d iters=%d faults=%s\n", res.Lock, res.Topo.Name(), res.Procs, iters, cfg.Faults.Name())
 			fmt.Printf("  outcome:           %s\n", res.Outcome)
 			fmt.Printf("  acquisitions:      %d of %d offered\n", res.Acquisitions, uint64(iters)*uint64(res.Procs))
 			fmt.Printf("  timeouts:          %d\n", res.Timeouts)
@@ -252,19 +250,20 @@ func runFaulted(cfg machine.Config, lv harness.FaultLevel, kind string, selectio
 				fmt.Printf("  mean ttr (cycles): %d\n", int64(res.RecoveryCycles)/int64(res.Recoveries))
 			}
 			fmt.Printf("  elapsed cycles:    %d\n", res.Cycles)
-			fmt.Printf("  acq/kilocycle:     %.2f\n", res.AcqPerKCycle)
+			fmt.Printf("  acq/kilocycle:     %.2f\n", res.AcqPerKCycle())
 		}
 	case "barrier":
+		cfg.Faults = plan(episodes)
 		for _, info := range selectFrom(simsync.BarrierSet, selection, "qsync-tree") {
-			res, err := simsync.RunBarrierRecovery(nil, cfg, info.Name, info.Make, plan(episodes), simsync.RecoveryBarrierOpts{
-				Episodes: episodes, Work: think, MaxSteps: maxSteps,
+			res, err := simsync.RunBarrierIn(nil, cfg, info, simsync.BarrierOpts{
+				Episodes: episodes, Work: think,
 			})
 			if err != nil {
 				fail("%v", err)
 			}
-			fmt.Printf("barrier=%s model=%s procs=%d episodes=%d faults=%s\n", res.Barrier, cfg.Topo.Name(), res.Procs, episodes, res.Plan)
+			fmt.Printf("barrier=%s model=%s procs=%d episodes=%d faults=%s\n", res.Barrier, cfg.Topo.Name(), res.Procs, episodes, cfg.Faults.Name())
 			fmt.Printf("  outcome:           %s\n", res.Outcome)
-			fmt.Printf("  episodes done:     %d of %d offered\n", res.Episodes, uint64(episodes)*uint64(res.Procs))
+			fmt.Printf("  episodes done:     %d of %d offered\n", res.Completed, uint64(episodes)*uint64(res.Procs))
 			fmt.Printf("  crashed/recovered: %d / %d\n", res.Crashed, res.Recovered)
 			if res.Recoveries > 0 {
 				fmt.Printf("  mean ttr (cycles): %d\n", int64(res.RecoveryCycles)/int64(res.Recoveries))

@@ -49,7 +49,7 @@ func main() {
 			}},
 			{"qsync", simsync.NewQSync},
 		} {
-			res, err := simsync.RunLock(
+			res, err := simsync.RunLockIn(nil,
 				machine.Config{Procs: 16, Topo: tp, Seed: 42},
 				simsync.LockInfo{Name: tc.name, Make: tc.make},
 				simsync.LockOpts{Iters: 50, CS: 25, Think: 50, CheckMutex: true},

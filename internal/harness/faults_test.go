@@ -31,10 +31,8 @@ func TestFaultLevelByNameCaseInsensitive(t *testing.T) {
 	}
 }
 
-// The fail-stop FT1/FT2 runner replays reborn processors' iterations
-// and mis-reads a reborn holder as live, so the sweep must refuse the
-// restart-carrying levels instead of producing corrupt cells (or a
-// spurious mutual-exclusion abort).
+// FT1/FT2 are the fail-stop ramp: the sweep must refuse the
+// restart-carrying levels and point at FT3/FT4, which measure them.
 func TestFaultSweepRejectsRecoveryLevels(t *testing.T) {
 	o := Options{Quick: true, Faults: []string{"L0", "R1"}}
 	_, err := runFaultSweep(o)

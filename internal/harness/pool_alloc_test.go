@@ -45,7 +45,7 @@ func TestPooledCellAllocationBudget(t *testing.T) {
 	// Cross-check that the budget is meaningful: an unpooled cell must
 	// cost strictly more than a pooled one.
 	unpooled := testing.AllocsPerRun(5, func() {
-		if _, err := simsync.RunLock(cfg, info, opts); err != nil {
+		if _, err := simsync.RunLockIn(nil, cfg, info, opts); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -85,7 +85,7 @@ func TestPooledT1AllocationBudget(t *testing.T) {
 
 	unpooled := testing.AllocsPerRun(5, func() {
 		for _, model := range []topo.Topology{topo.Bus, topo.NUMA} {
-			if _, _, err := simsync.UncontendedLockCost(model, info); err != nil {
+			if _, _, err := simsync.UncontendedLockCostIn(nil, model, info); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -168,11 +168,9 @@ func runFaultSweep(o Options) ([]Table, error) {
 		return nil, err
 	}
 	for _, lv := range levels {
-		// The fail-stop runner is incarnation-blind: a reborn processor
-		// replays its iterations (inflating the completed fraction) and
-		// a holder that crashed in the CS reads as live again after its
-		// rebirth, turning a legitimate lease takeover into a spurious
-		// mutual-exclusion abort. Recovery levels belong to FT3/FT4.
+		// FT1/FT2 are the fail-stop ramp. The restart levels belong to
+		// FT3/FT4, which measure availability against a fault-free twin
+		// and time-to-recovery.
 		if lv.Recovery {
 			return nil, fmt.Errorf("harness: fault level %q carries restarts; FT1/FT2 are fail-stop experiments — run FT3/FT4 for the recovery levels", lv.Name)
 		}
@@ -198,19 +196,22 @@ func runFaultSweep(o Options) ([]Table, error) {
 		}
 	}
 
-	results := make([][]simsync.FaultLockResult, len(rows))
+	results := make([][]simsync.LockResult, len(rows))
 	for i := range results {
-		results[i] = make([]simsync.FaultLockResult, len(infos))
+		results[i] = make([]simsync.LockResult, len(infos))
 	}
 	err = forEachCell(true, len(rows)*len(infos), func(cell int, pool *machine.Pool) error {
 		ri, ci := cell/len(infos), cell%len(infos)
 		row := rows[ri]
-		res, rerr := simsync.RunLockFaulted(pool,
-			machine.Config{Procs: procs, Topo: row.tp, Seed: o.seed()},
-			infos[ci], row.plan, simsync.FaultLockOpts{
+		res, rerr := simsync.RunLockIn(pool,
+			machine.Config{Procs: procs, Topo: row.tp, Seed: o.seed(), Faults: row.plan, MaxSteps: maxSteps},
+			infos[ci], simsync.LockOpts{
 				Iters: iters, CS: 25, Think: 50,
-				Budget:   4096, // bounded locks give up a slice after this
-				MaxSteps: maxSteps,
+				Budget: 4096, // bounded locks give up a slice after this
+				// A timed-out attempt still spends one of the processor's
+				// iterations: the completed fraction is the offered work
+				// that got through.
+				MaxAttempts: iters,
 			})
 		if rerr != nil {
 			return rerr
@@ -250,7 +251,7 @@ func runFaultSweep(o Options) ([]Table, error) {
 			res := results[ri][ci]
 			pct := 100 * float64(res.Acquisitions) / float64(offered)
 			r1 = append(r1, fmt.Sprintf("%s %.0f%%", res.Outcome, pct))
-			r2 = append(r2, Fmt(res.AcqPerKCycle))
+			r2 = append(r2, Fmt(res.AcqPerKCycle()))
 		}
 		ft1.Rows = append(ft1.Rows, r1)
 		ft2.Rows = append(ft2.Rows, r2)

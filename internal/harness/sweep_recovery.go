@@ -68,20 +68,17 @@ func recoveryLocks() []simsync.LockInfo {
 	}
 }
 
-// recoveryBarrier is one FT4 column.
-type recoveryBarrier struct {
-	name string
-	mk   func(m *machine.Machine) simsync.Barrier
-}
-
-func recoveryBarriers() []recoveryBarrier {
+// recoveryBarriers is the FT4 column set: the registered central
+// barrier next to the fault-parameterized straggler and reconfigurable
+// barriers.
+func recoveryBarriers() []simsync.BarrierInfo {
 	central, _ := simsync.BarrierByName("central")
-	return []recoveryBarrier{
-		{name: "central", mk: central.Make},
-		{name: "straggler", mk: func(m *machine.Machine) simsync.Barrier {
+	return []simsync.BarrierInfo{
+		central,
+		{Name: "straggler", Make: func(m *machine.Machine) simsync.Barrier {
 			return simsync.NewStragglerBarrier(m, 4096)
 		}},
-		{name: "reconf", mk: func(m *machine.Machine) simsync.Barrier {
+		{Name: "reconf", Make: func(m *machine.Machine) simsync.Barrier {
 			return simsync.NewReconfBudget(m, 4096)
 		}},
 	}
@@ -90,14 +87,14 @@ func recoveryBarriers() []recoveryBarrier {
 // recoveryCell renders the common cell shape: outcome, availability
 // against the fault-free twin, then whichever recovery metrics the run
 // produced.
-func recoveryCell(outcome simsync.Outcome, ops, baseline, recoveries uint64, recoveryCycles int64, orphaned, fenced uint64) string {
+func recoveryCell(r simsync.Resilience, ops, baseline, orphaned, fenced uint64) string {
 	avail := 100.0
 	if baseline > 0 {
 		avail = 100 * float64(ops) / float64(baseline)
 	}
-	cell := fmt.Sprintf("%s %.0f%%", outcome, avail)
-	if recoveries > 0 {
-		cell += fmt.Sprintf(" ttr=%d", recoveryCycles/int64(recoveries))
+	cell := fmt.Sprintf("%s %.0f%%", r.Outcome, avail)
+	if r.Recoveries > 0 {
+		cell += fmt.Sprintf(" ttr=%d", int64(r.RecoveryCycles)/int64(r.Recoveries))
 	}
 	if orphaned > 0 {
 		cell += fmt.Sprintf(" orph=%d", orphaned)
@@ -146,12 +143,14 @@ func runRecoverySweep(o Options) ([]Table, error) {
 		}
 	}
 
-	lockOpts := simsync.RecoveryLockOpts{
-		Iters: iters, CS: 25, Think: 50,
-		Budget:   4096,
-		MaxSteps: maxSteps,
+	lockOpts := simsync.LockOpts{Iters: iters, CS: 25, Think: 50, Budget: 4096}
+	barOpts := simsync.BarrierOpts{Episodes: episodes, Work: 150}
+	lockCfg := func(tp topo.Topology, plan *fault.Plan) machine.Config {
+		return machine.Config{Procs: procs, Topo: tp, Seed: o.seed(), Faults: plan, MaxSteps: maxSteps}
 	}
-	barOpts := simsync.RecoveryBarrierOpts{Episodes: episodes, Work: 150, MaxSteps: maxSteps}
+	barCfg := func(tp topo.Topology, plan *fault.Plan) machine.Config {
+		return machine.Config{Procs: barProcs, Topo: tp, Seed: o.seed(), Faults: plan, MaxSteps: maxSteps}
+	}
 	empty := fault.NewPlan("L0")
 
 	// Fault-free twins: one per (topology, column), the availability
@@ -166,9 +165,7 @@ func runRecoverySweep(o Options) ([]Table, error) {
 		per := len(locks) + len(bars)
 		ti, ci := cell/per, cell%per
 		if ci < len(locks) {
-			res, rerr := simsync.RunLockRecovery(pool,
-				machine.Config{Procs: procs, Topo: topos[ti], Seed: o.seed()},
-				locks[ci], empty, lockOpts)
+			res, rerr := simsync.RunLockIn(pool, lockCfg(topos[ti], empty), locks[ci], lockOpts)
 			if rerr != nil {
 				return rerr
 			}
@@ -176,33 +173,29 @@ func runRecoverySweep(o Options) ([]Table, error) {
 			return nil
 		}
 		bi := ci - len(locks)
-		res, rerr := simsync.RunBarrierRecovery(pool,
-			machine.Config{Procs: barProcs, Topo: topos[ti], Seed: o.seed()},
-			bars[bi].name, bars[bi].mk, empty, barOpts)
+		res, rerr := simsync.RunBarrierIn(pool, barCfg(topos[ti], empty), bars[bi], barOpts)
 		if rerr != nil {
 			return rerr
 		}
-		barBase[ti][bi] = res.Episodes
+		barBase[ti][bi] = res.Completed
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
 
-	lockRes := make([][]simsync.RecoveryLockResult, len(rows))
-	barRes := make([][]simsync.RecoveryBarrierResult, len(rows))
+	lockRes := make([][]simsync.LockResult, len(rows))
+	barRes := make([][]simsync.BarrierResult, len(rows))
 	for i := range rows {
-		lockRes[i] = make([]simsync.RecoveryLockResult, len(locks))
-		barRes[i] = make([]simsync.RecoveryBarrierResult, len(bars))
+		lockRes[i] = make([]simsync.LockResult, len(locks))
+		barRes[i] = make([]simsync.BarrierResult, len(bars))
 	}
 	err = forEachCell(true, len(rows)*(len(locks)+len(bars)), func(cell int, pool *machine.Pool) error {
 		per := len(locks) + len(bars)
 		ri, ci := cell/per, cell%per
 		row := rows[ri]
 		if ci < len(locks) {
-			res, rerr := simsync.RunLockRecovery(pool,
-				machine.Config{Procs: procs, Topo: row.tp, Seed: o.seed()},
-				locks[ci], row.plan, lockOpts)
+			res, rerr := simsync.RunLockIn(pool, lockCfg(row.tp, row.plan), locks[ci], lockOpts)
 			if rerr != nil {
 				return rerr
 			}
@@ -213,15 +206,13 @@ func runRecoverySweep(o Options) ([]Table, error) {
 			return nil
 		}
 		bi := ci - len(locks)
-		res, rerr := simsync.RunBarrierRecovery(pool,
-			machine.Config{Procs: barProcs, Topo: row.tp, Seed: o.seed()},
-			bars[bi].name, bars[bi].mk, row.bplan, barOpts)
+		res, rerr := simsync.RunBarrierIn(pool, barCfg(row.tp, row.bplan), bars[bi], barOpts)
 		if rerr != nil {
 			return rerr
 		}
 		o.progressf("  %s %s %s: %s, %d episodes, %d recovered\n",
 			row.tp.Name(), row.level.Name, res.Barrier, res.Outcome,
-			res.Episodes, res.Recovered)
+			res.Completed, res.Recovered)
 		barRes[ri][bi] = res
 		return nil
 	})
@@ -235,7 +226,7 @@ func runRecoverySweep(o Options) ([]Table, error) {
 	}
 	barCols := []string{"topo/level"}
 	for _, b := range bars {
-		barCols = append(barCols, b.name)
+		barCols = append(barCols, b.Name)
 	}
 	ft3 := Table{
 		ID:    "FT3",
@@ -255,15 +246,13 @@ func runRecoverySweep(o Options) ([]Table, error) {
 		r3 := []string{label}
 		for ci := range locks {
 			res := lockRes[ri][ci]
-			r3 = append(r3, recoveryCell(res.Outcome, res.Acquisitions, lockBase[ti][ci],
-				res.Recoveries, int64(res.RecoveryCycles), res.Orphaned, res.StaleWrites))
+			r3 = append(r3, recoveryCell(res.Resilience, res.Acquisitions, lockBase[ti][ci], res.Orphaned, res.StaleWrites))
 		}
 		ft3.Rows = append(ft3.Rows, r3)
 		r4 := []string{label}
 		for bi := range bars {
 			res := barRes[ri][bi]
-			r4 = append(r4, recoveryCell(res.Outcome, res.Episodes, barBase[ti][bi],
-				res.Recoveries, int64(res.RecoveryCycles), 0, 0))
+			r4 = append(r4, recoveryCell(res.Resilience, res.Completed, barBase[ti][bi], 0, 0))
 		}
 		ft4.Rows = append(ft4.Rows, r4)
 	}

@@ -17,7 +17,7 @@ func TestAllBarriersSafety(t *testing.T) {
 				name := info.Name + "/" + model.Name() + "/" + itoa(procs)
 				t.Run(name, func(t *testing.T) {
 					t.Parallel()
-					res, err := RunBarrier(
+					res, err := RunBarrierIn(nil,
 						machine.Config{Procs: procs, Topo: model, Seed: 17},
 						info,
 						BarrierOpts{Episodes: 12, Work: 30},
@@ -55,7 +55,7 @@ func TestBarriersReusableBackToBack(t *testing.T) {
 		info := info
 		t.Run(info.Name, func(t *testing.T) {
 			t.Parallel()
-			_, err := RunBarrier(
+			_, err := RunBarrierIn(nil,
 				machine.Config{Procs: 7, Topo: topo.Bus, Seed: 1},
 				info,
 				BarrierOpts{Episodes: 50, Work: 0},
@@ -77,7 +77,7 @@ func TestCentralBarrierHotSpotVsQSyncTree(t *testing.T) {
 		if !ok {
 			t.Fatalf("unknown barrier %q", name)
 		}
-		res, err := RunBarrier(
+		res, err := RunBarrierIn(nil,
 			machine.Config{Procs: procs, Topo: topo.NUMA, Seed: 9},
 			info,
 			BarrierOpts{Episodes: 10, Work: 40},
@@ -105,7 +105,7 @@ func TestCentralBarrierHotSpotVsQSyncTree(t *testing.T) {
 func TestDisseminationRemoteStoresPerEpisode(t *testing.T) {
 	const procs = 16 // log2 = 4
 	info, _ := BarrierByName("dissemination")
-	res, err := RunBarrier(
+	res, err := RunBarrierIn(nil,
 		machine.Config{Procs: procs, Topo: topo.NUMA, Seed: 2},
 		info,
 		BarrierOpts{Episodes: 20, Work: 0},
@@ -127,7 +127,7 @@ func TestDisseminationRemoteStoresPerEpisode(t *testing.T) {
 func TestBarrierEpisodeTimesComparableUnderSkew(t *testing.T) {
 	var minT, maxT float64
 	for _, info := range Barriers() {
-		res, err := RunBarrier(
+		res, err := RunBarrierIn(nil,
 			machine.Config{Procs: 8, Topo: topo.Bus, Seed: 33},
 			info,
 			BarrierOpts{Episodes: 10, Work: 2000},
@@ -158,7 +158,7 @@ func TestBarrierByNameUnknown(t *testing.T) {
 func TestBarrierDeterministicReplay(t *testing.T) {
 	run := func() BarrierResult {
 		info, _ := BarrierByName("tournament")
-		res, err := RunBarrier(
+		res, err := RunBarrierIn(nil,
 			machine.Config{Procs: 10, Topo: topo.NUMA, Seed: 5},
 			info,
 			BarrierOpts{Episodes: 15, Work: 100},

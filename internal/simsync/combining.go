@@ -170,16 +170,11 @@ type CounterResult struct {
 	Stats         machine.Stats
 }
 
-// RunCounter drives a counter from every processor and checks the two
-// correctness properties of a combining counter: the final total equals
-// the number of increments, and the returned pre-increment values are
-// unique (each caller owns a distinct slot of the count).
-func RunCounter(cfg machine.Config, info CounterInfo, opts CounterOpts) (CounterResult, error) {
-	return RunCounterIn(nil, cfg, info, opts)
-}
-
-// RunCounterIn is RunCounter drawing its machine from pool (see
-// machines.go).
+// RunCounterIn drives a counter from every processor on a machine
+// drawn from pool (see machines.go) and checks the two correctness
+// properties of a combining counter: the final total equals the number
+// of increments, and the returned pre-increment values are unique (each
+// caller owns a distinct slot of the count).
 func RunCounterIn(pool *machine.Pool, cfg machine.Config, info CounterInfo, opts CounterOpts) (CounterResult, error) {
 	cfg = cfg.Defaults()
 	m, err := getMachine(pool, cfg)

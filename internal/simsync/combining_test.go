@@ -10,7 +10,7 @@ import (
 )
 
 // Both counters must produce exact totals and unique pre-increment
-// values (RunCounter enforces both) on every model.
+// values (RunCounterIn enforces both) on every model.
 func TestCountersCorrect(t *testing.T) {
 	for _, info := range Counters() {
 		for _, model := range []topo.Topology{topo.Ideal, topo.Bus, topo.NUMA} {
@@ -19,7 +19,7 @@ func TestCountersCorrect(t *testing.T) {
 				name := info.Name + "/" + model.Name() + "/" + itoa(procs)
 				t.Run(name, func(t *testing.T) {
 					t.Parallel()
-					res, err := RunCounter(
+					res, err := RunCounterIn(nil,
 						machine.Config{Procs: procs, Topo: model, Seed: 19},
 						info,
 						CounterOpts{Incs: 40, Think: 25},
@@ -44,7 +44,7 @@ func TestCombiningRelievesHotSpot(t *testing.T) {
 		if !ok {
 			t.Fatalf("unknown counter %q", name)
 		}
-		res, err := RunCounter(
+		res, err := RunCounterIn(nil,
 			machine.Config{Procs: 32, Topo: topo.NUMA, Seed: 5},
 			info,
 			CounterOpts{Incs: 40, Think: 0}, // no think: maximum pressure
@@ -64,7 +64,7 @@ func TestCombiningRelievesHotSpot(t *testing.T) {
 // must still deliver every increment.
 func TestCombiningSingleProcTimeoutPath(t *testing.T) {
 	info, _ := CounterByName("ctr-combine")
-	res, err := RunCounter(
+	res, err := RunCounterIn(nil,
 		machine.Config{Procs: 1, Topo: topo.Bus, Seed: 1},
 		info,
 		CounterOpts{Incs: 20},
@@ -84,13 +84,13 @@ func TestCounterByNameUnknown(t *testing.T) {
 }
 
 // Property: arbitrary processor counts and paces never break the
-// counter's exactness (RunCounter fails on duplicates or lost counts).
+// counter's exactness (RunCounterIn fails on duplicates or lost counts).
 func TestCombiningCounterProperty(t *testing.T) {
 	info, _ := CounterByName("ctr-combine")
 	f := func(seed uint64, procsRaw, thinkRaw uint8) bool {
 		procs := int(procsRaw%12) + 1
 		think := int64(thinkRaw % 60)
-		_, err := RunCounter(
+		_, err := RunCounterIn(nil,
 			machine.Config{Procs: procs, Topo: topo.NUMA, Seed: seed | 1},
 			info,
 			CounterOpts{Incs: 15, Think: sim.Time(think)},
@@ -105,7 +105,7 @@ func TestCombiningCounterProperty(t *testing.T) {
 func TestCounterDeterministicReplay(t *testing.T) {
 	run := func() CounterResult {
 		info, _ := CounterByName("ctr-combine")
-		res, err := RunCounter(
+		res, err := RunCounterIn(nil,
 			machine.Config{Procs: 9, Topo: topo.Bus, Seed: 77},
 			info, CounterOpts{Incs: 25, Think: 10},
 		)

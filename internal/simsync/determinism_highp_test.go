@@ -44,23 +44,23 @@ func TestDeterminismHighP(t *testing.T) {
 					switch c.family {
 					case "lock":
 						info, _ := LockByName(c.algo)
-						res, err := RunLock(cfg(noWindows, noInline), info, LockOpts{Iters: 3, CS: 25, Think: 50, CheckMutex: true})
+						res, err := RunLockIn(nil, cfg(noWindows, noInline), info, LockOpts{Iters: 3, CS: 25, Think: 50, CheckMutex: true})
 						return res.Stats, err
 					case "barrier":
 						info, _ := BarrierByName(c.algo)
-						res, err := RunBarrier(cfg(noWindows, noInline), info, BarrierOpts{Episodes: 3, Work: 120})
+						res, err := RunBarrierIn(nil, cfg(noWindows, noInline), info, BarrierOpts{Episodes: 3, Work: 120})
 						return res.Stats, err
 					case "rw":
 						info, _ := RWLockByName(c.algo)
-						res, err := RunRW(cfg(noWindows, noInline), info, RWOpts{Iters: 3, ReadFraction: 0.8, Work: 40, Think: 60})
+						res, err := RunRWIn(nil, cfg(noWindows, noInline), info, RWOpts{Iters: 3, ReadFraction: 0.8, Work: 40, Think: 60})
 						return res.Stats, err
 					case "sem":
 						info, _ := SemaphoreByName(c.algo)
-						res, err := RunProducerConsumer(cfg(noWindows, noInline), info, PCOpts{Items: 64, Capacity: 4, Work: 20})
+						res, err := RunProducerConsumerIn(nil, cfg(noWindows, noInline), info, PCOpts{Items: 64, Capacity: 4, Work: 20})
 						return res.Stats, err
 					default:
 						info, _ := CounterByName(c.algo)
-						res, err := RunCounter(cfg(noWindows, noInline), info, CounterOpts{Incs: 4, Think: 20})
+						res, err := RunCounterIn(nil, cfg(noWindows, noInline), info, CounterOpts{Incs: 4, Think: 20})
 						return res.Stats, err
 					}
 				})
@@ -89,7 +89,7 @@ func TestClusterMixedClassStorm(t *testing.T) {
 	}
 	opts := LockOpts{Iters: 20, CS: 25, Think: 50, CheckMutex: true}
 	run := func(noWindows, noInline bool) LockResult {
-		res, err := RunLock(machine.Config{Procs: procs, Topo: topo.Cluster, Seed: 7,
+		res, err := RunLockIn(nil, machine.Config{Procs: procs, Topo: topo.Cluster, Seed: 7,
 			NoSpinWindows: noWindows, NoInlineDispatch: noInline}, info, opts)
 		if err != nil {
 			t.Fatalf("noWindows=%v noInline=%v: %v", noWindows, noInline, err)

@@ -117,7 +117,7 @@ func TestDeterminismLocks(t *testing.T) {
 			info := info
 			name := fmt.Sprintf("%s/%s/P%d", tp.Name(), info.Name, procs)
 			assertIdentical(t, name, func(noWindows, noInline bool) (machine.Stats, error) {
-				res, err := RunLock(
+				res, err := RunLockIn(nil,
 					machine.Config{Procs: procs, Topo: tp, Seed: 7, NoSpinWindows: noWindows, NoInlineDispatch: noInline},
 					info, LockOpts{Iters: 20, CS: 25, Think: 50, CheckMutex: true})
 				return res.Stats, err
@@ -132,7 +132,7 @@ func TestDeterminismBarriers(t *testing.T) {
 			info := info
 			name := fmt.Sprintf("%s/%s/P%d", tp.Name(), info.Name, procs)
 			assertIdentical(t, name, func(noWindows, noInline bool) (machine.Stats, error) {
-				res, err := RunBarrier(
+				res, err := RunBarrierIn(nil,
 					machine.Config{Procs: procs, Topo: tp, Seed: 7, NoSpinWindows: noWindows, NoInlineDispatch: noInline},
 					info, BarrierOpts{Episodes: 10, Work: 150})
 				return res.Stats, err
@@ -147,7 +147,7 @@ func TestDeterminismRWLocks(t *testing.T) {
 			info := info
 			name := fmt.Sprintf("%s/%s/P%d", tp.Name(), info.Name, procs)
 			assertIdentical(t, name, func(noWindows, noInline bool) (machine.Stats, error) {
-				res, err := RunRW(
+				res, err := RunRWIn(nil,
 					machine.Config{Procs: procs, Topo: tp, Seed: 7, NoSpinWindows: noWindows, NoInlineDispatch: noInline},
 					info, RWOpts{Iters: 20, ReadFraction: 0.8, Work: 40, Think: 60})
 				return res.Stats, err
@@ -162,7 +162,7 @@ func TestDeterminismSemaphores(t *testing.T) {
 			info := info
 			name := fmt.Sprintf("%s/%s/P%d", tp.Name(), info.Name, procs)
 			assertIdentical(t, name, func(noWindows, noInline bool) (machine.Stats, error) {
-				res, err := RunProducerConsumer(
+				res, err := RunProducerConsumerIn(nil,
 					machine.Config{Procs: procs, Topo: tp, Seed: 7, NoSpinWindows: noWindows, NoInlineDispatch: noInline},
 					info, PCOpts{Items: 40, Capacity: 4, Work: 20})
 				return res.Stats, err
@@ -177,7 +177,7 @@ func TestDeterminismCounters(t *testing.T) {
 			info := info
 			name := fmt.Sprintf("%s/%s/P%d", tp.Name(), info.Name, procs)
 			assertIdentical(t, name, func(noWindows, noInline bool) (machine.Stats, error) {
-				res, err := RunCounter(
+				res, err := RunCounterIn(nil,
 					machine.Config{Procs: procs, Topo: tp, Seed: 7, NoSpinWindows: noWindows, NoInlineDispatch: noInline},
 					info, CounterOpts{Incs: 30, Think: 20})
 				return res.Stats, err
@@ -196,7 +196,7 @@ func TestFastPathEngages(t *testing.T) {
 	if !ok {
 		t.Fatal("tas lock missing")
 	}
-	res, err := RunLock(
+	res, err := RunLockIn(nil,
 		machine.Config{Procs: 1, Topo: topo.Bus, Seed: 1},
 		info, LockOpts{Iters: 50, CS: 25, Think: 50, CheckMutex: true})
 	if err != nil {
@@ -239,7 +239,7 @@ func TestPooledRunsMatchFresh(t *testing.T) {
 		if !ok {
 			t.Fatalf("unknown lock %q", c.lock)
 		}
-		res, err := RunLock(c.cfg, info, opts)
+		res, err := RunLockIn(nil, c.cfg, info, opts)
 		if err != nil {
 			t.Fatalf("fresh %s: %v", c.lock, err)
 		}
@@ -279,11 +279,11 @@ func TestPooledReuseAfterInlineRun(t *testing.T) {
 	noInlineCfg := base
 	noInlineCfg.NoInlineDispatch = true
 
-	freshInline, err := RunLock(base, info, opts)
+	freshInline, err := RunLockIn(nil, base, info, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	freshHandoff, err := RunLock(noInlineCfg, info, opts)
+	freshHandoff, err := RunLockIn(nil, noInlineCfg, info, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,9 +293,11 @@ func TestPooledReuseAfterInlineRun(t *testing.T) {
 	// Run 1: a crash plan kills a processor mid-workload, abandoning
 	// whatever script it was executing. The Reset drawn for run 2 must
 	// scrub that residue.
-	plan := fault.NewPlan("pool/inline-crash").WithCrash(base.Procs-1, 700)
-	fOpts := FaultLockOpts{Iters: 12, CS: 25, Think: 50, Budget: 2048, MaxSteps: 500_000}
-	crashed, err := RunLockFaulted(pool, base, info, plan, fOpts)
+	crashCfg := base
+	crashCfg.Faults = fault.NewPlan("pool/inline-crash").WithCrash(base.Procs-1, 700)
+	crashCfg.MaxSteps = 500_000
+	fOpts := LockOpts{Iters: 12, CS: 25, Think: 50, Budget: 2048, MaxAttempts: 12}
+	crashed, err := RunLockIn(pool, crashCfg, info, fOpts)
 	if err != nil {
 		t.Fatalf("crashed run: %v", err)
 	}
@@ -371,15 +373,15 @@ func TestDeterminismMixedFamilyStorm(t *testing.T) {
 	forEachConfig(t, func(tp topo.Topology, procs int) {
 		name := fmt.Sprintf("%s/mixed-storm/P%d", tp.Name(), procs)
 		opts := LockOpts{Iters: 20, CS: 25, Think: 50, CheckMutex: true}
-		on, err := RunLock(machine.Config{Procs: procs, Topo: tp, Seed: 13}, info, opts)
+		on, err := RunLockIn(nil, machine.Config{Procs: procs, Topo: tp, Seed: 13}, info, opts)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		off, err := RunLock(machine.Config{Procs: procs, Topo: tp, Seed: 13, NoSpinWindows: true}, info, opts)
+		off, err := RunLockIn(nil, machine.Config{Procs: procs, Topo: tp, Seed: 13, NoSpinWindows: true}, info, opts)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		noInline, err := RunLock(machine.Config{Procs: procs, Topo: tp, Seed: 13, NoInlineDispatch: true}, info, opts)
+		noInline, err := RunLockIn(nil, machine.Config{Procs: procs, Topo: tp, Seed: 13, NoInlineDispatch: true}, info, opts)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

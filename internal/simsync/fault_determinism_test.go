@@ -23,6 +23,17 @@ import (
 // package), while stall+degrade plans leave every workload able to
 // finish.
 
+// completed turns a run under a fault plan that did not complete into
+// an error: with a plan the runners report a step limit or deadlock as
+// an Outcome, but every plan in the determinism suites leaves the
+// workload able to finish.
+func completed(err error, o Outcome) error {
+	if err == nil && o != OutcomeOK {
+		return fmt.Errorf("run under fault plan ended %v", o)
+	}
+	return err
+}
+
 // faultPlanFor builds a deterministic stall+degrade plan sized to the
 // short determinism workloads: a couple of mid-run stalls spread over
 // the contending processors plus two module degrades.
@@ -46,10 +57,10 @@ func TestFaultDeterminismLocks(t *testing.T) {
 			info := info
 			name := fmt.Sprintf("%s/%s/P%d/faulted", tp.Name(), info.Name, procs)
 			assertIdentical(t, name, func(noWindows, noInline bool) (machine.Stats, error) {
-				res, err := RunLock(
+				res, err := RunLockIn(nil,
 					machine.Config{Procs: procs, Topo: tp, Seed: 7, NoSpinWindows: noWindows, NoInlineDispatch: noInline, Faults: plan},
 					info, LockOpts{Iters: 20, CS: 25, Think: 50, CheckMutex: true})
-				return res.Stats, err
+				return res.Stats, completed(err, res.Outcome)
 			})
 		}
 	})
@@ -62,10 +73,10 @@ func TestFaultDeterminismBarriers(t *testing.T) {
 			info := info
 			name := fmt.Sprintf("%s/%s/P%d/faulted", tp.Name(), info.Name, procs)
 			assertIdentical(t, name, func(noWindows, noInline bool) (machine.Stats, error) {
-				res, err := RunBarrier(
+				res, err := RunBarrierIn(nil,
 					machine.Config{Procs: procs, Topo: tp, Seed: 7, NoSpinWindows: noWindows, NoInlineDispatch: noInline, Faults: plan},
 					info, BarrierOpts{Episodes: 10, Work: 150})
-				return res.Stats, err
+				return res.Stats, completed(err, res.Outcome)
 			})
 		}
 	})
@@ -78,7 +89,7 @@ func TestFaultDeterminismRWLocks(t *testing.T) {
 			info := info
 			name := fmt.Sprintf("%s/%s/P%d/faulted", tp.Name(), info.Name, procs)
 			assertIdentical(t, name, func(noWindows, noInline bool) (machine.Stats, error) {
-				res, err := RunRW(
+				res, err := RunRWIn(nil,
 					machine.Config{Procs: procs, Topo: tp, Seed: 7, NoSpinWindows: noWindows, NoInlineDispatch: noInline, Faults: plan},
 					info, RWOpts{Iters: 20, ReadFraction: 0.8, Work: 40, Think: 60})
 				return res.Stats, err
@@ -94,7 +105,7 @@ func TestFaultDeterminismSemaphores(t *testing.T) {
 			info := info
 			name := fmt.Sprintf("%s/%s/P%d/faulted", tp.Name(), info.Name, procs)
 			assertIdentical(t, name, func(noWindows, noInline bool) (machine.Stats, error) {
-				res, err := RunProducerConsumer(
+				res, err := RunProducerConsumerIn(nil,
 					machine.Config{Procs: procs, Topo: tp, Seed: 7, NoSpinWindows: noWindows, NoInlineDispatch: noInline, Faults: plan},
 					info, PCOpts{Items: 40, Capacity: 4, Work: 20})
 				return res.Stats, err
@@ -110,7 +121,7 @@ func TestFaultDeterminismCounters(t *testing.T) {
 			info := info
 			name := fmt.Sprintf("%s/%s/P%d/faulted", tp.Name(), info.Name, procs)
 			assertIdentical(t, name, func(noWindows, noInline bool) (machine.Stats, error) {
-				res, err := RunCounter(
+				res, err := RunCounterIn(nil,
 					machine.Config{Procs: procs, Topo: tp, Seed: 7, NoSpinWindows: noWindows, NoInlineDispatch: noInline, Faults: plan},
 					info, CounterOpts{Incs: 30, Think: 20})
 				return res.Stats, err
@@ -119,11 +130,12 @@ func TestFaultDeterminismCounters(t *testing.T) {
 	})
 }
 
-// TestFaultDeterminismCrashRunner covers the crash path: plans that
-// kill processors mid-run, executed through the degradation-tolerant
-// runner. The full FaultLockResult — outcome classification, attempt
-// and timeout counts, crash tally, throughput — must be bit-identical
-// across repeat runs and across the windows A/B switch.
+// TestFaultDeterminismCrashRunner covers the crash path: fail-stop
+// plans that kill processors mid-run, with every attempt counted as an
+// iteration (FT1's accounting). The full LockResult — outcome
+// classification, attempt and timeout counts, crash tally, throughput —
+// must be bit-identical across repeat runs and across the windows A/B
+// switch.
 func TestFaultDeterminismCrashRunner(t *testing.T) {
 	locks := []string{"tas", "tas-deadline", "lease"}
 	for _, tp := range []topo.Topology{topo.Bus, topo.NUMA} {
@@ -138,11 +150,11 @@ func TestFaultDeterminismCrashRunner(t *testing.T) {
 			for _, lk := range locks {
 				info := mustLock(t, lk)
 				name := fmt.Sprintf("%s/%s/P%d/crash", tp.Name(), lk, procs)
-				opts := FaultLockOpts{Iters: 12, CS: 25, Think: 50, Budget: 2048, MaxSteps: 500_000}
-				measure := func(noWindows, noInline bool) (FaultLockResult, error) {
-					return RunLockFaulted(nil,
-						machine.Config{Procs: procs, Topo: tp, Seed: 11, NoSpinWindows: noWindows, NoInlineDispatch: noInline},
-						info, plan, opts)
+				opts := LockOpts{Iters: 12, CS: 25, Think: 50, Budget: 2048, MaxAttempts: 12}
+				measure := func(noWindows, noInline bool) (LockResult, error) {
+					return RunLockIn(nil,
+						machine.Config{Procs: procs, Topo: tp, Seed: 11, NoSpinWindows: noWindows, NoInlineDispatch: noInline, Faults: plan, MaxSteps: 500_000},
+						info, opts)
 				}
 				a, err := measure(false, false)
 				if err != nil {

@@ -37,8 +37,8 @@ func arbitraryPlan(seed uint64, procs int, stalls, crashes, degrades uint8) *fau
 // Property: the deadline lock under arbitrary fault plans — including
 // crashes that wedge the lock word — upholds mutual exclusion among
 // live processors. Bounded attempts turn a dead holder into timeouts,
-// so most runs still complete; whatever the outcome, RunLockFaulted
-// errors on any safety breach.
+// so most runs still complete; whatever the outcome, RunLockIn errors
+// on any safety breach.
 func TestFaultLockSafetyProperty(t *testing.T) {
 	for _, name := range []string{"tas-deadline", "tas"} {
 		name := name
@@ -49,10 +49,9 @@ func TestFaultLockSafetyProperty(t *testing.T) {
 				procs := int(procsRaw%7) + 2
 				plan := arbitraryPlan(seed, procs, stalls, crashes, degrades)
 				for _, model := range []topo.Topology{topo.Bus, topo.NUMA} {
-					_, err := RunLockFaulted(nil,
-						machine.Config{Procs: procs, Topo: model, Seed: seed | 1},
-						info, plan,
-						FaultLockOpts{Iters: 10, CS: 25, Think: 40, Budget: 600, MaxSteps: 250_000})
+					_, err := RunLockIn(nil,
+						machine.Config{Procs: procs, Topo: model, Seed: seed | 1, Faults: plan, MaxSteps: 250_000},
+						info, LockOpts{Iters: 10, CS: 25, Think: 40, Budget: 600, MaxAttempts: 10})
 					if err != nil {
 						t.Logf("seed=%d procs=%d plan=%s model=%s: %v", seed, procs, plan.Name(), model, err)
 						return false
@@ -82,10 +81,9 @@ func TestFaultLeaseSafetyProperty(t *testing.T) {
 			fmt.Sprintf("lease/s%d", seed), seed|1,
 			fault.Spec{Procs: procs, Modules: procs, Horizon: 8000,
 				Crashes: int(crashes%3) + 1})
-		_, err := RunLockFaulted(nil,
-			machine.Config{Procs: procs, Topo: topo.Bus, Seed: seed | 1},
-			info, plan,
-			FaultLockOpts{Iters: 10, CS: 30, Think: 40, MaxSteps: 400_000})
+		_, err := RunLockIn(nil,
+			machine.Config{Procs: procs, Topo: topo.Bus, Seed: seed | 1, Faults: plan, MaxSteps: 400_000},
+			info, LockOpts{Iters: 10, CS: 30, Think: 40, MaxAttempts: 10})
 		if err != nil {
 			t.Logf("seed=%d procs=%d: %v", seed, procs, err)
 			return false
@@ -109,7 +107,7 @@ func TestFaultSemaphoreConservationProperty(t *testing.T) {
 	f := func(seed uint64, procsRaw, stalls, degrades uint8) bool {
 		procs := int(procsRaw%7) + 2
 		plan := arbitraryPlan(seed, procs, stalls, 0, degrades)
-		_, err := RunProducerConsumer(
+		_, err := RunProducerConsumerIn(nil,
 			machine.Config{Procs: procs, Topo: topo.NUMA, Seed: seed | 1, Faults: plan},
 			info, PCOpts{Items: 30, Capacity: 3, Work: 20})
 		if err != nil {

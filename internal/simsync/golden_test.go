@@ -71,7 +71,7 @@ func runGoldenCellCfg(family, algo, modelName string, model topo.Topology, cfg m
 		if !ok {
 			return cell, fmt.Errorf("unknown lock %q", algo)
 		}
-		res, err := RunLock(cfg, info, LockOpts{Iters: 20, CS: 25, Think: 50, CheckMutex: true})
+		res, err := RunLockIn(nil, cfg, info, LockOpts{Iters: 20, CS: 25, Think: 50, CheckMutex: true})
 		if err != nil {
 			return cell, err
 		}
@@ -81,7 +81,7 @@ func runGoldenCellCfg(family, algo, modelName string, model topo.Topology, cfg m
 		if !ok {
 			return cell, fmt.Errorf("unknown barrier %q", algo)
 		}
-		res, err := RunBarrier(cfg, info, BarrierOpts{Episodes: 10, Work: 150})
+		res, err := RunBarrierIn(nil, cfg, info, BarrierOpts{Episodes: 10, Work: 150})
 		if err != nil {
 			return cell, err
 		}
@@ -91,7 +91,7 @@ func runGoldenCellCfg(family, algo, modelName string, model topo.Topology, cfg m
 		if !ok {
 			return cell, fmt.Errorf("unknown rwlock %q", algo)
 		}
-		res, err := RunRW(cfg, info, RWOpts{Iters: 20, ReadFraction: 0.8, Work: 40, Think: 60})
+		res, err := RunRWIn(nil, cfg, info, RWOpts{Iters: 20, ReadFraction: 0.8, Work: 40, Think: 60})
 		if err != nil {
 			return cell, err
 		}
@@ -101,7 +101,7 @@ func runGoldenCellCfg(family, algo, modelName string, model topo.Topology, cfg m
 		if !ok {
 			return cell, fmt.Errorf("unknown semaphore %q", algo)
 		}
-		res, err := RunProducerConsumer(cfg, info, PCOpts{Items: 40, Capacity: 4, Work: 20})
+		res, err := RunProducerConsumerIn(nil, cfg, info, PCOpts{Items: 40, Capacity: 4, Work: 20})
 		if err != nil {
 			return cell, err
 		}
@@ -111,7 +111,7 @@ func runGoldenCellCfg(family, algo, modelName string, model topo.Topology, cfg m
 		if !ok {
 			return cell, fmt.Errorf("unknown counter %q", algo)
 		}
-		res, err := RunCounter(cfg, info, CounterOpts{Incs: 30, Think: 20})
+		res, err := RunCounterIn(nil, cfg, info, CounterOpts{Incs: 30, Think: 20})
 		if err != nil {
 			return cell, err
 		}

@@ -35,8 +35,11 @@ type Lock interface {
 // the same host-side bookkeeping Release would (ticket/slot tracking);
 // calling it any earlier than Release is safe because only processors
 // *holding* the lock mutate that state, and the simulation is
-// single-threaded. Locks whose release performs simulated reads or
-// RMWs (qsync's successor handoff) cannot implement it.
+// single-threaded. Under a fault plan a holder can die between
+// ReleaseScript and the scripted store, leaving that bookkeeping done
+// without the release; none of the locks implementing it survives a
+// dead holder in any case. Locks whose release performs simulated reads
+// or RMWs (qsync's successor handoff) cannot implement it.
 type ScriptedRelease interface {
 	Lock
 	ReleaseScript(p *machine.Proc) (machine.Addr, machine.Word)

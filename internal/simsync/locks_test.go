@@ -16,7 +16,7 @@ func TestAllLocksMutualExclusion(t *testing.T) {
 			info, model := info, model
 			t.Run(info.Name+"/"+model.Name(), func(t *testing.T) {
 				t.Parallel()
-				res, err := RunLock(
+				res, err := RunLockIn(nil,
 					machine.Config{Procs: 8, Topo: model, Seed: 7},
 					info,
 					LockOpts{Iters: 40, CS: 10, Think: 25, CheckMutex: true},
@@ -46,7 +46,7 @@ func TestAllLocksSingleProc(t *testing.T) {
 	for _, info := range Locks() {
 		info := info
 		t.Run(info.Name, func(t *testing.T) {
-			res, err := RunLock(
+			res, err := RunLockIn(nil,
 				machine.Config{Procs: 1, Topo: topo.Bus},
 				info,
 				LockOpts{Iters: 10, CheckMutex: true},
@@ -70,7 +70,7 @@ func TestFIFOLocksHaveNoInversions(t *testing.T) {
 		info := info
 		t.Run(info.Name, func(t *testing.T) {
 			t.Parallel()
-			res, err := RunLock(
+			res, err := RunLockIn(nil,
 				machine.Config{Procs: 12, Topo: topo.Bus, Seed: 3},
 				info,
 				LockOpts{Iters: 30, CS: 8, Think: 40, CheckMutex: true, RecordOrder: true},
@@ -92,7 +92,7 @@ func TestFIFOLocksHaveNoInversions(t *testing.T) {
 // delays decide who retries nearest a release, so tas-bo is the
 // canonical unfair lock here (see DESIGN.md, T3).
 func TestUnfairLocksShowInversions(t *testing.T) {
-	res, err := RunLock(
+	res, err := RunLockIn(nil,
 		machine.Config{Procs: 12, Topo: topo.Bus, Seed: 3},
 		mustLock(t, "tas-bo"),
 		LockOpts{Iters: 30, CS: 8, Think: 10, CheckMutex: true, RecordOrder: true},
@@ -119,7 +119,7 @@ func mustLock(t *testing.T, name string) LockInfo {
 // test&set's grows.
 func TestQSyncConstantTraffic(t *testing.T) {
 	traffic := func(procs int) float64 {
-		res, err := RunLock(
+		res, err := RunLockIn(nil,
 			machine.Config{Procs: procs, Topo: topo.Bus, Seed: 5},
 			mustLock(t, "qsync"),
 			LockOpts{Iters: 50, CS: 10, CheckMutex: true},
@@ -137,7 +137,7 @@ func TestQSyncConstantTraffic(t *testing.T) {
 
 func TestTASTrafficGrowsWithProcs(t *testing.T) {
 	traffic := func(procs int) float64 {
-		res, err := RunLock(
+		res, err := RunLockIn(nil,
 			machine.Config{Procs: procs, Topo: topo.Bus, Seed: 5},
 			mustLock(t, "tas"),
 			LockOpts{Iters: 30, CS: 10, CheckMutex: true},
@@ -156,7 +156,7 @@ func TestTASTrafficGrowsWithProcs(t *testing.T) {
 // On NUMA, QSync spins locally: remote references per acquisition must
 // stay small and flat.
 func TestQSyncLocalSpinOnNUMA(t *testing.T) {
-	res, err := RunLock(
+	res, err := RunLockIn(nil,
 		machine.Config{Procs: 16, Topo: topo.NUMA, Seed: 5},
 		mustLock(t, "qsync"),
 		LockOpts{Iters: 50, CS: 10, CheckMutex: true},
@@ -175,7 +175,7 @@ func TestQSyncLocalSpinOnNUMA(t *testing.T) {
 
 func TestTicketRemoteSpinOnNUMAIsCostly(t *testing.T) {
 	run := func(name string) float64 {
-		res, err := RunLock(
+		res, err := RunLockIn(nil,
 			machine.Config{Procs: 16, Topo: topo.NUMA, Seed: 5},
 			mustLock(t, name),
 			LockOpts{Iters: 30, CS: 10, CheckMutex: true},
@@ -192,7 +192,7 @@ func TestTicketRemoteSpinOnNUMAIsCostly(t *testing.T) {
 }
 
 func TestDurationModeAndFairnessSpread(t *testing.T) {
-	res, err := RunLock(
+	res, err := RunLockIn(nil,
 		machine.Config{Procs: 8, Topo: topo.Bus, Seed: 11},
 		mustLock(t, "qsync"),
 		LockOpts{Duration: 50000, CS: 10, CheckMutex: true},
@@ -225,7 +225,7 @@ func TestUncontendedLockCost(t *testing.T) {
 	for _, info := range Locks() {
 		info := info
 		t.Run(info.Name, func(t *testing.T) {
-			cyc, traf, err := UncontendedLockCost(topo.Bus, info)
+			cyc, traf, err := UncontendedLockCostIn(nil, topo.Bus, info)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -243,11 +243,11 @@ func TestUncontendedLockCost(t *testing.T) {
 // The classic single-processor ranking: test&set is the cheapest
 // uncontended lock; the queueing mechanism pays a few extra cycles.
 func TestUncontendedRankingTASBeatsQSync(t *testing.T) {
-	tas, _, err := UncontendedLockCost(topo.Bus, mustLock(t, "tas"))
+	tas, _, err := UncontendedLockCostIn(nil, topo.Bus, mustLock(t, "tas"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	qs, _, err := UncontendedLockCost(topo.Bus, mustLock(t, "qsync"))
+	qs, _, err := UncontendedLockCostIn(nil, topo.Bus, mustLock(t, "qsync"))
 	if err != nil {
 		t.Fatal(err)
 	}

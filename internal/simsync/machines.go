@@ -2,15 +2,15 @@ package simsync
 
 import "repro/internal/machine"
 
-// Every workload runner (RunLock, RunBarrier, RunRW,
-// RunProducerConsumer, RunCounter) has an In-suffixed variant taking a
+// Every workload runner (RunLockIn, RunBarrierIn, RunRWIn,
+// RunProducerConsumerIn, RunCounterIn, UncontendedLockCostIn) takes a
 // *machine.Pool. A pooled run draws its machine with Get — which resets
 // a cached machine instead of allocating simulated memory — and returns
 // it with Put once the measurements are read. Reset machines are
 // bit-identical to fresh ones (pinned by the determinism tests), so
 // pooled and unpooled runs produce the same results; the pool only
 // removes the per-cell allocation cost. A nil pool means "allocate
-// fresh", which keeps the plain entry points working unchanged.
+// fresh".
 
 // getMachine draws a machine for one run.
 func getMachine(pool *machine.Pool, cfg machine.Config) (*machine.Machine, error) {

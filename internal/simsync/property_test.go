@@ -11,7 +11,7 @@ import (
 
 // Property: for arbitrary workload parameters, every lock preserves
 // mutual exclusion and loses no updates — the safety checkers inside
-// RunLock turn any violation into an error.
+// RunLockIn turn any violation into an error.
 func TestLockSafetyProperty(t *testing.T) {
 	for _, name := range []string{"qsync", "tas-bo", "gt"} {
 		name := name
@@ -23,7 +23,7 @@ func TestLockSafetyProperty(t *testing.T) {
 				cs := sim.Time(csRaw % 60)
 				think := sim.Time(thinkRaw % 100)
 				for _, model := range []topo.Topology{topo.Bus, topo.NUMA} {
-					_, err := RunLock(
+					_, err := RunLockIn(nil,
 						machine.Config{Procs: procs, Topo: model, Seed: seed | 1},
 						info,
 						LockOpts{Iters: 15, CS: cs, Think: think, CheckMutex: true},
@@ -55,7 +55,7 @@ func TestBarrierSafetyProperty(t *testing.T) {
 			f := func(seed uint64, procsRaw, workRaw uint8) bool {
 				procs := int(procsRaw%14) + 1
 				work := sim.Time(workRaw % 200)
-				_, err := RunBarrier(
+				_, err := RunBarrierIn(nil,
 					machine.Config{Procs: procs, Topo: topo.NUMA, Seed: seed | 1},
 					info,
 					BarrierOpts{Episodes: 6, Work: work},
@@ -75,7 +75,7 @@ func TestRWSafetyProperty(t *testing.T) {
 	f := func(seed uint64, procsRaw, fracRaw uint8) bool {
 		procs := int(procsRaw%8) + 2
 		frac := float64(fracRaw%101) / 100
-		_, err := RunRW(
+		_, err := RunRWIn(nil,
 			machine.Config{Procs: procs, Topo: topo.Bus, Seed: seed | 1},
 			info,
 			RWOpts{Iters: 12, ReadFraction: frac, Work: 10, Think: 20},

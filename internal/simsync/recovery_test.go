@@ -38,10 +38,10 @@ func TestRecoveryDeterminismLocks(t *testing.T) {
 			info := info
 			name := fmt.Sprintf("%s/%s/P%d/recovery", tp.Name(), info.Name, procs)
 			assertIdentical(t, name, func(noWindows, noInline bool) (machine.Stats, error) {
-				res, err := RunLock(
+				res, err := RunLockIn(nil,
 					machine.Config{Procs: procs, Topo: tp, Seed: 7, NoSpinWindows: noWindows, NoInlineDispatch: noInline, Faults: plan},
 					info, LockOpts{Iters: 20, CS: 25, Think: 50, CheckMutex: true})
-				return res.Stats, err
+				return res.Stats, completed(err, res.Outcome)
 			})
 		}
 	})
@@ -53,29 +53,15 @@ func TestRecoveryDeterminismBarriers(t *testing.T) {
 		for _, info := range Barriers() {
 			info := info
 			name := fmt.Sprintf("%s/%s/P%d/recovery", tp.Name(), info.Name, procs)
-			if info.Name == "reconf" {
-				// reconf evicts the crashed processor and completes
-				// episodes without it — correct under this plan, but the
-				// fault-free runner's all-arrive check reads that as an
-				// early release. Assert its determinism contract through
-				// the crash-aware runner instead.
-				assertIdentical(t, name, func(noWindows, noInline bool) (machine.Stats, error) {
-					res, err := RunBarrierRecovery(nil,
-						machine.Config{Procs: procs, Topo: tp, Seed: 7, NoSpinWindows: noWindows, NoInlineDispatch: noInline},
-						info.Name, func(m *machine.Machine) Barrier { return info.Make(m) },
-						plan, RecoveryBarrierOpts{Episodes: 10, Work: 150, MaxSteps: 2_000_000})
-					if err == nil && res.Outcome != OutcomeOK {
-						err = fmt.Errorf("reconf under recovery plan: outcome %v", res.Outcome)
-					}
-					return res.Stats, err
-				})
-				continue
-			}
+			// reconf evicts the crashed processor and completes episodes
+			// without it — correct under this plan, so the runner excuses
+			// its early releases (it can Leave, and a processor crashed);
+			// every other barrier keeps the all-arrive check.
 			assertIdentical(t, name, func(noWindows, noInline bool) (machine.Stats, error) {
-				res, err := RunBarrier(
+				res, err := RunBarrierIn(nil,
 					machine.Config{Procs: procs, Topo: tp, Seed: 7, NoSpinWindows: noWindows, NoInlineDispatch: noInline, Faults: plan},
 					info, BarrierOpts{Episodes: 10, Work: 150})
-				return res.Stats, err
+				return res.Stats, completed(err, res.Outcome)
 			})
 		}
 	})
@@ -88,7 +74,7 @@ func TestRecoveryDeterminismRWLocks(t *testing.T) {
 			info := info
 			name := fmt.Sprintf("%s/%s/P%d/recovery", tp.Name(), info.Name, procs)
 			assertIdentical(t, name, func(noWindows, noInline bool) (machine.Stats, error) {
-				res, err := RunRW(
+				res, err := RunRWIn(nil,
 					machine.Config{Procs: procs, Topo: tp, Seed: 7, NoSpinWindows: noWindows, NoInlineDispatch: noInline, Faults: plan},
 					info, RWOpts{Iters: 20, ReadFraction: 0.8, Work: 40, Think: 60})
 				return res.Stats, err
@@ -104,7 +90,7 @@ func TestRecoveryDeterminismSemaphores(t *testing.T) {
 			info := info
 			name := fmt.Sprintf("%s/%s/P%d/recovery", tp.Name(), info.Name, procs)
 			assertIdentical(t, name, func(noWindows, noInline bool) (machine.Stats, error) {
-				res, err := RunProducerConsumer(
+				res, err := RunProducerConsumerIn(nil,
 					machine.Config{Procs: procs, Topo: tp, Seed: 7, NoSpinWindows: noWindows, NoInlineDispatch: noInline, Faults: plan},
 					info, PCOpts{Items: 40, Capacity: 4, Work: 20})
 				return res.Stats, err
@@ -120,7 +106,7 @@ func TestRecoveryDeterminismCounters(t *testing.T) {
 			info := info
 			name := fmt.Sprintf("%s/%s/P%d/recovery", tp.Name(), info.Name, procs)
 			assertIdentical(t, name, func(noWindows, noInline bool) (machine.Stats, error) {
-				res, err := RunCounter(
+				res, err := RunCounterIn(nil,
 					machine.Config{Procs: procs, Topo: tp, Seed: 7, NoSpinWindows: noWindows, NoInlineDispatch: noInline, Faults: plan},
 					info, CounterOpts{Incs: 30, Think: 20})
 				return res.Stats, err
@@ -131,8 +117,8 @@ func TestRecoveryDeterminismCounters(t *testing.T) {
 
 // TestRecoveryDeterminismMidRunCrash covers the hard case: a processor
 // crashes mid-workload — possibly inside the critical section — and is
-// reborn later. The full RecoveryLockResult (outcome, orphan and
-// timeout counts, time-to-recovery) must be bit-identical across repeat
+// reborn later. The full LockResult (outcome, orphan and timeout
+// counts, time-to-recovery) must be bit-identical across repeat
 // runs and the windows A/B switch, for resilient and non-resilient
 // locks alike (a wedged tas run is data too, and must wedge
 // identically).
@@ -147,11 +133,11 @@ func TestRecoveryDeterminismMidRunCrash(t *testing.T) {
 			for _, lk := range locks {
 				info := mustLock(t, lk)
 				name := fmt.Sprintf("%s/%s/P%d/midrun", tp.Name(), lk, procs)
-				opts := RecoveryLockOpts{Iters: 8, CS: 25, Think: 50, Budget: 2048, MaxSteps: 500_000}
-				measure := func(noWindows, noInline bool) (RecoveryLockResult, error) {
-					return RunLockRecovery(nil,
-						machine.Config{Procs: procs, Topo: tp, Seed: 11, NoSpinWindows: noWindows, NoInlineDispatch: noInline},
-						info, plan, opts)
+				opts := LockOpts{Iters: 8, CS: 25, Think: 50, Budget: 2048}
+				measure := func(noWindows, noInline bool) (LockResult, error) {
+					return RunLockIn(nil,
+						machine.Config{Procs: procs, Topo: tp, Seed: 11, NoSpinWindows: noWindows, NoInlineDispatch: noInline, Faults: plan, MaxSteps: 500_000},
+						info, opts)
 				}
 				a, err := measure(false, false)
 				if err != nil {
@@ -203,8 +189,8 @@ func TestRecoveryDeterminismMidRunCrash(t *testing.T) {
 // the failure detector fires and completes the whole workload,
 // measuring the reborn processor's time back to useful work.
 func TestHealQueueCompletesWhereQSyncWedges(t *testing.T) {
-	cfg := machine.Config{Procs: 8, Topo: topo.Bus, Seed: 17}
-	opts := RecoveryLockOpts{Iters: 8, CS: 25, Think: 0, MaxSteps: 2_000_000}
+	cfg := machine.Config{Procs: 8, Topo: topo.Bus, Seed: 17, MaxSteps: 2_000_000}
+	opts := LockOpts{Iters: 8, CS: 25, Think: 0}
 
 	// A crash instant can land between the victim's memory operations
 	// (the enqueue RMW is simply cut off and the queue never contains
@@ -212,15 +198,15 @@ func TestHealQueueCompletesWhereQSyncWedges(t *testing.T) {
 	// while it is actually holding or queued — where qsync wedges.
 	var plan *fault.Plan
 	for at := sim.Time(500); at <= 1200; at += 37 {
-		cand := fault.NewPlan(fmt.Sprintf("heal/crash@%d", at)).
+		cfg.Faults = fault.NewPlan(fmt.Sprintf("heal/crash@%d", at)).
 			WithCrash(0, at).
 			WithRestart(0, 9000)
-		qs, err := RunLockRecovery(nil, cfg, mustLock(t, "qsync"), cand, opts)
+		qs, err := RunLockIn(nil, cfg, mustLock(t, "qsync"), opts)
 		if err != nil {
 			t.Fatalf("qsync under crash@%d: %v", at, err)
 		}
 		if qs.Outcome != OutcomeOK {
-			plan = cand
+			plan = cfg.Faults
 			break
 		}
 	}
@@ -231,7 +217,8 @@ func TestHealQueueCompletesWhereQSyncWedges(t *testing.T) {
 	healInfo := LockInfo{Name: "qheal-ft", FIFO: true, Make: func(m *machine.Machine) Lock {
 		return NewHealQueueGrace(m, 1<<40, 64) // detector-only healing: no grace backstop
 	}}
-	heal, err := RunLockRecovery(nil, cfg, healInfo, plan, opts)
+	cfg.Faults = plan
+	heal, err := RunLockIn(nil, cfg, healInfo, opts)
 	if err != nil {
 		t.Fatalf("qheal: %v", err)
 	}
@@ -288,6 +275,43 @@ func TestHealQueueExcisesDeadTicket(t *testing.T) {
 	}
 	if lk.Requeues() == 0 {
 		t.Error("no excised live waiter ever re-enqueued")
+	}
+}
+
+// TestHealQueueUnannouncedHead: a waiter can find the head ticket taken
+// but not yet announced — its owner was cut off between the fetch&add
+// and the announcing store, so the slot still reads 0. That slot names
+// no processor, so the waiter must not ask the failure detector about
+// it (under a fault plan, where the detector's tables exist, the lookup
+// would index processor -1); it keeps polling and takes its turn once
+// the head ticket is served.
+func TestHealQueueUnannouncedHead(t *testing.T) {
+	plan := fault.NewPlan("heal/unannounced").WithStall(0, 200, 400)
+	m, err := machine.New(machine.Config{Procs: 2, Topo: topo.Bus, Seed: 3, Faults: plan})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lk := NewHealQueueGrace(m, 1<<40, 64).(*healQueueLock)
+	acquired := false
+	if err := m.Run(func(p *machine.Proc) {
+		if p.ID() == 0 {
+			p.FetchAdd(lk.next, 1) // ticket 0, never announced
+			p.Delay(1000)
+			p.Store(lk.serving, 1) // serve it without ever announcing
+			return
+		}
+		p.Delay(100)
+		lk.Acquire(p) // ticket 1 polls behind the unannounced head
+		acquired = true
+		lk.Release(p)
+	}); err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	if !acquired {
+		t.Fatal("waiter behind an unannounced head never acquired")
+	}
+	if lk.Excisions() != 0 {
+		t.Errorf("unannounced head was excised %d times; only the grace backstop may move it", lk.Excisions())
 	}
 }
 
@@ -411,14 +435,14 @@ func TestReconfBarrierEvictsAndRejoins(t *testing.T) {
 	plan := fault.NewPlan("reconf/crash+restart").
 		WithCrash(0, 2000).
 		WithRestart(0, 30000)
-	cfg := machine.Config{Procs: 8, Topo: topo.Bus, Seed: 29}
-	opts := RecoveryBarrierOpts{Episodes: 30, Work: 150, MaxSteps: 4_000_000}
+	cfg := machine.Config{Procs: 8, Topo: topo.Bus, Seed: 29, Faults: plan, MaxSteps: 4_000_000}
+	opts := BarrierOpts{Episodes: 30, Work: 150}
 
 	var bar *reconfBarrier
-	res, err := RunBarrierRecovery(nil, cfg, "reconf", func(m *machine.Machine) Barrier {
+	res, err := RunBarrierIn(nil, cfg, BarrierInfo{Name: "reconf", Make: func(m *machine.Machine) Barrier {
 		bar = NewReconfBudget(m, 4096).(*reconfBarrier)
 		return bar
-	}, plan, opts)
+	}}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -441,10 +465,8 @@ func TestReconfBarrierEvictsAndRejoins(t *testing.T) {
 	// The same plan wedges the plain central barrier until the restart
 	// lands, costing most of the episode budget; with no restart at all
 	// it would never complete. Here we only require reconf to beat it.
-	central, err := RunBarrierRecovery(nil, cfg, "central", func(m *machine.Machine) Barrier {
-		info, _ := BarrierByName("central")
-		return info.Make(m)
-	}, plan, opts)
+	centralInfo, _ := BarrierByName("central")
+	central, err := RunBarrierIn(nil, cfg, centralInfo, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,8 +15,8 @@ import (
 // BoundedLock is a Lock whose acquire can give up. AcquireWithin
 // attempts the acquire for at most budget cycles of this processor's
 // clock and reports whether the lock was taken; on false the processor
-// holds nothing and may retry, back off, or abandon the operation. The
-// fault-tolerant runner (fault_workload.go) uses this to keep survivors
+// holds nothing and may retry, back off, or abandon the operation.
+// RunLockIn uses this when LockOpts.Budget is set, to keep survivors
 // making attempts after a crash wedges the lock word.
 type BoundedLock interface {
 	Lock
@@ -195,7 +195,7 @@ func (l *leaseLock) Takeovers() uint64 { return l.takeovers }
 // let processors run episodes apart.
 //
 // Deliberately NOT in BarrierSet: a forced release is exactly the
-// "released before all arrived" condition RunBarrierIn counts as a
+// "released before all arrived" condition a fault-free RunBarrierIn counts as a
 // violation, so the registered correctness sweeps would (rightly) flag
 // it. It is driven by the fault harness instead, where early release
 // under a crash is the feature being measured.

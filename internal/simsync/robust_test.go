@@ -195,9 +195,12 @@ func TestStragglerBarrierNoTimeouts(t *testing.T) {
 // and the workload still finishes.
 func TestStragglerBarrierSurvivesCrash(t *testing.T) {
 	plan := fault.NewPlan("barrier-crash").WithCrash(2, 150)
-	res, err := RunBarrierFaulted(nil,
-		machine.Config{Procs: 3, Topo: topo.Bus, Seed: 5},
-		plan, FaultBarrierOpts{Episodes: 4, Work: 60, Budget: 500, MaxSteps: 200_000})
+	straggler := BarrierInfo{Name: "straggler", Make: func(m *machine.Machine) Barrier {
+		return NewStragglerBarrier(m, 500)
+	}}
+	res, err := RunBarrierIn(nil,
+		machine.Config{Procs: 3, Topo: topo.Bus, Seed: 5, Faults: plan, MaxSteps: 200_000},
+		straggler, BarrierOpts{Episodes: 4, Work: 60})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +215,7 @@ func TestStragglerBarrierSurvivesCrash(t *testing.T) {
 	}
 	// Two survivors times four episodes, plus whatever the victim got
 	// through before t=150.
-	if res.Episodes < 8 {
-		t.Errorf("episodes completed = %d, want at least 8", res.Episodes)
+	if res.Completed < 8 {
+		t.Errorf("episodes completed = %d, want at least 8", res.Completed)
 	}
 }

@@ -249,15 +249,11 @@ type RWResult struct {
 	Stats        machine.Stats
 }
 
-// RunRW drives a simulated reader-writer lock through a read/write mix
-// and verifies both exclusion invariants exactly (the simulator
-// interleaves only at yield points, so host-side brackets are precise):
-// writers exclude everyone; readers exclude writers only.
-func RunRW(cfg machine.Config, info RWLockInfo, opts RWOpts) (RWResult, error) {
-	return RunRWIn(nil, cfg, info, opts)
-}
-
-// RunRWIn is RunRW drawing its machine from pool (see machines.go).
+// RunRWIn drives a simulated reader-writer lock through a read/write
+// mix on a machine drawn from pool (see machines.go) and verifies both
+// exclusion invariants exactly (the simulator interleaves only at yield
+// points, so host-side brackets are precise): writers exclude everyone;
+// readers exclude writers only.
 func RunRWIn(pool *machine.Pool, cfg machine.Config, info RWLockInfo, opts RWOpts) (RWResult, error) {
 	cfg = cfg.Defaults()
 	m, err := getMachine(pool, cfg)

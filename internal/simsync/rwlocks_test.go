@@ -17,7 +17,7 @@ func TestRWLocksExclusion(t *testing.T) {
 				name := info.Name + "/" + model.Name() + "/" + fmtFrac(frac)
 				t.Run(name, func(t *testing.T) {
 					t.Parallel()
-					res, err := RunRW(
+					res, err := RunRWIn(nil,
 						machine.Config{Procs: 8, Topo: model, Seed: 13},
 						info,
 						RWOpts{Iters: 30, ReadFraction: frac, Work: 15, Think: 30},
@@ -65,7 +65,7 @@ func TestRWLocksReadersShare(t *testing.T) {
 			// is measured by F2, not by this test).
 			const procs, iters = 8, 10
 			const work = 2000
-			res, err := RunRW(
+			res, err := RunRWIn(nil,
 				machine.Config{Procs: procs, Topo: topo.Ideal, Seed: 3},
 				info,
 				RWOpts{Iters: iters, ReadFraction: 1, Work: work},
@@ -87,7 +87,7 @@ func TestRWLocksReadersShare(t *testing.T) {
 // fairness) but both must at least complete.
 func TestRWQSyncWriterProgress(t *testing.T) {
 	info, _ := RWLockByName("rw-qsync")
-	res, err := RunRW(
+	res, err := RunRWIn(nil,
 		machine.Config{Procs: 12, Topo: topo.Bus, Seed: 17},
 		info,
 		RWOpts{Iters: 40, ReadFraction: 0.9, Work: 20, Think: 10},
@@ -104,7 +104,7 @@ func TestRWQSyncWriterProgress(t *testing.T) {
 // NUMA: spins are local.
 func TestRWQSyncLocalSpinOnNUMA(t *testing.T) {
 	info, _ := RWLockByName("rw-qsync")
-	res, err := RunRW(
+	res, err := RunRWIn(nil,
 		machine.Config{Procs: 16, Topo: topo.NUMA, Seed: 9},
 		info,
 		RWOpts{Iters: 30, ReadFraction: 0.5, Work: 15, Think: 20},
@@ -126,7 +126,7 @@ func TestRWLockByNameUnknown(t *testing.T) {
 func TestRWDeterministicReplay(t *testing.T) {
 	run := func() RWResult {
 		info, _ := RWLockByName("rw-qsync")
-		res, err := RunRW(
+		res, err := RunRWIn(nil,
 			machine.Config{Procs: 6, Topo: topo.NUMA, Seed: 21},
 			info,
 			RWOpts{Iters: 25, ReadFraction: 0.7, Work: 10, Think: 15},
@@ -145,7 +145,7 @@ func TestRWDeterministicReplay(t *testing.T) {
 func TestGraunkeThakkarBasics(t *testing.T) {
 	// The gt lock is covered by the registry-wide tests; pin down its
 	// FIFO property and flag-flipping reuse explicitly.
-	res, err := RunLock(
+	res, err := RunLockIn(nil,
 		machine.Config{Procs: 10, Topo: topo.Bus, Seed: 2},
 		mustLock(t, "gt"),
 		LockOpts{Iters: 50, CS: 10, Think: 20, CheckMutex: true, RecordOrder: true},

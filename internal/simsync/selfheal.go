@@ -241,7 +241,11 @@ func (l *healQueueLock) waitTurn(p *machine.Proc, t machine.Word) bool {
 			first = false
 		}
 		slot := p.Load(l.slots + machine.Addr(int(s)%l.procs))
-		if slot>>healOwnerBits == s {
+		// An owner field of 0 is a head ticket taken but not yet
+		// announced (its owner was cut off between the fetch&add and
+		// the store): it names no processor to suspect, so only the
+		// grace backstop below can move it.
+		if slot>>healOwnerBits == s && slot&healOwnerMask != 0 {
 			if owner := int(slot&healOwnerMask) - 1; owner != p.ID() && p.Suspects(owner) {
 				// The head ticket's owner is suspected dead: excise it.
 				// The CAS makes excision idempotent across waiters, and

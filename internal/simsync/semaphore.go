@@ -167,15 +167,10 @@ type PCResult struct {
 	Stats          machine.Stats
 }
 
-// RunProducerConsumer drives a bounded buffer with two semaphores
-// (spaces, items) on half producers / half consumers and validates
-// conservation: every slot value written is read exactly once.
-func RunProducerConsumer(cfg machine.Config, info SemaphoreInfo, opts PCOpts) (PCResult, error) {
-	return RunProducerConsumerIn(nil, cfg, info, opts)
-}
-
-// RunProducerConsumerIn is RunProducerConsumer drawing its machine from
-// pool (see machines.go).
+// RunProducerConsumerIn drives a bounded buffer with two semaphores
+// (spaces, items) on half producers / half consumers, on a machine drawn
+// from pool (see machines.go), and validates conservation: every slot
+// value written is read exactly once.
 func RunProducerConsumerIn(pool *machine.Pool, cfg machine.Config, info SemaphoreInfo, opts PCOpts) (PCResult, error) {
 	cfg = cfg.Defaults()
 	if cfg.Procs < 2 {

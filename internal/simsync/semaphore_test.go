@@ -17,7 +17,7 @@ func TestSemaphoresProducerConsumer(t *testing.T) {
 				name := info.Name + "/" + model.Name() + "/" + itoa(procs)
 				t.Run(name, func(t *testing.T) {
 					t.Parallel()
-					res, err := RunProducerConsumer(
+					res, err := RunProducerConsumerIn(nil,
 						machine.Config{Procs: procs, Topo: model, Seed: 31},
 						info,
 						PCOpts{Items: 60, Capacity: 4, Work: 15},
@@ -39,7 +39,7 @@ func TestSemaphoreCapacityOne(t *testing.T) {
 		info := info
 		t.Run(info.Name, func(t *testing.T) {
 			t.Parallel()
-			_, err := RunProducerConsumer(
+			_, err := RunProducerConsumerIn(nil,
 				machine.Config{Procs: 6, Topo: topo.Bus, Seed: 7},
 				info,
 				PCOpts{Items: 40, Capacity: 1},
@@ -53,7 +53,7 @@ func TestSemaphoreCapacityOne(t *testing.T) {
 
 func TestSemaphoreNeedsTwoProcs(t *testing.T) {
 	info, _ := SemaphoreByName("sem-qsync")
-	_, err := RunProducerConsumer(
+	_, err := RunProducerConsumerIn(nil,
 		machine.Config{Procs: 1, Topo: topo.Bus},
 		info, PCOpts{Items: 5, Capacity: 2},
 	)
@@ -74,7 +74,7 @@ func TestSemaphoreByNameUnknown(t *testing.T) {
 func TestSemaphoreTrafficNUMA(t *testing.T) {
 	run := func(name string) float64 {
 		info, _ := SemaphoreByName(name)
-		res, err := RunProducerConsumer(
+		res, err := RunProducerConsumerIn(nil,
 			machine.Config{Procs: 8, Topo: topo.NUMA, Seed: 3},
 			info,
 			// Zero work: consumers block hard on an empty buffer, which
@@ -95,7 +95,7 @@ func TestSemaphoreTrafficNUMA(t *testing.T) {
 func TestSemaphoreDeterministicReplay(t *testing.T) {
 	run := func() PCResult {
 		info, _ := SemaphoreByName("sem-qsync")
-		res, err := RunProducerConsumer(
+		res, err := RunProducerConsumerIn(nil,
 			machine.Config{Procs: 6, Topo: topo.NUMA, Seed: 11},
 			info, PCOpts{Items: 50, Capacity: 3, Work: 10},
 		)

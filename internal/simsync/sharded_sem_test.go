@@ -55,7 +55,7 @@ func TestShardedSemaphoreProducerConsumer(t *testing.T) {
 		t.Fatal("sem-sharded not registered")
 	}
 	for _, tp := range []topo.Topology{topo.Bus, topo.NUMA, topo.Cluster} {
-		res, err := RunProducerConsumer(
+		res, err := RunProducerConsumerIn(nil,
 			machine.Config{Procs: 8, Topo: tp, Seed: 3},
 			info, PCOpts{Items: 60, Capacity: 4, Work: 20})
 		if err != nil {
@@ -79,7 +79,7 @@ func TestShardedCounterClusterPlacement(t *testing.T) {
 		t.Fatal("ctr-sharded not registered")
 	}
 	const procs, incs = 16, 30
-	res, err := RunCounter(
+	res, err := RunCounterIn(nil,
 		machine.Config{Procs: procs, Topo: topo.Cluster, Seed: 9},
 		info, CounterOpts{Incs: incs, Think: 20})
 	if err != nil {
@@ -101,7 +101,7 @@ func TestShardedCounterClusterPlacement(t *testing.T) {
 		}
 	}
 	// The same counter run on flat NUMA is entirely local.
-	resFlat, err := RunCounter(
+	resFlat, err := RunCounterIn(nil,
 		machine.Config{Procs: procs, Topo: topo.NUMA, Seed: 9},
 		info, CounterOpts{Incs: incs, Think: 20})
 	if err != nil {
@@ -119,7 +119,7 @@ func TestShardedCounterClusterPlacement(t *testing.T) {
 // reaches the allocation.
 func TestCentralPlacementCreatesHotSpot(t *testing.T) {
 	info, _ := CounterByName("ctr-sharded")
-	res, err := RunCounter(
+	res, err := RunCounterIn(nil,
 		machine.Config{Procs: 8, Topo: topo.NUMA, Seed: 9, Placement: topo.PlaceCentral},
 		info, CounterOpts{Incs: 20, Think: 20})
 	if err != nil {

@@ -1,6 +1,7 @@
 package simsync
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/machine"
@@ -22,24 +23,60 @@ type LockOpts struct {
 
 	CheckMutex  bool // verify mutual exclusion with a read-delay-write counter
 	RecordOrder bool // record enqueue/grant times for FIFO analysis
+
+	// Budget, when positive and the lock implements BoundedLock, bounds
+	// each acquire attempt: an attempt that cannot acquire within Budget
+	// cycles counts as a timeout and the processor tries again. Zero (or
+	// an unbounded lock) means blocking Acquire, where a lock word wedged
+	// by a crashed holder ends the run at the step limit or in deadlock.
+	Budget sim.Time
+
+	// MaxAttempts, when positive, caps each processor's acquire attempts,
+	// timed-out ones included. Setting it to Iters makes every attempt an
+	// iteration, so timeouts cost completed acquisitions (FT1's
+	// accounting); zero retries a timed-out attempt until Iters
+	// acquisitions complete (FT3's).
+	MaxAttempts int
 }
 
-// LockResult is the outcome of one lock workload run.
+// LockResult is the outcome of one lock workload run. Under a fault
+// plan every count and Stats are valid for every Outcome: a degraded
+// run reports the work completed before the wedge.
 type LockResult struct {
-	Lock         string
-	Topo         topo.Topology
-	Procs        int
+	Lock  string
+	Topo  topo.Topology
+	Procs int
+	// Acquisitions counts entries into the critical section, across
+	// incarnations (a reborn processor redoes an acquisition whose
+	// release its crash cut off).
 	Acquisitions uint64
 	Cycles       sim.Time
 	CyclesPerAcq float64
 	// TrafficPerAcq is interconnect transactions (bus transactions or
 	// remote references, per the model) per acquisition.
 	TrafficPerAcq float64
-	AcqPerProc    []uint64
+	// AcqPerProc counts each processor's completed (released)
+	// acquisitions: the progress a reborn processor resumes from.
+	AcqPerProc []uint64
 	// FIFOInversions counts pairs granted out of arrival order
 	// (normalized later by the harness; exact queue locks score 0).
 	FIFOInversions uint64
 	Stats          machine.Stats
+
+	Resilience
+	Attempts    uint64 // acquire attempts issued (all processors and incarnations)
+	Timeouts    uint64 // bounded attempts that expired
+	Orphaned    uint64 // acquisitions that reclaimed the lock from a dead or reborn holder
+	StaleWrites uint64 // fenced critical-section writes suppressed (FencedLock under a plan)
+}
+
+// AcqPerKCycle is throughput: acquisitions per thousand elapsed cycles.
+// The resilience sweeps plot it against fault level.
+func (r LockResult) AcqPerKCycle() float64 {
+	if r.Cycles <= 0 {
+		return 0
+	}
+	return float64(r.Acquisitions) * 1000 / float64(r.Cycles)
 }
 
 // grantRecord captures one acquisition for fairness/FIFO analysis.
@@ -48,15 +85,29 @@ type grantRecord struct {
 	grant   sim.Time // time Acquire returned
 }
 
-// RunLock executes a standard critical-section workload for one lock
-// algorithm on a fresh machine and verifies the lock's safety invariants
-// as it goes. Any invariant violation is returned as an error: a broken
-// lock must never produce a data point.
-func RunLock(cfg machine.Config, info LockInfo, opts LockOpts) (LockResult, error) {
-	return RunLockIn(nil, cfg, info, opts)
-}
-
-// RunLockIn is RunLock drawing its machine from pool (see machines.go).
+// RunLockIn executes a standard critical-section workload for one lock
+// algorithm on a machine drawn from pool (see machines.go) and verifies
+// the lock's safety invariants as it goes. Any invariant violation is
+// returned as an error: a broken lock must never produce a data point.
+//
+// The same loop runs fault-free and under a fault plan
+// (machine.Config.Faults; its step cap is Config.MaxSteps). Progress
+// lives in host arrays indexed by processor, because the body is the
+// machine's recovery entry point: a reborn processor re-enters it with
+// fresh proc-local state and resumes where its dead incarnation left
+// off, and each rebirth's time to its first acquisition is measured.
+// The mutual-exclusion check tracks the host-side holder and its
+// incarnation: an acquire that finds a live same-incarnation holder is
+// a violation, while one that reclaims the lock from a crashed holder,
+// or from a holder that died and was reborn since, is an orphaned
+// acquisition — the reclaim the resilient locks exist to make.
+//
+// A plan switches on the rest of fault mode: a run cut off by the step
+// limit or wedged in deadlock reports its Outcome instead of an error,
+// and a FencedLock's critical section issues one guarded write to a
+// scratch word, so a usurped holder's suppressed writes are counted.
+// CheckMutex's lost-update count assumes no holder dies inside its
+// critical section, and is skipped for a run that did not complete.
 func RunLockIn(pool *machine.Pool, cfg machine.Config, info LockInfo, opts LockOpts) (LockResult, error) {
 	cfg = cfg.Defaults()
 	m, err := getMachine(pool, cfg)
@@ -70,13 +121,17 @@ func RunLockIn(pool *machine.Pool, cfg machine.Config, info LockInfo, opts LockO
 	if opts.CheckMutex {
 		counter = m.AllocShared(1)
 	}
-
-	procs := cfg.Procs
-	acqPerProc := make([]uint64, procs)
-	inCS := 0
-	overlaps := 0
-	var records []grantRecord
-
+	var bounded BoundedLock
+	if opts.Budget > 0 {
+		bounded, _ = lock.(BoundedLock)
+	}
+	var fenced FencedLock
+	var scratch machine.Addr
+	if cfg.Faults != nil {
+		if fenced, _ = lock.(FencedLock); fenced != nil {
+			scratch = m.AllocShared(1)
+		}
+	}
 	// Locks whose release is a single plain store run the whole held
 	// section — counter load, CS delay, counter store, bookkeeping,
 	// release store, and (in fixed-iteration mode) the next think time —
@@ -85,15 +140,54 @@ func RunLockIn(pool *machine.Pool, cfg machine.Config, info LockInfo, opts LockO
 	// crosses a pending event. The script issues exactly the operations
 	// the plain body would, in the same order with the same RNG draws,
 	// so results are bit-identical (the golden and determinism suites
-	// pin this against the recorded pre-continuation numbers).
-	scripted, _ := lock.(ScriptedRelease)
-	bump := func(p *machine.Proc) {
-		acqPerProc[p.ID()]++
-		inCS--
+	// pin this against the recorded pre-continuation numbers). A script
+	// has no guarded write, so a fenced lock keeps the closure path.
+	var scripted ScriptedRelease
+	if sr, ok := lock.(ScriptedRelease); ok && fenced == nil {
+		scripted = sr
 	}
 
+	procs := cfg.Procs
+	res := LockResult{Lock: info.Name, Topo: cfg.Topo, Procs: procs, AcqPerProc: make([]uint64, procs)}
+	done := res.AcqPerProc
+	tries := make([]int, procs)
+	rb := newRebirths(m)
+	holder, holderInc := -1, 0 // host-side: processor inside the CS, -1 when free
+	violations := 0
+	var records []grantRecord
+
+	// Host-side bracket check: the simulator interleaves only at yield
+	// points, so the recorded holder detects any overlap exactly.
+	enterCS := func(p *machine.Proc, enq sim.Time) {
+		me := p.ID()
+		if holder >= 0 {
+			switch {
+			case m.Crashed(holder) || m.Incarnation(holder) != holderInc:
+				res.Orphaned++
+			case holder != me:
+				violations++
+			}
+		}
+		holder, holderInc = me, m.Incarnation(me)
+		res.Acquisitions++
+		rb.worked(p)
+		if opts.RecordOrder {
+			records = append(records, grantRecord{enqueue: enq, grant: p.Now()})
+		}
+	}
+	// A usurped or excised holder may find its claim overwritten;
+	// clearing only our own same-incarnation claim keeps the check exact.
+	exitCS := func(p *machine.Proc) {
+		if me := p.ID(); holder == me && holderInc == m.Incarnation(me) {
+			holder = -1
+		}
+	}
+	released := func(p *machine.Proc) { done[p.ID()]++ }
+
 	body := func(p *machine.Proc) {
+		me := p.ID()
 		rng := p.RNG()
+		rb.enter(p)
 		var ops []machine.ContOp
 		relIdx := -1
 		thinkTail := false
@@ -101,7 +195,7 @@ func RunLockIn(pool *machine.Pool, cfg machine.Config, info LockInfo, opts LockO
 			// Scripts overlap across processors (the think tail runs
 			// after the release store, while the next holder's script is
 			// already active), so each processor carries its own slice.
-			ops = make([]machine.ContOp, 0, 6)
+			ops = make([]machine.ContOp, 0, 7)
 			if opts.CheckMutex {
 				ops = append(ops, machine.ContOp{Kind: machine.ContLoad, Addr: counter})
 				if opts.CS > 0 {
@@ -111,47 +205,58 @@ func RunLockIn(pool *machine.Pool, cfg machine.Config, info LockInfo, opts LockO
 			} else if opts.CS > 0 {
 				ops = append(ops, machine.ContOp{Kind: machine.ContDelay, Dur: opts.CS})
 			}
-			ops = append(ops, machine.ContOp{Kind: machine.ContCall, Fn: bump})
+			ops = append(ops, machine.ContOp{Kind: machine.ContCall, Fn: exitCS})
 			relIdx = len(ops)
-			ops = append(ops, machine.ContOp{Kind: machine.ContStore})
-			// The loop-top think of iteration it+1 folds into iteration
-			// it's script tail — the draw lands at the same position in
-			// this processor's RNG stream. Duration mode keeps the think
-			// at the loop top: its clock check must precede the draw.
+			ops = append(ops, machine.ContOp{Kind: machine.ContStore}, machine.ContOp{Kind: machine.ContCall, Fn: released})
+			// The loop-top think of the next iteration folds into this
+			// iteration's script tail — the draw lands at the same
+			// position in this processor's RNG stream. Duration mode keeps
+			// the think at the loop top: its clock check must precede the
+			// draw.
 			if opts.Think > 0 && opts.Duration <= 0 {
 				ops = append(ops, machine.ContOp{Kind: machine.ContExpDelay, Dur: opts.Think})
 				thinkTail = true
 			}
 		}
-		for it := 0; ; it++ {
+		thought := false // the last script's tail already drew this think
+		for {
 			if opts.Duration > 0 {
 				if p.Now() >= opts.Duration {
 					return
 				}
-			} else if it >= opts.Iters {
+			} else if int(done[me]) >= opts.Iters {
 				return
 			}
-			if opts.Think > 0 && (scripted == nil || opts.Duration > 0 || it == 0) {
+			if opts.MaxAttempts > 0 && tries[me] >= opts.MaxAttempts {
+				return
+			}
+			if opts.Think > 0 && !thought {
 				p.Delay(rng.ExpTime(opts.Think))
 			}
+			thought = false
 			enq := p.Now()
-			lock.Acquire(p)
-			// Host-side bracket check: the simulator interleaves only at
-			// yield points, so this counter detects any overlap exactly.
-			inCS++
-			if inCS != 1 {
-				overlaps++
+			tries[me]++
+			res.Attempts++
+			if bounded != nil {
+				if !bounded.AcquireWithin(p, opts.Budget) {
+					res.Timeouts++
+					continue
+				}
+			} else {
+				lock.Acquire(p)
 			}
-			if opts.RecordOrder {
-				records = append(records, grantRecord{enqueue: enq, grant: p.Now()})
-			}
+			enterCS(p, enq)
 			if scripted != nil {
 				ops[relIdx].Addr, ops[relIdx].Val = scripted.ReleaseScript(p)
 				script := ops
-				if thinkTail && it+1 >= opts.Iters {
+				if thinkTail {
 					// The plain loop draws no think after its last
 					// release; drop the tail to match.
-					script = ops[:relIdx+1]
+					last := int(done[me])+1 >= opts.Iters || opts.MaxAttempts > 0 && tries[me] >= opts.MaxAttempts
+					if last {
+						script = ops[:len(ops)-1]
+					}
+					thought = !last
 				}
 				p.RunScript(script)
 				continue
@@ -165,47 +270,39 @@ func RunLockIn(pool *machine.Pool, cfg machine.Config, info LockInfo, opts LockO
 			} else if opts.CS > 0 {
 				p.Delay(opts.CS)
 			}
-			acqPerProc[p.ID()]++
-			inCS--
+			if fenced != nil && !fenced.GuardedStore(p, scratch, machine.Word(me+1)) {
+				res.StaleWrites++
+			}
+			exitCS(p)
 			lock.Release(p)
+			released(p)
 		}
 	}
 
-	if err := m.Run(body); err != nil {
-		return LockResult{}, fmt.Errorf("lock %q: %w", info.Name, err)
+	runErr := m.Run(body)
+	if res.Resilience, err = settle(m, cfg, rb, runErr); err != nil {
+		return LockResult{}, fmt.Errorf("%s: %w", runLabel("lock", info.Name, cfg), err)
 	}
-
-	var total uint64
-	for _, c := range acqPerProc {
-		total += c
+	if violations > 0 {
+		return LockResult{}, fmt.Errorf("%s violated mutual exclusion %d times among live processors", runLabel("lock", info.Name, cfg), violations)
 	}
-	if overlaps > 0 {
-		return LockResult{}, fmt.Errorf("lock %q violated mutual exclusion %d times", info.Name, overlaps)
-	}
-	if opts.CheckMutex {
-		if got := m.Peek(counter); uint64(got) != total {
-			return LockResult{}, fmt.Errorf("lock %q lost updates: counter=%d, acquisitions=%d", info.Name, got, total)
+	if opts.CheckMutex && res.Outcome == OutcomeOK {
+		if got := m.Peek(counter); uint64(got) != res.Acquisitions {
+			return LockResult{}, fmt.Errorf("%s lost updates: counter=%d, acquisitions=%d", runLabel("lock", info.Name, cfg), got, res.Acquisitions)
 		}
 	}
 
 	st := m.Stats()
-	res := LockResult{
-		Lock:         info.Name,
-		Topo:         cfg.Topo,
-		Procs:        procs,
-		Acquisitions: total,
-		Cycles:       st.Cycles,
-		AcqPerProc:   acqPerProc,
-		Stats:        st,
-	}
-	if total > 0 {
+	res.Cycles = st.Cycles
+	res.Stats = st
+	if res.Acquisitions > 0 {
 		// System-level time per acquisition (elapsed cycles over total
 		// acquisitions), the 1991 papers' metric: under full contention
 		// the lock system completes one critical section per
 		// (CS + hand-off) regardless of P, so scalable locks plot flat
 		// and traffic-bound locks climb.
-		res.CyclesPerAcq = float64(st.Cycles) / float64(total)
-		res.TrafficPerAcq = float64(st.TrafficFor(cfg.Topo)) / float64(total)
+		res.CyclesPerAcq = float64(st.Cycles) / float64(res.Acquisitions)
+		res.TrafficPerAcq = float64(st.TrafficFor(cfg.Topo)) / float64(res.Acquisitions)
 	}
 	if opts.RecordOrder {
 		res.FIFOInversions = countInversions(records)
@@ -256,31 +353,47 @@ func mergeCount(keys, buf []sim.Time) uint64 {
 
 // BarrierOpts configures a simulated barrier workload.
 type BarrierOpts struct {
-	Episodes int      // barrier episodes to run
+	Episodes int      // barrier episodes per processor
 	Work     sim.Time // mean exponential work per phase per processor
 }
 
 // BarrierResult is the outcome of one barrier workload run.
 type BarrierResult struct {
-	Barrier           string
-	Topo              topo.Topology
-	Procs             int
+	Barrier string
+	Topo    topo.Topology
+	Procs   int
+	// Episodes is the per-processor quota; Completed counts the episodes
+	// actually completed across processors and incarnations (Procs times
+	// Episodes for every fault-free run).
 	Episodes          int
+	Completed         uint64
 	Cycles            sim.Time
 	CyclesPerEpisode  float64
 	TrafficPerEpisode float64
 	Stats             machine.Stats
+
+	Resilience
+	Timeouts uint64 // waits that forced an episode open (barriers with a Timeouts method)
 }
 
-// RunBarrier executes Episodes barrier episodes with optional skewed
-// work between them, verifying the barrier's safety property: no
-// processor may leave episode e before every processor has arrived at
-// episode e.
-func RunBarrier(cfg machine.Config, info BarrierInfo, opts BarrierOpts) (BarrierResult, error) {
-	return RunBarrierIn(nil, cfg, info, opts)
-}
-
-// RunBarrierIn is RunBarrier drawing its machine from pool.
+// RunBarrierIn executes Episodes barrier episodes per processor with
+// optional skewed work between them, on a machine drawn from pool,
+// verifying the barrier's safety property: no processor may leave
+// episode e before every processor has arrived at episode e.
+//
+// Under a fault plan (machine.Config.Faults) the loop is the one
+// RunLockIn uses: progress survives rebirth, time-to-recovery runs
+// from each revival to the reborn processor's next completed episode,
+// a degraded ending is an Outcome, and a processor done with its
+// episodes leaves a barrier that can Leave (a reconfigurable barrier
+// would otherwise make a recovered straggler wait on it forever). Three
+// things then legitimately release an episode before every arrival was
+// counted, and excuse the early-release check: the barrier forced an
+// episode open on its wait budget (Timeouts), a barrier that can Leave
+// ran on without a crashed member, or a processor was reborn out of the
+// middle of a Wait — the barrier counted the dead incarnation's
+// arrival, so the reborn one's arrival at the same episode shifts the
+// host's count by one.
 func RunBarrierIn(pool *machine.Pool, cfg machine.Config, info BarrierInfo, opts BarrierOpts) (BarrierResult, error) {
 	cfg = cfg.Defaults()
 	m, err := getMachine(pool, cfg)
@@ -289,41 +402,62 @@ func RunBarrierIn(pool *machine.Pool, cfg machine.Config, info BarrierInfo, opts
 	}
 	defer putMachine(pool, m)
 	bar := info.Make(m)
+	var leaver interface{ Leave(*machine.Proc) }
+	if cfg.Faults != nil {
+		leaver, _ = bar.(interface{ Leave(*machine.Proc) })
+	}
 
 	procs := cfg.Procs
+	res := BarrierResult{Barrier: info.Name, Topo: cfg.Topo, Procs: procs, Episodes: opts.Episodes}
 	arrived := make([]int, opts.Episodes) // host-side arrival counts
+	done := make([]int, procs)            // episodes completed, surviving rebirth
+	waiting := make([]bool, procs)        // inside Wait
+	rb := newRebirths(m)
+	torn := false
 	violations := 0
 
 	body := func(p *machine.Proc) {
+		me := p.ID()
 		rng := p.RNG()
-		for e := 0; e < opts.Episodes; e++ {
+		if rb.enter(p) && waiting[me] {
+			torn = true
+		}
+		for done[me] < opts.Episodes {
 			if opts.Work > 0 {
 				p.Delay(rng.ExpTime(opts.Work))
 			}
+			e := done[me]
 			arrived[e]++
+			waiting[me] = true
 			bar.Wait(p)
+			waiting[me] = false
 			if arrived[e] != procs {
 				violations++
 			}
+			done[me]++
+			res.Completed++
+			rb.worked(p)
+		}
+		if leaver != nil {
+			leaver.Leave(p)
 		}
 	}
 
-	if err := m.Run(body); err != nil {
-		return BarrierResult{}, fmt.Errorf("barrier %q: %w", info.Name, err)
+	runErr := m.Run(body)
+	if res.Resilience, err = settle(m, cfg, rb, runErr); err != nil {
+		return BarrierResult{}, fmt.Errorf("%s: %w", runLabel("barrier", info.Name, cfg), err)
 	}
-	if violations > 0 {
-		return BarrierResult{}, fmt.Errorf("barrier %q released %d waiters early", info.Name, violations)
+	if tm, ok := bar.(interface{ Timeouts() uint64 }); ok {
+		res.Timeouts = tm.Timeouts()
+	}
+	excused := cfg.Faults != nil && (res.Timeouts > 0 || torn || leaver != nil && res.Crashed > 0)
+	if violations > 0 && !excused {
+		return BarrierResult{}, fmt.Errorf("%s released %d waiters early", runLabel("barrier", info.Name, cfg), violations)
 	}
 
 	st := m.Stats()
-	res := BarrierResult{
-		Barrier:  info.Name,
-		Topo:     cfg.Topo,
-		Procs:    procs,
-		Episodes: opts.Episodes,
-		Cycles:   st.Cycles,
-		Stats:    st,
-	}
+	res.Cycles = st.Cycles
+	res.Stats = st
 	if opts.Episodes > 0 {
 		res.CyclesPerEpisode = float64(st.Cycles) / float64(opts.Episodes)
 		res.TrafficPerEpisode = float64(st.TrafficFor(cfg.Topo)) / float64(opts.Episodes)
@@ -331,15 +465,134 @@ func RunBarrierIn(pool *machine.Pool, cfg machine.Config, info BarrierInfo, opts
 	return res, nil
 }
 
-// UncontendedLockCost measures the latency in cycles of a single
-// acquire/release pair with no contention whatsoever (T1).
-func UncontendedLockCost(tp topo.Topology, info LockInfo) (acquireRelease sim.Time, traffic uint64, err error) {
-	return UncontendedLockCostIn(nil, tp, info)
+// Outcome classifies how a run under a fault plan ended. Degraded
+// outcomes (step limit, deadlock) are data, not errors: a crashed holder
+// wedging its lock word is exactly the failure mode the resilience
+// sweeps measure, so the runners report how far the survivors got
+// instead of aborting the sweep. A fault-free run always reports
+// OutcomeOK; one that does not complete is an error.
+type Outcome int
+
+const (
+	// OutcomeOK: every non-crashed processor completed its iterations.
+	OutcomeOK Outcome = iota
+	// OutcomeStepLimit: the run hit the engine's event budget — the
+	// survivors were still burning cycles (usually spinning on a word a
+	// crashed processor holds) when the simulation was cut off.
+	OutcomeStepLimit
+	// OutcomeDeadlock: every live processor was blocked with no pending
+	// events — survivors parked forever behind a crashed processor.
+	OutcomeDeadlock
+)
+
+func (o Outcome) String() string {
+	switch o {
+	case OutcomeOK:
+		return "ok"
+	case OutcomeStepLimit:
+		return "steplimit"
+	case OutcomeDeadlock:
+		return "deadlock"
+	default:
+		return fmt.Sprintf("Outcome(%d)", int(o))
+	}
 }
 
-// UncontendedLockCostIn is UncontendedLockCost drawing its machine
-// from pool (see machines.go): the T1 table and its benchmark measure
-// one acquire/release pair per machine, so without pooling the
+// Resilience is how a run fared under its fault plan; every field but
+// Outcome is zero without crashes.
+type Resilience struct {
+	Outcome   Outcome
+	Crashed   int // processors the plan crashed at any point
+	Recovered int // crashed processors that were reborn
+
+	// Recoveries counts rebirths that reached useful work again (a lock
+	// acquisition, a barrier episode), and RecoveryCycles sums, over
+	// those rebirths, the cycles from the revival instant to that first
+	// unit of work. Their ratio is the mean time-to-recovery.
+	Recoveries     uint64
+	RecoveryCycles sim.Time
+}
+
+// settle classifies how m.Run ended and tallies the run's crashes and
+// rebirths. Without a fault plan every run error is returned; under
+// one, the step limit and deadlock become Outcomes and only other
+// errors are returned.
+func settle(m *machine.Machine, cfg machine.Config, rb *rebirths, runErr error) (Resilience, error) {
+	r := Resilience{Recoveries: rb.count, RecoveryCycles: rb.cycles}
+	switch {
+	case runErr == nil:
+	case cfg.Faults != nil && errors.Is(runErr, sim.ErrStepLimit):
+		r.Outcome = OutcomeStepLimit
+	case cfg.Faults != nil && errors.Is(runErr, machine.ErrDeadlock):
+		r.Outcome = OutcomeDeadlock
+	default:
+		return Resilience{}, runErr
+	}
+	for i := 0; i < cfg.Procs; i++ {
+		if m.Crashed(i) || m.Incarnation(i) > 0 {
+			r.Crashed++
+		}
+		if m.Incarnation(i) > 0 {
+			r.Recovered++
+		}
+	}
+	return r, nil
+}
+
+// runLabel names a run in errors: the algorithm, and the plan if any.
+func runLabel(kind, name string, cfg machine.Config) string {
+	if cfg.Faults != nil {
+		return fmt.Sprintf("%s %q under plan %q", kind, name, cfg.Faults.Name())
+	}
+	return fmt.Sprintf("%s %q", kind, name)
+}
+
+// rebirths tracks each processor's entries into its program body, the
+// machine's recovery entry point, and measures time-to-recovery: the
+// cycles from each revival to the reborn processor's first unit of
+// useful work.
+type rebirths struct {
+	m        *machine.Machine
+	lastInc  []int      // incarnation each processor last entered under
+	rebornAt []sim.Time // revival instant awaiting its first unit of work, or -1
+	count    uint64
+	cycles   sim.Time
+}
+
+func newRebirths(m *machine.Machine) *rebirths {
+	r := &rebirths{m: m, lastInc: make([]int, m.Procs()), rebornAt: make([]sim.Time, m.Procs())}
+	for i := range r.rebornAt {
+		r.rebornAt[i] = -1
+	}
+	return r
+}
+
+// enter records p entering its body and reports whether this entry is a
+// rebirth.
+func (r *rebirths) enter(p *machine.Proc) bool {
+	me := p.ID()
+	inc := r.m.Incarnation(me)
+	if inc == r.lastInc[me] {
+		return false
+	}
+	r.lastInc[me], r.rebornAt[me] = inc, p.Now()
+	return true
+}
+
+// worked records a unit of useful work by p, closing its open rebirth
+// interval if it has one.
+func (r *rebirths) worked(p *machine.Proc) {
+	if at := r.rebornAt[p.ID()]; at >= 0 {
+		r.cycles += p.Now() - at
+		r.count++
+		r.rebornAt[p.ID()] = -1
+	}
+}
+
+// UncontendedLockCostIn measures the latency in cycles of a single
+// acquire/release pair with no contention whatsoever (T1), on a machine
+// drawn from pool (see machines.go): the T1 table and its benchmark
+// measure one acquire/release pair per machine, so without pooling the
 // dominant cost of the sweep is machine construction, not simulation.
 func UncontendedLockCostIn(pool *machine.Pool, tp topo.Topology, info LockInfo) (acquireRelease sim.Time, traffic uint64, err error) {
 	m, err := getMachine(pool, machine.Config{Procs: 1, Topo: tp})
