@@ -13,7 +13,7 @@
 //	syncsim -kind lock -algos qheal -faults R1 -procs 16
 //
 // Topologies resolve through the registry in internal/topo (-names
-// lists them); -model remains as a legacy spelling of -topo. -faults
+// lists them). -faults
 // drives the lock and barrier workloads through a named fault level
 // (the FT-sweep axis; -names lists the levels), reporting
 // availability-style counters — orphaned acquisitions,
@@ -42,9 +42,7 @@ func main() {
 	var (
 		kind     = flag.String("kind", "lock", "lock, barrier, rw, sem, or counter")
 		algos    = flag.String("algos", "", "comma-separated algorithm names (default per kind: qsync, qsync-tree, rw-qsync, sem-qsync, ctr-sharded; see -names)")
-		algo     = flag.String("algo", "", "single algorithm name (legacy spelling of -algos)")
-		topoName = flag.String("topo", "", "machine topology (see -names); wins over -model")
-		model    = flag.String("model", "bus", "legacy spelling of -topo")
+		topoName = flag.String("topo", "bus", "machine topology (see -names)")
 		procs    = flag.Int("procs", 8, "processors")
 		iters    = flag.Int("iters", 100, "operations per processor (lock, rw)")
 		episodes = flag.Int("episodes", 50, "episodes (barrier)")
@@ -111,17 +109,13 @@ func main() {
 		return
 	}
 
-	sel := *topoName
-	if sel == "" {
-		sel = *model
-	}
-	tp, ok := topo.ByName(sel)
+	tp, ok := topo.ByName(*topoName)
 	if !ok {
-		fail("unknown topology %q (known: %s)", sel, strings.Join(topo.Names(), " "))
+		fail("unknown topology %q (known: %s)", *topoName, strings.Join(topo.Names(), " "))
 	}
 	cfg := machine.Config{Procs: *procs, Topo: tp, Seed: *seed}
 
-	selection := parseAlgos(*algos, *algo)
+	selection := registry.SplitList(*algos)
 
 	if *faultLvl != "" {
 		lv, ok := harness.FaultLevelByName(*faultLvl)
@@ -273,15 +267,6 @@ func runFaulted(cfg machine.Config, lv harness.FaultLevel, kind string, selectio
 	default:
 		fail("-faults supports -kind lock and barrier, not %q", kind)
 	}
-}
-
-// parseAlgos merges the -algos list and the legacy -algo single name.
-func parseAlgos(list, single string) []string {
-	out := registry.SplitList(list)
-	if single = strings.TrimSpace(single); single != "" {
-		out = append(out, single)
-	}
-	return out
 }
 
 // selectFrom resolves the selection against one family's registry,

@@ -224,11 +224,11 @@ type Stats struct {
 	// Config.NoInlineDispatch A/B pair (zero in the handoff mode).
 	InlineDispatches uint64
 	Loads            uint64
-	Stores     uint64
-	RMWs       uint64
-	BusTxns    uint64
-	RemoteRefs uint64
-	PerProc    []ProcStats
+	Stores           uint64
+	RMWs             uint64
+	BusTxns          uint64
+	RemoteRefs       uint64
+	PerProc          []ProcStats
 }
 
 // TrafficFor returns the topology's headline interconnect transaction
@@ -292,8 +292,8 @@ type Machine struct {
 	// Cross-processor spin-window batching state (window.go):
 	// spinStreak governs the attempt trigger (negative while backing
 	// off after a failed attempt); winMask holds one eligibility bit
-	// per processor; winSet/winOrder/winRetimes are reusable scratch
-	// for the detector.
+	// per processor; winSeen/winSet are reusable scratch for the
+	// detector.
 	winEnabled bool // set by Reset: windows possible on this config at all
 	// noInline caches Config.NoInlineDispatch: when set, EvCont events
 	// hand the baton to the owning goroutine (the A/B reference mode)
@@ -308,13 +308,10 @@ type Machine struct {
 	winMask    []uint64
 	winSeen    []uint64
 	winSet     []sim.WindowEvent
-	// Per-position scratch for mixed-period windows (window.go): probe
-	// service times, fixed backoff delays, and their prefix sums in
+	// winPre is per-position scratch for mixed-period windows
+	// (window.go): the prefix sums of the probe service times in
 	// rotation order.
-	winSvc  []sim.Time
-	winDel  []sim.Time
-	winPre  []sim.Time
-	winBPre []uint64
+	winPre []sim.Time
 	// winRMWs defers window-charged per-processor RMW/traffic counts:
 	// the window commit writes this flat array instead of chasing a
 	// pointer into every spinner's Proc, and Stats() folds it into the
@@ -455,8 +452,8 @@ func resetSlice[T any](s []T, n int) []T {
 
 // growSlice returns s resized to n elements WITHOUT clearing: every
 // element's value is unspecified and the caller must write all n. Used
-// by the window batcher's per-attempt scratch arrays, which are fully
-// rebuilt each attempt (clearing them first was measurable).
+// by the window batcher's per-attempt prefix-sum scratch, which is
+// fully rebuilt each attempt (clearing it first was measurable).
 func growSlice[T any](s []T, n int) []T {
 	if cap(s) < n {
 		return make([]T, n)
@@ -701,13 +698,13 @@ func (m *Machine) RunEach(bodies []func(p *Proc)) error {
 
 // drive steps the engine on the calling goroutine until an event
 // dispatches p (p resumes its program), handing the baton to any other
-// processor dispatched along the way. Closure events run in place, and
-// EvSpin events advance the target processor's spin state machine in
-// place — executing its probes without waking its goroutine — handing
-// the baton over only when a spin completes. When the queue drains or
-// the work budget trips, drive signals termination on m.done; a
-// finished (or nil, for kickoff) p then returns so its goroutine can
-// exit, while a live p parks for teardown.
+// processor dispatched along the way. EvSpin and EvCont events advance
+// the target processor's spin state machine or continuation script in
+// place — executing its operations without waking its goroutine —
+// handing the baton over only when a spin or script completes. When
+// the queue drains or the work budget trips, drive signals termination
+// on m.done; a finished (or nil, for kickoff) p then returns so its
+// goroutine can exit, while a live p parks for teardown.
 func (m *Machine) drive(p *Proc) {
 	for {
 		if m.live == 0 && m.reviving == 0 {
@@ -857,9 +854,6 @@ func (m *Machine) drive(p *Proc) {
 			}
 			r.reincarnate = true
 			q = r // hand the baton to the reborn processor
-		default:
-			m.spinStreak = 0
-			continue // closure event, already run in place
 		}
 		if q == p {
 			return // our own wakeup: keep running, no handoff at all

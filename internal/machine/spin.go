@@ -26,11 +26,12 @@ import (
 // difference is host-side: the goroutine is resumed once, when the wait
 // is over, instead of once per probe.
 //
-// On top of that, runs of failed probes whose schedule is deterministic
-// and draw-free (raw test&set, fixed backoff) are charged in closed
-// form: k probes collapse into O(1) counter arithmetic whenever the
-// probe period is constant and no pending event or budget boundary falls
-// inside the run (see spinBatchTAS).
+// On top of that, runs of failed raw test&set probes (the zero Backoff)
+// are charged in closed form: k probes collapse into O(1) counter
+// arithmetic whenever no pending event or budget boundary falls inside
+// the run (see spinBatchTAS; window.go batches the interleaved storm of
+// several raw spinners the same way). Backoff schedules always replay
+// probe by probe.
 
 // PredOp selects the comparison a Pred applies.
 type PredOp uint8
@@ -108,8 +109,8 @@ type spinState struct {
 	phase  uint8
 	poll   bool // remote word on a module machine: periodic polling instead of watching
 	// winStatic is the spin-entry-time half of cross-processor window
-	// eligibility (window.go): a draw-free raw or fixed-backoff
-	// test&set on a model with a serializing resource. The dynamic
+	// eligibility (window.go): a raw test&set (zero Backoff, no
+	// deadline) on a model with a serializing resource. The dynamic
 	// half — the last probe read non-zero — is tracked in the
 	// machine's eligibility mask at each issue.
 	winStatic bool
@@ -119,11 +120,11 @@ type spinState struct {
 	// cached at spin entry so the window detector never recomputes the
 	// topology's hop price per scan. Valid only while winStatic.
 	winService sim.Time
-	addr      Addr
-	pred      Pred
-	bo        Backoff
-	cur       sim.Time // current backoff delay
-	pollEvery sim.Time // base poll spacing (topology-priced; set when poll)
+	addr       Addr
+	pred       Pred
+	bo         Backoff
+	cur        sim.Time // current backoff delay
+	pollEvery  sim.Time // base poll spacing (topology-priced; set when poll)
 	// deadline, when non-zero, bounds a test&set wait: the spin gives
 	// up at the first probe boundary at or past it (SpinTASFor). A
 	// deadline spin is never window- or batch-eligible — the closed
@@ -294,14 +295,7 @@ func (m *Machine) spinAdvance(p *Proc) bool {
 			}
 			if s.bo.Base > 0 {
 				if !p.spinComplete(s.nextDelay(p), spTASIssue) {
-					// The delay scheduled as its own event: the pending
-					// entry is now an issue, not a probe completion, so
-					// the spinner is not window-batchable until the
-					// next issue re-evaluates the mask.
-					if s.winStatic {
-						m.setWinMask(p.id, false)
-					}
-					return false
+					return false // the delay scheduled as its own event
 				}
 				continue
 			}
@@ -310,21 +304,21 @@ func (m *Machine) spinAdvance(p *Proc) bool {
 	}
 }
 
-// spinBatchTAS charges a run of failed test&set probes in closed form.
-// It applies only when every probe in the run is provably identical —
-// draw-free constant backoff, predicate-failing steady value, no
-// watchers to wake, and a memory system in steady state (the processor
-// already owns the word on Bus; the module port is idle on NUMA) — and
-// only up to the first pending event or livelock-budget boundary, where
-// the normal probe-by-probe path takes over. Within those bounds the
-// per-probe effects are pure arithmetic on the counters, so k probes
-// collapse into O(1) work with bit-identical results.
+// spinBatchTAS charges a run of failed raw test&set probes in closed
+// form. It applies only when every probe in the run is provably
+// identical — the zero Backoff (no delay, no jitter draw) and no
+// deadline (a deadline spin judges its give-up point at every probe
+// boundary), a predicate-failing steady value, no watchers to wake, and
+// a memory system in steady state (the processor already owns the word
+// on Bus; the module port is idle on NUMA) — and only up to the first
+// pending event or livelock-budget boundary, where the normal
+// probe-by-probe path takes over. Within those bounds the per-probe effects are pure
+// arithmetic on the counters, so k probes collapse into O(1) work with
+// bit-identical results; in particular a lone livelocked spinner
+// reaches ErrStepLimit without replaying 10^8 probes.
 func (m *Machine) spinBatchTAS(p *Proc) {
 	s := &p.spin
-	// Backoff must be draw-free and no longer growing; a deadline spin
-	// must judge its give-up point at every probe boundary, so it is
-	// never batched.
-	if s.deadline != 0 || s.bo.PropJitter || (s.bo.Base > 0 && s.cur < s.bo.Cap) {
+	if s.deadline != 0 || s.bo != (Backoff{}) {
 		return
 	}
 	a := s.addr
@@ -358,25 +352,18 @@ func (m *Machine) spinBatchTAS(p *Proc) {
 	default:
 		lat = 1
 	}
-	delay := sim.Time(0)
-	charges := uint64(1) // the test&set completion
-	if s.bo.Base > 0 {
-		delay = s.cur
-		charges = 2 // plus the backoff delay completion
-	}
-	period := lat + delay
-	if period <= 0 {
+	if lat <= 0 {
 		return
 	}
-	k := m.eng.ChargeBudget() / charges
+	k := m.eng.ChargeBudget()
 	if next, ok := m.eng.NextTime(); ok {
 		// Every per-probe completion must stay strictly before the next
-		// pending event; the run's last completion is at localNow + k*period.
+		// pending event; the run's last completion is at localNow + k*lat.
 		span := int64(next - p.localNow - 1)
-		if span < int64(period) {
+		if span < int64(lat) {
 			return
 		}
-		if byTime := uint64(span / int64(period)); byTime < k {
+		if byTime := uint64(span / int64(lat)); byTime < k {
 			k = byTime
 		}
 	}
@@ -388,10 +375,10 @@ func (m *Machine) spinBatchTAS(p *Proc) {
 		// shorter batch is always exact, the tail replays per-probe.
 		if fb, ok := m.flt.nextBound(p.localNow); ok {
 			span := int64(fb - p.localNow - 1)
-			if span < int64(period) {
+			if span < int64(lat) {
 				return
 			}
-			if byTime := uint64(span / int64(period)); byTime < k {
+			if byTime := uint64(span / int64(lat)); byTime < k {
 				k = byTime
 			}
 		}
@@ -409,11 +396,11 @@ func (m *Machine) spinBatchTAS(p *Proc) {
 	}
 	if m.disc == topo.Modules {
 		mod := m.home(a)
-		m.modFreeAt[mod] = p.localNow + sim.Time(k-1)*period + lat
+		m.modFreeAt[mod] = p.localNow + sim.Time(k)*lat
 	}
-	m.eng.ChargeN(k * charges)
-	m.stats.InlineOps += k * charges
-	p.localNow += sim.Time(k) * period
+	m.eng.ChargeN(k)
+	m.stats.InlineOps += k
+	p.localNow += sim.Time(k) * lat
 }
 
 // watchRegister appends p to the intrusive watcher list of addr; the

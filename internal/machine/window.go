@@ -10,15 +10,14 @@ import (
 
 // Cross-processor spin-window batching.
 //
-// PR 3's spinBatchTAS charges one processor's draw-free probe runs in
+// spinBatchTAS (spin.go) charges one processor's raw probe runs in
 // closed form, but it stops at the first pending event — and in a
 // contended storm the pending events are the *other* spinners' probes,
 // so an interleaved storm still replays every probe through the engine
 // queue. This file batches across processors: when every event the
-// engine will fire before a computable horizon is a test&set probe
-// with a draw-free deterministic schedule, the whole window
-// [now, horizon) is charged in closed form and the clock advances in
-// one step.
+// engine will fire before a computable horizon is a raw test&set probe
+// (the zero Backoff), the whole window [now, horizon) is charged in
+// closed form and the clock advances in one step.
 //
 // Why that is exact. A saturated test&set storm serializes on one
 // resource — the single bus, or the probed word's home module on a
@@ -49,20 +48,14 @@ import (
 // execution by construction (Config.NoSpinWindows exists purely for
 // A/B tests and perf comparisons).
 //
-// Three window shapes commit:
+// Two window shapes commit:
 //
-//   - The uniform raw rotation (PR 4): every spinner shares one probe
-//     period, positions are recovered arithmetically from the pending
-//     timestamps, and the whole storm fast-forwards to the horizon.
-//   - The mixed-schedule rotation: spinners in different distance
-//     classes (cluster's intra- vs inter-hop periods) and jitter-free
-//     fixed-backoff spinners (constant delay D between failed probes)
-//     rotate together. A backoff pop is exact only in the regime where
-//     its delay retires inline — ends strictly before the next event
-//     fires — and its reissue still queues on the busy resource
-//     (c_j + D within the current rotation); both are verified
-//     per-position before committing, and the delay's inline budget
-//     charge is replayed arithmetically.
+//   - The rotation: the storm fast-forwards to the horizon. On the bus
+//     every spinner shares one probe period, so positions are recovered
+//     arithmetically from the pending timestamps (tryWindow's fast
+//     path); on a module machine spinners in different distance
+//     classes (cluster's intra- vs inter-hop periods) rotate together
+//     on the cumS prefix-sum schedule (tryWindowSlow).
 //   - The release/takeover drain: when the storm word has been freed,
 //     the pending probes judge-fail one last time and reissue; the
 //     first reissue reads zero and wins the word (its value and
@@ -70,15 +63,18 @@ import (
 //     winner's 1 and parks. One pop per pending probe, after which the
 //     winner's completion resumes the program per-event.
 //
+// A backoff spinner is never eligible: its probes, and any delay it
+// schedules as an event, bound the window like every other event and
+// replay per-event, which is exact by definition.
+//
 // Preconditions checked by tryWindow, and why each one matters:
 //
 //   - Every pending event before the horizon is an EvSpin whose
 //     processor sits in a window-eligible test&set spin (kind spinTAS,
-//     phase spTASJudge, draw-free non-growing Backoff) on one shared
-//     address. Anything else — a dispatch, a closure, a TTAS burst
-//     probe, a jittered backoff probe, a woken read-spin, a scheduled
-//     backoff delay — becomes the horizon instead, truncating (not
-//     aborting) the window.
+//     phase spTASJudge, zero Backoff, no deadline) on one shared
+//     address. Anything else — a dispatch, a continuation, a TTAS burst
+//     probe, a backoff probe or delay, a woken read-spin — becomes the
+//     horizon instead, truncating (not aborting) the window.
 //   - The last probe each spinner issued read a non-zero value
 //     (spin.val != 0): all in-window judges provably fail. (A freed
 //     word flips the attempt into drain mode instead.)
@@ -100,15 +96,14 @@ import (
 //     the pending completions were themselves scheduled by the
 //     resource (F *is* the last completion); the check guards the
 //     cold-start transient.
-//   - The pop budget: the window never charges more pops (or inline
-//     delay charges) than the engine may still fire, so a livelocked
-//     storm trips ErrStepLimit at exactly the event where per-event
-//     execution would — but reaches it in one window instead of 10^8
-//     pops.
+//   - The pop budget: the window never charges more pops than the
+//     engine may still fire, so a livelocked storm trips ErrStepLimit
+//     at exactly the event where per-event execution would — but
+//     reaches it in one window instead of 10^8 pops.
 const (
 	// windowRetry is how many probes to wait before rescanning after a
-	// failed attempt (storms that are structurally ineligible — RNG
-	// backoff, watcher bursts — would otherwise pay a scan per probe);
+	// failed attempt (storms that are structurally ineligible — backoff
+	// spinners, watcher bursts — would otherwise pay a scan per probe);
 	// windowRetryStorm is the shorter wait when an eligible storm was
 	// found but transiently blocked (a winner mid-exit, a release in
 	// flight).
@@ -124,10 +119,10 @@ const (
 // processor's pending EvSpin (if any) is a window-eligible test&set
 // probe completion that read a non-zero value. The static part
 // (spinState.winStatic) is computed once at spin entry; the dynamic
-// part follows the value each issued probe reads (and clears while a
-// backoff delay is scheduled as an event). The mask is a word-indexed
-// bit array, so eligibility tracking scales past 64 processors — the
-// P ∈ {256, 1024} sweeps run the same code path with more words.
+// part follows the value each issued probe reads. The mask is a
+// word-indexed bit array, so eligibility tracking scales past 64
+// processors — the P ∈ {256, 1024} sweeps run the same code path with
+// more words.
 
 func (m *Machine) setWinMask(pid int, ok bool) {
 	w := &m.winMask[pid>>6]
@@ -148,22 +143,18 @@ func (m *Machine) winMaskBit(pid int32) bool {
 }
 
 // winStatic reports the spin-entry-time part of window eligibility: a
-// test&set with a draw-free, non-growing delay schedule (no RNG
-// jitter; raw retries or a constant fixed backoff) on a machine with a
-// serializing resource, and on a module machine only a spinner remote
-// to the word's home module on a topology declaring closed traversal
-// classes (a local spinner's shorter service period breaks the
-// rotation the closed form depends on; undeclared topologies replay
-// per-event, still exact).
+// raw test&set (the zero Backoff) on a machine with a serializing
+// resource, and on a module machine only a spinner remote to the
+// word's home module on a topology declaring closed traversal classes
+// (a local spinner's shorter service period breaks the rotation the
+// closed form depends on; undeclared topologies replay per-event,
+// still exact).
 // On success it caches the spinner's probe service time in
 // spinState.winService (one topology hop-price call per spin entry,
 // not per window scan).
 func (m *Machine) winStatic(p *Proc, kind uint8, a Addr, bo Backoff) bool {
-	if !m.winEnabled || kind != spinTAS || bo.PropJitter {
+	if !m.winEnabled || kind != spinTAS || bo != (Backoff{}) {
 		return false
-	}
-	if bo.Base != 0 && bo.Cap > bo.Base {
-		return false // growing schedule: the probe period is not constant
 	}
 	switch m.disc {
 	case topo.SnoopingBus:
@@ -322,19 +313,12 @@ func (m *Machine) tryWindow(next Addr) {
 	}
 
 	// Release drains and module-machine storms (whose per-distance-class
-	// schedules need the per-position arrays anyway) go straight to the
+	// schedules need the prefix-sum array anyway) go straight to the
 	// general path; the arithmetic fast path below is reserved for the
-	// uniform raw bus rotation. Fixed-backoff spinners force the general
-	// path too (their inline delays need the per-position regime checks).
+	// uniform bus rotation.
 	if drain || m.disc == topo.Modules {
 		m.tryWindowSlow(addr, set, tmax, horizonWhen, haveHorizon, drain)
 		return
-	}
-	for i := range set {
-		if m.procs[set[i].Arg0].spin.bo.Base > 0 {
-			m.tryWindowSlow(addr, set, tmax, horizonWhen, haveHorizon, false)
-			return
-		}
 	}
 	period := m.cfg.BusLatency
 	if period <= 0 {
@@ -345,9 +329,8 @@ func (m *Machine) tryWindow(next Addr) {
 		return // cold-start transient: let the per-event path reach saturation
 	}
 
-	// Uniform raw bus rotation — the PR 4 fast path, bit-identical to
-	// the general form but with arithmetic position recovery and no
-	// per-position arrays.
+	// Uniform bus rotation — bit-identical to the general form but with
+	// arithmetic position recovery and no per-position arrays.
 	//
 	// Assign rotation positions — the (when, seq) pop order at window
 	// start. In a saturated storm the pending completions are exactly
@@ -449,11 +432,11 @@ func (m *Machine) tryWindow(next Addr) {
 	m.spinStreak = 0
 }
 
-// tryWindowSlow handles the window shapes beyond the uniform raw bus
-// rotation: per-distance-class (mixed service period) storms, storms
-// containing fixed-backoff spinners, and release/takeover drains. set
-// is the horizon-filtered eligible pending probes (n >= 2, no
-// watchers) with time extent ending at tmax.
+// tryWindowSlow handles the window shapes beyond the uniform bus
+// rotation: per-distance-class (mixed service period) storms on module
+// machines, and release/takeover drains. set is the horizon-filtered
+// eligible pending probes (n >= 2, no watchers) with time extent ending
+// at tmax.
 func (m *Machine) tryWindowSlow(addr Addr, set []sim.WindowEvent, tmax sim.Time, horizonWhen sim.Time, haveHorizon bool, drain bool) {
 	// The serializing resource and its free point; the saturation
 	// precondition (free at or past the last pending completion) makes
@@ -482,38 +465,21 @@ func (m *Machine) tryWindowSlow(addr Addr, set []sim.WindowEvent, tmax sim.Time,
 		return // first probe would be a cache hit, not a bus transaction
 	}
 
-	// Per-position schedules and prefix sums: svc[i]/del[i] are the
-	// service time and fixed pre-issue delay of the spinner at rotation
-	// position i (0-based); pre[i] = svc[0]+..+svc[i-1] and bpre[i]
-	// counts the backoff positions among them. cumS(j) is the sum of
-	// the first j services of the cyclic schedule. Service times come
-	// from the spin-entry cache (spinState.winService) — every masked
-	// spinner passed winStatic, which priced its hop once. The scratch
-	// arrays are fully rewritten, not cleared (growSlice).
-	svc := growSlice(m.winSvc, n)
-	del := growSlice(m.winDel, n)
+	// Prefix sums of the per-position service times: pre[i] is the
+	// total service of rotation positions 0..i-1, and cumS(j) the sum
+	// of the first j services of the cyclic schedule. Service times
+	// come from the spin-entry cache (spinState.winService) — every
+	// masked spinner passed winStatic, which priced its hop once. The
+	// scratch array is fully rewritten, not cleared (growSlice).
 	pre := growSlice(m.winPre, n+1)
-	bpre := growSlice(m.winBPre, n+1)
-	m.winSvc, m.winDel, m.winPre, m.winBPre = svc, del, pre, bpre
-	pre[0], bpre[0] = 0, 0
-	hasBackoff := false
+	m.winPre = pre
+	pre[0] = 0
 	for i := range set {
-		sp := &m.procs[set[i].Arg0].spin
-		s := sp.winService
+		s := m.procs[set[i].Arg0].spin.winService
 		if s <= 0 {
 			return // degenerate zero-cost probe: no serial schedule to batch
 		}
-		svc[i] = s
-		var d sim.Time
-		b := bpre[i]
-		if sp.bo.Base > 0 {
-			d = sp.cur // constant: winStatic admits only Cap <= Base
-			hasBackoff = true
-			b++
-		}
-		del[i] = d
 		pre[i+1] = pre[i] + s
-		bpre[i+1] = b
 	}
 	R := pre[n]
 	nn := uint64(n)
@@ -550,94 +516,13 @@ func (m *Machine) tryWindowSlow(addr Addr, set []sim.WindowEvent, tmax sim.Time,
 			total = math.MaxUint64 // pure storm: the budget caps it
 		}
 	}
-
-	// Budget. Raw pops charge exactly one step each, so capping at the
-	// pop budget reproduces the per-event ErrStepLimit point exactly.
-	// Backoff pops additionally charge their inline delay, so cap the
-	// window such that every in-window charge is known to succeed — a
-	// shorter window is a safe prefix (the per-event path replays the
-	// tail, including any budget trip, identically).
-	if !hasBackoff {
-		if avail := eng.PopBudget(); total > avail {
-			total = avail
-		}
-	} else {
-		avail := eng.ChargeBudget()
-		perRot := nn + bpre[n]
-		if total == math.MaxUint64 || total+(total/nn)*bpre[n]+bpre[total%nn] > avail {
-			q := avail / perRot
-			rem := avail - q*perRot
-			s := uint64(0)
-			for s < nn && s+1+bpre[s+1] <= rem {
-				s++
-			}
-			if j := q*nn + s; j < total {
-				total = j
-			}
-		}
+	// Every pop charges exactly one step, so capping at the pop budget
+	// reproduces the per-event ErrStepLimit point exactly.
+	if avail := eng.PopBudget(); total > avail {
+		total = avail
 	}
 	if total < windowMinPops {
 		return
-	}
-
-	if hasBackoff {
-		// A fixed-backoff pop is exact only in the regime where its
-		// delay retires inline (ends strictly before the next event
-		// fires) and its reissue still queues on the busy resource
-		// (judge time + delay within the current rotation, so the cumS
-		// schedule holds). Verify both for every backoff pop; any
-		// violation refuses the whole window and the per-event path
-		// handles the storm exactly (including the regime where the
-		// delay is long enough to schedule as its own event).
-		fire := func(j uint64) sim.Time {
-			if j <= nn {
-				return set[j-1].When
-			}
-			return free + cumS(j-nn)
-		}
-		nxtFinal := fire(total + 1)
-		if haveHorizon && horizonWhen < nxtFinal {
-			nxtFinal = horizonWhen
-		}
-		// Transient pops judge at their recorded completion times.
-		for j := uint64(1); j <= total && j <= nn; j++ {
-			d := del[j-1]
-			if d == 0 {
-				continue
-			}
-			c := set[j-1].When
-			nxt := nxtFinal
-			if j < total {
-				nxt = fire(j + 1)
-			}
-			if c+d >= nxt || c+d > free+cumS(j-1) {
-				return
-			}
-		}
-		if total > nn {
-			// Final rescheduled pop, checked exactly.
-			if d := del[(total-1)%nn]; d > 0 {
-				c := free + cumS(total-nn)
-				if c+d >= nxtFinal || c+d > free+cumS(total-1) {
-					return
-				}
-			}
-			// Steady-state pops reduce to per-position constants: the
-			// delay must end before the next pop fires (d < the next
-			// position's service) and the reissue must stay inside the
-			// current rotation (d <= R - own service).
-			if total > nn+1 {
-				for i := 0; i < n; i++ {
-					d := del[i]
-					if d == 0 {
-						continue
-					}
-					if d >= svc[(i+1)%n] || d > R-svc[i] {
-						return
-					}
-				}
-			}
-		}
 	}
 
 	// Commit. Pop j (1-based) is the probe completion of the spinner
@@ -678,12 +563,6 @@ func (m *Machine) tryWindowSlow(addr Addr, set []sim.WindowEvent, tmax sim.Time,
 	} else {
 		m.modFreeAt[mod] = occ
 		m.stats.RemoteRefs += total
-	}
-	if hasBackoff {
-		// Replay the in-window inline delay charges (budgeted above).
-		b := (total/nn)*bpre[n] + bpre[total%nn]
-		eng.ChargeN(b)
-		m.stats.InlineOps += b
 	}
 	m.stats.WindowOps += total
 	eng.FinishWindow(total)

@@ -132,6 +132,35 @@ func TestSpinWindowMixedBackoffStorm(t *testing.T) {
 	}
 }
 
+// TestSpinWindowFixedBackoffStorm pins the eligibility rule: only the
+// zero Backoff is charged in closed form. A fixed-backoff storm (the
+// sem-central latch's schedule) must replay per-event and commit no
+// window at all; mixed with raw spinners on the same word, its probes
+// and delays bound the windows the raw spinners still form. Both must
+// stay bit-identical with batching forced off.
+func TestSpinWindowFixedBackoffStorm(t *testing.T) {
+	fixed := Backoff{Base: 8, Cap: 8}
+	fixedOnly := func(p *Proc, lock Addr) { p.SpinTAS(lock, fixed) }
+	mixed := func(p *Proc, lock Addr) {
+		if p.ID()%2 == 1 {
+			p.SpinTAS(lock, fixed)
+			return
+		}
+		p.SpinTAS(lock, Backoff{})
+	}
+	for _, model := range []topo.Topology{topo.Bus, topo.NUMA, topo.Cluster} {
+		for _, procs := range []int{2, 8, 32} {
+			cfg := Config{Procs: procs, Topo: model, Seed: 13}
+			if win := assertStormAB(t, cfg, 20, fixedOnly); win != 0 {
+				t.Errorf("%s P=%d: fixed-backoff storm committed %d window ops", model, procs, win)
+			}
+			if win := assertStormAB(t, cfg, 20, mixed); procs >= 8 && win == 0 {
+				t.Errorf("%s P=%d: raw spinners mixed with fixed backoff never formed a window", model, procs)
+			}
+		}
+	}
+}
+
 // TestSpinWindowTTASStorm mixes raw test&set spinners with TTAS
 // waiters on the same word. TTAS waiters alternate between watcher
 // parking (which blocks windows on the word) and wake bursts (during

@@ -8,13 +8,13 @@
 // interconnect transactions exactly, the way 1991-era synchronization
 // studies did on real hardware.
 //
-// The queue is a typed 4-ary min-heap of small value events — no
-// container/heap, no interface{} boxing, no per-event closure on the hot
-// path — so steady-state scheduling and stepping perform zero heap
-// allocations. Simulation layers (internal/machine) describe their events
-// with a typed payload (kind plus two int32 arguments, typically a
-// processor index and an address) consumed by a single installed Handler;
-// the closure form At/After remains for tests and one-off setup work.
+// Every event is a small value — a kind plus two int32 arguments,
+// typically a processor index and an address — so the queue holds no
+// closures, no interface{} boxing, and no pointers, and steady-state
+// scheduling and stepping perform zero heap allocations. A simulation
+// layer either installs one Handler that Step routes every event to, or
+// drives the engine itself and consumes each payload from StepPayload
+// (the machine layer's drive loop, internal/machine).
 package sim
 
 import (
@@ -30,10 +30,8 @@ type Time int64
 type EventKind uint8
 
 const (
-	// EvFunc is reserved for closure events scheduled via At/After.
-	EvFunc EventKind = iota
 	// EvDispatch resumes a parked processor; arg0 is the processor index.
-	EvDispatch
+	EvDispatch EventKind = iota
 	// EvSpin advances a machine-driven spin wait: the simulation layer
 	// executes the waiting processor's next probe (or watcher re-check)
 	// directly in its drive loop, without resuming the processor's
@@ -71,21 +69,19 @@ const (
 	EvCont
 )
 
-// Handler consumes typed events. A single handler is installed by the
-// owning simulation layer (SetHandler); it is called with the event's
-// kind and payload each time a typed event fires.
+// Handler consumes events. A single handler is installed by the owning
+// simulation layer (SetHandler); Step calls it with the event's kind
+// and payload each time an event fires.
 type Handler func(kind EventKind, arg0, arg1 int32)
 
-// event is a queue entry. Typed events carry their whole payload by
-// value; fn is non-nil only for closure events, so pushing and popping
-// typed events never touches the garbage collector.
+// event is a queue entry: 32 bytes carrying its whole payload by value,
+// so pushing and popping never touches the garbage collector.
 type event struct {
 	when Time
 	seq  uint64 // tie-break: FIFO among same-instant events
 	kind EventKind
 	arg0 int32
 	arg1 int32
-	fn   func()
 }
 
 // before reports whether a fires before b: earlier timestamp, or same
@@ -151,8 +147,9 @@ func (e *Engine) SetMaxSteps(n uint64) {
 	e.maxSteps = n
 }
 
-// SetHandler installs the consumer of typed events. Scheduling a typed
-// event without a handler is a programming error and panics at fire time.
+// SetHandler installs the consumer of events fired by Step. Stepping an
+// event without a handler is a programming error and panics at fire
+// time; StepPayload needs no handler.
 func (e *Engine) SetHandler(h Handler) { e.handler = h }
 
 // Now returns the current virtual time.
@@ -205,9 +202,6 @@ func (e *Engine) Exhausted() bool { return e.work > e.maxSteps }
 // allocations on reuse. The step limit is preserved; callers that pool
 // across configurations reapply SetMaxSteps.
 func (e *Engine) Reset() {
-	for i := range e.events {
-		e.events[i].fn = nil // release closure references to the GC
-	}
 	e.events = e.events[:0]
 	e.linear = true
 	e.minIdx = 0
@@ -246,21 +240,19 @@ func (e *Engine) PendingAt(i int) PendingEvent {
 	return PendingEvent{When: ev.when, Seq: ev.seq, Kind: ev.kind, Arg0: ev.arg0, Arg1: ev.arg1}
 }
 
-// PurgePending removes every pending typed event for which match
-// returns true and restores queue order; it returns how many were
-// removed. Closure events (EvFunc) are never offered to match — the
-// purge targets typed per-processor events, which is what the machine
-// layer needs to drop a reborn processor's stale wakeups at recovery.
-// Survivors keep their (when, seq) keys, so pop order among them is
-// unchanged, and no counter (steps, work, seq) moves: a purge is pure
-// queue surgery, observable only through the events that no longer
+// PurgePending removes every pending event for which match returns
+// true and restores queue order; it returns how many were removed. The
+// machine layer uses it to drop a reborn processor's stale wakeups at
+// recovery. Survivors keep their (when, seq) keys, so pop order among
+// them is unchanged, and no counter (steps, work, seq) moves: a purge is
+// pure queue surgery, observable only through the events that no longer
 // fire.
 func (e *Engine) PurgePending(match func(PendingEvent) bool) int {
 	kept := e.events[:0]
 	removed := 0
 	for i := range e.events {
 		ev := e.events[i]
-		if ev.fn == nil && match(PendingEvent{When: ev.when, Seq: ev.seq, Kind: ev.kind, Arg0: ev.arg0, Arg1: ev.arg1}) {
+		if match(PendingEvent{When: ev.when, Seq: ev.seq, Kind: ev.kind, Arg0: ev.arg0, Arg1: ev.arg1}) {
 			removed++
 			continue
 		}
@@ -268,11 +260,6 @@ func (e *Engine) PurgePending(match func(PendingEvent) bool) int {
 	}
 	if removed == 0 {
 		return 0
-	}
-	// Clear the abandoned tail: survivors were copied down, and the
-	// stale copies could pin closure references against the GC.
-	for i := len(kept); i < len(e.events); i++ {
-		e.events[i] = event{}
 	}
 	e.events = kept
 	if e.linear {
@@ -284,7 +271,7 @@ func (e *Engine) PurgePending(match func(PendingEvent) bool) int {
 }
 
 // WindowEvent is one window-candidate event collected by ScanWindow:
-// payload plus the queue index a Retime needs.
+// payload plus the queue index RetimePending needs.
 type WindowEvent struct {
 	When  Time
 	Seq   uint64
@@ -332,31 +319,27 @@ func (e *Engine) PopBudget() uint64 {
 	return e.maxSteps - e.work
 }
 
-// Retime re-addresses one pending event inside ApplyWindow: the entry
-// at Index (a PendingAt index) moves to absolute time When with
-// sequence number Seq, exactly as if it had been popped and a
-// successor scheduled there.
-type Retime struct {
-	Index int
-	When  Time
-	Seq   uint64
-}
-
-// RetimePending re-addresses the pending event at index i to (when,
-// seq), exactly as if it had been popped and a successor scheduled
-// there. Only valid between queue-stable points; the caller must
-// finish the batch with FinishWindow (or use ApplyWindow, which wraps
-// both) so counters and queue order are restored. Small enough to
-// inline into the machine layer's window-commit loop.
+// RetimePending re-addresses the pending event at index i (a PendingAt
+// or WindowEvent index) to (when, seq), exactly as if it had been
+// popped and a successor scheduled there. Only valid between
+// queue-stable points; the caller must finish the batch with
+// FinishWindow so counters and queue order are restored. Small enough
+// to inline into the machine layer's window-commit loop.
 func (e *Engine) RetimePending(i int, when Time, seq uint64) {
 	e.events[i].when = when
 	e.events[i].seq = seq
 }
 
-// FinishWindow charges pops elided event firings — the step, work, and
+// FinishWindow commits a closed-form fast-forward of pops elided event
+// firings after a batch of RetimePending calls: the step, work, and
 // sequence counters advance as if pops events had been popped and each
-// had scheduled one successor — and restores queue order after a batch
-// of RetimePending calls.
+// had scheduled one successor, and queue order is restored. The caller
+// (the machine layer's spin-window batcher) is responsible for the
+// equivalence argument: every retimed (when, seq) must be what
+// event-by-event execution would have left pending, pops must not
+// exceed PopBudget(), and the retimed seqs must lie in
+// (Seq(), Seq()+pops]. The engine clock is not advanced; it catches up
+// at the next pop, which no simulated quantity can observe.
 func (e *Engine) FinishWindow(pops uint64) {
 	e.steps += pops
 	e.work += pops
@@ -366,21 +349,6 @@ func (e *Engine) FinishWindow(pops uint64) {
 	} else {
 		e.heapify()
 	}
-}
-
-// ApplyWindow commits a closed-form fast-forward of pops event
-// firings with the listed pending entries retimed to their post-window
-// positions. The caller (the machine layer's spin-window batcher) is
-// responsible for the equivalence argument: every retimed (When, Seq)
-// must be what probe-by-probe execution would have left pending, pops
-// must not exceed PopBudget(), and Seq values must lie in
-// (Seq(), Seq()+pops]. The engine clock is not advanced; it catches up
-// at the next pop, which no simulated quantity can observe.
-func (e *Engine) ApplyWindow(pops uint64, retimes []Retime) {
-	for _, r := range retimes {
-		e.RetimePending(r.Index, r.When, r.Seq)
-	}
-	e.FinishWindow(pops)
 }
 
 // NextTime returns the timestamp of the earliest pending event and
@@ -425,28 +393,15 @@ func (e *Engine) clamp(t Time) Time {
 	return t
 }
 
-// At schedules fn to run at absolute time t.
-func (e *Engine) At(t Time, fn func()) {
-	e.seq++
-	e.push(event{when: e.clamp(t), seq: e.seq, kind: EvFunc, fn: fn})
-}
-
-// After schedules fn to run d cycles from now.
-func (e *Engine) After(d Time, fn func()) {
-	if d < 0 {
-		d = 0
-	}
-	e.At(e.now+d, fn)
-}
-
-// AtEvent schedules a typed event at absolute time t. This is the
-// allocation-free path: the payload travels by value through the heap.
+// AtEvent schedules an event at absolute time t. The payload travels by
+// value through the queue, so scheduling allocates nothing.
 func (e *Engine) AtEvent(t Time, kind EventKind, arg0, arg1 int32) {
 	e.seq++
 	e.push(event{when: e.clamp(t), seq: e.seq, kind: kind, arg0: arg0, arg1: arg1})
 }
 
-// AfterEvent schedules a typed event d cycles from now.
+// AfterEvent schedules an event d cycles from now; a negative delay
+// clamps to now.
 func (e *Engine) AfterEvent(d Time, kind EventKind, arg0, arg1 int32) {
 	if d < 0 {
 		d = 0
@@ -464,22 +419,17 @@ func (e *Engine) Step() bool {
 	e.now = ev.when
 	e.steps++
 	e.work++
-	if ev.fn != nil {
-		ev.fn()
-		return true
-	}
 	if e.handler == nil {
-		panic(fmt.Sprintf("sim: typed event kind=%d fired with no handler installed", ev.kind))
+		panic(fmt.Sprintf("sim: event kind=%d fired with no handler installed", ev.kind))
 	}
 	e.handler(ev.kind, ev.arg0, ev.arg1)
 	return true
 }
 
 // StepPayload pops the next event, advances the clock, and returns the
-// event's typed payload directly instead of routing it through the
-// installed Handler — the hot-path form of Step for external drive
-// loops (closure events still run in place and report kind EvFunc).
-// fired is false when the queue is empty.
+// event's payload directly instead of routing it through the installed
+// Handler — the hot-path form of Step for external drive loops. fired
+// is false when the queue is empty.
 func (e *Engine) StepPayload() (kind EventKind, arg0, arg1 int32, fired bool) {
 	if len(e.events) == 0 {
 		return 0, 0, 0, false
@@ -488,10 +438,6 @@ func (e *Engine) StepPayload() (kind EventKind, arg0, arg1 int32, fired bool) {
 	e.now = ev.when
 	e.steps++
 	e.work++
-	if ev.fn != nil {
-		ev.fn()
-		return EvFunc, 0, 0, true
-	}
 	return ev.kind, ev.arg0, ev.arg1, true
 }
 
@@ -553,18 +499,12 @@ func (e *Engine) pop() event {
 		i := e.minIdx
 		top := h[i]
 		h[i] = h[n]
-		if h[n].fn != nil {
-			h[n].fn = nil // release the closure reference to the GC
-		}
 		e.events = h[:n]
 		e.rescanMin()
 		return top
 	}
 	top := h[0]
 	h[0] = h[n]
-	if h[n].fn != nil {
-		h[n].fn = nil
-	}
 	e.events = h[:n]
 	if n > 1 {
 		e.siftDown(0)

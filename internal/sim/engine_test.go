@@ -2,44 +2,75 @@ package sim
 
 import (
 	"errors"
-	"fmt"
 	"math"
 	"sort"
 	"testing"
 	"testing/quick"
 )
 
+// fired is one event delivery seen by a recorder: the clock at fire
+// time and the event's payload.
+type fired struct {
+	when Time
+	kind EventKind
+	arg0 int32
+	arg1 int32
+}
+
+// recorder installs a handler that logs every event Step fires and then
+// runs then (if non-nil) with the delivery, so a test can schedule
+// follow-up events from inside a firing event.
+func recorder(e *Engine, then func(fired)) *[]fired {
+	var got []fired
+	e.SetHandler(func(kind EventKind, arg0, arg1 int32) {
+		f := fired{e.Now(), kind, arg0, arg1}
+		got = append(got, f)
+		if then != nil {
+			then(f)
+		}
+	})
+	return &got
+}
+
 func TestEngineFiresInTimeOrder(t *testing.T) {
 	e := NewEngine()
-	var got []Time
+	got := recorder(e, nil)
 	for _, d := range []Time{30, 10, 20, 10, 5} {
-		d := d
-		e.At(d, func() { got = append(got, d) })
+		e.AtEvent(d, EvSpin, int32(d), int32(2*d))
 	}
 	if err := e.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
 	want := []Time{5, 10, 10, 20, 30}
+	if len(*got) != len(want) {
+		t.Fatalf("fired %d events, want %d", len(*got), len(want))
+	}
 	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("fire order %v, want %v", got, want)
+		f := (*got)[i]
+		if f.when != want[i] || Time(f.arg0) != want[i] {
+			t.Fatalf("fire order %v, want times %v", *got, want)
+		}
+		if f.kind != EvSpin || f.arg1 != 2*f.arg0 {
+			t.Fatalf("handler saw %+v, want the scheduled kind and payload", f)
 		}
 	}
 }
 
 func TestEngineSameInstantFIFO(t *testing.T) {
 	e := NewEngine()
-	var got []int
+	got := recorder(e, nil)
 	for i := 0; i < 10; i++ {
-		i := i
-		e.At(7, func() { got = append(got, i) })
+		e.AtEvent(7, EvDispatch, int32(i), 0)
 	}
 	if err := e.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	for i := range got {
-		if got[i] != i {
-			t.Fatalf("same-instant events fired out of order: %v", got)
+	if len(*got) != 10 {
+		t.Fatalf("fired %d events, want 10", len(*got))
+	}
+	for i, f := range *got {
+		if f.arg0 != int32(i) {
+			t.Fatalf("same-instant events fired out of order: %v", *got)
 		}
 	}
 }
@@ -48,61 +79,69 @@ func TestEngineClockMonotonic(t *testing.T) {
 	e := NewEngine()
 	last := Time(-1)
 	// Events scheduled "in the past" from inside an event must clamp.
-	e.At(50, func() {
-		e.At(10, func() { // in the past relative to now=50
+	got := recorder(e, func(f fired) {
+		switch f.arg0 {
+		case 1:
+			e.AtEvent(10, EvDispatch, 2, 0) // in the past relative to now=50
+		case 2:
 			if e.Now() < 50 {
 				t.Errorf("clock ran backward: %d", e.Now())
 			}
-		})
+		}
 	})
-	e.At(5, func() {})
+	e.AtEvent(50, EvDispatch, 1, 0)
+	e.AtEvent(5, EvDispatch, 0, 0)
 	for e.Step() {
 		if e.Now() < last {
 			t.Fatalf("clock went backward: %d after %d", e.Now(), last)
 		}
 		last = e.Now()
 	}
+	if len(*got) != 3 || (*got)[2].arg0 != 2 || (*got)[2].when != 50 {
+		t.Fatalf("past-time event fired as %v, want it last at t=50", *got)
+	}
 }
 
 func TestEngineAfter(t *testing.T) {
 	e := NewEngine()
-	var at Time
-	e.At(100, func() {
-		e.After(25, func() { at = e.Now() })
+	got := recorder(e, func(f fired) {
+		if f.arg0 == 0 {
+			e.AfterEvent(25, EvDispatch, 1, 0)
+		}
 	})
+	e.AtEvent(100, EvDispatch, 0, 0)
 	if err := e.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if at != 125 {
-		t.Fatalf("After fired at %d, want 125", at)
+	if len(*got) != 2 || (*got)[1].when != 125 {
+		t.Fatalf("AfterEvent fired as %v, want the second event at 125", *got)
 	}
 }
 
 func TestEngineAfterNegativeClamps(t *testing.T) {
 	e := NewEngine()
-	fired := false
-	e.At(10, func() {
-		e.After(-5, func() {
-			fired = true
-			if e.Now() != 10 {
-				t.Errorf("negative After fired at %d, want 10", e.Now())
-			}
-		})
+	got := recorder(e, func(f fired) {
+		if f.arg0 == 0 {
+			e.AfterEvent(-5, EvDispatch, 1, 0)
+		}
 	})
+	e.AtEvent(10, EvDispatch, 0, 0)
 	if err := e.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if !fired {
-		t.Fatal("negative After never fired")
+	if len(*got) != 2 {
+		t.Fatal("negative AfterEvent never fired")
+	}
+	if w := (*got)[1].when; w != 10 {
+		t.Errorf("negative AfterEvent fired at %d, want 10", w)
 	}
 }
 
 func TestEngineStepLimit(t *testing.T) {
 	e := NewEngine()
 	e.SetMaxSteps(100)
-	var reschedule func()
-	reschedule = func() { e.After(1, reschedule) }
-	e.At(0, reschedule)
+	recorder(e, func(fired) { e.AfterEvent(1, EvDispatch, 0, 0) })
+	e.AtEvent(0, EvDispatch, 0, 0)
 	err := e.Run()
 	if !errors.Is(err, ErrStepLimit) {
 		t.Fatalf("Run error = %v, want ErrStepLimit", err)
@@ -119,16 +158,15 @@ func TestEngineSetMaxStepsZeroRestoresDefault(t *testing.T) {
 
 func TestEngineRunUntil(t *testing.T) {
 	e := NewEngine()
-	var fired []Time
+	got := recorder(e, nil)
 	for _, d := range []Time{5, 10, 15, 20} {
-		d := d
-		e.At(d, func() { fired = append(fired, d) })
+		e.AtEvent(d, EvDispatch, int32(d), 0)
 	}
 	if err := e.RunUntil(12); err != nil {
 		t.Fatalf("RunUntil: %v", err)
 	}
-	if len(fired) != 2 || fired[0] != 5 || fired[1] != 10 {
-		t.Fatalf("RunUntil(12) fired %v, want [5 10]", fired)
+	if len(*got) != 2 || (*got)[0].when != 5 || (*got)[1].when != 10 {
+		t.Fatalf("RunUntil(12) fired %v, want events at [5 10]", *got)
 	}
 	if e.Now() != 12 {
 		t.Fatalf("clock after RunUntil = %d, want 12", e.Now())
@@ -153,65 +191,33 @@ func TestEngineOrderProperty(t *testing.T) {
 			return true
 		}
 		e := NewEngine()
-		type rec struct {
-			when Time
-			idx  int
-		}
-		var got []rec
+		got := recorder(e, nil)
 		for i, d := range delays {
-			i, when := i, Time(d)
-			e.At(when, func() { got = append(got, rec{when, i}) })
+			e.AtEvent(Time(d), EvDispatch, int32(i), 0)
 		}
 		if err := e.Run(); err != nil {
 			return false
 		}
-		sorted := sort.SliceIsSorted(got, func(i, j int) bool {
-			if got[i].when != got[j].when {
-				return got[i].when < got[j].when
+		g := *got
+		sorted := sort.SliceIsSorted(g, func(i, j int) bool {
+			if g[i].when != g[j].when {
+				return g[i].when < g[j].when
 			}
-			return got[i].idx < got[j].idx
+			return g[i].arg0 < g[j].arg0
 		})
-		return sorted && len(got) == len(delays)
+		return sorted && len(g) == len(delays)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
 }
 
-func TestEngineTypedEventsInterleaveWithClosures(t *testing.T) {
-	e := NewEngine()
-	var got []string
-	e.SetHandler(func(kind EventKind, arg0, arg1 int32) {
-		if kind != EvDispatch {
-			t.Fatalf("handler saw kind %d, want EvDispatch", kind)
-		}
-		got = append(got, fmt.Sprintf("d%d.%d", arg0, arg1))
-	})
-	e.AtEvent(20, EvDispatch, 2, 7)
-	e.At(10, func() { got = append(got, "f10") })
-	e.AtEvent(10, EvDispatch, 1, 0) // same instant as f10, scheduled later
-	e.AfterEvent(5, EvDispatch, 0, 0)
-	if err := e.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	want := []string{"d0.0", "f10", "d1.0", "d2.7"}
-	if fmt.Sprint(got) != fmt.Sprint(want) {
-		t.Fatalf("fire order %v, want %v", got, want)
-	}
-}
-
 func TestEngineStepPayload(t *testing.T) {
 	e := NewEngine()
-	ranFn := false
-	e.At(5, func() { ranFn = true })
 	e.AtEvent(10, EvDispatch, 3, 9)
-	kind, _, _, fired := e.StepPayload()
-	if !fired || kind != EvFunc || !ranFn {
-		t.Fatalf("first StepPayload = (%d, fired=%v), ranFn=%v; want closure event run in place", kind, fired, ranFn)
-	}
 	kind, a0, a1, fired := e.StepPayload()
 	if !fired || kind != EvDispatch || a0 != 3 || a1 != 9 {
-		t.Fatalf("second StepPayload = (%d, %d, %d, %v), want (EvDispatch, 3, 9, true)", kind, a0, a1, fired)
+		t.Fatalf("StepPayload = (%d, %d, %d, %v), want (EvDispatch, 3, 9, true)", kind, a0, a1, fired)
 	}
 	if e.Now() != 10 {
 		t.Fatalf("clock = %d, want 10", e.Now())
@@ -418,7 +424,7 @@ func TestRNGTimeRange(t *testing.T) {
 }
 
 // ---------------------------------------------------------------------
-// Window-advance API (PendingAt / PopBudget / ApplyWindow)
+// Window-advance API (PendingAt / PopBudget / RetimePending+FinishWindow)
 // ---------------------------------------------------------------------
 
 // TestPendingAtCoversQueue pins that the pending-event scan exposes
@@ -451,10 +457,10 @@ func TestPendingAtCoversQueue(t *testing.T) {
 }
 
 // TestApplyWindowEquivalence drives the same schedule two ways — fully
-// event by event, and with a middle run of pops replaced by
-// ApplyWindow — and requires identical counters, identical remaining
-// pop order, and identical sequence numbering for events scheduled
-// afterwards.
+// event by event, and with a middle run of pops replaced by a
+// RetimePending+FinishWindow commit — and requires identical counters,
+// identical remaining pop order, and identical sequence numbering for
+// events scheduled afterwards.
 func TestApplyWindowEquivalence(t *testing.T) {
 	build := func() *Engine {
 		e := NewEngine()
@@ -480,7 +486,6 @@ func TestApplyWindowEquivalence(t *testing.T) {
 
 	// Windowed: commit the same three pops in closed form.
 	win := build()
-	var retimes []Retime
 	seq0 := win.Seq()
 	for i := 0; i < win.Pending(); i++ {
 		ev := win.PendingAt(i)
@@ -489,9 +494,9 @@ func TestApplyWindowEquivalence(t *testing.T) {
 		}
 		// Spinner arg0 was popped as pop arg0+1 and rescheduled at
 		// 110+10*arg0 with the (arg0+1)-th elided sequence number.
-		retimes = append(retimes, Retime{Index: i, When: Time(110 + 10*int(ev.Arg0)), Seq: seq0 + uint64(ev.Arg0) + 1})
+		win.RetimePending(i, Time(110+10*int(ev.Arg0)), seq0+uint64(ev.Arg0)+1)
 	}
-	win.ApplyWindow(3, retimes)
+	win.FinishWindow(3)
 
 	if ref.Steps() != win.Steps() {
 		t.Fatalf("steps diverge: ref %d, win %d", ref.Steps(), win.Steps())
@@ -520,7 +525,7 @@ func TestApplyWindowEquivalence(t *testing.T) {
 }
 
 // TestApplyWindowHeapMode re-times entries while the queue is in heap
-// mode and checks the heap invariant is restored.
+// mode and checks FinishWindow restores the heap invariant.
 func TestApplyWindowHeapMode(t *testing.T) {
 	e := NewEngine()
 	e.SetHandler(func(EventKind, int32, int32) {})
@@ -532,14 +537,16 @@ func TestApplyWindowHeapMode(t *testing.T) {
 		t.Fatal("queue should be in heap mode")
 	}
 	// Push the earliest 8 entries to the back of the schedule.
-	var retimes []Retime
+	// RetimePending rewrites keys in place without moving entries, so
+	// the scan still visits each original entry exactly once.
+	seq0 := e.Seq()
 	for i := 0; i < e.Pending(); i++ {
 		ev := e.PendingAt(i)
 		if ev.When < Time(10+8) {
-			retimes = append(retimes, Retime{Index: i, When: ev.When + Time(1000), Seq: e.Seq() + uint64(ev.Arg0) + 1})
+			e.RetimePending(i, ev.When+Time(1000), seq0+uint64(ev.Arg0)+1)
 		}
 	}
-	e.ApplyWindow(8, retimes)
+	e.FinishWindow(8)
 	// The retimed entries must drain in exactly the recomputed order:
 	// the untouched events 8..n-1 at their original times, then the
 	// retimed 0..7 at original+1000 (their new seqs preserve arrival

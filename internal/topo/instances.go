@@ -44,9 +44,9 @@ func (flat) PollSpacing(p, mod int, tm Timing) sim.Time { return tm.PollInterval
 
 type idealTopo struct{ flat }
 
-func (idealTopo) Name() string                               { return "ideal" }
-func (idealTopo) String() string                             { return "ideal" }
-func (idealTopo) Discipline() Discipline                     { return Uniform }
+func (idealTopo) Name() string                                  { return "ideal" }
+func (idealTopo) String() string                                { return "ideal" }
+func (idealTopo) Discipline() Discipline                        { return Uniform }
 func (idealTopo) Traversal(p, mod int, tm Timing) sim.Time      { return 0 }
 func (idealTopo) Remote(p, mod int) bool                        { return false }
 func (idealTopo) TraversalClasses(tm Timing) ([]sim.Time, bool) { return nil, false }
