@@ -308,49 +308,6 @@ func BenchmarkMachineClusterStormBatched(b *testing.B) {
 	}
 }
 
-// BenchmarkMachineDispatchResidue — the inline-continuation A/B on the
-// contended cluster storm: the same 32-processor test&set storm as
-// BenchmarkMachineClusterStormBatched, with continuation dispatch on
-// (the default: straight-line critical-section and think-time events
-// execute inline in the drive loop) vs forced back onto the per-event
-// goroutine baton (NoInlineDispatch). The ratio of the two legs'
-// simops/s is the residual cost of the holder-side handoff; the
-// simulated results are bit-identical (pinned by the NoInlineDispatch
-// determinism suite).
-func BenchmarkMachineDispatchResidue(b *testing.B) {
-	for _, tc := range []struct {
-		name     string
-		noInline bool
-	}{{"inline", false}, {"noinline", true}} {
-		tc := tc
-		b.Run(tc.name, func(b *testing.B) {
-			info, ok := simsync.LockByName("tas")
-			if !ok {
-				b.Fatal("tas lock missing")
-			}
-			b.ReportAllocs()
-			pool := new(machine.Pool)
-			var ops, acqs uint64
-			for i := 0; i < b.N; i++ {
-				res, err := simsync.RunLockIn(pool,
-					machine.Config{Procs: 32, Topo: topo.Cluster, Seed: uint64(i + 1),
-						SharedWords: 1 << 12, LocalWords: 1 << 8, NoInlineDispatch: tc.noInline},
-					info,
-					simsync.LockOpts{Iters: 40, CS: 25, Think: 50, CheckMutex: true},
-				)
-				if err != nil {
-					b.Fatal(err)
-				}
-				st := res.Stats
-				ops += st.Loads + st.Stores + st.RMWs
-				acqs += res.Acquisitions
-			}
-			b.ReportMetric(float64(ops)/b.Elapsed().Seconds(), "simops/s")
-			b.ReportMetric(float64(acqs)/b.Elapsed().Seconds(), "acq/s")
-		})
-	}
-}
-
 // BenchmarkMachineDeepClusterStorm — the P=256 deep-topology point of
 // the scaling sweeps (PR 6): a raw test&set storm on the cluster
 // machine four times past the bus protocol's 64-processor ceiling,

@@ -311,40 +311,30 @@ func writeSimBench(path string, quick bool, label string) error {
 	// rows carry their own (smaller) iteration counts to keep cell cost
 	// roughly flat, and their procs-axis scale labels keep them from
 	// colliding with the canonical P=32 rows.
-	// The -noinline twins (PR 10) do the same for continuation dispatch:
-	// the default leg executes straight-line scripted events inline in
-	// the drive loop, the twin forces every one back over the per-event
-	// goroutine baton, so the pair's ratio is the handoff residue on the
-	// most contended rows. Simulated results are bit-identical either
-	// way (the NoInlineDispatch determinism suite pins this).
 	battery := []struct {
-		lock     string
-		topo     topo.Topology
-		procs    int
-		noWin    bool
-		noInline bool
-		iters    int // 0 = battery default
+		lock  string
+		topo  topo.Topology
+		procs int
+		noWin bool
+		iters int // 0 = battery default
 	}{
-		{"tas", topo.Bus, 8, false, false, 0},
-		{"tas", topo.Bus, 32, false, false, 0},
-		{"tas", topo.Bus, 32, true, false, 0},
-		{"tas", topo.Bus, 32, false, true, 0},
-		{"ttas", topo.Bus, 8, false, false, 0},
-		{"tas-bo", topo.Bus, 8, false, false, 0},
-		{"qsync", topo.Bus, 8, false, false, 0},
-		{"qsync", topo.NUMA, 16, false, false, 0},
-		{"tas", topo.Cluster, 32, false, false, 0},
-		{"tas", topo.Cluster, 32, true, false, 0},
-		{"tas", topo.Cluster, 32, false, true, 0},
-		{"qsync", topo.Cluster, 16, false, false, 0},
+		{"tas", topo.Bus, 8, false, 0},
+		{"tas", topo.Bus, 32, false, 0},
+		{"tas", topo.Bus, 32, true, 0},
+		{"ttas", topo.Bus, 8, false, 0},
+		{"tas-bo", topo.Bus, 8, false, 0},
+		{"qsync", topo.Bus, 8, false, 0},
+		{"qsync", topo.NUMA, 16, false, 0},
+		{"tas", topo.Cluster, 32, false, 0},
+		{"tas", topo.Cluster, 32, true, 0},
+		{"qsync", topo.Cluster, 16, false, 0},
 		// Deep scaling points (heap-mode engine, multi-word window masks).
-		{"tas", topo.NUMA, 256, false, false, 8},
-		{"tas", topo.NUMA, 256, true, false, 8},
-		{"tas", topo.Cluster, 256, false, false, 8},
-		{"tas", topo.Cluster, 256, true, false, 8},
-		{"tas", topo.Cluster, 256, false, true, 8},
-		{"tas", topo.Cluster, 1024, false, false, 2},
-		{"tas", topo.Cluster, 1024, true, false, 2},
+		{"tas", topo.NUMA, 256, false, 8},
+		{"tas", topo.NUMA, 256, true, 8},
+		{"tas", topo.Cluster, 256, false, 8},
+		{"tas", topo.Cluster, 256, true, 8},
+		{"tas", topo.Cluster, 1024, false, 2},
+		{"tas", topo.Cluster, 1024, true, 2},
 	}
 	pool := new(machine.Pool)
 	for _, bc := range battery {
@@ -362,7 +352,7 @@ func writeSimBench(path string, quick bool, label string) error {
 			res, err := simsync.RunLockIn(pool,
 				machine.Config{Procs: bc.procs, Topo: bc.topo, Seed: uint64(r + 1),
 					SharedWords: 1 << 12, LocalWords: 1 << 8,
-					NoSpinWindows: bc.noWin, NoInlineDispatch: bc.noInline},
+					NoSpinWindows: bc.noWin},
 				info,
 				simsync.LockOpts{Iters: cellIters, CS: 25, Think: 50, CheckMutex: true},
 			)
@@ -378,9 +368,6 @@ func writeSimBench(path string, quick bool, label string) error {
 		name := "lock/" + bc.lock
 		if bc.noWin {
 			name += "-nowin"
-		}
-		if bc.noInline {
-			name += "-noinline"
 		}
 		res := simBenchResult{
 			Workload: name, Model: bc.topo.Name(), Procs: bc.procs,

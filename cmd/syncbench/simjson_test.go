@@ -162,7 +162,9 @@ func TestSimScaleLabelRoundTrip(t *testing.T) {
 // workload suffix is the key, exactly like PR 4's "-nowin" twins — and
 // both rows must survive the write/load round trip, including a twin
 // that is simultaneously windows-off (suffixes compose in battery
-// order: "-nowin-noinline").
+// order: "-nowin-noinline"). The battery no longer writes -noinline
+// rows, but the committed trajectory holds some, and every later merge
+// must carry them.
 func TestSimInlineTwinLabelRoundTrip(t *testing.T) {
 	row := func(workload string, ops float64) simBenchResult {
 		return simBenchResult{

@@ -58,6 +58,9 @@ func main() {
 		memProf  = flag.String("memprofile", "", "write a heap profile to this file on exit")
 	)
 	flag.Parse()
+	if err := checkFlags(*procs, *iters, *episodes, *items, *incs, *cs, *think, *readfrac); err != nil {
+		fail("%v", err)
+	}
 
 	if *cpuProf != "" {
 		f, err := os.Create(*cpuProf)
@@ -209,6 +212,34 @@ func main() {
 	default:
 		fail("unknown kind %q (lock, barrier, rw, sem, counter)", *kind)
 	}
+}
+
+// checkFlags rejects out-of-range workload flags before anything runs.
+// Unchecked, a negative count panics deep inside a runner or wraps to a
+// huge unsigned total, -procs 0 reads as "unset" in
+// machine.Config.Defaults and runs one processor, and a read fraction
+// above 1 runs an all-reader workload.
+func checkFlags(procs, iters, episodes, items, incs int, cs, think int64, readfrac float64) error {
+	for _, f := range []struct {
+		name   string
+		v, min int64
+	}{
+		{"procs", int64(procs), 1},
+		{"iters", int64(iters), 1},
+		{"episodes", int64(episodes), 1},
+		{"items", int64(items), 1},
+		{"incs", int64(incs), 1},
+		{"cs", cs, 0},
+		{"think", think, 0},
+	} {
+		if f.v < f.min {
+			return fmt.Errorf("-%s %d out of range: must be at least %d", f.name, f.v, f.min)
+		}
+	}
+	if !(readfrac >= 0 && readfrac <= 1) { // also rejects NaN
+		return fmt.Errorf("-readfrac %g out of range: must be in [0, 1]", readfrac)
+	}
+	return nil
 }
 
 // runFaulted drives the selected algorithms through one named fault

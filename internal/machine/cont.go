@@ -10,16 +10,18 @@ import (
 // operation.
 //
 // A processor running a scripted sequence (RunScript) parks its
-// goroutine once. Each operation in the script is issued by whichever
-// goroutine pops the processor's EvCont event — exactly the operations
-// the goroutine would have performed at that moment, with the same side
-// effects, the same scheduling calls, the same livelock-budget charges,
-// and the same RNG draws in the same order — so cycle counts, traffic
-// counters, and the interleaving of all processors are bit-identical to
-// the baton-handoff execution (Config.NoInlineDispatch pins this A/B in
-// the determinism suite). The only difference is host-side: the
-// goroutine is resumed once, when the script completes, instead of once
-// per operation that crosses a pending event.
+// goroutine once. A script op that must wait schedules the processor's
+// ordinary EvDispatch, and whichever goroutine pops it sees the active
+// script and issues the next ops in place. Those are exactly the
+// operations the goroutine's own Load/Delay/Store calls would have
+// performed at that moment, with the same side effects, the same
+// scheduling calls, the same livelock-budget charges, and the same RNG
+// draws in the same order — so cycle counts, traffic counters, and the
+// interleaving of all processors are bit-identical to issuing them from
+// the goroutine (the determinism suite pins every scripted lock against
+// its closure twin, which does just that). The only difference is
+// host-side: the goroutine is resumed once, when the script completes,
+// instead of once per operation that crosses a pending event.
 //
 // Ops are data-encoded (no closure per op except the optional free
 // host-side callback), so scripts can be built once and reused across
@@ -82,10 +84,9 @@ func contWhy(k ContOpKind) string {
 // RunScript executes the ops in order as this processor's program,
 // advancing the virtual clock exactly as the equivalent sequence of
 // Load/Delay/Store calls would. The goroutine parks while the drive
-// loop advances the continuation in place and resumes when the script
-// completes — one handoff per script instead of one per operation that
-// crosses a pending event (or one per operation again under
-// Config.NoInlineDispatch, the A/B reference mode). The op slice must
+// loop advances the script in place at each of its dispatches, and
+// resumes when the script completes — one handoff per script instead
+// of one per operation that crosses a pending event. The op slice must
 // not be mutated until RunScript returns.
 func (p *Proc) RunScript(ops []ContOp) {
 	c := &p.cont
@@ -93,8 +94,8 @@ func (p *Proc) RunScript(ops []ContOp) {
 	c.pc = 0
 	c.acc = 0
 	c.ops = ops
-	for !p.m.contAdvance(p) {
-		p.m.drive(p)
+	if !p.m.contAdvance(p) {
+		p.m.drive(p) // returns once a dispatch has run the script to its end
 	}
 	c.active = false
 	c.ops = nil
@@ -104,10 +105,9 @@ func (p *Proc) RunScript(ops []ContOp) {
 // contComplete mirrors Proc.complete for an operation issued by the
 // continuation machinery: retire inline when no pending event precedes
 // the completion (charging the livelock budget), otherwise schedule the
-// continuation as an EvCont at the completion time. The scheduling
-// decision, charge, and event timestamp are identical to the goroutine
-// path; only the event kind differs, which the engine orders
-// identically.
+// processor's EvDispatch at the completion time — the same decision,
+// charge, and event the goroutine path makes. The drive loop advances
+// the script when that dispatch fires.
 func (p *Proc) contComplete(lat sim.Time) bool {
 	target := p.localNow + lat
 	eng := p.m.eng
@@ -118,16 +118,16 @@ func (p *Proc) contComplete(lat sim.Time) bool {
 			return true
 		}
 	}
-	eng.AtEvent(target, sim.EvCont, int32(p.id), 0)
+	eng.AtEvent(target, sim.EvDispatch, int32(p.id), 0)
 	return false
 }
 
 // contAdvance runs p's continuation until the script completes (returns
 // true: the processor's program resumes at p.localNow) or the current
-// op must wait for an engine event (returns false). It is called from
-// the drive loop when an EvCont fires, and from RunScript on the
-// processor's own goroutine — including once more after each drive
-// returns, where a completed script makes it a no-op reporting true.
+// op must wait for an engine event (returns false). RunScript calls it
+// once on the processor's own goroutine to start the script; the drive
+// loop calls it each time the processor's EvDispatch fires while the
+// script is active.
 func (m *Machine) contAdvance(p *Proc) bool {
 	c := &p.cont
 	for c.pc < len(c.ops) {

@@ -89,14 +89,6 @@ type Config struct {
 	// performance comparisons.
 	NoSpinWindows bool
 
-	// NoInlineDispatch disables inline continuation dispatch (cont.go):
-	// every EvCont hands the baton to the owning goroutine instead of
-	// advancing the script in the popping goroutine's drive loop.
-	// Simulated results are bit-identical either way — the switch exists
-	// for the determinism A/B tests and for host-side performance
-	// comparisons of the handoff cost the continuation table removes.
-	NoInlineDispatch bool
-
 	// Placement is the default data-placement policy handed to
 	// placement-aware algorithms (see AllocPlaced); nil defaults to
 	// topo.PlaceGroup, which degenerates to per-processor local
@@ -216,12 +208,13 @@ type Stats struct {
 	// traffic, or even the Events count (windowed pops are charged to
 	// the step counter exactly as if they had fired).
 	WindowOps uint64
-	// InlineDispatches counts continuation ops advanced in place by the
-	// drive loop (cont.go) instead of over a baton handoff. Like
-	// InlineOps and WindowOps it is a host-side efficiency metric with
-	// no effect on simulated time, traffic, or the Events count; it is
-	// the only Stats field allowed to differ across the
-	// Config.NoInlineDispatch A/B pair (zero in the handoff mode).
+	// InlineDispatches counts dispatches that advanced a continuation
+	// script in place in the drive loop (cont.go) instead of resuming
+	// the processor's goroutine. Like InlineOps and WindowOps it is a
+	// host-side efficiency metric with no effect on simulated time,
+	// traffic, or the Events count; it is the only Stats field allowed
+	// to differ between a scripted lock and its closure twin, which
+	// issues the same ops from its goroutine (zero for the twin).
 	InlineDispatches uint64
 	Loads            uint64
 	Stores           uint64
@@ -295,10 +288,6 @@ type Machine struct {
 	// per processor; winSeen/winSet are reusable scratch for the
 	// detector.
 	winEnabled bool // set by Reset: windows possible on this config at all
-	// noInline caches Config.NoInlineDispatch: when set, EvCont events
-	// hand the baton to the owning goroutine (the A/B reference mode)
-	// instead of advancing the continuation in the drive loop.
-	noInline bool
 	// winClassed caches the topology's TraversalClasses declaration for
 	// Modules machines: storms are window-eligible only on topologies
 	// that declare a closed set of remote distance classes.
@@ -424,7 +413,6 @@ func (m *Machine) Reset(cfg Config) error {
 
 	m.stats = Stats{}
 	m.winEnabled = !cfg.NoSpinWindows && m.disc != topo.Uniform
-	m.noInline = cfg.NoInlineDispatch
 	m.winClassed = false
 	if m.disc == topo.Modules {
 		_, m.winClassed = m.topo.TraversalClasses(m.tm)
@@ -605,8 +593,9 @@ func (m *Machine) Run(body func(p *Proc)) error {
 // usually none: an operation retired on the inline fast path schedules
 // no event at all, machine-driven spin waits (spin.go) and scripted
 // continuations (cont.go) advance inside whichever goroutine pops
-// their events, and the baton moves only when a processor's *program*
-// must resume (acquire completed, script finished, recovery re-entry).
+// their spin events or dispatches, and the baton moves only when a
+// processor's *program* must resume (acquire completed, script
+// finished, recovery re-entry).
 func (m *Machine) RunEach(bodies []func(p *Proc)) error {
 	if len(bodies) != m.cfg.Procs {
 		return fmt.Errorf("machine: RunEach needs %d bodies, got %d", m.cfg.Procs, len(bodies))
@@ -698,13 +687,14 @@ func (m *Machine) RunEach(bodies []func(p *Proc)) error {
 
 // drive steps the engine on the calling goroutine until an event
 // dispatches p (p resumes its program), handing the baton to any other
-// processor dispatched along the way. EvSpin and EvCont events advance
-// the target processor's spin state machine or continuation script in
-// place — executing its operations without waking its goroutine —
-// handing the baton over only when a spin or script completes. When
-// the queue drains or the work budget trips, drive signals termination
-// on m.done; a finished (or nil, for kickoff) p then returns so its
-// goroutine can exit, while a live p parks for teardown.
+// processor dispatched along the way. EvSpin events, and dispatches of
+// a processor inside a continuation script, advance the target's spin
+// state machine or script in place — executing its operations without
+// waking its goroutine — handing the baton over only when the spin or
+// script completes. When the queue drains or the work budget trips,
+// drive signals termination on m.done; a finished (or nil, for kickoff)
+// p then returns so its goroutine can exit, while a live p parks for
+// teardown.
 func (m *Machine) drive(p *Proc) {
 	for {
 		if m.live == 0 && m.reviving == 0 {
@@ -763,6 +753,15 @@ func (m *Machine) drive(p *Proc) {
 				}
 			}
 			q.localNow = m.eng.Now()
+			if q.cont.active {
+				// The processor is inside a continuation script
+				// (cont.go): run its next ops here, in the popping
+				// goroutine, and resume it only once the script ends.
+				m.stats.InlineDispatches++
+				if !m.contAdvance(q) {
+					continue // script still running: ops ran here, no handoff
+				}
+			}
 		case sim.EvSpin:
 			s := m.procs[arg0]
 			if s.finished || s.crashed {
@@ -783,32 +782,6 @@ func (m *Machine) drive(p *Proc) {
 			}
 			m.spinStreak = 0
 			q = s // spin satisfied: resume the program at s.localNow
-		case sim.EvCont:
-			// Advance a parked processor's scripted continuation
-			// (cont.go). The drop, stall-deferral, and clock-resync
-			// steps mirror the EvDispatch case exactly; the only
-			// difference is that the ops run here, in the popping
-			// goroutine, unless NoInlineDispatch demands the
-			// baton-handoff reference execution.
-			m.spinStreak = 0
-			c := m.procs[arg0]
-			if c.finished || c.crashed {
-				continue // stale wakeup: the processor returned or died
-			}
-			if m.flt != nil {
-				if e := m.flt.stallEnd(int(arg0), m.eng.Now()); e > m.eng.Now() {
-					m.eng.AtEvent(e, kind, arg0, arg1)
-					continue
-				}
-			}
-			c.localNow = m.eng.Now()
-			if !m.noInline {
-				m.stats.InlineDispatches++
-				if !m.contAdvance(c) {
-					continue // script still running: ops ran here, no handoff
-				}
-			}
-			q = c // script complete (or reference mode): resume the goroutine
 		case sim.EvFault:
 			// Materialize a processor crash. The processor's live count
 			// is surrendered here; its pending events are dropped on
@@ -912,7 +885,7 @@ func (m *Machine) revive(r *Proc) {
 	pid := int32(r.id)
 	m.eng.PurgePending(func(ev sim.PendingEvent) bool {
 		return ev.Arg0 == pid &&
-			(ev.Kind == sim.EvDispatch || ev.Kind == sim.EvSpin || ev.Kind == sim.EvCont)
+			(ev.Kind == sim.EvDispatch || ev.Kind == sim.EvSpin)
 	})
 	if r.spin.active {
 		m.watchUnlink(r.spin.addr, r.id)

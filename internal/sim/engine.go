@@ -31,6 +31,10 @@ type EventKind uint8
 
 const (
 	// EvDispatch resumes a parked processor; arg0 is the processor index.
+	// For a processor inside a straight-line continuation script the
+	// simulation layer instead executes the script's next step directly
+	// in its drive loop, resuming the goroutine only once the script
+	// completes.
 	EvDispatch EventKind = iota
 	// EvSpin advances a machine-driven spin wait: the simulation layer
 	// executes the waiting processor's next probe (or watcher re-check)
@@ -56,17 +60,6 @@ const (
 	// horizons exactly like any other event, so crash-recovery runs
 	// keep the windows on/off bit-identity contract.
 	EvRecover
-	// EvCont advances a machine-driven straight-line continuation: the
-	// simulation layer executes the next step of a parked processor's
-	// scripted instruction sequence directly in its drive loop, without
-	// resuming the processor's goroutine. arg0 is the processor index.
-	// Scheduling-wise an EvCont is indistinguishable from the EvDispatch
-	// it replaces — same timestamp, same sequence-number consumption —
-	// which is what keeps inline continuation dispatch bit-identical to
-	// the baton-handoff path. Like any other pending event, an EvCont
-	// bounds every processor's inline run-ahead and every spin window's
-	// horizon.
-	EvCont
 )
 
 // Handler consumes events. A single handler is installed by the owning

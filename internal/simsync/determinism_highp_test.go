@@ -36,31 +36,33 @@ func TestDeterminismHighP(t *testing.T) {
 			}
 			for _, c := range cells {
 				name := fmt.Sprintf("%s/%s/%s/P%d", tp.Name(), c.family, c.algo, procs)
-				c := c
-				cfg := func(noWindows, noInline bool) machine.Config {
-					return machine.Config{Procs: procs, Topo: tp, Seed: 7, NoSpinWindows: noWindows, NoInlineDispatch: noInline}
+				if c.family == "lock" {
+					info, _ := LockByName(c.algo)
+					assertLockIdentical(t, name, machine.Config{Procs: procs, Topo: tp, Seed: 7},
+						info, LockOpts{Iters: 3, CS: 25, Think: 50, CheckMutex: true})
+					continue
 				}
-				assertIdentical(t, name, func(noWindows, noInline bool) (machine.Stats, error) {
+				c := c
+				cfg := func(noWindows bool) machine.Config {
+					return machine.Config{Procs: procs, Topo: tp, Seed: 7, NoSpinWindows: noWindows}
+				}
+				assertIdentical(t, name, func(noWindows bool) (machine.Stats, error) {
 					switch c.family {
-					case "lock":
-						info, _ := LockByName(c.algo)
-						res, err := RunLockIn(nil, cfg(noWindows, noInline), info, LockOpts{Iters: 3, CS: 25, Think: 50, CheckMutex: true})
-						return res.Stats, err
 					case "barrier":
 						info, _ := BarrierByName(c.algo)
-						res, err := RunBarrierIn(nil, cfg(noWindows, noInline), info, BarrierOpts{Episodes: 3, Work: 120})
+						res, err := RunBarrierIn(nil, cfg(noWindows), info, BarrierOpts{Episodes: 3, Work: 120})
 						return res.Stats, err
 					case "rw":
 						info, _ := RWLockByName(c.algo)
-						res, err := RunRWIn(nil, cfg(noWindows, noInline), info, RWOpts{Iters: 3, ReadFraction: 0.8, Work: 40, Think: 60})
+						res, err := RunRWIn(nil, cfg(noWindows), info, RWOpts{Iters: 3, ReadFraction: 0.8, Work: 40, Think: 60})
 						return res.Stats, err
 					case "sem":
 						info, _ := SemaphoreByName(c.algo)
-						res, err := RunProducerConsumerIn(nil, cfg(noWindows, noInline), info, PCOpts{Items: 64, Capacity: 4, Work: 20})
+						res, err := RunProducerConsumerIn(nil, cfg(noWindows), info, PCOpts{Items: 64, Capacity: 4, Work: 20})
 						return res.Stats, err
 					default:
 						info, _ := CounterByName(c.algo)
-						res, err := RunCounterIn(nil, cfg(noWindows, noInline), info, CounterOpts{Incs: 4, Think: 20})
+						res, err := RunCounterIn(nil, cfg(noWindows), info, CounterOpts{Incs: 4, Think: 20})
 						return res.Stats, err
 					}
 				})
@@ -80,7 +82,9 @@ func TestDeterminismHighP(t *testing.T) {
 // means the simulation itself changed, not just the batching), the
 // windows-off twin must match them bit for bit, and the run must
 // actually batch (WindowOps > 0): a silently window-ineligible cluster
-// storm would leave this green-but-meaningless.
+// storm would leave this green-but-meaningless. The closure twin, whose
+// holders issue the held section from their goroutines, must match the
+// scripted run too.
 func TestClusterMixedClassStorm(t *testing.T) {
 	const procs = 16
 	info, ok := LockByName("tas")
@@ -88,28 +92,19 @@ func TestClusterMixedClassStorm(t *testing.T) {
 		t.Fatal("tas lock missing")
 	}
 	opts := LockOpts{Iters: 20, CS: 25, Think: 50, CheckMutex: true}
-	run := func(noWindows, noInline bool) LockResult {
-		res, err := RunLockIn(nil, machine.Config{Procs: procs, Topo: topo.Cluster, Seed: 7,
-			NoSpinWindows: noWindows, NoInlineDispatch: noInline}, info, opts)
+	cfg := machine.Config{Procs: procs, Topo: topo.Cluster, Seed: 7}
+	run := func(noWindows bool) LockResult {
+		c := cfg
+		c.NoSpinWindows = noWindows
+		res, err := RunLockIn(nil, c, info, opts)
 		if err != nil {
-			t.Fatalf("noWindows=%v noInline=%v: %v", noWindows, noInline, err)
+			t.Fatalf("noWindows=%v: %v", noWindows, err)
 		}
 		return res
 	}
-	on := run(false, false)
-	off := run(true, false)
-
-	// The continuation-dispatch A/B on the same pinned storm: handing
-	// every scripted op over the baton must not move a counter.
-	noInline := run(false, true)
-	if noInline.Stats.InlineDispatches != 0 {
-		t.Fatalf("NoInlineDispatch storm still dispatched %d ops inline", noInline.Stats.InlineDispatches)
-	}
-	onScrub := on
-	onScrub.Stats.InlineDispatches = 0
-	if !reflect.DeepEqual(onScrub, noInline) {
-		t.Errorf("inline dispatch changed the mixed-class storm:\n  inline:  %+v\n  handoff: %+v", onScrub, noInline)
-	}
+	on := run(false)
+	off := run(true)
+	assertClosureTwin(t, "cluster/tas/P16", cfg, info, opts, on)
 
 	if on.Stats.WindowOps == 0 {
 		t.Fatal("cluster storm batched no window ops: per-distance-class windows did not engage")

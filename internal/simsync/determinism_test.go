@@ -51,19 +51,14 @@ func forEachConfig(t *testing.T, fn func(tp topo.Topology, procs int)) {
 // cross-processor spin-window batching off and must match the enabled
 // runs on everything except WindowOps itself — event counts and
 // sequence-dependent interleavings included, since windowed pops are
-// charged to the same counters the per-event path uses. Two further
-// runs force inline continuation dispatch off (NoInlineDispatch), one
-// per window mode, and must match on everything except
-// InlineDispatches itself: executing scripted ops in the drive loop
-// instead of over baton handoffs may not move a single event, draw, or
-// counter.
-func assertIdentical(t *testing.T, name string, measure func(noWindows, noInline bool) (machine.Stats, error)) {
+// charged to the same counters the per-event path uses.
+func assertIdentical(t *testing.T, name string, measure func(noWindows bool) (machine.Stats, error)) {
 	t.Helper()
-	a, err := measure(false, false)
+	a, err := measure(false)
 	if err != nil {
 		t.Fatalf("%s: first run: %v", name, err)
 	}
-	b, err := measure(false, false)
+	b, err := measure(false)
 	if err != nil {
 		t.Fatalf("%s: second run: %v", name, err)
 	}
@@ -73,7 +68,7 @@ func assertIdentical(t *testing.T, name string, measure func(noWindows, noInline
 	if a.Cycles == 0 {
 		t.Errorf("%s: run did no simulated work", name)
 	}
-	c, err := measure(true, false)
+	c, err := measure(true)
 	if err != nil {
 		t.Fatalf("%s: windows-off run: %v", name, err)
 	}
@@ -85,43 +80,86 @@ func assertIdentical(t *testing.T, name string, measure func(noWindows, noInline
 	if !reflect.DeepEqual(aw, c) {
 		t.Errorf("%s: window batching changed results:\n  on:  %+v\n  off: %+v", name, aw, c)
 	}
-	d, err := measure(false, true)
+}
+
+// closureTwin hides a lock's ReleaseScript: it embeds only Lock, so
+// RunLockIn drives it through the plain Load/Delay/Store loop, the
+// goroutine issuing every held-section op itself.
+type closureTwin struct{ Lock }
+
+// closureTwinOf returns info with every lock it builds wrapped in
+// closureTwin.
+func closureTwinOf(info LockInfo) LockInfo {
+	build := info.Make
+	info.Make = func(m *machine.Machine) Lock { return closureTwin{build(m)} }
+	return info
+}
+
+// scriptedLock reports whether info builds a ScriptedRelease lock, one
+// whose held section RunLockIn runs as a continuation script.
+func scriptedLock(t *testing.T, info LockInfo) bool {
+	t.Helper()
+	m, err := machine.New(machine.Config{Procs: 1, SharedWords: 64, LocalWords: 16})
 	if err != nil {
-		t.Fatalf("%s: no-inline run: %v", name, err)
+		t.Fatal(err)
 	}
-	if d.InlineDispatches != 0 {
-		t.Fatalf("%s: NoInlineDispatch run still dispatched %d continuation ops inline", name, d.InlineDispatches)
+	_, ok := info.Make(m).(ScriptedRelease)
+	return ok
+}
+
+// assertClosureTwin checks a ScriptedRelease lock's script run against
+// its reference: the same cell with the lock wrapped in closureTwin.
+// The twin must reproduce script in every field except
+// Stats.InlineDispatches, which the twin leaves at zero. At P >= 8 the
+// script run must report InlineDispatches > 0: contention makes script
+// ops cross pending events there, so a zero means scripts silently
+// stopped engaging and the comparison proved nothing. Locks without a
+// ReleaseScript have no script path and are skipped.
+func assertClosureTwin(t *testing.T, name string, cfg machine.Config, info LockInfo, opts LockOpts, script LockResult) {
+	t.Helper()
+	if !scriptedLock(t, info) {
+		return
 	}
-	ai := a
-	ai.InlineDispatches = 0
-	if !reflect.DeepEqual(ai, d) {
-		t.Errorf("%s: inline dispatch changed results:\n  inline:  %+v\n  handoff: %+v", name, ai, d)
-	}
-	e, err := measure(true, true)
+	twin, err := RunLockIn(nil, cfg, closureTwinOf(info), opts)
 	if err != nil {
-		t.Fatalf("%s: windows-off no-inline run: %v", name, err)
+		t.Fatalf("%s: closure twin: %v", name, err)
 	}
-	if e.WindowOps != 0 || e.InlineDispatches != 0 {
-		t.Fatalf("%s: fully-disabled run still batched (win=%d, inline=%d)", name, e.WindowOps, e.InlineDispatches)
+	if twin.Stats.InlineDispatches != 0 {
+		t.Fatalf("%s: closure twin advanced %d dispatches in place", name, twin.Stats.InlineDispatches)
 	}
-	ci := c
-	ci.InlineDispatches = 0
-	if !reflect.DeepEqual(ci, e) {
-		t.Errorf("%s: inline dispatch changed windows-off results:\n  inline:  %+v\n  handoff: %+v", name, ci, e)
+	if cfg.Procs >= 8 && script.Stats.InlineDispatches == 0 {
+		t.Errorf("%s: script run advanced no dispatch in place", name)
 	}
+	script.Stats.InlineDispatches = 0
+	if !reflect.DeepEqual(script, twin) {
+		t.Errorf("%s: script run diverged from its closure twin:\n  script: %+v\n  twin:   %+v", name, script, twin)
+	}
+}
+
+// assertLockIdentical holds one lock cell to assertIdentical's contract
+// and, for a ScriptedRelease lock, to assertClosureTwin's. A run under
+// a fault plan must also complete.
+func assertLockIdentical(t *testing.T, name string, cfg machine.Config, info LockInfo, opts LockOpts) {
+	t.Helper()
+	var script LockResult
+	assertIdentical(t, name, func(noWindows bool) (machine.Stats, error) {
+		c := cfg
+		c.NoSpinWindows = noWindows
+		res, err := RunLockIn(nil, c, info, opts)
+		if !noWindows {
+			script = res
+		}
+		return res.Stats, completed(err, res.Outcome)
+	})
+	assertClosureTwin(t, name, cfg, info, opts, script)
 }
 
 func TestDeterminismLocks(t *testing.T) {
 	forEachConfig(t, func(tp topo.Topology, procs int) {
 		for _, info := range Locks() {
-			info := info
 			name := fmt.Sprintf("%s/%s/P%d", tp.Name(), info.Name, procs)
-			assertIdentical(t, name, func(noWindows, noInline bool) (machine.Stats, error) {
-				res, err := RunLockIn(nil,
-					machine.Config{Procs: procs, Topo: tp, Seed: 7, NoSpinWindows: noWindows, NoInlineDispatch: noInline},
-					info, LockOpts{Iters: 20, CS: 25, Think: 50, CheckMutex: true})
-				return res.Stats, err
-			})
+			assertLockIdentical(t, name, machine.Config{Procs: procs, Topo: tp, Seed: 7},
+				info, LockOpts{Iters: 20, CS: 25, Think: 50, CheckMutex: true})
 		}
 	})
 }
@@ -131,9 +169,9 @@ func TestDeterminismBarriers(t *testing.T) {
 		for _, info := range Barriers() {
 			info := info
 			name := fmt.Sprintf("%s/%s/P%d", tp.Name(), info.Name, procs)
-			assertIdentical(t, name, func(noWindows, noInline bool) (machine.Stats, error) {
+			assertIdentical(t, name, func(noWindows bool) (machine.Stats, error) {
 				res, err := RunBarrierIn(nil,
-					machine.Config{Procs: procs, Topo: tp, Seed: 7, NoSpinWindows: noWindows, NoInlineDispatch: noInline},
+					machine.Config{Procs: procs, Topo: tp, Seed: 7, NoSpinWindows: noWindows},
 					info, BarrierOpts{Episodes: 10, Work: 150})
 				return res.Stats, err
 			})
@@ -146,9 +184,9 @@ func TestDeterminismRWLocks(t *testing.T) {
 		for _, info := range RWLocks() {
 			info := info
 			name := fmt.Sprintf("%s/%s/P%d", tp.Name(), info.Name, procs)
-			assertIdentical(t, name, func(noWindows, noInline bool) (machine.Stats, error) {
+			assertIdentical(t, name, func(noWindows bool) (machine.Stats, error) {
 				res, err := RunRWIn(nil,
-					machine.Config{Procs: procs, Topo: tp, Seed: 7, NoSpinWindows: noWindows, NoInlineDispatch: noInline},
+					machine.Config{Procs: procs, Topo: tp, Seed: 7, NoSpinWindows: noWindows},
 					info, RWOpts{Iters: 20, ReadFraction: 0.8, Work: 40, Think: 60})
 				return res.Stats, err
 			})
@@ -161,9 +199,9 @@ func TestDeterminismSemaphores(t *testing.T) {
 		for _, info := range Semaphores() {
 			info := info
 			name := fmt.Sprintf("%s/%s/P%d", tp.Name(), info.Name, procs)
-			assertIdentical(t, name, func(noWindows, noInline bool) (machine.Stats, error) {
+			assertIdentical(t, name, func(noWindows bool) (machine.Stats, error) {
 				res, err := RunProducerConsumerIn(nil,
-					machine.Config{Procs: procs, Topo: tp, Seed: 7, NoSpinWindows: noWindows, NoInlineDispatch: noInline},
+					machine.Config{Procs: procs, Topo: tp, Seed: 7, NoSpinWindows: noWindows},
 					info, PCOpts{Items: 40, Capacity: 4, Work: 20})
 				return res.Stats, err
 			})
@@ -176,9 +214,9 @@ func TestDeterminismCounters(t *testing.T) {
 		for _, info := range Counters() {
 			info := info
 			name := fmt.Sprintf("%s/%s/P%d", tp.Name(), info.Name, procs)
-			assertIdentical(t, name, func(noWindows, noInline bool) (machine.Stats, error) {
+			assertIdentical(t, name, func(noWindows bool) (machine.Stats, error) {
 				res, err := RunCounterIn(nil,
-					machine.Config{Procs: procs, Topo: tp, Seed: 7, NoSpinWindows: noWindows, NoInlineDispatch: noInline},
+					machine.Config{Procs: procs, Topo: tp, Seed: 7, NoSpinWindows: noWindows},
 					info, CounterOpts{Incs: 30, Think: 20})
 				return res.Stats, err
 			})
@@ -265,27 +303,31 @@ func TestPooledRunsMatchFresh(t *testing.T) {
 // Reset-after-abort suite): a machine that just executed scripted
 // continuations — including one whose scripts were cut off mid-run by a
 // processor crash — must, after Reset, replay any configuration
-// bit-identical to a fresh machine. The sequence alternates dispatch
-// modes on one reused machine so stale contState (a leftover active
-// script, pc, or accumulator) from either mode would surface in the
-// other's comparison.
+// bit-identical to a fresh machine. The sequence alternates the script
+// path with its closure twin on one reused machine: a stale active
+// script left in a processor's contState would make the drive loop
+// hijack the twin's plain dispatches, and a stale pc or accumulator
+// would shift the next script run.
 func TestPooledReuseAfterInlineRun(t *testing.T) {
 	info, ok := LockByName("tas")
 	if !ok {
 		t.Fatal("tas lock missing")
 	}
+	twinInfo := closureTwinOf(info)
 	opts := LockOpts{Iters: 15, CS: 25, Think: 50, CheckMutex: true}
 	base := machine.Config{Procs: 8, Topo: topo.Bus, Seed: 7}
-	noInlineCfg := base
-	noInlineCfg.NoInlineDispatch = true
 
-	freshInline, err := RunLockIn(nil, base, info, opts)
+	freshScript, err := RunLockIn(nil, base, info, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	freshHandoff, err := RunLockIn(nil, noInlineCfg, info, opts)
+	freshTwin, err := RunLockIn(nil, base, twinInfo, opts)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if freshScript.Stats.InlineDispatches == 0 || freshTwin.Stats.InlineDispatches != 0 {
+		t.Fatalf("fresh runs: script advanced %d dispatches in place, twin %d; want > 0 and 0",
+			freshScript.Stats.InlineDispatches, freshTwin.Stats.InlineDispatches)
 	}
 
 	pool := new(machine.Pool)
@@ -305,32 +347,18 @@ func TestPooledReuseAfterInlineRun(t *testing.T) {
 		t.Fatalf("crash plan should kill one processor, got %d", crashed.Crashed)
 	}
 
-	// Run 2: clean inline run on the reused machine.
-	got, err := RunLockIn(pool, base, info, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, freshInline) {
-		t.Errorf("pooled inline run after crash diverged from fresh:\n  fresh:  %+v\n  pooled: %+v", freshInline, got)
-	}
-
-	// Run 3: handoff mode on the same machine — stale continuation state
-	// from the inline runs would change what the baton path replays.
-	got, err = RunLockIn(pool, noInlineCfg, info, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, freshHandoff) {
-		t.Errorf("pooled handoff run after inline runs diverged from fresh:\n  fresh:  %+v\n  pooled: %+v", freshHandoff, got)
-	}
-
-	// Run 4: back to inline, closing the mode round-trip.
-	got, err = RunLockIn(pool, base, info, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, freshInline) {
-		t.Errorf("pooled inline run after handoff run diverged from fresh:\n  fresh:  %+v\n  pooled: %+v", freshInline, got)
+	// Runs 2-4 alternate script, twin, script on the reused machine.
+	for i, run := range []struct {
+		info LockInfo
+		want LockResult
+	}{{info, freshScript}, {twinInfo, freshTwin}, {info, freshScript}} {
+		got, err := RunLockIn(pool, base, run.info, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, run.want) {
+			t.Errorf("pooled run %d diverged from fresh:\n  fresh:  %+v\n  pooled: %+v", i+2, run.want, got)
+		}
 	}
 }
 
@@ -380,18 +408,6 @@ func TestDeterminismMixedFamilyStorm(t *testing.T) {
 		off, err := RunLockIn(nil, machine.Config{Procs: procs, Topo: tp, Seed: 13, NoSpinWindows: true}, info, opts)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
-		}
-		noInline, err := RunLockIn(nil, machine.Config{Procs: procs, Topo: tp, Seed: 13, NoInlineDispatch: true}, info, opts)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if noInline.Stats.InlineDispatches != 0 {
-			t.Fatalf("%s: NoInlineDispatch run still dispatched %d ops inline", name, noInline.Stats.InlineDispatches)
-		}
-		onScrub := on
-		onScrub.Stats.InlineDispatches = 0
-		if !reflect.DeepEqual(onScrub, noInline) {
-			t.Errorf("%s: inline dispatch changed results:\n  inline:  %+v\n  handoff: %+v", name, onScrub, noInline)
 		}
 		on.Stats.WindowOps = 0
 		if !reflect.DeepEqual(on, off) {

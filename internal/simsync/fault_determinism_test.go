@@ -54,14 +54,9 @@ func TestFaultDeterminismLocks(t *testing.T) {
 	forEachConfig(t, func(tp topo.Topology, procs int) {
 		plan := faultPlanFor(tp, procs)
 		for _, info := range Locks() {
-			info := info
 			name := fmt.Sprintf("%s/%s/P%d/faulted", tp.Name(), info.Name, procs)
-			assertIdentical(t, name, func(noWindows, noInline bool) (machine.Stats, error) {
-				res, err := RunLockIn(nil,
-					machine.Config{Procs: procs, Topo: tp, Seed: 7, NoSpinWindows: noWindows, NoInlineDispatch: noInline, Faults: plan},
-					info, LockOpts{Iters: 20, CS: 25, Think: 50, CheckMutex: true})
-				return res.Stats, completed(err, res.Outcome)
-			})
+			assertLockIdentical(t, name, machine.Config{Procs: procs, Topo: tp, Seed: 7, Faults: plan},
+				info, LockOpts{Iters: 20, CS: 25, Think: 50, CheckMutex: true})
 		}
 	})
 }
@@ -72,9 +67,9 @@ func TestFaultDeterminismBarriers(t *testing.T) {
 		for _, info := range Barriers() {
 			info := info
 			name := fmt.Sprintf("%s/%s/P%d/faulted", tp.Name(), info.Name, procs)
-			assertIdentical(t, name, func(noWindows, noInline bool) (machine.Stats, error) {
+			assertIdentical(t, name, func(noWindows bool) (machine.Stats, error) {
 				res, err := RunBarrierIn(nil,
-					machine.Config{Procs: procs, Topo: tp, Seed: 7, NoSpinWindows: noWindows, NoInlineDispatch: noInline, Faults: plan},
+					machine.Config{Procs: procs, Topo: tp, Seed: 7, NoSpinWindows: noWindows, Faults: plan},
 					info, BarrierOpts{Episodes: 10, Work: 150})
 				return res.Stats, completed(err, res.Outcome)
 			})
@@ -88,9 +83,9 @@ func TestFaultDeterminismRWLocks(t *testing.T) {
 		for _, info := range RWLocks() {
 			info := info
 			name := fmt.Sprintf("%s/%s/P%d/faulted", tp.Name(), info.Name, procs)
-			assertIdentical(t, name, func(noWindows, noInline bool) (machine.Stats, error) {
+			assertIdentical(t, name, func(noWindows bool) (machine.Stats, error) {
 				res, err := RunRWIn(nil,
-					machine.Config{Procs: procs, Topo: tp, Seed: 7, NoSpinWindows: noWindows, NoInlineDispatch: noInline, Faults: plan},
+					machine.Config{Procs: procs, Topo: tp, Seed: 7, NoSpinWindows: noWindows, Faults: plan},
 					info, RWOpts{Iters: 20, ReadFraction: 0.8, Work: 40, Think: 60})
 				return res.Stats, err
 			})
@@ -104,9 +99,9 @@ func TestFaultDeterminismSemaphores(t *testing.T) {
 		for _, info := range Semaphores() {
 			info := info
 			name := fmt.Sprintf("%s/%s/P%d/faulted", tp.Name(), info.Name, procs)
-			assertIdentical(t, name, func(noWindows, noInline bool) (machine.Stats, error) {
+			assertIdentical(t, name, func(noWindows bool) (machine.Stats, error) {
 				res, err := RunProducerConsumerIn(nil,
-					machine.Config{Procs: procs, Topo: tp, Seed: 7, NoSpinWindows: noWindows, NoInlineDispatch: noInline, Faults: plan},
+					machine.Config{Procs: procs, Topo: tp, Seed: 7, NoSpinWindows: noWindows, Faults: plan},
 					info, PCOpts{Items: 40, Capacity: 4, Work: 20})
 				return res.Stats, err
 			})
@@ -120,9 +115,9 @@ func TestFaultDeterminismCounters(t *testing.T) {
 		for _, info := range Counters() {
 			info := info
 			name := fmt.Sprintf("%s/%s/P%d/faulted", tp.Name(), info.Name, procs)
-			assertIdentical(t, name, func(noWindows, noInline bool) (machine.Stats, error) {
+			assertIdentical(t, name, func(noWindows bool) (machine.Stats, error) {
 				res, err := RunCounterIn(nil,
-					machine.Config{Procs: procs, Topo: tp, Seed: 7, NoSpinWindows: noWindows, NoInlineDispatch: noInline, Faults: plan},
+					machine.Config{Procs: procs, Topo: tp, Seed: 7, NoSpinWindows: noWindows, Faults: plan},
 					info, CounterOpts{Incs: 30, Think: 20})
 				return res.Stats, err
 			})
@@ -135,7 +130,7 @@ func TestFaultDeterminismCounters(t *testing.T) {
 // iteration (FT1's accounting). The full LockResult — outcome
 // classification, attempt and timeout counts, crash tally, throughput —
 // must be bit-identical across repeat runs and across the windows A/B
-// switch.
+// switch, and the scripted tas lock must match its closure twin.
 func TestFaultDeterminismCrashRunner(t *testing.T) {
 	locks := []string{"tas", "tas-deadline", "lease"}
 	for _, tp := range []topo.Topology{topo.Bus, topo.NUMA} {
@@ -151,41 +146,31 @@ func TestFaultDeterminismCrashRunner(t *testing.T) {
 				info := mustLock(t, lk)
 				name := fmt.Sprintf("%s/%s/P%d/crash", tp.Name(), lk, procs)
 				opts := LockOpts{Iters: 12, CS: 25, Think: 50, Budget: 2048, MaxAttempts: 12}
-				measure := func(noWindows, noInline bool) (LockResult, error) {
-					return RunLockIn(nil,
-						machine.Config{Procs: procs, Topo: tp, Seed: 11, NoSpinWindows: noWindows, NoInlineDispatch: noInline, Faults: plan, MaxSteps: 500_000},
-						info, opts)
+				cfg := machine.Config{Procs: procs, Topo: tp, Seed: 11, Faults: plan, MaxSteps: 500_000}
+				measure := func(noWindows bool) (LockResult, error) {
+					run := cfg
+					run.NoSpinWindows = noWindows
+					return RunLockIn(nil, run, info, opts)
 				}
-				a, err := measure(false, false)
+				a, err := measure(false)
 				if err != nil {
 					t.Fatalf("%s: first run: %v", name, err)
 				}
-				b, err := measure(false, false)
+				b, err := measure(false)
 				if err != nil {
 					t.Fatalf("%s: second run: %v", name, err)
 				}
 				if !reflect.DeepEqual(a, b) {
 					t.Errorf("%s: runs diverged:\n  first:  %+v\n  second: %+v", name, a, b)
 				}
-				c, err := measure(true, false)
+				c, err := measure(true)
 				if err != nil {
 					t.Fatalf("%s: windows-off run: %v", name, err)
 				}
 				if c.Stats.WindowOps != 0 {
 					t.Fatalf("%s: NoSpinWindows run still batched %d window ops", name, c.Stats.WindowOps)
 				}
-				d, err := measure(false, true)
-				if err != nil {
-					t.Fatalf("%s: no-inline run: %v", name, err)
-				}
-				if d.Stats.InlineDispatches != 0 {
-					t.Fatalf("%s: NoInlineDispatch run still dispatched %d ops inline", name, d.Stats.InlineDispatches)
-				}
-				ai := a
-				ai.Stats.InlineDispatches = 0
-				if !reflect.DeepEqual(ai, d) {
-					t.Errorf("%s: inline dispatch changed a crashed run:\n  inline:  %+v\n  handoff: %+v", name, ai, d)
-				}
+				assertClosureTwin(t, name, cfg, info, opts, a)
 				a.Stats.WindowOps = 0
 				if !reflect.DeepEqual(a, c) {
 					t.Errorf("%s: window batching changed results:\n  on:  %+v\n  off: %+v", name, a, c)

@@ -94,8 +94,9 @@ func TestGoldenClusterEquivalence(t *testing.T) {
 			continue
 		}
 		// InlineDispatches is host-side dispatch accounting (cont.go),
-		// not a simulation observable; the recording predates it. Its
-		// A/B invariance is pinned by the NoInlineDispatch suite.
+		// not a simulation observable; the recording predates it. The
+		// determinism suite pins every scripted lock to its closure
+		// twin, which counts none.
 		got.Stats.InlineDispatches = 0
 		w.Stats.InlineDispatches = 0
 		if !reflect.DeepEqual(got, w) {

@@ -209,10 +209,11 @@ func TestGoldenBusNUMAEquivalence(t *testing.T) {
 		// the observables themselves, so the counter is scrubbed.
 		got.Stats.WindowOps = 0
 		w.Stats.WindowOps = 0
-		// InlineDispatches likewise counts host-side continuation ops
-		// advanced in the drive loop (cont.go) — dispatch accounting,
-		// not a simulation observable; its A/B invariance is pinned by
-		// the NoInlineDispatch determinism suite.
+		// InlineDispatches likewise counts dispatches that advanced a
+		// continuation script in the drive loop (cont.go) — dispatch
+		// accounting, not a simulation observable; the determinism
+		// suite pins every scripted lock to its closure twin, which
+		// issues the same ops from the goroutine and counts none.
 		got.Stats.InlineDispatches = 0
 		w.Stats.InlineDispatches = 0
 		if !reflect.DeepEqual(got, w) {

@@ -35,14 +35,9 @@ func TestRecoveryDeterminismLocks(t *testing.T) {
 	forEachConfig(t, func(tp topo.Topology, procs int) {
 		plan := recoveryPlanFor(tp, procs)
 		for _, info := range Locks() {
-			info := info
 			name := fmt.Sprintf("%s/%s/P%d/recovery", tp.Name(), info.Name, procs)
-			assertIdentical(t, name, func(noWindows, noInline bool) (machine.Stats, error) {
-				res, err := RunLockIn(nil,
-					machine.Config{Procs: procs, Topo: tp, Seed: 7, NoSpinWindows: noWindows, NoInlineDispatch: noInline, Faults: plan},
-					info, LockOpts{Iters: 20, CS: 25, Think: 50, CheckMutex: true})
-				return res.Stats, completed(err, res.Outcome)
-			})
+			assertLockIdentical(t, name, machine.Config{Procs: procs, Topo: tp, Seed: 7, Faults: plan},
+				info, LockOpts{Iters: 20, CS: 25, Think: 50, CheckMutex: true})
 		}
 	})
 }
@@ -57,9 +52,9 @@ func TestRecoveryDeterminismBarriers(t *testing.T) {
 			// without it — correct under this plan, so the runner excuses
 			// its early releases (it can Leave, and a processor crashed);
 			// every other barrier keeps the all-arrive check.
-			assertIdentical(t, name, func(noWindows, noInline bool) (machine.Stats, error) {
+			assertIdentical(t, name, func(noWindows bool) (machine.Stats, error) {
 				res, err := RunBarrierIn(nil,
-					machine.Config{Procs: procs, Topo: tp, Seed: 7, NoSpinWindows: noWindows, NoInlineDispatch: noInline, Faults: plan},
+					machine.Config{Procs: procs, Topo: tp, Seed: 7, NoSpinWindows: noWindows, Faults: plan},
 					info, BarrierOpts{Episodes: 10, Work: 150})
 				return res.Stats, completed(err, res.Outcome)
 			})
@@ -73,9 +68,9 @@ func TestRecoveryDeterminismRWLocks(t *testing.T) {
 		for _, info := range RWLocks() {
 			info := info
 			name := fmt.Sprintf("%s/%s/P%d/recovery", tp.Name(), info.Name, procs)
-			assertIdentical(t, name, func(noWindows, noInline bool) (machine.Stats, error) {
+			assertIdentical(t, name, func(noWindows bool) (machine.Stats, error) {
 				res, err := RunRWIn(nil,
-					machine.Config{Procs: procs, Topo: tp, Seed: 7, NoSpinWindows: noWindows, NoInlineDispatch: noInline, Faults: plan},
+					machine.Config{Procs: procs, Topo: tp, Seed: 7, NoSpinWindows: noWindows, Faults: plan},
 					info, RWOpts{Iters: 20, ReadFraction: 0.8, Work: 40, Think: 60})
 				return res.Stats, err
 			})
@@ -89,9 +84,9 @@ func TestRecoveryDeterminismSemaphores(t *testing.T) {
 		for _, info := range Semaphores() {
 			info := info
 			name := fmt.Sprintf("%s/%s/P%d/recovery", tp.Name(), info.Name, procs)
-			assertIdentical(t, name, func(noWindows, noInline bool) (machine.Stats, error) {
+			assertIdentical(t, name, func(noWindows bool) (machine.Stats, error) {
 				res, err := RunProducerConsumerIn(nil,
-					machine.Config{Procs: procs, Topo: tp, Seed: 7, NoSpinWindows: noWindows, NoInlineDispatch: noInline, Faults: plan},
+					machine.Config{Procs: procs, Topo: tp, Seed: 7, NoSpinWindows: noWindows, Faults: plan},
 					info, PCOpts{Items: 40, Capacity: 4, Work: 20})
 				return res.Stats, err
 			})
@@ -105,9 +100,9 @@ func TestRecoveryDeterminismCounters(t *testing.T) {
 		for _, info := range Counters() {
 			info := info
 			name := fmt.Sprintf("%s/%s/P%d/recovery", tp.Name(), info.Name, procs)
-			assertIdentical(t, name, func(noWindows, noInline bool) (machine.Stats, error) {
+			assertIdentical(t, name, func(noWindows bool) (machine.Stats, error) {
 				res, err := RunCounterIn(nil,
-					machine.Config{Procs: procs, Topo: tp, Seed: 7, NoSpinWindows: noWindows, NoInlineDispatch: noInline, Faults: plan},
+					machine.Config{Procs: procs, Topo: tp, Seed: 7, NoSpinWindows: noWindows, Faults: plan},
 					info, CounterOpts{Incs: 30, Think: 20})
 				return res.Stats, err
 			})
@@ -121,7 +116,8 @@ func TestRecoveryDeterminismCounters(t *testing.T) {
 // counts, time-to-recovery) must be bit-identical across repeat
 // runs and the windows A/B switch, for resilient and non-resilient
 // locks alike (a wedged tas run is data too, and must wedge
-// identically).
+// identically), and the scripted tas lock must match its closure twin
+// — a crash can cut a script off mid-run.
 func TestRecoveryDeterminismMidRunCrash(t *testing.T) {
 	locks := []string{"tas", "tas-deadline", "lease", "lease-fence", "qheal"}
 	for _, tp := range []topo.Topology{topo.Bus, topo.NUMA} {
@@ -134,41 +130,31 @@ func TestRecoveryDeterminismMidRunCrash(t *testing.T) {
 				info := mustLock(t, lk)
 				name := fmt.Sprintf("%s/%s/P%d/midrun", tp.Name(), lk, procs)
 				opts := LockOpts{Iters: 8, CS: 25, Think: 50, Budget: 2048}
-				measure := func(noWindows, noInline bool) (LockResult, error) {
-					return RunLockIn(nil,
-						machine.Config{Procs: procs, Topo: tp, Seed: 11, NoSpinWindows: noWindows, NoInlineDispatch: noInline, Faults: plan, MaxSteps: 500_000},
-						info, opts)
+				cfg := machine.Config{Procs: procs, Topo: tp, Seed: 11, Faults: plan, MaxSteps: 500_000}
+				measure := func(noWindows bool) (LockResult, error) {
+					run := cfg
+					run.NoSpinWindows = noWindows
+					return RunLockIn(nil, run, info, opts)
 				}
-				a, err := measure(false, false)
+				a, err := measure(false)
 				if err != nil {
 					t.Fatalf("%s: first run: %v", name, err)
 				}
-				b, err := measure(false, false)
+				b, err := measure(false)
 				if err != nil {
 					t.Fatalf("%s: second run: %v", name, err)
 				}
 				if !reflect.DeepEqual(a, b) {
 					t.Errorf("%s: runs diverged:\n  first:  %+v\n  second: %+v", name, a, b)
 				}
-				c, err := measure(true, false)
+				c, err := measure(true)
 				if err != nil {
 					t.Fatalf("%s: windows-off run: %v", name, err)
 				}
 				if c.Stats.WindowOps != 0 {
 					t.Fatalf("%s: NoSpinWindows run still batched %d window ops", name, c.Stats.WindowOps)
 				}
-				d, err := measure(false, true)
-				if err != nil {
-					t.Fatalf("%s: no-inline run: %v", name, err)
-				}
-				if d.Stats.InlineDispatches != 0 {
-					t.Fatalf("%s: NoInlineDispatch run still dispatched %d ops inline", name, d.Stats.InlineDispatches)
-				}
-				ai := a
-				ai.Stats.InlineDispatches = 0
-				if !reflect.DeepEqual(ai, d) {
-					t.Errorf("%s: inline dispatch changed a mid-run crash:\n  inline:  %+v\n  handoff: %+v", name, ai, d)
-				}
+				assertClosureTwin(t, name, cfg, info, opts, a)
 				a.Stats.WindowOps = 0
 				if !reflect.DeepEqual(a, c) {
 					t.Errorf("%s: window batching changed results:\n  on:  %+v\n  off: %+v", name, a, c)
