@@ -328,6 +328,10 @@ func writeSimBench(path string, quick bool, label string) error {
 		{"tas", topo.Cluster, 32, false, 0},
 		{"tas", topo.Cluster, 32, true, 0},
 		{"qsync", topo.Cluster, 16, false, 0},
+		// Robust primitives whose acquire waits poll: the lease lock's
+		// CAS poll on the bus, qheal's ticket wait on NUMA.
+		{"lease", topo.Bus, 32, false, 0},
+		{"qheal", topo.NUMA, 32, false, 0},
 		// Deep scaling points (heap-mode engine, multi-word window masks).
 		{"tas", topo.NUMA, 256, false, 8},
 		{"tas", topo.NUMA, 256, true, 8},

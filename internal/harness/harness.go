@@ -8,6 +8,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"time"
 )
 
 // Options tune a harness run.
@@ -19,7 +20,9 @@ type Options struct {
 	Seed uint64
 	// CSVDir, when non-empty, receives one <id>.csv per table.
 	CSVDir string
-	// Progress, when non-nil, receives one line per sweep point.
+	// Progress, when non-nil, receives one line per sweep point; under
+	// RunIDs each experiment's lines end in a footer giving every sweep
+	// column's summed cell host seconds.
 	Progress io.Writer
 	// Algos, when non-empty, restricts registry-driven sweeps to the
 	// named algorithms (the -algos= flag). Applied per family and
@@ -61,6 +64,74 @@ func (o Options) progressf(format string, args ...interface{}) {
 		defer progressMu.Unlock()
 		fmt.Fprintf(o.Progress, format, args...)
 	}
+}
+
+// colClock is the progress writer RunIDs hands each experiment: it
+// passes progress lines through to the caller's writer and sums each
+// sweep column's cell host time for the footer RunIDs prints after the
+// experiment. Cells run concurrently, so a column's sum is the total
+// of its cells' wall times, not a share of the experiment's.
+type colClock struct {
+	io.Writer
+	mu    sync.Mutex
+	order []string // columns in table order
+	secs  map[string]float64
+}
+
+// clock returns the column clock riding on o's progress writer, or nil
+// — which times nothing — when the run has none.
+func (o Options) clock() *colClock {
+	c, _ := o.Progress.(*colClock)
+	return c
+}
+
+// columns lists a sweep's columns in table order before its cells run,
+// so the footer names them in that order. A nil clock ignores it.
+func (c *colClock) columns(names ...string) {
+	if c == nil {
+		return
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, name := range names {
+		if _, ok := c.secs[name]; !ok {
+			c.order = append(c.order, name)
+			c.secs[name] = 0
+		}
+	}
+}
+
+// cell starts timing one cell of a listed column; calling the result
+// ends it. A nil clock times nothing.
+func (c *colClock) cell(name string) func() {
+	if c == nil {
+		return func() {}
+	}
+	start := time.Now()
+	return func() {
+		d := time.Since(start).Seconds()
+		c.mu.Lock()
+		c.secs[name] += d
+		c.mu.Unlock()
+	}
+}
+
+// footer renders the one-line per-column summary, or "" when no
+// column was timed.
+func (c *colClock) footer() string {
+	if len(c.order) == 0 {
+		return ""
+	}
+	var b strings.Builder
+	b.WriteString("-- host seconds per column:")
+	for i, name := range c.order {
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		fmt.Fprintf(&b, " %s %.3f", name, c.secs[name])
+	}
+	b.WriteByte('\n')
+	return b.String()
 }
 
 // Experiment is one registry entry. An entry may regenerate several
@@ -150,9 +221,18 @@ func RunIDs(ids []string, o Options, w io.Writer) error {
 	}
 	for _, e := range exps {
 		o.progressf("== running %s: %s\n", strings.Join(e.IDs, "+"), e.Title)
-		tables, err := e.Run(o)
+		run := o
+		var clock *colClock
+		if o.Progress != nil {
+			clock = &colClock{Writer: o.Progress, secs: map[string]float64{}}
+			run.Progress = clock
+		}
+		tables, err := e.Run(run)
 		if err != nil {
 			return fmt.Errorf("harness: %s: %w", strings.Join(e.IDs, "+"), err)
+		}
+		if clock != nil {
+			o.progressf("%s", clock.footer())
 		}
 		for i := range tables {
 			tables[i].Render(w)

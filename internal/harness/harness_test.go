@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/simsync"
 )
 
 func TestTableRender(t *testing.T) {
@@ -311,5 +313,48 @@ func TestRunIDsDeduplicates(t *testing.T) {
 	}
 	if strings.Count(buf.String(), "T1 — ") != 1 {
 		t.Fatalf("T1 rendered %d times", strings.Count(buf.String(), "T1 — "))
+	}
+}
+
+// TestColumnFooter: with a progress writer, RunIDs follows each
+// experiment with one footer line naming every sweep column and its
+// summed host seconds, and the tables stay byte-identical to a run
+// without one.
+func TestColumnFooter(t *testing.T) {
+	var plain, verbose, progress bytes.Buffer
+	if err := RunIDs([]string{"F6"}, Options{Quick: true}, &plain); err != nil {
+		t.Fatal(err)
+	}
+	if err := RunIDs([]string{"F6"}, Options{Quick: true, Progress: &progress}, &verbose); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(plain.Bytes(), verbose.Bytes()) {
+		t.Fatalf("tables changed under a progress writer:\n--- plain\n%s\n--- verbose\n%s", plain.String(), verbose.String())
+	}
+	const prefix = "-- host seconds per column:"
+	var footers []string
+	for _, line := range strings.Split(progress.String(), "\n") {
+		if strings.HasPrefix(line, prefix) {
+			footers = append(footers, strings.TrimPrefix(line, prefix))
+		}
+	}
+	if len(footers) != 1 {
+		t.Fatalf("got %d footer lines, want 1:\n%s", len(footers), progress.String())
+	}
+	var cols []string
+	for _, entry := range strings.Split(footers[0], ",") {
+		var name string
+		var secs float64
+		if _, err := fmt.Sscanf(entry, " %s %g", &name, &secs); err != nil || secs < 0 {
+			t.Fatalf("malformed footer entry %q: %v", entry, err)
+		}
+		cols = append(cols, name)
+	}
+	var want []string
+	for _, li := range algosFor(Options{}, simsync.LockSet) {
+		want = append(want, li.Name)
+	}
+	if strings.Join(cols, " ") != strings.Join(want, " ") {
+		t.Fatalf("footer names columns %v, want one entry per F6 column %v", cols, want)
 	}
 }

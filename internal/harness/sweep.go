@@ -88,11 +88,11 @@ func watchdogCell(timeout time.Duration, fn func() ([]float64, error)) ([]float6
 // a cell exceeding timeout renders as "!timeout" instead of hanging
 // the battery. Each cell gets a private machine pool, since on timeout
 // the measuring goroutine — and anything handed to it — is abandoned.
-func runMatrixTimeout[A any](timeout time.Duration, algos []A, nameOf func(A) string,
+func runMatrixTimeout[A any](o Options, timeout time.Duration, algos []A, nameOf func(A) string,
 	axisLabel string, axis []string, metrics []metricSpec,
 	measure func(ai int, algo A, pool *machine.Pool) ([]float64, error)) ([]Table, error) {
 
-	return runMatrix(false, algos, nameOf, axisLabel, axis, metrics,
+	return runMatrix(o, false, algos, nameOf, axisLabel, axis, metrics,
 		func(ai int, algo A, _ *machine.Pool) ([]float64, error) {
 			return watchdogCell(timeout, func() ([]float64, error) {
 				return measure(ai, algo, new(machine.Pool))
@@ -186,17 +186,20 @@ type metricSpec struct {
 // and only wall-clock (and allocation) changes; the tables are
 // assembled in canonical (axis-major) order afterwards. Real-runtime
 // sweeps must instead pass parallel=false: their cells measure host
-// time and would perturb each other (they ignore the pool).
-func runMatrix[A any](parallel bool, algos []A, nameOf func(A) string, axisLabel string,
+// time and would perturb each other (they ignore the pool). Each cell's
+// host time is charged to its column on o's column clock, if any.
+func runMatrix[A any](o Options, parallel bool, algos []A, nameOf func(A) string, axisLabel string,
 	axis []string, metrics []metricSpec,
 	measure func(ai int, algo A, pool *machine.Pool) ([]float64, error)) ([]Table, error) {
 
+	names := make([]string, len(algos))
+	for aj, a := range algos {
+		names[aj] = nameOf(a)
+	}
+	o.clock().columns(names...)
 	tables := make([]Table, len(metrics))
 	for mi, ms := range metrics {
-		cols := []string{axisLabel}
-		for _, a := range algos {
-			cols = append(cols, nameOf(a))
-		}
+		cols := append([]string{axisLabel}, names...)
 		tables[mi] = Table{ID: ms.ID, Title: ms.Title, Note: ms.Note, Cols: cols}
 	}
 
@@ -226,7 +229,9 @@ func runMatrix[A any](parallel bool, algos []A, nameOf func(A) string, axisLabel
 		// Axis-major assignment keeps the single-worker order identical
 		// to the historical sequential sweep.
 		ai, aj := cell/len(algos), cell%len(algos)
+		done := o.clock().cell(names[aj])
 		vals, panicked, merr := measureSafe(ai, algos[aj], pool)
+		done()
 		if panicked != "" {
 			failures[ai][aj] = panicked
 			return nil

@@ -10,7 +10,7 @@ import (
 )
 
 func barrierSweep(o Options, tp topo.Topology, procsList []int, perProc bool, ms metricSpec) ([]Table, error) {
-	return runMatrix(true, algosFor(o, simsync.BarrierSet),
+	return runMatrix(o, true, algosFor(o, simsync.BarrierSet),
 		func(bi simsync.BarrierInfo) string { return bi.Name },
 		"P", intAxis(procsList), []metricSpec{ms},
 		func(ai int, bi simsync.BarrierInfo, pool *machine.Pool) ([]float64, error) {

@@ -58,7 +58,7 @@ func lockSweep(o Options, tp topo.Topology, procsList []int, metrics []metricSpe
 	for _, li := range infos {
 		perLockTraffic[li.Name] = make([]float64, len(procsList))
 	}
-	tables, err = runMatrix(true, infos, func(li simsync.LockInfo) string { return li.Name },
+	tables, err = runMatrix(o, true, infos, func(li simsync.LockInfo) string { return li.Name },
 		"P", intAxis(procsList), metrics,
 		func(ai int, li simsync.LockInfo, pool *machine.Pool) ([]float64, error) {
 			p := procsList[ai]
@@ -194,7 +194,7 @@ func runF6(o Options) ([]Table, error) {
 	for i, cs := range lengths {
 		axis[i] = Fmt(float64(cs))
 	}
-	return runMatrix(true, algosFor(o, simsync.LockSet),
+	return runMatrix(o, true, algosFor(o, simsync.LockSet),
 		func(li simsync.LockInfo) string { return li.Name },
 		"CS cycles", axis,
 		[]metricSpec{{ID: "F6",
@@ -232,7 +232,7 @@ func runF11(o Options) ([]Table, error) {
 	// the watchdog turns a wedged lock into a "!timeout" cell. The
 	// latency tables come from the same cells as the throughput table —
 	// one measurement, four views.
-	return runMatrixTimeout(realCellTimeout, algosFor(o, locks.Registry),
+	return runMatrixTimeout(o, realCellTimeout, algosFor(o, locks.Registry),
 		func(li locks.Info) string { return li.Name },
 		"goroutines", intAxis(gs),
 		[]metricSpec{{ID: "F11",

@@ -36,7 +36,7 @@ func runF9(o Options) ([]Table, error) {
 	// Real runtime: cells time the host and must not run concurrently;
 	// the watchdog turns a wedged lock into a "!timeout" cell. The
 	// latency tables share the throughput table's cells.
-	return runMatrixTimeout(realCellTimeout, algos, func(i locks.RWInfo) string { return i.Name },
+	return runMatrixTimeout(o, realCellTimeout, algos, func(i locks.RWInfo) string { return i.Name },
 		"read fraction", axis,
 		[]metricSpec{{ID: "F9",
 			Title: fmt.Sprintf("Reader-writer throughput (ops/s) vs read fraction (%d goroutines, real runtime)", gor),

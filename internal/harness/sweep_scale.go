@@ -52,7 +52,7 @@ func runScalingSweep(o Options) ([]Table, error) {
 	if !ok {
 		panic("harness: tas lock missing from registry")
 	}
-	return runMatrix(false, topos,
+	return runMatrix(o, false, topos,
 		func(t topo.Topology) string { return t.Name() },
 		"P", intAxis(procs),
 		[]metricSpec{

@@ -75,16 +75,21 @@ func runF14(o Options) ([]Table, error) {
 		Cols:  cols,
 	}
 	models := []topo.Topology{topo.Bus, topo.NUMA}
+	for _, info := range infos {
+		o.clock().columns(info.Name)
+	}
 	perRow := len(models) * len(infos)
 	results := make([]simsync.PCResult, len(procsList)*perRow)
 	err := forEachCell(true, len(results), func(cell int, pool *machine.Pool) error {
 		pi, rest := cell/perRow, cell%perRow
 		model, info := models[rest/len(infos)], infos[rest%len(infos)]
+		done := o.clock().cell(info.Name)
 		res, rerr := simsync.RunProducerConsumerIn(pool,
 			machine.Config{Procs: procsList[pi], Topo: model, Seed: o.seed()},
 			info,
 			simPCOpts(items),
 		)
+		done()
 		if rerr != nil {
 			return rerr
 		}

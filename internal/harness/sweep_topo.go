@@ -109,7 +109,7 @@ func runTopoAxis(o Options) ([]Table, error) {
 	for i, t := range topos {
 		axis[i] = t.Name()
 	}
-	return runMatrix(true, algosFor(o, simsync.LockSet),
+	return runMatrix(o, true, algosFor(o, simsync.LockSet),
 		func(li simsync.LockInfo) string { return li.Name },
 		"topology", axis,
 		[]metricSpec{

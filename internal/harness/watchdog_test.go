@@ -56,7 +56,7 @@ func TestRunMatrixTimeoutCell(t *testing.T) {
 	algos := []string{"good", "wedged"}
 	block := make(chan struct{})
 	defer close(block)
-	tables, err := runMatrixTimeout(30*time.Millisecond, algos,
+	tables, err := runMatrixTimeout(Options{}, 30*time.Millisecond, algos,
 		func(s string) string { return s },
 		"x", []string{"0"},
 		[]metricSpec{{ID: "WD", Title: "watchdog test"}},

@@ -5,26 +5,37 @@ import (
 )
 
 // This file is the continuation table: the engine-level mechanism that
-// executes straight-line instruction sequences inline in the drive loop
+// executes small data-encoded programs — straight-line sequences, or
+// loops whose branches are host callbacks — inline in the drive loop
 // instead of passing the baton back to the issuing goroutine for every
 // operation.
 //
-// A processor running a scripted sequence (RunScript) parks its
-// goroutine once. A script op that must wait schedules the processor's
-// ordinary EvDispatch, and whichever goroutine pops it sees the active
-// script and issues the next ops in place. Those are exactly the
-// operations the goroutine's own Load/Delay/Store calls would have
+// A processor running a script (RunScript) parks its goroutine once. A
+// script op that must wait schedules the processor's ordinary
+// EvDispatch, and whichever goroutine pops it sees the active script
+// and issues the next ops in place. Those are exactly the operations
+// the goroutine's own Load/Delay/Store/CompareAndSwap calls would have
 // performed at that moment, with the same side effects, the same
 // scheduling calls, the same livelock-budget charges, and the same RNG
 // draws in the same order — so cycle counts, traffic counters, and the
 // interleaving of all processors are bit-identical to issuing them from
-// the goroutine (the determinism suite pins every scripted lock against
-// its closure twin, which does just that). The only difference is
-// host-side: the goroutine is resumed once, when the script completes,
-// instead of once per operation that crosses a pending event.
+// the goroutine (the determinism suite pins every scripted primitive
+// against its closure twin, which does just that). The only difference
+// is host-side: the goroutine is resumed once, when the script
+// completes, instead of once per operation that crosses a pending
+// event.
+//
+// Control flow is a ContBranch: a free host callback that reads the
+// accumulator (the last load or compare&swap result) and the processor
+// (its clock, its failure detector), picks the next pc, and may rewrite
+// the operands of later ops. A branch runs at the program point where
+// the equivalent Go loop evaluates its condition, so it sees the same
+// p.Now() and p.Suspects(q). Because branches rewrite operands, a
+// script with branches belongs to one processor: primitives keep one op
+// slice per processor, built when the primitive is constructed.
 //
 // Ops are data-encoded (no closure per op except the optional free
-// host-side callback), so scripts can be built once and reused across
+// host-side callbacks), so scripts can be built once and reused across
 // iterations without allocation on the hot path.
 
 // ContOpKind selects what a ContOp does.
@@ -32,7 +43,7 @@ type ContOpKind uint8
 
 const (
 	// ContLoad issues a charged load of Addr; the value lands in the
-	// script accumulator (consumed by ContStoreAcc).
+	// script accumulator.
 	ContLoad ContOpKind = iota
 	// ContDelay models local computation of Dur cycles.
 	ContDelay
@@ -47,15 +58,29 @@ const (
 	// ContCall invokes the host-side callback Fn(p) with no simulated
 	// cost: no cycles, no traffic, no RNG draws. Bookkeeping only.
 	ContCall
+	// ContCAS issues a charged compare&swap of Addr from Val to New,
+	// exactly as Proc.CompareAndSwap does: one RMW whether or not it
+	// succeeds, watchers woken only on success. The accumulator becomes
+	// 1 on success and 0 on failure.
+	ContCAS
+	// ContBranch invokes Branch(p, acc) with no simulated cost and
+	// continues at the pc it returns; len(ops) ends the script. The
+	// callback may rewrite Addr, Val and New of any op in the same
+	// slice before they issue (a computed address, an observed old
+	// value), and update host-side counters.
+	ContBranch
 )
 
-// ContOp is one data-encoded scripted operation.
+// ContOp is one data-encoded scripted operation. Each kind reads only
+// the operands its doc names.
 type ContOp struct {
-	Kind ContOpKind
-	Addr Addr
-	Val  Word
-	Dur  sim.Time
-	Fn   func(*Proc)
+	Kind   ContOpKind
+	Addr   Addr
+	Val    Word
+	New    Word // ContCAS: the value installed on success
+	Dur    sim.Time
+	Fn     func(*Proc)
+	Branch func(p *Proc, acc Word) int
 }
 
 // contState is the per-processor continuation descriptor. It lives by
@@ -64,7 +89,7 @@ type ContOp struct {
 type contState struct {
 	active bool
 	pc     int
-	acc    Word // last ContLoad result, consumed by ContStoreAcc
+	acc    Word // last ContLoad value or ContCAS outcome
 	ops    []ContOp
 }
 
@@ -76,18 +101,21 @@ func contWhy(k ContOpKind) string {
 		return "load"
 	case ContStore, ContStoreAcc:
 		return "store"
+	case ContCAS:
+		return "compare&swap"
 	default:
 		return "delay"
 	}
 }
 
-// RunScript executes the ops in order as this processor's program,
-// advancing the virtual clock exactly as the equivalent sequence of
-// Load/Delay/Store calls would. The goroutine parks while the drive
-// loop advances the script in place at each of its dispatches, and
-// resumes when the script completes — one handoff per script instead
-// of one per operation that crosses a pending event. The op slice must
-// not be mutated until RunScript returns.
+// RunScript executes the ops as this processor's program, starting at
+// ops[0] and following ContBranch jumps, advancing the virtual clock
+// exactly as the equivalent Load/Delay/Store/CompareAndSwap calls
+// would. The goroutine parks while the drive loop advances the script
+// in place at each of its dispatches, and resumes when the script
+// completes — one handoff per script instead of one per operation that
+// crosses a pending event. Until RunScript returns, only the script's
+// own branches may mutate the op slice.
 func (p *Proc) RunScript(ops []ContOp) {
 	c := &p.cont
 	c.active = true
@@ -151,8 +179,20 @@ func (m *Machine) contAdvance(p *Proc) bool {
 			lat = m.access(p, op.Addr, accWrite)
 			m.mem[op.Addr] = v
 			m.wakeWatchers(op.Addr, p.localNow+lat)
+		case ContCAS:
+			p.stats.RMWs++
+			lat = m.access(p, op.Addr, accRMW)
+			c.acc = 0
+			if m.mem[op.Addr] == op.Val {
+				m.mem[op.Addr] = op.New
+				m.wakeWatchers(op.Addr, p.localNow+lat)
+				c.acc = 1
+			}
 		case ContCall:
 			op.Fn(p)
+			continue
+		case ContBranch:
+			c.pc = op.Branch(p, c.acc)
 			continue
 		}
 		if lat < 0 {

@@ -1,0 +1,314 @@
+package machine
+
+import (
+	"fmt"
+	"reflect"
+	"testing"
+
+	"repro/internal/topo"
+)
+
+// Continuation scripts (cont.go) must be indistinguishable from the
+// same program issued through Proc calls: every Stats field except
+// InlineDispatches matches, and so do memory and host-side effects.
+// Each case below is one program written twice — as a per-processor
+// op slice and as the Go code it encodes — and run by contending
+// processors that share the case's words.
+
+// contCase is one program. build returns processor pid's script and
+// the Go code it encodes; words are the case's four shared words, and
+// host is a per-processor host counter both forms may bump.
+type contCase struct {
+	name  string
+	build func(words Addr, pid int, host []int) (ops []ContOp, prog func(p *Proc))
+}
+
+func contCases() []contCase {
+	return []contCase{
+		{"load", func(w Addr, pid int, _ []int) ([]ContOp, func(*Proc)) {
+			return []ContOp{{Kind: ContLoad, Addr: w}},
+				func(p *Proc) { p.Load(w) }
+		}},
+		{"delay", func(w Addr, pid int, _ []int) ([]ContOp, func(*Proc)) {
+			return []ContOp{{Kind: ContDelay, Dur: 30}},
+				func(p *Proc) { p.Delay(30) }
+		}},
+		{"expdelay", func(w Addr, pid int, _ []int) ([]ContOp, func(*Proc)) {
+			return []ContOp{{Kind: ContExpDelay, Dur: 40}},
+				func(p *Proc) { p.Delay(p.RNG().ExpTime(40)) }
+		}},
+		{"store", func(w Addr, pid int, _ []int) ([]ContOp, func(*Proc)) {
+			v := Word(pid + 1)
+			return []ContOp{{Kind: ContStore, Addr: w, Val: v}},
+				func(p *Proc) { p.Store(w, v) }
+		}},
+		{"storeacc", func(w Addr, pid int, _ []int) ([]ContOp, func(*Proc)) {
+			return []ContOp{{Kind: ContLoad, Addr: w}, {Kind: ContDelay, Dur: 5}, {Kind: ContStoreAcc, Addr: w, Val: 1}},
+				func(p *Proc) {
+					v := p.Load(w)
+					p.Delay(5)
+					p.Store(w, v+1)
+				}
+		}},
+		{"call", func(w Addr, pid int, host []int) ([]ContOp, func(*Proc)) {
+			bump := func(p *Proc) { host[p.ID()]++ }
+			return []ContOp{{Kind: ContDelay, Dur: 9}, {Kind: ContCall, Fn: bump}, {Kind: ContLoad, Addr: w}},
+				func(p *Proc) {
+					p.Delay(9)
+					bump(p)
+					p.Load(w)
+				}
+		}},
+		// An atomic increment by load and compare&swap: the CAS
+		// succeeds or, when another processor got in between, fails,
+		// and the branch loops back (host counts the failures). The
+		// first branch rewrites the CAS's operands from the load.
+		{"cas-loop", func(w Addr, pid int, host []int) ([]ContOp, func(*Proc)) {
+			ops := make([]ContOp, 4)
+			ops[0] = ContOp{Kind: ContLoad, Addr: w}
+			ops[1] = ContOp{Kind: ContBranch, Branch: func(_ *Proc, v Word) int {
+				ops[2].Val, ops[2].New = v, v+1
+				return 2
+			}}
+			ops[2] = ContOp{Kind: ContCAS, Addr: w}
+			ops[3] = ContOp{Kind: ContBranch, Branch: func(p *Proc, ok Word) int {
+				if ok == 0 {
+					host[p.ID()]++
+					return 0
+				}
+				return len(ops)
+			}}
+			return ops, func(p *Proc) {
+				for {
+					v := p.Load(w)
+					if p.CompareAndSwap(w, v, v+1) {
+						return
+					}
+					host[p.ID()]++
+				}
+			}
+		}},
+		// A CAS whose expected value never matches: always fails.
+		{"cas-fail", func(w Addr, pid int, _ []int) ([]ContOp, func(*Proc)) {
+			return []ContOp{{Kind: ContCAS, Addr: w + 1, Val: 1 << 40, New: 7}},
+				func(p *Proc) { p.CompareAndSwap(w+1, 1<<40, 7) }
+		}},
+		// A forward jump: the store at pc 2 runs only when the loaded
+		// value is odd, and pc 4 always leaves it odd again.
+		{"branch-skip", func(w Addr, pid int, _ []int) ([]ContOp, func(*Proc)) {
+			even, odd := Word(2*(pid+1)), Word(2*pid+1)
+			ops := []ContOp{
+				{Kind: ContLoad, Addr: w},
+				{Kind: ContBranch, Branch: func(_ *Proc, v Word) int {
+					if v&1 != 0 {
+						return 2
+					}
+					return 3
+				}},
+				{Kind: ContStore, Addr: w, Val: even},
+				{Kind: ContDelay, Dur: 7},
+				{Kind: ContStore, Addr: w, Val: odd},
+			}
+			return ops, func(p *Proc) {
+				if p.Load(w)&1 != 0 {
+					p.Store(w, even)
+				}
+				p.Delay(7)
+				p.Store(w, odd)
+			}
+		}},
+		// An early end: on every third value the branch returns
+		// len(ops), skipping the trailing delay and store.
+		{"branch-end", func(w Addr, pid int, _ []int) ([]ContOp, func(*Proc)) {
+			ops := make([]ContOp, 5)
+			ops[0] = ContOp{Kind: ContLoad, Addr: w}
+			ops[1] = ContOp{Kind: ContStoreAcc, Addr: w, Val: 1}
+			ops[2] = ContOp{Kind: ContBranch, Branch: func(_ *Proc, v Word) int {
+				if v%3 == 0 {
+					return len(ops)
+				}
+				return 3
+			}}
+			ops[3] = ContOp{Kind: ContDelay, Dur: 11}
+			ops[4] = ContOp{Kind: ContStore, Addr: w + 2, Val: Word(pid)}
+			return ops, func(p *Proc) {
+				v := p.Load(w)
+				p.Store(w, v+1)
+				if v%3 == 0 {
+					return
+				}
+				p.Delay(11)
+				p.Store(w+2, Word(pid))
+			}
+		}},
+	}
+}
+
+// contRun is one run of a case: its stats, final words and host counts.
+type contRun struct {
+	stats Stats
+	words [4]Word
+	host  []int
+}
+
+// runContCase runs c on cfg, scripted or through Proc calls. Every
+// processor thinks (a Go-side exponential delay), then runs the
+// program, iters times.
+func runContCase(t *testing.T, cfg Config, c contCase, scripted bool) contRun {
+	t.Helper()
+	const iters = 12
+	m := newTestMachine(t, cfg)
+	words := m.AllocShared(4)
+	run := contRun{host: make([]int, cfg.Procs)}
+	bodies := make([]func(*Proc), cfg.Procs)
+	for pid := range bodies {
+		ops, prog := c.build(words, pid, run.host)
+		bodies[pid] = func(p *Proc) {
+			for i := 0; i < iters; i++ {
+				p.Delay(p.RNG().ExpTime(20))
+				if scripted {
+					p.RunScript(ops)
+				} else {
+					prog(p)
+				}
+			}
+		}
+	}
+	if err := m.RunEach(bodies); err != nil {
+		t.Fatalf("%s: %v", c.name, err)
+	}
+	run.stats = m.Stats()
+	for i := range run.words {
+		run.words[i] = m.Peek(words + Addr(i))
+	}
+	return run
+}
+
+// TestScriptMatchesProcCalls holds every op kind, run as a script by 2
+// and 8 contending processors on bus, numa and cluster, to the program
+// it encodes issued through Proc calls.
+func TestScriptMatchesProcCalls(t *testing.T) {
+	casFailures := 0
+	for _, tp := range []topo.Topology{topo.Bus, topo.NUMA, topo.Cluster} {
+		for _, procs := range []int{2, 8} {
+			for _, c := range contCases() {
+				name := fmt.Sprintf("%s/P%d/%s", tp.Name(), procs, c.name)
+				cfg := Config{Procs: procs, Topo: tp, Seed: 3}
+				script := runContCase(t, cfg, c, true)
+				calls := runContCase(t, cfg, c, false)
+				if calls.stats.InlineDispatches != 0 {
+					t.Fatalf("%s: Proc-call run advanced %d dispatches in place", name, calls.stats.InlineDispatches)
+				}
+				if procs == 8 && script.stats.InlineDispatches == 0 {
+					t.Errorf("%s: script run advanced no dispatch in place", name)
+				}
+				script.stats.InlineDispatches = 0
+				if !reflect.DeepEqual(script.stats, calls.stats) {
+					t.Errorf("%s: stats diverged:\n  script: %+v\n  calls:  %+v", name, script.stats, calls.stats)
+				}
+				if script.words != calls.words || !reflect.DeepEqual(script.host, calls.host) {
+					t.Errorf("%s: effects diverged: script words %v host %v, calls words %v host %v",
+						name, script.words, script.host, calls.words, calls.host)
+				}
+				if c.name == "cas-loop" {
+					for _, n := range script.host {
+						casFailures += n
+					}
+				}
+			}
+		}
+	}
+	if casFailures == 0 {
+		t.Error("no cas-loop CAS ever failed: the failure path went unexercised")
+	}
+}
+
+// A failed ContCAS is charged like a failed Proc.CompareAndSwap (see
+// TestFailedCASCharged) and, like it, wakes no watcher: the processor
+// spinning on the word stays registered until the real store.
+func TestFailedScriptCASCharged(t *testing.T) {
+	m := newTestMachine(t, Config{Procs: 2, Topo: topo.Bus})
+	a := m.AllocShared(1)
+	var acc Word = 99
+	var watched bool
+	var txns uint64
+	ops := []ContOp{
+		{Kind: ContCall, Fn: func(p *Proc) { txns = p.stats.BusTxns }},
+		{Kind: ContCAS, Addr: a, Val: 5, New: 9},
+		{Kind: ContBranch, Branch: func(p *Proc, v Word) int {
+			acc = v
+			watched = p.m.watchHead[a] != 0
+			txns = p.stats.BusTxns - txns
+			return 3
+		}},
+	}
+	err := m.RunEach([]func(*Proc){
+		func(p *Proc) {
+			p.Delay(200) // let the spinner park on a first
+			p.RunScript(ops)
+			p.Delay(50)
+			p.Store(a, 1)
+		},
+		func(p *Proc) { p.SpinUntilEq(a, 1) },
+	})
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if acc != 0 {
+		t.Errorf("failed ContCAS left %d in the accumulator, want 0", acc)
+	}
+	if txns == 0 {
+		t.Error("failed ContCAS cost no bus transaction")
+	}
+	if !watched {
+		t.Error("failed ContCAS woke the processor watching its word")
+	}
+	if got := m.Peek(a); got != 1 {
+		t.Errorf("word = %d after the failed CAS and the store, want 1", got)
+	}
+}
+
+// Re-running a built script — loads, a CAS, and branches that rewrite
+// operands and loop — allocates nothing, whether its ops retire inline
+// or wait for dispatches the drive loop advances in place.
+func TestScriptRerunAllocatesNothing(t *testing.T) {
+	m := newTestMachine(t, Config{Procs: 2, Topo: topo.Bus})
+	w := m.AllocShared(1)
+	ops := make([]ContOp, 5)
+	ops[0] = ContOp{Kind: ContLoad, Addr: w}
+	ops[1] = ContOp{Kind: ContBranch, Branch: func(_ *Proc, v Word) int {
+		ops[2].Val, ops[2].New = v, v+1
+		return 2
+	}}
+	ops[2] = ContOp{Kind: ContCAS, Addr: w}
+	ops[3] = ContOp{Kind: ContBranch, Branch: func(_ *Proc, ok Word) int {
+		if ok == 0 {
+			return 0
+		}
+		return 4
+	}}
+	ops[4] = ContOp{Kind: ContDelay, Dur: 13}
+	var allocs float64
+	done := false
+	err := m.RunEach([]func(*Proc){
+		func(p *Proc) {
+			allocs = testing.AllocsPerRun(200, func() { p.RunScript(ops) })
+			done = true
+		},
+		func(p *Proc) {
+			// Keep events pending so script ops cross them.
+			for !done {
+				p.Delay(5)
+			}
+		},
+	})
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if allocs != 0 {
+		t.Errorf("re-running a built script allocated %.1f times per run, want 0", allocs)
+	}
+	if m.Stats().InlineDispatches == 0 {
+		t.Error("no script op crossed a pending event; the drive-loop path went unmeasured")
+	}
+}

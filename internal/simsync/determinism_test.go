@@ -82,63 +82,9 @@ func assertIdentical(t *testing.T, name string, measure func(noWindows bool) (ma
 	}
 }
 
-// closureTwin hides a lock's ReleaseScript: it embeds only Lock, so
-// RunLockIn drives it through the plain Load/Delay/Store loop, the
-// goroutine issuing every held-section op itself.
-type closureTwin struct{ Lock }
-
-// closureTwinOf returns info with every lock it builds wrapped in
-// closureTwin.
-func closureTwinOf(info LockInfo) LockInfo {
-	build := info.Make
-	info.Make = func(m *machine.Machine) Lock { return closureTwin{build(m)} }
-	return info
-}
-
-// scriptedLock reports whether info builds a ScriptedRelease lock, one
-// whose held section RunLockIn runs as a continuation script.
-func scriptedLock(t *testing.T, info LockInfo) bool {
-	t.Helper()
-	m, err := machine.New(machine.Config{Procs: 1, SharedWords: 64, LocalWords: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, ok := info.Make(m).(ScriptedRelease)
-	return ok
-}
-
-// assertClosureTwin checks a ScriptedRelease lock's script run against
-// its reference: the same cell with the lock wrapped in closureTwin.
-// The twin must reproduce script in every field except
-// Stats.InlineDispatches, which the twin leaves at zero. At P >= 8 the
-// script run must report InlineDispatches > 0: contention makes script
-// ops cross pending events there, so a zero means scripts silently
-// stopped engaging and the comparison proved nothing. Locks without a
-// ReleaseScript have no script path and are skipped.
-func assertClosureTwin(t *testing.T, name string, cfg machine.Config, info LockInfo, opts LockOpts, script LockResult) {
-	t.Helper()
-	if !scriptedLock(t, info) {
-		return
-	}
-	twin, err := RunLockIn(nil, cfg, closureTwinOf(info), opts)
-	if err != nil {
-		t.Fatalf("%s: closure twin: %v", name, err)
-	}
-	if twin.Stats.InlineDispatches != 0 {
-		t.Fatalf("%s: closure twin advanced %d dispatches in place", name, twin.Stats.InlineDispatches)
-	}
-	if cfg.Procs >= 8 && script.Stats.InlineDispatches == 0 {
-		t.Errorf("%s: script run advanced no dispatch in place", name)
-	}
-	script.Stats.InlineDispatches = 0
-	if !reflect.DeepEqual(script, twin) {
-		t.Errorf("%s: script run diverged from its closure twin:\n  script: %+v\n  twin:   %+v", name, script, twin)
-	}
-}
-
 // assertLockIdentical holds one lock cell to assertIdentical's contract
-// and, for a ScriptedRelease lock, to assertClosureTwin's. A run under
-// a fault plan must also complete.
+// and, for a scripted lock, to assertClosureTwin's. A run under a fault
+// plan must also complete.
 func assertLockIdentical(t *testing.T, name string, cfg machine.Config, info LockInfo, opts LockOpts) {
 	t.Helper()
 	var script LockResult
@@ -194,17 +140,30 @@ func TestDeterminismRWLocks(t *testing.T) {
 	})
 }
 
+// assertSemIdentical is assertLockIdentical for a producer/consumer
+// cell: assertIdentical's contract and, for a scripted semaphore,
+// assertSemTwin's.
+func assertSemIdentical(t *testing.T, name string, cfg machine.Config, info SemaphoreInfo, opts PCOpts) {
+	t.Helper()
+	var script PCResult
+	assertIdentical(t, name, func(noWindows bool) (machine.Stats, error) {
+		c := cfg
+		c.NoSpinWindows = noWindows
+		res, err := RunProducerConsumerIn(nil, c, info, opts)
+		if !noWindows {
+			script = res
+		}
+		return res.Stats, err
+	})
+	assertSemTwin(t, name, cfg, info, opts, script)
+}
+
 func TestDeterminismSemaphores(t *testing.T) {
 	forEachConfig(t, func(tp topo.Topology, procs int) {
 		for _, info := range Semaphores() {
-			info := info
 			name := fmt.Sprintf("%s/%s/P%d", tp.Name(), info.Name, procs)
-			assertIdentical(t, name, func(noWindows bool) (machine.Stats, error) {
-				res, err := RunProducerConsumerIn(nil,
-					machine.Config{Procs: procs, Topo: tp, Seed: 7, NoSpinWindows: noWindows},
-					info, PCOpts{Items: 40, Capacity: 4, Work: 20})
-				return res.Stats, err
-			})
+			assertSemIdentical(t, name, machine.Config{Procs: procs, Topo: tp, Seed: 7},
+				info, PCOpts{Items: 40, Capacity: 4, Work: 20})
 		}
 	})
 }

@@ -97,14 +97,9 @@ func TestFaultDeterminismSemaphores(t *testing.T) {
 	forEachConfig(t, func(tp topo.Topology, procs int) {
 		plan := faultPlanFor(tp, procs)
 		for _, info := range Semaphores() {
-			info := info
 			name := fmt.Sprintf("%s/%s/P%d/faulted", tp.Name(), info.Name, procs)
-			assertIdentical(t, name, func(noWindows bool) (machine.Stats, error) {
-				res, err := RunProducerConsumerIn(nil,
-					machine.Config{Procs: procs, Topo: tp, Seed: 7, NoSpinWindows: noWindows, Faults: plan},
-					info, PCOpts{Items: 40, Capacity: 4, Work: 20})
-				return res.Stats, err
-			})
+			assertSemIdentical(t, name, machine.Config{Procs: procs, Topo: tp, Seed: 7, Faults: plan},
+				info, PCOpts{Items: 40, Capacity: 4, Work: 20})
 		}
 	})
 }
@@ -130,7 +125,8 @@ func TestFaultDeterminismCounters(t *testing.T) {
 // iteration (FT1's accounting). The full LockResult — outcome
 // classification, attempt and timeout counts, crash tally, throughput —
 // must be bit-identical across repeat runs and across the windows A/B
-// switch, and the scripted tas lock must match its closure twin.
+// switch, and the scripted tas and lease locks must match their closure
+// twins.
 func TestFaultDeterminismCrashRunner(t *testing.T) {
 	locks := []string{"tas", "tas-deadline", "lease"}
 	for _, tp := range []topo.Topology{topo.Bus, topo.NUMA} {

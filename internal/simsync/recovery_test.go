@@ -82,14 +82,9 @@ func TestRecoveryDeterminismSemaphores(t *testing.T) {
 	forEachConfig(t, func(tp topo.Topology, procs int) {
 		plan := recoveryPlanFor(tp, procs)
 		for _, info := range Semaphores() {
-			info := info
 			name := fmt.Sprintf("%s/%s/P%d/recovery", tp.Name(), info.Name, procs)
-			assertIdentical(t, name, func(noWindows bool) (machine.Stats, error) {
-				res, err := RunProducerConsumerIn(nil,
-					machine.Config{Procs: procs, Topo: tp, Seed: 7, NoSpinWindows: noWindows, Faults: plan},
-					info, PCOpts{Items: 40, Capacity: 4, Work: 20})
-				return res.Stats, err
-			})
+			assertSemIdentical(t, name, machine.Config{Procs: procs, Topo: tp, Seed: 7, Faults: plan},
+				info, PCOpts{Items: 40, Capacity: 4, Work: 20})
 		}
 	})
 }
@@ -116,8 +111,9 @@ func TestRecoveryDeterminismCounters(t *testing.T) {
 // counts, time-to-recovery) must be bit-identical across repeat
 // runs and the windows A/B switch, for resilient and non-resilient
 // locks alike (a wedged tas run is data too, and must wedge
-// identically), and the scripted tas lock must match its closure twin
-// — a crash can cut a script off mid-run.
+// identically), and the scripted locks (tas, lease, lease-fence,
+// qheal) must match their closure twins — a crash can cut a script off
+// mid-run.
 func TestRecoveryDeterminismMidRunCrash(t *testing.T) {
 	locks := []string{"tas", "tas-deadline", "lease", "lease-fence", "qheal"}
 	for _, tp := range []topo.Topology{topo.Bus, topo.NUMA} {

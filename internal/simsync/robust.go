@@ -112,12 +112,47 @@ const (
 // out, and the next contender takes the lock over with a CAS on the
 // observed (owner, expiry) pair. Release CASes rather than stores so a
 // holder that was usurped after expiring does not stomp the usurper.
+//
+// Acquire is a continuation script (machine.RunScript), one per
+// processor, encoding this Go poll loop op for op:
+//
+//	for {
+//		v := p.Load(word)
+//		if v == 0 || expiry(v) <= p.Now() {
+//			if p.CompareAndSwap(word, v, pack(p, p.Now()+lease)) {
+//				return // a takeover when v != 0
+//			}
+//			continue
+//		}
+//		p.Delay(poll)
+//	}
+//
+// The loop itself, verbatim, is the closure twin in twins_test.go.
 type leaseLock struct {
 	word  machine.Addr
 	lease sim.Time // lease term stamped on acquire
 	poll  sim.Time // re-check period while held by a live lease
 
-	takeovers uint64 // host-side: acquires that usurped an expired lease
+	takeovers uint64         // host-side: acquires that usurped an expired lease
+	acquire   []leaseAcquire // per processor: the acquire script
+}
+
+// The acquire script's ops, by pc.
+const (
+	leaseLoad = iota // ContLoad of the lease word
+	leaseTest        // ContBranch: free or expired (CAS it), or held (poll)
+	leaseCAS         // ContCAS of the word from the observed value to ours
+	leaseWon         // ContBranch: acquired, or reload
+	leasePoll        // ContDelay of one poll period
+	leaseLoop        // ContBranch: reload
+	leaseOps
+)
+
+// leaseAcquire is one processor's acquire script and its state.
+type leaseAcquire struct {
+	l        *leaseLock
+	takeover bool // the pending CAS usurps an expired lease
+	ops      [leaseOps]machine.ContOp
 }
 
 // NewLease builds a lease lock with an effectively infinite term: in
@@ -131,14 +166,37 @@ func NewLease(m *machine.Machine) Lock {
 // NewLeaseTerm builds a lease lock with an explicit lease term and poll
 // period.
 func NewLeaseTerm(m *machine.Machine, lease, poll sim.Time) Lock {
+	return newLeaseLock(m, lease, poll)
+}
+
+// newLeaseLock builds the lease lock with its per-processor acquire
+// scripts; lease-fence wraps the concrete type.
+func newLeaseLock(m *machine.Machine, lease, poll sim.Time) *leaseLock {
 	if lease <= 0 {
 		lease = 1
 	}
 	if poll <= 0 {
 		poll = 1
 	}
-	return &leaseLock{word: m.AllocShared(1), lease: lease, poll: poll}
+	l := &leaseLock{word: m.AllocShared(1), lease: lease, poll: poll}
+	l.acquire = make([]leaseAcquire, m.Procs())
+	for i := range l.acquire {
+		a := &l.acquire[i]
+		a.l = l
+		a.ops = [leaseOps]machine.ContOp{
+			leaseLoad: {Kind: machine.ContLoad, Addr: l.word},
+			leaseTest: {Kind: machine.ContBranch, Branch: a.test},
+			leaseCAS:  {Kind: machine.ContCAS, Addr: l.word},
+			leaseWon:  {Kind: machine.ContBranch, Branch: a.won},
+			leasePoll: {Kind: machine.ContDelay, Dur: poll},
+			leaseLoop: {Kind: machine.ContBranch, Branch: toTop},
+		}
+	}
+	return l
 }
+
+// toTop is the branch that closes a poll loop: continue at pc 0.
+func toTop(*machine.Proc, machine.Word) int { return 0 }
 
 func (l *leaseLock) Name() string { return "lease" }
 
@@ -147,26 +205,36 @@ func (l *leaseLock) pack(p *machine.Proc, exp sim.Time) machine.Word {
 }
 
 func (l *leaseLock) Acquire(p *machine.Proc) {
-	for {
-		v := p.Load(l.word)
-		if v == 0 {
-			if p.CompareAndSwap(l.word, 0, l.pack(p, p.Now()+l.lease)) {
-				return
-			}
-			continue
-		}
-		if exp := sim.Time(v & leaseExpMask); exp <= p.Now() {
-			// The lease ran out — the holder crashed, or stalled past
-			// its term. CAS on the exact observed word: of all the
-			// contenders that saw this expired lease, exactly one wins.
-			if p.CompareAndSwap(l.word, v, l.pack(p, p.Now()+l.lease)) {
-				l.takeovers++
-				return
-			}
-			continue
-		}
-		p.Delay(l.poll)
+	p.RunScript(l.acquire[p.ID()].ops[:])
+}
+
+// test judges the loaded lease word v.
+func (a *leaseAcquire) test(p *machine.Proc, v machine.Word) int {
+	switch {
+	case v == 0:
+		a.takeover = false
+	case sim.Time(v&leaseExpMask) <= p.Now():
+		// The lease ran out — the holder crashed, or stalled past its
+		// term. CAS on the exact observed word: of all the contenders
+		// that saw this expired lease, exactly one wins.
+		a.takeover = true
+	default:
+		return leasePoll
 	}
+	a.ops[leaseCAS].Val = v
+	a.ops[leaseCAS].New = a.l.pack(p, p.Now()+a.l.lease)
+	return leaseCAS
+}
+
+// won ends the script on a successful CAS and reloads on a lost one.
+func (a *leaseAcquire) won(_ *machine.Proc, ok machine.Word) int {
+	if ok == 0 {
+		return leaseLoad
+	}
+	if a.takeover {
+		a.l.takeovers++
+	}
+	return leaseOps
 }
 
 func (l *leaseLock) Release(p *machine.Proc) {

@@ -41,7 +41,7 @@ type FencedLock interface {
 // (a usurped holder briefly acting like an owner) into a counted,
 // harmless event.
 type fenceLock struct {
-	lease  leaseLock
+	lease  *leaseLock
 	epoch  machine.Addr
 	tokens []machine.Word // host-side: fencing token from each processor's last acquire
 
@@ -60,14 +60,8 @@ func NewLeaseFence(m *machine.Machine) Lock {
 // NewLeaseFenceTerm builds a fencing lease lock with an explicit lease
 // term and poll period.
 func NewLeaseFenceTerm(m *machine.Machine, lease, poll sim.Time) Lock {
-	if lease <= 0 {
-		lease = 1
-	}
-	if poll <= 0 {
-		poll = 1
-	}
 	return &fenceLock{
-		lease:  leaseLock{word: m.AllocShared(1), lease: lease, poll: poll},
+		lease:  newLeaseLock(m, lease, poll),
 		epoch:  m.AllocShared(1),
 		tokens: make([]machine.Word, m.Procs()),
 	}
@@ -75,8 +69,14 @@ func NewLeaseFenceTerm(m *machine.Machine, lease, poll sim.Time) Lock {
 
 func (l *fenceLock) Name() string { return "lease-fence" }
 
+// Acquire runs the lease lock's acquire script, then takes a token.
 func (l *fenceLock) Acquire(p *machine.Proc) {
 	l.lease.Acquire(p)
+	l.takeToken(p)
+}
+
+// takeToken records p's fencing token for the acquire it just won.
+func (l *fenceLock) takeToken(p *machine.Proc) {
 	// The token is the epoch value after our increment. Between the
 	// lease CAS and this fetch&add no other processor can acquire (the
 	// lease word is ours and unexpired for a full term), so tokens are
@@ -171,6 +171,7 @@ type healQueueLock struct {
 	tickets   []machine.Word // host-side: each processor's current ticket
 	excisions uint64         // dead-head tickets removed from the queue
 	requeues  uint64         // acquires that had to take a fresh ticket
+	wait      []healWait     // per processor: the waitTurn script
 }
 
 // NewHealQueue builds a self-healing ticket lock with a grace timeout
@@ -195,7 +196,7 @@ func NewHealQueueGrace(m *machine.Machine, grace, poll sim.Time) Lock {
 	if poll <= 0 {
 		poll = 1
 	}
-	return &healQueueLock{
+	l := &healQueueLock{
 		next:    m.AllocShared(1),
 		serving: m.AllocShared(1),
 		slots:   m.AllocShared(m.Procs()),
@@ -203,7 +204,23 @@ func NewHealQueueGrace(m *machine.Machine, grace, poll sim.Time) Lock {
 		poll:    poll,
 		grace:   grace,
 		tickets: make([]machine.Word, m.Procs()),
+		wait:    make([]healWait, m.Procs()),
 	}
+	for i := range l.wait {
+		w := &l.wait[i]
+		w.l = l
+		w.ops = [healOps]machine.ContOp{
+			healLoadServing: {Kind: machine.ContLoad, Addr: l.serving},
+			healCheck:       {Kind: machine.ContBranch, Branch: w.check},
+			healLoadSlot:    {Kind: machine.ContLoad},
+			healJudge:       {Kind: machine.ContBranch, Branch: w.judge},
+			healExcise:      {Kind: machine.ContCAS, Addr: l.serving},
+			healExcised:     {Kind: machine.ContBranch, Branch: w.excised},
+			healPoll:        {Kind: machine.ContDelay, Dur: poll},
+			healLoop:        {Kind: machine.ContBranch, Branch: toTop},
+		}
+	}
+	return l
 }
 
 func (l *healQueueLock) Name() string { return "qheal" }
@@ -222,52 +239,112 @@ func (l *healQueueLock) Acquire(p *machine.Proc) {
 	}
 }
 
+// The waitTurn script's ops, by pc.
+const (
+	healLoadServing = iota // ContLoad of the serving counter
+	healCheck              // ContBranch: served, excised, or inspect the head
+	healLoadSlot           // ContLoad of the head ticket's slot
+	healJudge              // ContBranch: excise the head, or poll
+	healExcise             // ContCAS of serving from the head ticket past it
+	healExcised            // ContBranch: count an excision; reload
+	healPoll               // ContDelay of one poll period
+	healLoop               // ContBranch: reload
+	healOps
+)
+
+// healWait is one processor's waitTurn script and the loop state its
+// branches keep. waitTurn resets the state on entry, so a processor
+// reborn mid-wait starts its next wait clean.
+type healWait struct {
+	l         *healQueueLock
+	t         machine.Word // the ticket being waited on
+	s         machine.Word // the serving value the last load saw
+	headSeen  machine.Word // the head ticket being timed
+	headSince sim.Time     // when headSeen was first seen
+	served    bool         // the outcome: t was served (true) or excised (false)
+	ops       [healOps]machine.ContOp
+}
+
 // waitTurn polls until ticket t is served (true) or excised (false),
-// healing the queue head along the way.
+// healing the queue head along the way. It is a continuation script
+// (machine.RunScript), one per processor, encoding this Go poll loop op
+// for op, with the branches at the Go conditions' program points:
+//
+//	for {
+//		s := p.Load(serving)
+//		if s == t { return true }
+//		if s > t { return false }
+//		// note when the head ticket s was first seen
+//		slot := p.Load(slots + s%procs)
+//		if the head's announced owner is another processor p.Suspects,
+//		   or the head has been stuck for a grace period {
+//			if p.CompareAndSwap(serving, s, s+1) { excisions++ }
+//			continue
+//		}
+//		p.Delay(poll)
+//	}
+//
+// The loop itself, verbatim, is the closure twin in twins_test.go.
 func (l *healQueueLock) waitTurn(p *machine.Proc, t machine.Word) bool {
-	var headSeen machine.Word
-	headSince := p.Now()
-	first := true
-	for {
-		s := p.Load(l.serving)
-		if s == t {
-			return true
-		}
-		if s > t {
-			return false
-		}
-		if first || s != headSeen {
-			headSeen, headSince = s, p.Now()
-			first = false
-		}
-		slot := p.Load(l.slots + machine.Addr(int(s)%l.procs))
-		// An owner field of 0 is a head ticket taken but not yet
-		// announced (its owner was cut off between the fetch&add and
-		// the store): it names no processor to suspect, so only the
-		// grace backstop below can move it.
-		if slot>>healOwnerBits == s && slot&healOwnerMask != 0 {
-			if owner := int(slot&healOwnerMask) - 1; owner != p.ID() && p.Suspects(owner) {
-				// The head ticket's owner is suspected dead: excise it.
-				// The CAS makes excision idempotent across waiters, and
-				// a serving counter can only move forward, so a healthy
-				// hand-off can never be rewound.
-				if p.CompareAndSwap(l.serving, s, s+1) {
-					l.excisions++
-				}
-				continue
-			}
-		}
-		if p.Now()-headSince >= l.grace {
-			// Backstop: the head has not moved for a full grace period.
-			// Catches dead tickets whose owner already recovered (its
-			// suspicion cleared at rebirth, but its old ticket remains).
-			if p.CompareAndSwap(l.serving, s, s+1) {
-				l.excisions++
-			}
-			continue
-		}
-		p.Delay(l.poll)
+	w := &l.wait[p.ID()]
+	// Every head check sees a serving value below t, so starting
+	// headSeen at t makes the first check start the head's clock.
+	w.t, w.headSeen = t, t
+	p.RunScript(w.ops[:])
+	return w.served
+}
+
+// check judges the loaded serving value s.
+func (w *healWait) check(p *machine.Proc, s machine.Word) int {
+	if s >= w.t {
+		w.served = s == w.t
+		return healOps
 	}
+	if s != w.headSeen {
+		w.headSeen, w.headSince = s, p.Now()
+	}
+	w.s = s
+	w.ops[healLoadSlot].Addr = w.l.slots + machine.Addr(int(s)%w.l.procs)
+	return healLoadSlot
+}
+
+// judge decides from the head's loaded slot whether to excise it.
+func (w *healWait) judge(p *machine.Proc, slot machine.Word) int {
+	s := w.s
+	// An owner field of 0 is a head ticket taken but not yet announced
+	// (its owner was cut off between the fetch&add and the store): it
+	// names no processor to suspect, so only the grace backstop below
+	// can move it.
+	if slot>>healOwnerBits == s && slot&healOwnerMask != 0 {
+		if owner := int(slot&healOwnerMask) - 1; owner != p.ID() && p.Suspects(owner) {
+			// The head ticket's owner is suspected dead: excise it. The
+			// CAS makes excision idempotent across waiters, and a
+			// serving counter can only move forward, so a healthy
+			// hand-off can never be rewound.
+			return w.excise(s)
+		}
+	}
+	if p.Now()-w.headSince >= w.l.grace {
+		// Backstop: the head has not moved for a full grace period.
+		// Catches dead tickets whose owner already recovered (its
+		// suspicion cleared at rebirth, but its old ticket remains).
+		return w.excise(s)
+	}
+	return healPoll
+}
+
+// excise aims the CAS at moving serving from head ticket s past it.
+func (w *healWait) excise(s machine.Word) int {
+	w.ops[healExcise].Val, w.ops[healExcise].New = s, s+1
+	return healExcise
+}
+
+// excised counts a won excision; either way the wait reloads serving.
+func (w *healWait) excised(_ *machine.Proc, ok machine.Word) int {
+	if ok != 0 {
+		w.l.excisions++
+	}
+	return healLoadServing
 }
 
 func (l *healQueueLock) Release(p *machine.Proc) {
