@@ -311,7 +311,7 @@ func BenchmarkMachineClusterStormBatched(b *testing.B) {
 // BenchmarkMachineDeepClusterStorm — the P=256 deep-topology point of
 // the scaling sweeps (PR 6): a raw test&set storm on the cluster
 // machine four times past the bus protocol's 64-processor ceiling,
-// where the engine runs in heap mode throughout and the window
+// where a window relinks hundreds of probes per commit and the window
 // eligibility mask spans multiple words. Windows on vs off, pooled;
 // this is the configuration whose wall-clock bounds the P ∈ {256,
 // 1024} sweep tables in EXPERIMENTS.md.

@@ -332,7 +332,7 @@ func writeSimBench(path string, quick bool, label string) error {
 		// CAS poll on the bus, qheal's ticket wait on NUMA.
 		{"lease", topo.Bus, 32, false, 0},
 		{"qheal", topo.NUMA, 32, false, 0},
-		// Deep scaling points (heap-mode engine, multi-word window masks).
+		// Deep scaling points (deep event queues, multi-word window masks).
 		{"tas", topo.NUMA, 256, false, 8},
 		{"tas", topo.NUMA, 256, true, 8},
 		{"tas", topo.Cluster, 256, false, 8},

@@ -3,12 +3,13 @@ package harness
 // SC1/SC2 — the extreme-scale sweep (PR 6): one contended tas storm
 // per (P, topology) cell with the processor count on the axis and the
 // registered topologies as columns, up to the P ∈ {256, 1024} deep
-// points where the engine runs in heap mode and the window eligibility
-// mask spans multiple words. The P axis is shared across columns, so
-// topologies with a protocol ceiling (the bus machine's 64-sharer
-// coherence bitmask) skip their over-ceiling cells rather than erroring
-// or clipping the axis — the sweep completes across the whole registry
-// and the skipped cells render as "-".
+// points where pending probes reach tens of thousands of cycles ahead
+// and the window eligibility mask spans multiple words. The P axis is
+// shared across columns, so topologies with a protocol ceiling (the
+// bus machine's 64-sharer coherence bitmask) skip their over-ceiling
+// cells rather than erroring or clipping the axis — the sweep
+// completes across the whole registry and the skipped cells render as
+// "-".
 //
 // SC1 is simulated and deterministic (cycles per acquisition). SC2 is
 // host throughput (simulated memory operations per host second, the

@@ -285,8 +285,7 @@ type Machine struct {
 	// Cross-processor spin-window batching state (window.go):
 	// spinStreak governs the attempt trigger (negative while backing
 	// off after a failed attempt); winMask holds one eligibility bit
-	// per processor; winSeen/winSet are reusable scratch for the
-	// detector.
+	// per processor; winSet is reusable scratch for the detector.
 	winEnabled bool // set by Reset: windows possible on this config at all
 	// winClassed caches the topology's TraversalClasses declaration for
 	// Modules machines: storms are window-eligible only on topologies
@@ -295,11 +294,9 @@ type Machine struct {
 	spinStreak int
 	winCount   int
 	winMask    []uint64
-	winSeen    []uint64
 	winSet     []sim.WindowEvent
-	// winPre is per-position scratch for mixed-period windows
-	// (window.go): the prefix sums of the probe service times in
-	// rotation order.
+	// winPre is per-position scratch for windows (window.go): the
+	// prefix sums of the probe service times in rotation order.
 	winPre []sim.Time
 	// winRMWs defers window-charged per-processor RMW/traffic counts:
 	// the window commit writes this flat array instead of chasing a
@@ -331,7 +328,7 @@ func New(cfg Config) (*Machine, error) {
 }
 
 // Reset returns the machine to the state New(cfg) would produce while
-// reusing every allocation that still fits: the event heap, the memory
+// reusing every allocation that still fits: the event queue, the memory
 // and watcher arrays, the coherence metadata, the processor structs and
 // their resume channels, and the per-processor RNGs (re-derived, so the
 // streams are bit-identical to a fresh machine's). Sweeps that run many

@@ -2,7 +2,6 @@ package machine
 
 import (
 	"math"
-	"slices"
 
 	"repro/internal/sim"
 	"repro/internal/topo"
@@ -48,14 +47,20 @@ import (
 // execution by construction (Config.NoSpinWindows exists purely for
 // A/B tests and perf comparisons).
 //
+// The engine hands the window over in firing order: its calendar queue
+// keeps one FIFO bucket per cycle, so sim.Engine.ScanWindow walks the
+// buckets from the front and returns the eligible run before the
+// horizon already sorted by (when, seq). Rotation positions are the
+// set's indexes, the set is exactly the next n events to fire, and the
+// commit (sim.Engine.FinishWindow) unlinks those n events and relinks
+// each at its retimed instant. One cumS schedule serves every machine:
+// on the bus all services are the one bus period, on a module machine
+// spinners in different distance classes (cluster's intra- vs
+// inter-hop periods) rotate together on the prefix sums.
+//
 // Two window shapes commit:
 //
-//   - The rotation: the storm fast-forwards to the horizon. On the bus
-//     every spinner shares one probe period, so positions are recovered
-//     arithmetically from the pending timestamps (tryWindow's fast
-//     path); on a module machine spinners in different distance
-//     classes (cluster's intra- vs inter-hop periods) rotate together
-//     on the cumS prefix-sum schedule (tryWindowSlow).
+//   - The rotation: the storm fast-forwards to the horizon.
 //   - The release/takeover drain: when the storm word has been freed,
 //     the pending probes judge-fail one last time and reissue; the
 //     first reissue reads zero and wins the word (its value and
@@ -73,8 +78,10 @@ import (
 //     processor sits in a window-eligible test&set spin (kind spinTAS,
 //     phase spTASJudge, zero Backoff, no deadline) on one shared
 //     address. Anything else — a dispatch, a continuation, a TTAS burst
-//     probe, a backoff probe or delay, a woken read-spin — becomes the
-//     horizon instead, truncating (not aborting) the window.
+//     probe, a backoff probe or delay, a woken read-spin, or any event
+//     the engine holds in its overflow heap (due a calendar span or
+//     more ahead) — becomes the horizon instead, truncating (not
+//     aborting) the window.
 //   - The last probe each spinner issued read a non-zero value
 //     (spin.val != 0): all in-window judges provably fail. (A freed
 //     word flips the attempt into drain mode instead.)
@@ -174,50 +181,11 @@ func (m *Machine) winStatic(p *Proc, kind uint8, a Addr, bo Backoff) bool {
 	return false
 }
 
-// sortSet orders set by (When, Seq) — the pop order at window start.
-// The uniform fast path needs it only as a cold-start fallback: in a
-// saturated uniform storm the pending completions are exactly
-// period-spaced, so rotation positions are computed arithmetically
-// (see tryWindow) and the set stays unsorted. Mixed-schedule windows
-// sort always — their pending spacing depends on the order itself.
-// Small sets use insertion sort: they are nearly sorted (completions
-// were scheduled in increasing time order) and the constant beats any
-// general sorter. Deep-machine storms are another matter — at P ∈
-// {256, 1024} a heap-ordered set of hundreds of probes is far from
-// sorted and insertion sort's quadratic worst case shows up in the
-// profile — so large sets go to the standard pattern-defeating sort.
-func sortSet(set []sim.WindowEvent) {
-	if len(set) >= 48 {
-		slices.SortFunc(set, func(a, b sim.WindowEvent) int {
-			if a.When != b.When {
-				if a.When < b.When {
-					return -1
-				}
-				return 1
-			}
-			if a.Seq < b.Seq {
-				return -1
-			}
-			return 1
-		})
-		return
-	}
-	for i := 1; i < len(set); i++ {
-		e := set[i]
-		j := i - 1
-		for j >= 0 && (set[j].When > e.When || (set[j].When == e.When && set[j].Seq > e.Seq)) {
-			set[j+1] = set[j]
-			j--
-		}
-		set[j+1] = e
-	}
-}
-
 // tryWindow attempts one closed-form window advance; next is the
-// address the queue's earliest event is probing (from the drive
-// loop's peek). On failure it backs the trigger off; on success the
-// streak resets (the next pop is the horizon event). Called from the
-// drive loop only.
+// address the queue's earliest event is probing (from the drive loop's
+// peek). On failure it backs the trigger off; on success the streak
+// resets (the next pop is the horizon event). Called from the drive
+// loop only.
 func (m *Machine) tryWindow(next Addr) {
 	m.spinStreak = -windowRetry
 	// A rotation (or drain) needs at least two eligible spinners.
@@ -226,7 +194,7 @@ func (m *Machine) tryWindow(next Addr) {
 	}
 	// A freed storm word means a takeover is in flight: the pending
 	// probes judge-fail and reissue, and the first reissue wins. That
-	// is the release drain — handled in closed form by the slow path.
+	// is the release drain, handled in closed form below.
 	drain := m.mem[next] == 0
 	if drain {
 		m.spinStreak = -windowRetryStorm
@@ -246,14 +214,15 @@ func (m *Machine) tryWindow(next Addr) {
 		return
 	}
 
-	// Partition the queue in one engine-side pass: eligible probes of
-	// the anchor address (classified by the eligibility mask, no
-	// per-Proc pointer chasing) form the window candidates; the
-	// earliest other event is the horizon. Anchoring on the
-	// next-to-fire probe's address keeps a concurrent storm on another
-	// word from stealing the scan and leaving an empty window.
+	// Collect the window in one engine-side walk of the queue in firing
+	// order: eligible probes of the anchor address (classified by the
+	// eligibility mask, no per-Proc pointer chasing) up to the first
+	// other event, the horizon. Anchoring on the next-to-fire probe's
+	// address keeps a concurrent storm on another word from stealing
+	// the scan. The set arrives in (when, seq) order, which is the
+	// rotation order, and it is exactly the next n events to fire.
 	addr := next
-	set, horizonWhen, horizonSeq, haveHorizon := eng.ScanWindow(sim.EvSpin, int32(addr), m.winMask, m.winSet[:0])
+	set, horizon, haveHorizon := eng.ScanWindow(sim.EvSpin, int32(addr), m.winMask, m.winSet[:0])
 	m.winSet = set // keep the grown buffer
 	if len(set) < 2 {
 		return // rotation (and its alternating-owner argument) needs >= 2
@@ -262,11 +231,17 @@ func (m *Machine) tryWindow(next Addr) {
 	// boundary. No interval is active now (checked above) and no
 	// boundary precedes the clamped horizon, so fault state is
 	// constant across every in-window pop — no stall can defer one,
-	// no degrade can reprice one. Sequence 0 orders the synthetic
-	// horizon before every real event at its instant.
+	// no degrade can reprice one. The boundary orders before every
+	// real event at its instant, so a probe due at it leaves the set.
 	if m.flt != nil {
-		if fb, ok := m.flt.nextBound(eng.Now()); ok && (!haveHorizon || fb <= horizonWhen) {
-			horizonWhen, horizonSeq, haveHorizon = fb, 0, true
+		if fb, ok := m.flt.nextBound(eng.Now()); ok && (!haveHorizon || fb <= horizon) {
+			horizon, haveHorizon = fb, true
+			for k := range set {
+				if set[k].When >= fb {
+					set = set[:k]
+					break
+				}
+			}
 		}
 	}
 
@@ -277,167 +252,11 @@ func (m *Machine) tryWindow(next Addr) {
 	if m.watchHead[addr] != 0 {
 		return
 	}
-
-	// Only probes ordered before the horizon fire in the window; track
-	// the window's time extent in the same pass (filtering first also
-	// keeps the general path's insertion sort on the small live set).
-	tmin, tmax := set[0].When, set[0].When
-	if haveHorizon {
-		k := 0
-		for _, e := range set {
-			if e.When < horizonWhen || (e.When == horizonWhen && e.Seq < horizonSeq) {
-				set[k] = e
-				k++
-				if e.When < tmin || k == 1 {
-					tmin = e.When
-				}
-				if e.When > tmax || k == 1 {
-					tmax = e.When
-				}
-			}
-		}
-		set = set[:k]
-	} else {
-		for _, e := range set[1:] {
-			if e.When < tmin {
-				tmin = e.When
-			}
-			if e.When > tmax {
-				tmax = e.When
-			}
-		}
-	}
 	n := len(set)
 	if n < 2 {
 		return
 	}
 
-	// Release drains and module-machine storms (whose per-distance-class
-	// schedules need the prefix-sum array anyway) go straight to the
-	// general path; the arithmetic fast path below is reserved for the
-	// uniform bus rotation.
-	if drain || m.disc == topo.Modules {
-		m.tryWindowSlow(addr, set, tmax, horizonWhen, haveHorizon, drain)
-		return
-	}
-	period := m.cfg.BusLatency
-	if period <= 0 {
-		return
-	}
-	free := m.busFreeAt
-	if free < tmax {
-		return // cold-start transient: let the per-event path reach saturation
-	}
-
-	// Uniform bus rotation — bit-identical to the general form but with
-	// arithmetic position recovery and no per-position arrays.
-	//
-	// Assign rotation positions — the (when, seq) pop order at window
-	// start. In a saturated storm the pending completions are exactly
-	// period-spaced (one probe per resource slot), so entry positions
-	// are recovered arithmetically as (When-tmin)/period, validated
-	// with a seen-bitmap; ties cannot bucket (distinct multiples). Any
-	// other spacing is a cold-start transient and takes the explicit
-	// sort instead.
-	seen := resetSlice(m.winSeen, (n+63)/64)
-	m.winSeen = seen
-	bucketed := true
-	firstPid := set[0].Arg0
-	for _, e := range set {
-		d := e.When - tmin
-		r := int(d / period)
-		if d%period != 0 || r >= n || seen[r>>6]&(uint64(1)<<uint(r&63)) != 0 {
-			bucketed = false
-			break
-		}
-		seen[r>>6] |= uint64(1) << uint(r&63)
-		if r == 0 {
-			firstPid = e.Arg0
-		}
-	}
-	if !bucketed {
-		sortSet(set)
-		firstPid = set[0].Arg0
-	}
-	if m.owner[addr] == int16(firstPid)+1 {
-		return // first probe would be a cache hit, not a bus transaction
-	}
-
-	// How many pops fire before the horizon: the n pending probes, plus
-	// the rotated completions c_j = free + j*period with (c_j, seq0+j)
-	// ordered before the horizon — i.e. c_j < H (their seqs are larger
-	// than the horizon's, which was scheduled earlier).
-	nn := uint64(n)
-	total := nn
-	if haveHorizon {
-		if horizonWhen > free {
-			total += uint64((horizonWhen - free - 1) / period)
-		} else {
-			total = nn // horizon at or before the free point: only the pending probes fire
-		}
-	} else {
-		total = math.MaxUint64 // pure storm: nothing but probes; the budget caps it
-	}
-	if avail := eng.PopBudget(); total > avail {
-		total = avail
-	}
-	if total < windowMinPops {
-		return
-	}
-
-	// Commit. Pop j (1-based) is the probe completion of the spinner
-	// at rotation position (j-1) mod n; it issues the next probe,
-	// completing at free + j*period with sequence seq0 + j. The set is
-	// walked in whatever order the scan produced it: each entry's
-	// position recomputes from its timestamp (or its index, after the
-	// fallback sort). Two deliberate economies keep this loop free of
-	// per-spinner pointer chasing:
-	//
-	//   - RMW and traffic charges accumulate in the flat winRMWs array
-	//     and fold into the per-processor stats when Stats() snapshots
-	//     them (the counters are read nowhere else mid-run).
-	//   - spin.val is not materialized. Probe-by-probe it would be the
-	//     value the spinner's last probe read — the pre-window word for
-	//     the first prober, 1 after — but for a raw test&set wait val
-	//     is dead beyond its zero/non-zero-ness (the judge retries on
-	//     non-zero; SpinTAS discards the final value), and both the
-	//     pre-window val and every in-window read are provably
-	//     non-zero, so skipping the write is invisible.
-	seq0 := eng.Seq()
-	lastPos := (total - 1) % nn
-	var last int32
-	for i := range set {
-		r := uint64(i) + 1
-		if bucketed {
-			r = uint64((set[i].When-tmin)/period) + 1
-		}
-		if r > total {
-			continue // budget-capped window: this spinner never pops
-		}
-		if r-1 == lastPos {
-			last = set[i].Arg0
-		}
-		cnt := (total-r)/nn + 1
-		jLast := r + nn*(cnt-1)
-		m.winRMWs[set[i].Arg0] += cnt
-		eng.RetimePending(int(set[i].Index), free+sim.Time(jLast)*period, seq0+jLast)
-	}
-	m.mem[addr] = 1
-	m.owner[addr] = int16(last) + 1
-	m.sharers[addr] = uint64(1) << uint(last)
-	m.busFreeAt = free + sim.Time(total)*period
-	m.stats.BusTxns += total
-	m.stats.WindowOps += total
-	eng.FinishWindow(total)
-	m.spinStreak = 0
-}
-
-// tryWindowSlow handles the window shapes beyond the uniform bus
-// rotation: per-distance-class (mixed service period) storms on module
-// machines, and release/takeover drains. set is the horizon-filtered
-// eligible pending probes (n >= 2, no watchers) with time extent ending
-// at tmax.
-func (m *Machine) tryWindowSlow(addr Addr, set []sim.WindowEvent, tmax sim.Time, horizonWhen sim.Time, haveHorizon bool, drain bool) {
 	// The serializing resource and its free point; the saturation
 	// precondition (free at or past the last pending completion) makes
 	// the cumS schedule exact.
@@ -449,18 +268,9 @@ func (m *Machine) tryWindowSlow(addr Addr, set []sim.WindowEvent, tmax sim.Time,
 		mod = m.home(addr)
 		free = m.modFreeAt[mod]
 	}
-	if free < tmax {
+	if free < set[n-1].When {
 		return // cold-start transient: let the per-event path reach saturation
 	}
-
-	n := len(set)
-	// Rotation positions are the (when, seq) pop order at window
-	// start. Mixed service periods make arithmetic bucketing
-	// impossible — the pending spacing depends on the order being
-	// recovered — so sort unconditionally; the sort IS the tie-break
-	// validation (it reproduces the engine's (when, seq) pop order by
-	// construction).
-	sortSet(set)
 	if m.disc == topo.SnoopingBus && m.owner[addr] == int16(set[0].Arg0)+1 {
 		return // first probe would be a cache hit, not a bus transaction
 	}
@@ -469,8 +279,10 @@ func (m *Machine) tryWindowSlow(addr Addr, set []sim.WindowEvent, tmax sim.Time,
 	// total service of rotation positions 0..i-1, and cumS(j) the sum
 	// of the first j services of the cyclic schedule. Service times
 	// come from the spin-entry cache (spinState.winService) — every
-	// masked spinner passed winStatic, which priced its hop once. The
-	// scratch array is fully rewritten, not cleared (growSlice).
+	// masked spinner passed winStatic, which priced its hop once: the
+	// bus latency for every bus spinner, its distance class on a module
+	// machine. The scratch array is fully rewritten, not cleared
+	// (growSlice).
 	pre := growSlice(m.winPre, n+1)
 	m.winPre = pre
 	pre[0] = 0
@@ -490,15 +302,16 @@ func (m *Machine) tryWindowSlow(addr Addr, set []sim.WindowEvent, tmax sim.Time,
 	// Pop count. A drain pops each pending probe exactly once: the
 	// first reissue reads the freed word and wins, so the rotation
 	// ends before the winner's next completion at free+cumS(1) — which
-	// fires after every pending pop (free >= tmax). A rotation runs to
-	// the horizon: rescheduled pop n+k fires at free+cumS(k), so count
-	// the k >= 1 with cumS(k) <= horizon-free-1 — whole rotations
-	// contribute n pops per R, the partial one is a prefix-sum scan.
-	eng := m.eng
+	// fires after every pending pop (free >= the last pending
+	// completion). A rotation runs to the horizon: rescheduled pop n+k
+	// fires at free+cumS(k), and its seq is larger than the horizon's
+	// (scheduled earlier), so count the k >= 1 with
+	// cumS(k) <= horizon-free-1 — whole rotations contribute n pops per
+	// R, the partial one is a prefix-sum scan.
 	total := nn
 	if !drain {
 		if haveHorizon {
-			if d := horizonWhen - free; d > 0 {
+			if d := horizon - free; d > 0 {
 				dm1 := d - 1
 				q0 := uint64(dm1 / R)
 				rem := dm1 - sim.Time(q0)*R
@@ -525,28 +338,40 @@ func (m *Machine) tryWindowSlow(addr Addr, set []sim.WindowEvent, tmax sim.Time,
 		return
 	}
 
-	// Commit. Pop j (1-based) is the probe completion of the spinner
-	// at rotation position (j-1) mod n; its reissue completes at
-	// free+cumS(j) with sequence seq0+j. The same two economies as the
-	// fast path apply (deferred winRMWs, unmaterialized spin.val) —
-	// except a drain's winner, whose zero read is observable: its
-	// value and eligibility bit are materialized, so its retimed
-	// completion judges the win per-event and resumes the program.
+	// Commit. Pop j (1-based) is the probe completion of the spinner at
+	// rotation position (j-1) mod n, set[(j-1) mod n]; its reissue
+	// completes at free+cumS(j) with sequence seq0+j, so each spinner's
+	// pending probe ends at its last pop's reissue. A budget-capped
+	// window pops only the first total spinners, and the rest keep
+	// their pending probes. Two deliberate economies keep this loop
+	// free of per-spinner pointer chasing:
+	//
+	//   - RMW and traffic charges accumulate in the flat winRMWs array
+	//     and fold into the per-processor stats when Stats() snapshots
+	//     them (the counters are read nowhere else mid-run).
+	//   - spin.val is not materialized. Probe-by-probe it would be the
+	//     value the spinner's last probe read — the pre-window word for
+	//     the first prober, 1 after — but for a raw test&set wait val
+	//     is dead beyond its zero/non-zero-ness (the judge retries on
+	//     non-zero; SpinTAS discards the final value), and both the
+	//     pre-window val and every in-window read are provably
+	//     non-zero, so skipping the write is invisible.
+	//
+	// A drain's winner is the exception: its zero read is observable,
+	// so its value and eligibility bit are materialized, and its
+	// retimed completion judges the win per-event and resumes the
+	// program.
+	if total < nn {
+		set = set[:total]
+	}
 	seq0 := eng.Seq()
-	lastPos := (total - 1) % nn
-	var last int32
+	last := set[(total-1)%nn].Arg0
 	for i := range set {
 		r := uint64(i) + 1
-		if r > total {
-			continue // capped window: this spinner never pops
-		}
-		if r-1 == lastPos {
-			last = set[i].Arg0
-		}
 		cnt := (total-r)/nn + 1
 		jLast := r + nn*(cnt-1)
 		m.winRMWs[set[i].Arg0] += cnt
-		eng.RetimePending(int(set[i].Index), free+cumS(jLast), seq0+jLast)
+		set[i].When, set[i].Seq = free+cumS(jLast), seq0+jLast
 	}
 	if drain {
 		w := m.procs[set[0].Arg0]
@@ -565,6 +390,6 @@ func (m *Machine) tryWindowSlow(addr Addr, set []sim.WindowEvent, tmax sim.Time,
 		m.stats.RemoteRefs += total
 	}
 	m.stats.WindowOps += total
-	eng.FinishWindow(total)
+	eng.FinishWindow(set, total)
 	m.spinStreak = 0
 }

@@ -23,12 +23,8 @@ type stormResult struct {
 	Err     string
 }
 
-// runStorm drives a critical-section storm: every processor loops
-// {think, acquire lock via its discipline, bump counter with a
-// read-delay-write, release}. The discipline is per-processor so mixed
-// storms can be expressed. WindowOps is scrubbed from the returned
-// stats (it is the one legitimately window-dependent field) and
-// reported separately.
+// runStorm drives a critical-section storm on a fresh machine for cfg
+// (stormOn).
 func runStorm(t *testing.T, cfg Config, iters int,
 	acquire func(p *Proc, lock Addr)) (stormResult, uint64) {
 	t.Helper()
@@ -36,6 +32,16 @@ func runStorm(t *testing.T, cfg Config, iters int,
 	if err != nil {
 		t.Fatal(err)
 	}
+	return stormOn(m, iters, acquire)
+}
+
+// stormOn drives a critical-section storm on m: every processor loops
+// {think, acquire lock via its discipline, bump counter with a
+// read-delay-write, release}. The discipline is per-processor so mixed
+// storms can be expressed. WindowOps is scrubbed from the returned
+// stats (it is the one legitimately window-dependent field) and
+// reported separately.
+func stormOn(m *Machine, iters int, acquire func(p *Proc, lock Addr)) (stormResult, uint64) {
 	lock := m.AllocShared(1)
 	counter := m.AllocShared(1)
 	pos := make([]uint64, m.Procs())
@@ -101,13 +107,13 @@ func TestSpinWindowBitIdentical(t *testing.T) {
 	}
 }
 
-// TestSpinWindowHeapMode pins the retime path of the heap queue
-// layout: above the linear threshold the window must still commit and
-// stay exact.
+// TestSpinWindowHeapMode pins the deepest storm in this file: at P=64,
+// a full eligibility-mask word with every window relinking dozens of
+// probes, the window must still commit and stay exact.
 func TestSpinWindowHeapMode(t *testing.T) {
 	win := assertStormAB(t, Config{Procs: 64, Topo: topo.NUMA, Seed: 3}, 8, rawTAS)
 	if win == 0 {
-		t.Error("P=64 NUMA storm engaged no windows (heap-mode retime untested)")
+		t.Error("P=64 NUMA storm engaged no windows")
 	}
 }
 
@@ -273,30 +279,52 @@ func TestSpinWindowPooledReset(t *testing.T) {
 	if err := m.Reset(cfg); err != nil {
 		t.Fatal(err)
 	}
-	lock2 := m.AllocShared(1)
-	counter2 := m.AllocShared(1)
-	pos := make([]uint64, m.Procs())
-	if err := m.Run(func(p *Proc) {
-		rng := p.RNG()
-		for it := 0; it < 15; it++ {
-			p.Delay(rng.ExpTime(50))
-			rawTAS(p, lock2)
-			v := p.Load(counter2)
-			p.Delay(25)
-			p.Store(counter2, v+1)
-			p.Store(lock2, 0)
-		}
-		pos[p.ID()] = rng.Uint64()
-	}); err != nil {
-		t.Fatal(err)
+	reset, resetWin := stormOn(m, 15, rawTAS)
+	if reset.Err != "" {
+		t.Fatal(reset.Err)
 	}
-	reset := stormResult{Stats: m.Stats(), RNGPos: pos, Counter: m.Peek(counter2)}
-	resetWin := reset.Stats.WindowOps
-	reset.Stats.WindowOps = 0
 	if !reflect.DeepEqual(fresh, reset) {
 		t.Errorf("reset machine diverged from fresh:\n fresh: %+v\n reset: %+v", fresh, reset)
 	}
 	if freshWin != resetWin {
 		t.Errorf("window decisions diverged after Reset: fresh %d, reset %d", freshWin, resetWin)
+	}
+}
+
+// TestStormOverflowPushes pins how many events the engine's calendar
+// hands to its overflow heap (sim.Engine.OverflowPushes) in raw
+// test&set storms, windows on and off: none. A window commit relinks
+// every pending probe up to a rotation ahead, and an overflow probe
+// ends the next window early, so the calendar's span must cover the
+// deepest rotation; this is the test that notices a storm outgrowing
+// it. The count is host-side, like WindowOps.
+func TestStormOverflowPushes(t *testing.T) {
+	for _, c := range []struct {
+		tp    topo.Topology
+		procs int
+		iters int
+	}{
+		{topo.Bus, 32, 20},
+		{topo.NUMA, 256, 4},
+		{topo.Cluster, 1024, 2},
+	} {
+		for _, noWin := range []bool{false, true} {
+			m, err := New(Config{Procs: c.procs, Topo: c.tp, Seed: 1,
+				SharedWords: 1 << 12, LocalWords: 1 << 8, NoSpinWindows: noWin})
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, win := stormOn(m, c.iters, rawTAS)
+			if res.Err != "" {
+				t.Fatalf("%s P=%d: %s", c.tp, c.procs, res.Err)
+			}
+			if !noWin && win == 0 {
+				t.Errorf("%s P=%d: the storm committed no window", c.tp, c.procs)
+			}
+			if got := m.eng.OverflowPushes(); got != 0 {
+				t.Errorf("%s P=%d NoSpinWindows=%v: OverflowPushes = %d of %d events, want 0",
+					c.tp, c.procs, noWin, got, res.Stats.Events)
+			}
+		}
 	}
 }

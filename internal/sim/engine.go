@@ -1,12 +1,19 @@
 // Package sim provides a deterministic discrete-event simulation engine.
 //
-// The engine maintains a virtual clock and a priority queue of events.
+// The engine maintains a virtual clock and a queue of pending events.
 // Events scheduled for the same instant fire in scheduling order, so a
 // simulation run is a pure function of its inputs: two runs with the same
 // seed and the same program produce bit-identical results. This determinism
 // is what lets the machine model (internal/machine) count cycles and
 // interconnect transactions exactly, the way 1991-era synchronization
 // studies did on real hardware.
+//
+// The queue is a one-cycle calendar (Brown, CACM 1988): a FIFO bucket
+// per cycle over a fixed span ahead of the clock, a bitmap of non-empty
+// buckets to find the next instant, and a 4-ary heap for the rare event
+// scheduled beyond the span. Scheduling and popping are O(1), and a
+// walk of the buckets visits pending events in firing order, which is
+// what the machine layer's spin-window detector reads (ScanWindow).
 //
 // Every event is a small value — a kind plus two int32 arguments,
 // typically a processor index and an address — so the queue holds no
@@ -20,6 +27,7 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 )
 
 // Time is a point on the simulated clock, measured in cycles.
@@ -68,13 +76,16 @@ const (
 type Handler func(kind EventKind, arg0, arg1 int32)
 
 // event is a queue entry: 32 bytes carrying its whole payload by value,
-// so pushing and popping never touches the garbage collector.
+// so pushing and popping never touches the garbage collector. In the
+// calendar, next links an entry to the one behind it in its bucket (0
+// ends the bucket); the overflow heap leaves it unused.
 type event struct {
 	when Time
 	seq  uint64 // tie-break: FIFO among same-instant events
-	kind EventKind
 	arg0 int32
 	arg1 int32
+	next int32
+	kind EventKind
 }
 
 // before reports whether a fires before b: earlier timestamp, or same
@@ -88,38 +99,56 @@ func (a *event) before(b *event) bool {
 // simulated program (for example, a spin loop that can never succeed).
 var ErrStepLimit = errors.New("sim: event step limit exceeded (livelock?)")
 
+// calSpan is the calendar's reach in cycles: an event due less than
+// calSpan cycles after the clock goes to the bucket of its instant,
+// anything later to the overflow heap. Every pending calendar event is
+// due in [now, now+calSpan), so a bucket holds one instant, and since
+// each push carries the largest sequence number yet, appending keeps a
+// bucket in exact (when, seq) order. The span is sized by measurement:
+// the paper's evaluation schedules 99.9% of its events under 4,096
+// cycles ahead, while the P=256 and P=1024 storms keep their pending
+// probes up to 64K cycles ahead (a probe rotation of 1,024 remote
+// spinners), which a shorter span would hand to the heap.
+const (
+	calSpan = 1 << 16
+	calMask = calSpan - 1
+	// calWords is the bucket bitmap's length in words, and the summary
+	// bitmap (one bit per non-zero bitmap word) is calWords/64 words.
+	calWords = calSpan / 64
+)
+
+// bucket is the FIFO of one calendar instant: first and last slot.
+type bucket struct{ head, tail int32 }
+
 // Engine is a deterministic discrete-event scheduler.
 // The zero value is not usable; call NewEngine.
 //
-// The queue adapts its layout to the event population. Simulations keep
-// roughly one pending event per processor, so small populations (the
-// common case: a machine with tens of processors) live in an unsorted
-// array with a cached minimum — push is an append, pop a swap-remove
-// plus a sequential rescan, both cheaper than heap sifts at this size.
-// When the population first exceeds linearMax the queue heapifies and
-// stays a 4-ary min-heap for the rest of the run (Reset restores linear
-// mode). Both layouts pop in exactly (when, seq) order, so the mode is
-// invisible to simulation results.
+// Pending events live in one of two containers. The calendar holds
+// every event due within calSpan cycles of the clock, each in its
+// instant's FIFO bucket, with the earliest one's slot cached (first) so
+// that NextTime and NextPeek are O(1). Events scheduled further ahead
+// go to the overflow heap and stay there: the next event is always the
+// (when, seq) minimum of the calendar's first event and the heap top,
+// so where an event waits never changes when it fires.
 type Engine struct {
 	now      Time
-	events   []event // linear: unsorted, minIdx cached; heap: 4-ary min-heap
-	linear   bool
-	minIdx   int // linear mode: index of the (when, seq) minimum
 	seq      uint64
 	steps    uint64 // events fired
 	work     uint64 // events fired + inline work charged via ChargeStep
 	maxSteps uint64
 	handler  Handler
-}
 
-// linearMax is the population above which the queue switches to the
-// heap. Measured on the contended P=32 storm cells (PR 6): the heap's
-// O(log n) pops beat the linear rescan from the mid-teens up — raising
-// this to 32 or 48 costs the per-event cluster path 10-20% — while tiny
-// populations (a handful of workers trading one lock) still pop faster
-// out of the flat array. 16 keeps the small-machine cells linear and
-// hands every contended storm to the heap.
-const linearMax = 16
+	slots   []event // calendar entries; slot 0 is the nil link
+	free    int32   // free slot list, linked through next (0: none)
+	buckets *[calSpan]bucket
+	occ     *[calWords]uint64      // bit b set: bucket b is non-empty
+	occSum  *[calWords / 64]uint64 // bit w set: occ[w] != 0
+	calLen  int                    // events in the calendar
+	first   int32                  // slot of the calendar's earliest event
+
+	ovf       []event // 4-ary min-heap of events beyond the span
+	ovfPushes uint64
+}
 
 // DefaultMaxSteps bounds runaway simulations. Each simulated memory
 // operation is roughly one event, so this allows on the order of 10^8
@@ -128,7 +157,13 @@ const DefaultMaxSteps = 200_000_000
 
 // NewEngine returns an engine with the clock at zero.
 func NewEngine() *Engine {
-	return &Engine{maxSteps: DefaultMaxSteps, linear: true}
+	return &Engine{
+		maxSteps: DefaultMaxSteps,
+		slots:    make([]event, 1, 64),
+		buckets:  new([calSpan]bucket),
+		occ:      new([calWords]uint64),
+		occSum:   new([calWords / 64]uint64),
+	}
 }
 
 // SetMaxSteps overrides the livelock guard. A value of zero restores the
@@ -190,14 +225,23 @@ func (e *Engine) ChargeN(n uint64) { e.work += n }
 func (e *Engine) Exhausted() bool { return e.work > e.maxSteps }
 
 // Reset returns the engine to its initial state — clock at zero, queue
-// empty, sequence and step counters cleared — while keeping the event
-// heap's backing array, so a pooled simulation pays no scheduling
-// allocations on reuse. The step limit is preserved; callers that pool
+// empty, sequence, step and overflow counters cleared — while keeping
+// every backing array, so a pooled simulation pays no scheduling
+// allocations on reuse. Emptying the calendar clears only the bitmap
+// words that are set. The step limit is preserved; callers that pool
 // across configurations reapply SetMaxSteps.
 func (e *Engine) Reset() {
-	e.events = e.events[:0]
-	e.linear = true
-	e.minIdx = 0
+	for s, sum := range e.occSum {
+		for ; sum != 0; sum &= sum - 1 {
+			e.occ[s<<6+bits.TrailingZeros64(sum)] = 0
+		}
+		e.occSum[s] = 0
+	}
+	e.slots = e.slots[:1]
+	e.free = 0
+	e.calLen = 0
+	e.ovf = e.ovf[:0]
+	e.ovfPushes = 0
 	e.now = 0
 	e.seq = 0
 	e.steps = 0
@@ -205,7 +249,7 @@ func (e *Engine) Reset() {
 }
 
 // Pending returns the number of events waiting to fire.
-func (e *Engine) Pending() int { return len(e.events) }
+func (e *Engine) Pending() int { return e.calLen + len(e.ovf) }
 
 // Seq returns the scheduling sequence counter: the seq of the most
 // recently scheduled event. Closed-form window accounting uses it to
@@ -213,11 +257,16 @@ func (e *Engine) Pending() int { return len(e.events) }
 // consumed.
 func (e *Engine) Seq() uint64 { return e.seq }
 
-// PendingEvent is a read-only view of one queued event, exposed so the
-// simulation layer can run queue-wide analyses — the machine layer's
-// spin-window detector scans the whole queue to find a quiescent
-// horizon. Index order is the queue's internal layout order, not
-// firing order.
+// OverflowPushes returns how many events have landed in the overflow
+// heap since the last Reset: scheduled, or retimed by a window commit,
+// calSpan or more cycles ahead of the clock. Every other event took
+// the calendar's O(1) path, so this is the count of pushes that paid a
+// heap sift. It is a host-side count, like the machine layer's
+// InlineOps, and no simulated quantity depends on it.
+func (e *Engine) OverflowPushes() uint64 { return e.ovfPushes }
+
+// PendingEvent is a read-only view of one queued event, handed to
+// PurgePending's match function.
 type PendingEvent struct {
 	When Time
 	Seq  uint64
@@ -226,78 +275,113 @@ type PendingEvent struct {
 	Arg1 int32
 }
 
-// PendingAt returns the i-th pending event in internal layout order.
-// The index is stable only until the next scheduling or stepping call.
-func (e *Engine) PendingAt(i int) PendingEvent {
-	ev := &e.events[i]
+func (ev *event) view() PendingEvent {
 	return PendingEvent{When: ev.when, Seq: ev.seq, Kind: ev.kind, Arg0: ev.arg0, Arg1: ev.arg1}
 }
 
 // PurgePending removes every pending event for which match returns
-// true and restores queue order; it returns how many were removed. The
-// machine layer uses it to drop a reborn processor's stale wakeups at
-// recovery. Survivors keep their (when, seq) keys, so pop order among
-// them is unchanged, and no counter (steps, work, seq) moves: a purge is
-// pure queue surgery, observable only through the events that no longer
-// fire.
+// true and returns how many were removed. The machine layer uses it to
+// drop a reborn processor's stale wakeups at recovery. Survivors keep
+// their (when, seq) keys and their order within each bucket, so pop
+// order among them is unchanged, and no counter (steps, work, seq)
+// moves: a purge is pure queue surgery, observable only through the
+// events that no longer fire.
 func (e *Engine) PurgePending(match func(PendingEvent) bool) int {
-	kept := e.events[:0]
 	removed := 0
-	for i := range e.events {
-		ev := e.events[i]
-		if match(PendingEvent{When: ev.when, Seq: ev.seq, Kind: ev.kind, Arg0: ev.arg0, Arg1: ev.arg1}) {
+	for w, word := range e.occ {
+		for ; word != 0; word &= word - 1 {
+			b := w<<6 + bits.TrailingZeros64(word)
+			var head, tail int32
+			for i := e.buckets[b].head; i != 0; {
+				s := &e.slots[i]
+				next := s.next
+				if match(s.view()) {
+					s.next = e.free
+					e.free = i
+					e.calLen--
+					removed++
+				} else {
+					s.next = 0
+					if tail == 0 {
+						head = i
+					} else {
+						e.slots[tail].next = i
+					}
+					tail = i
+				}
+				i = next
+			}
+			if head == 0 {
+				e.clearBucket(b)
+			} else {
+				e.buckets[b] = bucket{head, tail}
+			}
+		}
+	}
+	if e.calLen > 0 {
+		e.first = e.buckets[e.scan(int(e.now)&calMask)].head
+	}
+	// The overflow heap's survivors are compacted in place, each sifted
+	// up as it is kept, so the kept prefix is a heap at every step.
+	kept := e.ovf[:0]
+	for _, ev := range e.ovf {
+		if match(ev.view()) {
 			removed++
 			continue
 		}
 		kept = append(kept, ev)
+		e.siftUp(len(kept) - 1)
 	}
-	if removed == 0 {
-		return 0
-	}
-	e.events = kept
-	if e.linear {
-		e.rescanMin()
-	} else {
-		e.heapify()
-	}
+	e.ovf = kept
 	return removed
 }
 
-// WindowEvent is one window-candidate event collected by ScanWindow:
-// payload plus the queue index RetimePending needs.
+// WindowEvent is one window-candidate event collected by ScanWindow.
+// A window commit rewrites When and Seq to the event's retimed key and
+// hands the set back to FinishWindow.
 type WindowEvent struct {
-	When  Time
-	Seq   uint64
-	Arg0  int32
-	Index int32
+	When Time
+	Seq  uint64
+	Arg0 int32
+	slot int32
 }
 
-// ScanWindow partitions the pending events for a closed-form window in
-// one pass: events of kind `kind` whose Arg0 bit is set in eligible
-// and whose Arg1 equals arg1 — the caller anchors the window on the
-// next-to-fire event's address, so concurrent storms on other words
-// cannot steal the scan — are appended to buf (reused across calls;
-// pass buf[:0]); every other event lowers the returned horizon, the
-// earliest (when, seq) the window must not reach. This is the hot half
-// of the machine layer's spin-window detector, kept inside the engine
-// so the scan touches the event array directly instead of copying
-// every entry out through PendingAt.
+// ScanWindow collects the eligible run at the head of the queue for a
+// closed-form window: walking pending events in firing order, it
+// appends to buf (reused across calls; pass buf[:0]) every event of
+// kind `kind` whose Arg0 bit is set in eligible and whose Arg1 equals
+// arg1 — the caller anchors the window on the next-to-fire event's
+// address, so concurrent storms on other words cannot steal the scan —
+// and stops at the first other event, the horizon, whose timestamp it
+// returns: the window must not reach it. The set therefore arrives
+// sorted, and it is exactly the next len(set) events to fire. Only
+// calendar events join the set; an overflow event is a horizon
+// candidate whatever its kind, which can only end a window early.
 func (e *Engine) ScanWindow(kind EventKind, arg1 int32, eligible []uint64, buf []WindowEvent) (
-	set []WindowEvent, horizonWhen Time, horizonSeq uint64, haveHorizon bool) {
-	for i := range e.events {
-		ev := &e.events[i]
-		if ev.kind == kind && ev.arg1 == arg1 {
-			a0 := ev.arg0
-			if eligible[a0>>6]&(uint64(1)<<uint(a0&63)) != 0 {
-				buf = append(buf, WindowEvent{When: ev.when, Seq: ev.seq, Arg0: a0, Index: int32(i)})
-				continue
-			}
+	set []WindowEvent, horizon Time, haveHorizon bool) {
+	var ovf *event
+	if len(e.ovf) > 0 {
+		ovf = &e.ovf[0]
+	}
+	i := e.first
+	for left := e.calLen; left > 0; left-- {
+		ev := &e.slots[i]
+		if ovf != nil && ovf.before(ev) {
+			break
 		}
-		if !haveHorizon || ev.when < horizonWhen || (ev.when == horizonWhen && ev.seq < horizonSeq) {
-			haveHorizon, horizonWhen, horizonSeq = true, ev.when, ev.seq
+		a0 := ev.arg0
+		if ev.kind != kind || ev.arg1 != arg1 || eligible[a0>>6]&(uint64(1)<<uint(a0&63)) == 0 {
+			return buf, ev.when, true
+		}
+		buf = append(buf, WindowEvent{When: ev.when, Seq: ev.seq, Arg0: a0, slot: i})
+		if i = ev.next; i == 0 && left > 1 {
+			i = e.buckets[e.scan((int(ev.when)+1)&calMask)].head
 		}
 	}
-	return buf, horizonWhen, horizonSeq, haveHorizon
+	if ovf != nil {
+		return buf, ovf.when, true
+	}
+	return buf, 0, false
 }
 
 // PopBudget returns how many further events may fire before the step
@@ -312,36 +396,55 @@ func (e *Engine) PopBudget() uint64 {
 	return e.maxSteps - e.work
 }
 
-// RetimePending re-addresses the pending event at index i (a PendingAt
-// or WindowEvent index) to (when, seq), exactly as if it had been
-// popped and a successor scheduled there. Only valid between
-// queue-stable points; the caller must finish the batch with
-// FinishWindow so counters and queue order are restored. Small enough
-// to inline into the machine layer's window-commit loop.
-func (e *Engine) RetimePending(i int, when Time, seq uint64) {
-	e.events[i].when = when
-	e.events[i].seq = seq
-}
-
 // FinishWindow commits a closed-form fast-forward of pops elided event
-// firings after a batch of RetimePending calls: the step, work, and
-// sequence counters advance as if pops events had been popped and each
-// had scheduled one successor, and queue order is restored. The caller
-// (the machine layer's spin-window batcher) is responsible for the
-// equivalence argument: every retimed (when, seq) must be what
-// event-by-event execution would have left pending, pops must not
-// exceed PopBudget(), and the retimed seqs must lie in
-// (Seq(), Seq()+pops]. The engine clock is not advanced; it catches up
-// at the next pop, which no simulated quantity can observe.
-func (e *Engine) FinishWindow(pops uint64) {
+// firings. set is a prefix of the last ScanWindow result — so it is
+// the next len(set) events to fire — with When and Seq rewritten to
+// each event's retimed key, exactly as if it had been popped and a
+// successor scheduled there: the set is unlinked from the front of the
+// queue and each event relinked at its new instant. The step, work,
+// and sequence counters advance as if pops events had been popped and
+// each had scheduled one successor. The caller (the machine layer's
+// spin-window batcher) is responsible for the equivalence argument:
+// every retimed (when, seq) must be what event-by-event execution
+// would have left pending, pops must not exceed PopBudget(), the
+// retimed seqs must be distinct and lie in (Seq(), Seq()+pops], and the
+// queue must not change between the scan and the commit. The engine
+// clock is not advanced; it catches up at the next pop, which no
+// simulated quantity can observe.
+func (e *Engine) FinishWindow(set []WindowEvent, pops uint64) {
+	if set[0].slot != e.first || e.calLen < len(set) {
+		panic("sim: FinishWindow set is not the head of the queue")
+	}
+	// In firing order each member heads its bucket once the ones before
+	// it are gone, so the prefix unlinks bucket by bucket; one scan then
+	// finds the event after it.
+	var b int
+	for _, w := range set {
+		s := &e.slots[w.slot]
+		b = int(s.when) & calMask
+		if s.next != 0 {
+			e.buckets[b].head = s.next
+		} else {
+			e.clearBucket(b)
+		}
+	}
+	if e.calLen -= len(set); e.calLen > 0 {
+		e.first = e.buckets[e.scan(b)].head
+	}
+	for _, w := range set {
+		s := &e.slots[w.slot]
+		s.when, s.seq, s.next = e.clamp(w.When), w.Seq, 0
+		if s.when-e.now >= calSpan {
+			e.pushOverflow(*s)
+			s.next = e.free
+			e.free = w.slot
+			continue
+		}
+		e.link(w.slot)
+	}
 	e.steps += pops
 	e.work += pops
 	e.seq += pops
-	if e.linear {
-		e.rescanMin()
-	} else {
-		e.heapify()
-	}
 }
 
 // NextTime returns the timestamp of the earliest pending event and
@@ -350,13 +453,10 @@ func (e *Engine) FinishWindow(pops uint64) {
 // pending event can finish inline, because no other event could have
 // observed or perturbed it.
 func (e *Engine) NextTime() (Time, bool) {
-	if len(e.events) == 0 {
-		return 0, false
+	if ev := e.top(); ev != nil {
+		return ev.when, true
 	}
-	if e.linear {
-		return e.events[e.minIdx].when, true
-	}
-	return e.events[0].when, true
+	return 0, false
 }
 
 // NextPeek returns the kind and payload arguments of the earliest
@@ -366,19 +466,15 @@ func (e *Engine) NextTime() (Time, bool) {
 // eligible probe of a live storm; anything else would be the horizon
 // and leave the window empty).
 func (e *Engine) NextPeek() (EventKind, int32, int32, bool) {
-	if len(e.events) == 0 {
-		return 0, 0, 0, false
+	if ev := e.top(); ev != nil {
+		return ev.kind, ev.arg0, ev.arg1, true
 	}
-	i := 0
-	if e.linear {
-		i = e.minIdx
-	}
-	return e.events[i].kind, e.events[i].arg0, e.events[i].arg1, true
+	return 0, 0, 0, false
 }
 
 // clamp keeps the clock monotonic: scheduling in the past is an error in
 // the caller, clamped to "now" so bugs stay visible (time never runs
-// backward) without corrupting the heap invariant.
+// backward) without corrupting the queue's order.
 func (e *Engine) clamp(t Time) Time {
 	if t < e.now {
 		return e.now
@@ -390,7 +486,23 @@ func (e *Engine) clamp(t Time) Time {
 // value through the queue, so scheduling allocates nothing.
 func (e *Engine) AtEvent(t Time, kind EventKind, arg0, arg1 int32) {
 	e.seq++
-	e.push(event{when: e.clamp(t), seq: e.seq, kind: kind, arg0: arg0, arg1: arg1})
+	t = e.clamp(t)
+	if t-e.now >= calSpan {
+		e.pushOverflow(event{when: t, seq: e.seq, kind: kind, arg0: arg0, arg1: arg1})
+		return
+	}
+	i := e.free
+	if i != 0 {
+		e.free = e.slots[i].next
+	} else {
+		i = int32(len(e.slots))
+		e.slots = append(e.slots, event{})
+	}
+	// Field by field: a composite literal would be built on the stack
+	// and block-copied, a store-forwarding stall on this hot path.
+	s := &e.slots[i]
+	s.when, s.seq, s.arg0, s.arg1, s.next, s.kind = t, e.seq, arg0, arg1, 0, kind
+	e.link(i)
 }
 
 // AfterEvent schedules an event d cycles from now; a negative delay
@@ -405,17 +517,16 @@ func (e *Engine) AfterEvent(d Time, kind EventKind, arg0, arg1 int32) {
 // Step runs the single next event, advancing the clock to its timestamp.
 // It reports whether an event was available.
 func (e *Engine) Step() bool {
-	if len(e.events) == 0 {
+	if e.Pending() == 0 {
 		return false
 	}
-	ev := e.pop()
-	e.now = ev.when
+	kind, arg0, arg1 := e.pop()
 	e.steps++
 	e.work++
 	if e.handler == nil {
-		panic(fmt.Sprintf("sim: event kind=%d fired with no handler installed", ev.kind))
+		panic(fmt.Sprintf("sim: event kind=%d fired with no handler installed", kind))
 	}
-	e.handler(ev.kind, ev.arg0, ev.arg1)
+	e.handler(kind, arg0, arg1)
 	return true
 }
 
@@ -424,14 +535,13 @@ func (e *Engine) Step() bool {
 // Handler — the hot-path form of Step for external drive loops. fired
 // is false when the queue is empty.
 func (e *Engine) StepPayload() (kind EventKind, arg0, arg1 int32, fired bool) {
-	if len(e.events) == 0 {
+	if e.Pending() == 0 {
 		return 0, 0, 0, false
 	}
-	ev := e.pop()
-	e.now = ev.when
+	kind, arg0, arg1 = e.pop()
 	e.steps++
 	e.work++
-	return ev.kind, ev.arg0, ev.arg1, true
+	return kind, arg0, arg1, true
 }
 
 // Run processes events until the queue drains or the step limit trips.
@@ -464,73 +574,131 @@ func (e *Engine) RunUntil(deadline Time) error {
 	return nil
 }
 
-// The heap is 4-ary: children of node i sit at 4i+1..4i+4. A wider node
-// halves the tree height relative to a binary heap, trading a few extra
-// comparisons per level for fewer cache-missing levels — the standard
-// layout for event queues whose entries are small values.
+// ovfNext reports whether the overflow heap's top fires next.
+func (e *Engine) ovfNext() bool {
+	return len(e.ovf) > 0 && (e.calLen == 0 || e.ovf[0].before(&e.slots[e.first]))
+}
+
+// top returns the next event to fire, or nil when none is pending.
+func (e *Engine) top() *event {
+	if e.ovfNext() {
+		return &e.ovf[0]
+	}
+	if e.calLen == 0 {
+		return nil
+	}
+	return &e.slots[e.first]
+}
+
+// pop removes the next event, advances the clock to it and returns its
+// payload; the queue must be non-empty. A calendar event leaves the
+// front of its bucket, and when that empties the bucket the next
+// non-empty one in time order becomes the front.
+func (e *Engine) pop() (EventKind, int32, int32) {
+	if e.ovfNext() {
+		h := e.ovf
+		top := &h[0]
+		e.now = top.when
+		kind, arg0, arg1 := top.kind, top.arg0, top.arg1
+		n := len(h) - 1
+		h[0] = h[n]
+		e.ovf = h[:n]
+		if n > 1 {
+			e.siftDown(0)
+		}
+		return kind, arg0, arg1
+	}
+	i := e.first
+	s := &e.slots[i]
+	e.now = s.when
+	b := int(s.when) & calMask
+	e.calLen--
+	if s.next != 0 {
+		e.buckets[b].head = s.next
+		e.first = s.next
+	} else {
+		e.clearBucket(b)
+		if e.calLen > 0 {
+			e.first = e.buckets[e.scan(b)].head
+		}
+	}
+	s.next = e.free
+	e.free = i
+	return s.kind, s.arg0, s.arg1
+}
+
+// link appends slot i to the bucket of its instant. A scheduled event
+// carries the largest seq yet and always lands at the tail; only a
+// window commit can relink an event behind a later-scheduled one, and
+// it is inserted in seq order.
+func (e *Engine) link(i int32) {
+	ev := &e.slots[i]
+	b := int(ev.when) & calMask
+	bk := &e.buckets[b]
+	w, bit := b>>6, uint64(1)<<uint(b&63)
+	switch {
+	case e.occ[w]&bit == 0:
+		e.occ[w] |= bit
+		e.occSum[w>>6] |= uint64(1) << uint(w&63)
+		bk.head, bk.tail = i, i
+	case e.slots[bk.tail].seq < ev.seq:
+		e.slots[bk.tail].next = i
+		bk.tail = i
+	default:
+		// Walk the links to the first later seq; the tail's stops it.
+		p := &bk.head
+		for e.slots[*p].seq < ev.seq {
+			p = &e.slots[*p].next
+		}
+		ev.next = *p
+		*p = i
+	}
+	e.calLen++
+	if e.calLen == 1 || ev.when <= e.slots[e.first].when {
+		e.first = bk.head
+	}
+}
+
+func (e *Engine) clearBucket(b int) {
+	w := b >> 6
+	e.occ[w] &^= uint64(1) << uint(b&63)
+	if e.occ[w] == 0 {
+		e.occSum[w>>6] &^= uint64(1) << uint(w&63)
+	}
+}
+
+// scan returns the first non-empty bucket at or after b in circular
+// order, which is time order: every calendar event is due in
+// [now, now+calSpan), so the buckets past b's position wrap around to
+// instants a span later. The calendar must be non-empty. The summary
+// bitmap bounds the search at calWords/64 words however sparse the
+// calendar is.
+func (e *Engine) scan(b int) int {
+	w := b >> 6
+	if m := e.occ[w] >> uint(b&63); m != 0 {
+		return b + bits.TrailingZeros64(m)
+	}
+	for w = (w + 1) & (calWords - 1); ; w = (w>>6 + 1) << 6 & (calWords - 1) {
+		if m := e.occSum[w>>6] >> uint(w&63); m != 0 {
+			w += bits.TrailingZeros64(m)
+			return w<<6 + bits.TrailingZeros64(e.occ[w])
+		}
+	}
+}
+
+// The overflow heap is 4-ary: children of node i sit at 4i+1..4i+4. A
+// wider node halves the tree height relative to a binary heap, trading
+// a few extra comparisons per level for fewer cache-missing levels.
 const heapArity = 4
 
-func (e *Engine) push(ev event) {
-	e.events = append(e.events, ev)
-	n := len(e.events)
-	if e.linear {
-		if n == 1 || ev.before(&e.events[e.minIdx]) {
-			e.minIdx = n - 1
-		}
-		if n > linearMax {
-			e.heapify()
-		}
-		return
-	}
-	e.siftUp(n - 1)
-}
-
-func (e *Engine) pop() event {
-	h := e.events
-	n := len(h) - 1
-	if e.linear {
-		i := e.minIdx
-		top := h[i]
-		h[i] = h[n]
-		e.events = h[:n]
-		e.rescanMin()
-		return top
-	}
-	top := h[0]
-	h[0] = h[n]
-	e.events = h[:n]
-	if n > 1 {
-		e.siftDown(0)
-	}
-	return top
-}
-
-// rescanMin recomputes the cached minimum of the unsorted linear queue:
-// one sequential pass, branch-friendly and cache-dense at the small
-// populations the linear mode is reserved for.
-func (e *Engine) rescanMin() {
-	h := e.events
-	m := 0
-	for i := 1; i < len(h); i++ {
-		if h[i].before(&h[m]) {
-			m = i
-		}
-	}
-	e.minIdx = m
-}
-
-// heapify converts the unsorted queue into a 4-ary min-heap; the engine
-// stays in heap mode until Reset. Crossing the threshold mid-run is
-// rare (the population tracks the processor count).
-func (e *Engine) heapify() {
-	e.linear = false
-	for i := (len(e.events) - 2) / heapArity; i >= 0; i-- {
-		e.siftDown(i)
-	}
+func (e *Engine) pushOverflow(ev event) {
+	e.ovfPushes++
+	e.ovf = append(e.ovf, ev)
+	e.siftUp(len(e.ovf) - 1)
 }
 
 func (e *Engine) siftUp(i int) {
-	h := e.events
+	h := e.ovf
 	ev := h[i]
 	for i > 0 {
 		parent := (i - 1) / heapArity
@@ -544,7 +712,7 @@ func (e *Engine) siftUp(i int) {
 }
 
 func (e *Engine) siftDown(i int) {
-	h := e.events
+	h := e.ovf
 	n := len(h)
 	ev := h[i]
 	for {

@@ -3,6 +3,7 @@ package sim
 import (
 	"errors"
 	"math"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -287,10 +288,11 @@ func TestEngineTypedEventWithoutHandlerPanics(t *testing.T) {
 	e.Step()
 }
 
-// TestEngineHeapProperty drives a large random schedule through the
-// 4-ary heap and checks the (time, seq) fire order — the heap-shape
-// analog of TestEngineOrderProperty, at a size that exercises multi-level
-// sifts in both directions.
+// TestEngineHeapProperty drives a large random schedule through both
+// containers and checks the (time, seq) fire order: near events churn
+// through the calendar while a quarter of them land beyond its span, at
+// a size that exercises multi-level sifts of the overflow heap in both
+// directions and overflow events firing among calendar ones.
 func TestEngineHeapProperty(t *testing.T) {
 	e := NewEngine()
 	r := NewRNG(99)
@@ -303,13 +305,22 @@ func TestEngineHeapProperty(t *testing.T) {
 	e.SetHandler(func(_ EventKind, arg0, _ int32) {
 		got = append(got, rec{e.Now(), int(arg0)})
 	})
+	delay := func() Time {
+		if r.Intn(4) == 0 {
+			return Time(calSpan + r.Intn(3*calSpan))
+		}
+		return Time(r.Intn(500))
+	}
 	for i := 0; i < n; i++ {
-		e.AtEvent(Time(r.Intn(500)), EvDispatch, int32(i), 0)
+		e.AtEvent(delay(), EvDispatch, int32(i), 0)
+	}
+	if e.OverflowPushes() == 0 {
+		t.Fatal("no event reached the overflow heap")
 	}
 	// Interleave pops and pushes to exercise steady-state churn.
 	for i := 0; i < n/2; i++ {
 		e.Step()
-		e.AtEvent(e.Now()+Time(r.Intn(200)), EvDispatch, int32(n+i), 0)
+		e.AtEvent(e.Now()+delay(), EvDispatch, int32(n+i), 0)
 	}
 	for e.Step() {
 	}
@@ -323,7 +334,7 @@ func TestEngineHeapProperty(t *testing.T) {
 		return got[i].seq < got[j].seq
 	})
 	if !sorted {
-		t.Fatal("heap fired events out of (time, seq) order")
+		t.Fatal("queue fired events out of (time, seq) order")
 	}
 }
 
@@ -424,79 +435,122 @@ func TestRNGTimeRange(t *testing.T) {
 }
 
 // ---------------------------------------------------------------------
-// Window-advance API (PendingAt / PopBudget / RetimePending+FinishWindow)
+// Window-advance API (ScanWindow / PopBudget / FinishWindow)
 // ---------------------------------------------------------------------
 
-// TestPendingAtCoversQueue pins that the pending-event scan exposes
-// every queued event exactly once with the payload it was scheduled
-// with, in both queue layouts.
-func TestPendingAtCoversQueue(t *testing.T) {
-	for _, n := range []int{5, linearMax + 10} {
+// TestPurgePendingSeesQueue pins that PurgePending's match sees every
+// queued event exactly once with the payload it was scheduled with, in
+// both containers (calendar and overflow heap), and that a match that
+// removes nothing leaves pop order untouched.
+func TestPurgePendingSeesQueue(t *testing.T) {
+	for _, n := range []int{5, 40} {
 		e := NewEngine()
 		for i := 0; i < n; i++ {
-			e.AtEvent(Time(100-i), EvSpin, int32(i), int32(2*i))
+			when := Time(100 - i)
+			if i%3 == 0 {
+				when += calSpan // beyond the span: the overflow heap
+			}
+			e.AtEvent(when, EvSpin, int32(i), int32(2*i))
 		}
 		if e.Pending() != n {
 			t.Fatalf("Pending = %d, want %d", e.Pending(), n)
 		}
-		seen := make(map[int32]PendingEvent, n)
-		for i := 0; i < e.Pending(); i++ {
-			ev := e.PendingAt(i)
-			seen[ev.Arg0] = ev
+		if want := uint64((n + 2) / 3); e.OverflowPushes() != want {
+			t.Fatalf("OverflowPushes = %d, want %d", e.OverflowPushes(), want)
 		}
+		seen := make(map[int32]PendingEvent, n)
+		e.PurgePending(func(ev PendingEvent) bool {
+			seen[ev.Arg0] = ev
+			return false
+		})
 		if len(seen) != n {
 			t.Fatalf("scan saw %d distinct events, want %d", len(seen), n)
 		}
 		for i := 0; i < n; i++ {
 			ev := seen[int32(i)]
-			if ev.When != Time(100-i) || ev.Kind != EvSpin || ev.Arg1 != int32(2*i) || ev.Seq != uint64(i+1) {
-				t.Fatalf("event %d = %+v, want when=%d arg1=%d seq=%d", i, ev, 100-i, 2*i, i+1)
+			when := Time(100 - i)
+			if i%3 == 0 {
+				when += calSpan
 			}
+			if ev.When != when || ev.Kind != EvSpin || ev.Arg1 != int32(2*i) || ev.Seq != uint64(i+1) {
+				t.Fatalf("event %d = %+v, want when=%d arg1=%d seq=%d", i, ev, when, 2*i, i+1)
+			}
+		}
+		// Purging the odd processors removes exactly those, and the rest
+		// still fire in (when, seq) order.
+		if got := e.PurgePending(func(ev PendingEvent) bool { return ev.Arg0%2 == 1 }); got != n/2 {
+			t.Fatalf("PurgePending removed %d, want %d", got, n/2)
+		}
+		last := Time(-1)
+		for e.Pending() > 0 {
+			_, arg0, _, _ := e.StepPayload()
+			if arg0%2 == 1 || e.Now() < last {
+				t.Fatalf("after purge popped processor %d at %d (last %d)", arg0, e.Now(), last)
+			}
+			last = e.Now()
 		}
 	}
 }
 
 // TestApplyWindowEquivalence drives the same schedule two ways — fully
 // event by event, and with a middle run of pops replaced by a
-// RetimePending+FinishWindow commit — and requires identical counters,
+// ScanWindow+FinishWindow commit — and requires identical counters,
 // identical remaining pop order, and identical sequence numbering for
-// events scheduled afterwards.
+// events scheduled afterwards. The scan must stop at the horizon (the
+// dispatch), hand the spins back in firing order, and treat the
+// overflow heap's top as a horizon whatever its kind.
 func TestApplyWindowEquivalence(t *testing.T) {
 	build := func() *Engine {
 		e := NewEngine()
 		e.SetHandler(func(EventKind, int32, int32) {})
-		// Three "spinners" at 10/20/30 plus a horizon event at 100.
+		// Three "spinners" at 30/10/20 plus a horizon event at 100, a
+		// spinner behind it and one in the overflow heap.
+		e.AtEvent(30, EvSpin, 2, 0)
 		e.AtEvent(10, EvSpin, 0, 0)
 		e.AtEvent(20, EvSpin, 1, 0)
-		e.AtEvent(30, EvSpin, 2, 0)
 		e.AtEvent(100, EvDispatch, 9, 0)
+		e.AtEvent(150, EvSpin, 3, 0)
+		e.AtEvent(calSpan+5, EvSpin, 4, 0)
 		return e
 	}
+	eligible := []uint64{0b11111}
 
 	// Reference: pop the three spins, each rescheduling one successor
 	// past the horizon (what a probe rotation leaves behind).
 	ref := build()
 	for i := 0; i < 3; i++ {
 		kind, arg0, _, fired := ref.StepPayload()
-		if !fired || kind != EvSpin {
-			t.Fatalf("pop %d: kind=%v fired=%v", i, kind, fired)
+		if !fired || kind != EvSpin || arg0 != int32(i) {
+			t.Fatalf("pop %d: kind=%v arg0=%d fired=%v", i, kind, arg0, fired)
 		}
 		ref.AtEvent(Time(110+10*int(arg0)), EvSpin, arg0, 0)
 	}
 
 	// Windowed: commit the same three pops in closed form.
 	win := build()
-	seq0 := win.Seq()
-	for i := 0; i < win.Pending(); i++ {
-		ev := win.PendingAt(i)
-		if ev.Kind != EvSpin {
-			continue
-		}
-		// Spinner arg0 was popped as pop arg0+1 and rescheduled at
-		// 110+10*arg0 with the (arg0+1)-th elided sequence number.
-		win.RetimePending(i, Time(110+10*int(ev.Arg0)), seq0+uint64(ev.Arg0)+1)
+	set, horizon, ok := win.ScanWindow(EvSpin, 0, eligible, nil)
+	if !ok || horizon != 100 || len(set) != 3 {
+		t.Fatalf("ScanWindow = %d events, horizon (%d, %v); want 3 before 100", len(set), horizon, ok)
 	}
-	win.FinishWindow(3)
+	seq0 := win.Seq()
+	for i := range set {
+		if set[i].Arg0 != int32(i) || set[i].When != Time(10+10*i) {
+			t.Fatalf("set[%d] = %+v, want processor %d at %d", i, set[i], i, 10+10*i)
+		}
+		// Spinner i was popped as pop i+1 and rescheduled at 110+10i
+		// with the (i+1)-th elided sequence number.
+		set[i].When, set[i].Seq = Time(110+10*i), seq0+uint64(i)+1
+	}
+	win.FinishWindow(set, 3)
+
+	// With the dispatch gone, a scan runs to the overflow heap's top.
+	if probe := build(); probe.PurgePending(func(ev PendingEvent) bool { return ev.Kind == EvDispatch }) == 1 {
+		set, horizon, ok := probe.ScanWindow(EvSpin, 0, eligible, nil)
+		if !ok || horizon != calSpan+5 || len(set) != 4 {
+			t.Fatalf("ScanWindow past the dispatch = %d events, horizon (%d, %v); want 4 before %d",
+				len(set), horizon, ok, calSpan+5)
+		}
+	}
 
 	if ref.Steps() != win.Steps() {
 		t.Fatalf("steps diverge: ref %d, win %d", ref.Steps(), win.Steps())
@@ -524,55 +578,59 @@ func TestApplyWindowEquivalence(t *testing.T) {
 	}
 }
 
-// TestApplyWindowHeapMode re-times entries while the queue is in heap
-// mode and checks FinishWindow restores the heap invariant.
+// TestApplyWindowHeapMode retimes a window whose successors cross the
+// calendar's span into the overflow heap, share instants with pending
+// events, and carry seqs out of rotation order, and checks that the
+// queue drains in exactly the recomputed (when, seq) order.
 func TestApplyWindowHeapMode(t *testing.T) {
 	e := NewEngine()
 	e.SetHandler(func(EventKind, int32, int32) {})
-	n := linearMax + 16
+	const n = 32
 	for i := 0; i < n; i++ {
 		e.AtEvent(Time(10+i), EvSpin, int32(i), 0)
 	}
-	if e.linear {
-		t.Fatal("queue should be in heap mode")
+	set, _, ok := e.ScanWindow(EvSpin, 0, []uint64{1<<n - 1}, nil)
+	if ok || len(set) != n {
+		t.Fatalf("ScanWindow = %d events, horizon %v; want all %d and none", len(set), ok, n)
 	}
-	// Push the earliest 8 entries to the back of the schedule.
-	// RetimePending rewrites keys in place without moving entries, so
-	// the scan still visits each original entry exactly once.
+	// Retime the earliest 8 entries, with seqs assigned in reverse so
+	// that buckets must insert in seq order rather than append: the even
+	// ones past the span, 1 and 5 onto the instant of pending event 11,
+	// 3 and 7 onto an empty instant after every pending event.
 	seq0 := e.Seq()
-	for i := 0; i < e.Pending(); i++ {
-		ev := e.PendingAt(i)
-		if ev.When < Time(10+8) {
-			e.RetimePending(i, ev.When+Time(1000), seq0+uint64(ev.Arg0)+1)
+	set = set[:8]
+	for i := range set {
+		switch {
+		case i%2 == 0:
+			set[i].When = calSpan + Time(10+i)
+		case i%4 == 1:
+			set[i].When = 21
+		default:
+			set[i].When = 50
 		}
+		set[i].Seq = seq0 + uint64(8-i)
 	}
-	e.FinishWindow(8)
-	// The retimed entries must drain in exactly the recomputed order:
-	// the untouched events 8..n-1 at their original times, then the
-	// retimed 0..7 at original+1000 (their new seqs preserve arrival
-	// order within the group).
+	e.FinishWindow(set, 8)
+	if e.OverflowPushes() != 4 {
+		t.Fatalf("OverflowPushes = %d, want the 4 retimes past the span", e.OverflowPushes())
+	}
+	if e.Seq() != seq0+8 || e.Steps() != 8 {
+		t.Fatalf("Seq/Steps = %d/%d after the commit, want %d/8", e.Seq(), e.Steps(), seq0+8)
+	}
 	var got []int32
 	for e.Pending() > 0 {
-		_, arg0, _, fired := e.StepPayload()
-		if !fired {
-			break
-		}
+		_, arg0, _, _ := e.StepPayload()
 		got = append(got, arg0)
 	}
-	var want []int32
-	for i := 8; i < n; i++ {
+	// 8, 9, 10 at 18..20; at 21 the pending 11, then 5 and 1 by seq;
+	// 12..31 at 22..41; at 50 7 then 3; then the overflow heap.
+	want := []int32{8, 9, 10, 11, 5, 1}
+	for i := 12; i < n; i++ {
 		want = append(want, int32(i))
 	}
-	for i := 0; i < 8; i++ {
-		want = append(want, int32(i))
-	}
-	if len(got) != len(want) {
-		t.Fatalf("drained %d events, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("heap-mode drain order diverged at %d: got %v, want %v", i, got[:i+1], want[:i+1])
-		}
+	want = append(want, 7, 3, 0, 2, 4, 6)
+	if !slices.Equal(got, want) {
+		t.Fatalf("drain order\n got  %v\n want %v", got, want)
 	}
 }
 
@@ -597,4 +655,75 @@ func TestPopBudgetMatchesExhaustion(t *testing.T) {
 		e.Step()
 	}
 	t.Fatal("engine exhausted while budget was still positive")
+}
+
+// TestEngineZeroAllocs pins the allocation-free contract once the
+// queue's arrays are warm: scheduling and popping at standing
+// populations of 8 to 1,024 events (every eighth push landing in the
+// overflow heap), a window scan and commit, and Reset of a used engine
+// all allocate nothing.
+func TestEngineZeroAllocs(t *testing.T) {
+	for _, n := range []int{8, 32, 256, 1024} {
+		e := NewEngine()
+		i := 0
+		churn := func() {
+			d := Time(1 + i%61)
+			if i%8 == 0 {
+				d = calSpan + Time(i%97)
+			}
+			e.AtEvent(e.Now()+d, EvDispatch, int32(i%n), 0)
+			e.StepPayload()
+			i++
+		}
+		for j := 0; j < n; j++ {
+			e.AtEvent(Time(j%64), EvDispatch, int32(j), 0)
+		}
+		for j := 0; j < 1<<14; j++ {
+			churn()
+		}
+		if e.OverflowPushes() == 0 {
+			t.Fatalf("population %d: no push reached the overflow heap", n)
+		}
+		if a := testing.AllocsPerRun(100, func() {
+			for j := 0; j < 64; j++ {
+				churn()
+			}
+		}); a != 0 {
+			t.Errorf("population %d: AtEvent+StepPayload allocated %.1f times per 64 pairs", n, a)
+		}
+		if a := testing.AllocsPerRun(20, func() {
+			e.Reset()
+			for j := 0; j < n; j++ {
+				e.AtEvent(Time(j%64+j%8*calSpan), EvDispatch, int32(j), 0)
+			}
+		}); a != 0 {
+			t.Errorf("population %d: Reset and refill allocated %.1f times", n, a)
+		}
+	}
+
+	// A probe rotation: each window retimes the pending probes one
+	// rotation later, as the machine layer's storm commit does.
+	e := NewEngine()
+	const spinners = 64
+	for p := 0; p < spinners; p++ {
+		e.AtEvent(Time(10*p), EvSpin, int32(p), 0)
+	}
+	eligible := []uint64{^uint64(0)}
+	buf := make([]WindowEvent, 0, spinners)
+	commit := func() {
+		set, _, _ := e.ScanWindow(EvSpin, 0, eligible, buf[:0])
+		seq0 := e.Seq()
+		for i := range set {
+			set[i].When += 10 * spinners
+			set[i].Seq = seq0 + uint64(i) + 1
+		}
+		e.FinishWindow(set, uint64(len(set)))
+	}
+	commit()
+	if e.Steps() != spinners || e.Pending() != spinners {
+		t.Fatalf("window committed %d pops leaving %d pending, want %d and %d", e.Steps(), e.Pending(), spinners, spinners)
+	}
+	if a := testing.AllocsPerRun(100, commit); a != 0 {
+		t.Errorf("window commit allocated %.1f times", a)
+	}
 }
