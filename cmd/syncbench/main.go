@@ -332,6 +332,8 @@ func writeSimBench(path string, quick bool, label string) error {
 		// CAS poll on the bus, qheal's ticket wait on NUMA.
 		{"lease", topo.Bus, 32, false, 0},
 		{"qheal", topo.NUMA, 32, false, 0},
+		// ticket-bo's proportional-backoff poll on NUMA.
+		{"ticket-bo", topo.NUMA, 32, false, 0},
 		// Deep scaling points (deep event queues, multi-word window masks).
 		{"tas", topo.NUMA, 256, false, 8},
 		{"tas", topo.NUMA, 256, true, 8},

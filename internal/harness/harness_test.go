@@ -319,42 +319,56 @@ func TestRunIDsDeduplicates(t *testing.T) {
 // TestColumnFooter: with a progress writer, RunIDs follows each
 // experiment with one footer line naming every sweep column and its
 // summed host seconds, and the tables stay byte-identical to a run
-// without one.
+// without one. F6 is a runMatrix sweep; F13 assembles its table from
+// its own cells.
 func TestColumnFooter(t *testing.T) {
-	var plain, verbose, progress bytes.Buffer
-	if err := RunIDs([]string{"F6"}, Options{Quick: true}, &plain); err != nil {
-		t.Fatal(err)
-	}
-	if err := RunIDs([]string{"F6"}, Options{Quick: true, Progress: &progress}, &verbose); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(plain.Bytes(), verbose.Bytes()) {
-		t.Fatalf("tables changed under a progress writer:\n--- plain\n%s\n--- verbose\n%s", plain.String(), verbose.String())
-	}
-	const prefix = "-- host seconds per column:"
-	var footers []string
-	for _, line := range strings.Split(progress.String(), "\n") {
-		if strings.HasPrefix(line, prefix) {
-			footers = append(footers, strings.TrimPrefix(line, prefix))
-		}
-	}
-	if len(footers) != 1 {
-		t.Fatalf("got %d footer lines, want 1:\n%s", len(footers), progress.String())
-	}
-	var cols []string
-	for _, entry := range strings.Split(footers[0], ",") {
-		var name string
-		var secs float64
-		if _, err := fmt.Sscanf(entry, " %s %g", &name, &secs); err != nil || secs < 0 {
-			t.Fatalf("malformed footer entry %q: %v", entry, err)
-		}
-		cols = append(cols, name)
-	}
-	var want []string
+	var lockNames, rwNames []string
 	for _, li := range algosFor(Options{}, simsync.LockSet) {
-		want = append(want, li.Name)
+		lockNames = append(lockNames, li.Name)
 	}
-	if strings.Join(cols, " ") != strings.Join(want, " ") {
-		t.Fatalf("footer names columns %v, want one entry per F6 column %v", cols, want)
+	for _, ri := range algosFor(Options{}, simsync.RWLockSet) {
+		rwNames = append(rwNames, ri.Name)
+	}
+	for _, tc := range []struct {
+		id   string
+		cols []string
+	}{
+		{"F6", lockNames},
+		{"F13", rwNames},
+	} {
+		t.Run(tc.id, func(t *testing.T) {
+			var plain, verbose, progress bytes.Buffer
+			if err := RunIDs([]string{tc.id}, Options{Quick: true}, &plain); err != nil {
+				t.Fatal(err)
+			}
+			if err := RunIDs([]string{tc.id}, Options{Quick: true, Progress: &progress}, &verbose); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(plain.Bytes(), verbose.Bytes()) {
+				t.Fatalf("tables changed under a progress writer:\n--- plain\n%s\n--- verbose\n%s", plain.String(), verbose.String())
+			}
+			const prefix = "-- host seconds per column:"
+			var footers []string
+			for _, line := range strings.Split(progress.String(), "\n") {
+				if strings.HasPrefix(line, prefix) {
+					footers = append(footers, strings.TrimPrefix(line, prefix))
+				}
+			}
+			if len(footers) != 1 {
+				t.Fatalf("got %d footer lines, want 1:\n%s", len(footers), progress.String())
+			}
+			var cols []string
+			for _, entry := range strings.Split(footers[0], ",") {
+				var name string
+				var secs float64
+				if _, err := fmt.Sscanf(entry, " %s %g", &name, &secs); err != nil || secs < 0 {
+					t.Fatalf("malformed footer entry %q: %v", entry, err)
+				}
+				cols = append(cols, name)
+			}
+			if strings.Join(cols, " ") != strings.Join(tc.cols, " ") {
+				t.Fatalf("footer names columns %v, want one entry per %s column %v", cols, tc.id, tc.cols)
+			}
+		})
 	}
 }

@@ -196,7 +196,6 @@ func runMatrix[A any](o Options, parallel bool, algos []A, nameOf func(A) string
 	for aj, a := range algos {
 		names[aj] = nameOf(a)
 	}
-	o.clock().columns(names...)
 	tables := make([]Table, len(metrics))
 	for mi, ms := range metrics {
 		cols := append([]string{axisLabel}, names...)
@@ -225,13 +224,11 @@ func runMatrix[A any](o Options, parallel bool, algos []A, nameOf func(A) string
 		vals, err = measure(ai, algo, pool)
 		return
 	}
-	err := forEachCell(parallel, len(axis)*len(algos), func(cell int, pool *machine.Pool) error {
+	err := o.forEachCell(parallel, names, len(axis)*len(algos), func(cell int, pool *machine.Pool) error {
 		// Axis-major assignment keeps the single-worker order identical
 		// to the historical sequential sweep.
 		ai, aj := cell/len(algos), cell%len(algos)
-		done := o.clock().cell(names[aj])
 		vals, panicked, merr := measureSafe(ai, algos[aj], pool)
-		done()
 		if panicked != "" {
 			failures[ai][aj] = panicked
 			return nil
@@ -296,8 +293,16 @@ func runMatrix[A any](o Options, parallel bool, algos []A, nameOf func(A) string
 // panics one level earlier and downgrades them to failed *cells*; this
 // recovery is the backstop for direct forEachCell callers and for
 // panics outside the measure call.)
-func forEachCell(parallel bool, total int, fn func(i int, pool *machine.Pool) error) error {
+//
+// A sweep's cells cycle through its columns: cell i belongs to column
+// names[i%len(names)]. forEachCell lists the columns on o's column
+// clock before any cell runs and charges each cell's host time to its
+// column, which is what puts every sweep in the -v footer.
+func (o Options) forEachCell(parallel bool, names []string, total int, fn func(i int, pool *machine.Pool) error) error {
+	clock := o.clock()
+	clock.columns(names...)
 	call := func(i int, pool *machine.Pool) (err error) {
+		defer clock.cell(names[i%len(names)])()
 		defer func() {
 			if r := recover(); r != nil {
 				err = fmt.Errorf("harness: sweep cell %d panicked: %v", i, r)

@@ -176,6 +176,10 @@ func runFaultSweep(o Options) ([]Table, error) {
 		}
 	}
 	infos := faultLocks()
+	cols := []string{"topo/level"}
+	for _, li := range infos {
+		cols = append(cols, li.Name)
+	}
 
 	type rowKey struct {
 		tp    topo.Topology
@@ -200,7 +204,7 @@ func runFaultSweep(o Options) ([]Table, error) {
 	for i := range results {
 		results[i] = make([]simsync.LockResult, len(infos))
 	}
-	err = forEachCell(true, len(rows)*len(infos), func(cell int, pool *machine.Pool) error {
+	err = o.forEachCell(true, cols[1:], len(rows)*len(infos), func(cell int, pool *machine.Pool) error {
 		ri, ci := cell/len(infos), cell%len(infos)
 		row := rows[ri]
 		res, rerr := simsync.RunLockIn(pool,
@@ -226,10 +230,6 @@ func runFaultSweep(o Options) ([]Table, error) {
 		return nil, err
 	}
 
-	cols := []string{"topo/level"}
-	for _, li := range infos {
-		cols = append(cols, li.Name)
-	}
 	ft1 := Table{
 		ID:    "FT1",
 		Title: fmt.Sprintf("Run outcome and completed fraction under fault injection at P=%d", procs),

@@ -319,8 +319,12 @@ func runT3(o Options) ([]Table, error) {
 		Cols:  []string{"lock", "total acq", "min/proc", "max/proc", "max/min", "inversions/acq"},
 	}
 	infos := algosFor(o, simsync.LockSet)
+	names := make([]string, len(infos))
+	for i, li := range infos {
+		names[i] = li.Name
+	}
 	results := make([]simsync.LockResult, len(infos))
-	err := forEachCell(true, len(infos), func(cell int, pool *machine.Pool) error {
+	err := o.forEachCell(true, names, len(infos), func(cell int, pool *machine.Pool) error {
 		res, rerr := simsync.RunLockIn(pool,
 			machine.Config{Procs: p, Topo: topo.Bus, Seed: o.seed()},
 			infos[cell], simsync.LockOpts{Duration: duration, CS: 25, Think: 50, CheckMutex: true, RecordOrder: true},
@@ -393,7 +397,7 @@ func runA1(o Options) ([]Table, error) {
 	}
 	locksUnder := []simsync.LockInfo{tas, qs}
 	results := make([]simsync.LockResult, len(points)*len(locksUnder))
-	err := forEachCell(true, len(results), func(cell int, pool *machine.Pool) error {
+	err := o.forEachCell(true, []string{tas.Name, qs.Name}, len(results), func(cell int, pool *machine.Pool) error {
 		pi, li := cell/len(locksUnder), cell%len(locksUnder)
 		res, rerr := simsync.RunLockIn(pool, points[pi].cfg, locksUnder[li], simLockOpts(o.lockIters()))
 		if rerr != nil {

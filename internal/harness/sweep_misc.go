@@ -36,8 +36,12 @@ func runF15(o Options) ([]Table, error) {
 		Note:  "a single fetch&add word saturates its home module as P grows; pairwise software combining halves the root pressure and wins past the crossover, at the price of idle-case latency (the Ultracomputer trade)",
 		Cols:  []string{"P", "fetch&add", "combining", "fa/combining"},
 	}
+	var names []string
+	for _, info := range infos {
+		names = append(names, info.Name)
+	}
 	results := make([]simsync.CounterResult, len(procsList)*len(infos))
-	err = forEachCell(true, len(results), func(cell int, pool *machine.Pool) error {
+	err = o.forEachCell(true, names, len(results), func(cell int, pool *machine.Pool) error {
 		pi, ii := cell/len(infos), cell%len(infos)
 		res, rerr := simsync.RunCounterIn(pool,
 			machine.Config{Procs: procsList[pi], Topo: topo.NUMA, Seed: o.seed()},
@@ -82,7 +86,9 @@ func runF16(o Options) ([]Table, error) {
 	incs, procsList := o.counterSweepSize()
 	infos := algosFor(o, simsync.CounterSet)
 	cols := []string{"P"}
+	var names []string
 	for _, info := range infos {
+		names = append(names, info.Name)
 		cols = append(cols, info.Name+" cyc/inc")
 	}
 	for _, info := range infos {
@@ -99,7 +105,7 @@ func runF16(o Options) ([]Table, error) {
 		Cols:  cols,
 	}
 	results := make([]simsync.CounterResult, len(procsList)*len(infos))
-	err := forEachCell(true, len(results), func(cell int, pool *machine.Pool) error {
+	err := o.forEachCell(true, names, len(results), func(cell int, pool *machine.Pool) error {
 		pi, ii := cell/len(infos), cell%len(infos)
 		res, rerr := simsync.RunCounterIn(pool,
 			machine.Config{Procs: procsList[pi], Topo: topo.NUMA, Seed: o.seed()},

@@ -123,6 +123,16 @@ func runRecoverySweep(o Options) ([]Table, error) {
 	}
 	locks := recoveryLocks()
 	bars := recoveryBarriers()
+	lockCols := []string{"topo/level"}
+	for _, li := range locks {
+		lockCols = append(lockCols, li.Name)
+	}
+	barCols := []string{"topo/level"}
+	for _, b := range bars {
+		barCols = append(barCols, b.Name)
+	}
+	// A cell's column: the locks', then the barriers'.
+	names := append(append([]string(nil), lockCols[1:]...), barCols[1:]...)
 
 	type rowKey struct {
 		tp    topo.Topology
@@ -161,7 +171,7 @@ func runRecoverySweep(o Options) ([]Table, error) {
 		lockBase[i] = make([]uint64, len(locks))
 		barBase[i] = make([]uint64, len(bars))
 	}
-	err = forEachCell(true, len(topos)*(len(locks)+len(bars)), func(cell int, pool *machine.Pool) error {
+	err = o.forEachCell(true, names, len(topos)*len(names), func(cell int, pool *machine.Pool) error {
 		per := len(locks) + len(bars)
 		ti, ci := cell/per, cell%per
 		if ci < len(locks) {
@@ -190,7 +200,7 @@ func runRecoverySweep(o Options) ([]Table, error) {
 		lockRes[i] = make([]simsync.LockResult, len(locks))
 		barRes[i] = make([]simsync.BarrierResult, len(bars))
 	}
-	err = forEachCell(true, len(rows)*(len(locks)+len(bars)), func(cell int, pool *machine.Pool) error {
+	err = o.forEachCell(true, names, len(rows)*len(names), func(cell int, pool *machine.Pool) error {
 		per := len(locks) + len(bars)
 		ri, ci := cell/per, cell%per
 		row := rows[ri]
@@ -220,14 +230,6 @@ func runRecoverySweep(o Options) ([]Table, error) {
 		return nil, err
 	}
 
-	lockCols := []string{"topo/level"}
-	for _, li := range locks {
-		lockCols = append(lockCols, li.Name)
-	}
-	barCols := []string{"topo/level"}
-	for _, b := range bars {
-		barCols = append(barCols, b.Name)
-	}
 	ft3 := Table{
 		ID:    "FT3",
 		Title: fmt.Sprintf("Lock availability and time-to-recovery under crash-with-restart plans at P=%d", procs),

@@ -71,7 +71,9 @@ func runF13(o Options) ([]Table, error) {
 	p, iters := o.rwSweepSize()
 	infos := algosFor(o, simsync.RWLockSet)
 	cols := []string{"read fraction"}
+	var names []string
 	for _, info := range infos {
+		names = append(names, info.Name)
 		cols = append(cols, info.Name+" cyc/op", info.Name+" txn/op")
 	}
 	t := Table{
@@ -82,7 +84,7 @@ func runF13(o Options) ([]Table, error) {
 	}
 	fracs := rwFracs()
 	results := make([]simsync.RWResult, len(fracs)*len(infos))
-	err := forEachCell(true, len(results), func(cell int, pool *machine.Pool) error {
+	err := o.forEachCell(true, names, len(results), func(cell int, pool *machine.Pool) error {
 		fi, ii := cell/len(infos), cell%len(infos)
 		res, rerr := simsync.RunRWIn(pool,
 			machine.Config{Procs: p, Topo: topo.Bus, Seed: o.seed()},

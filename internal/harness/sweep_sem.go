@@ -58,14 +58,19 @@ func runF10(o Options) ([]Table, error) {
 func runF14(o Options) ([]Table, error) {
 	items, procsList := o.semSweepSize()
 	infos := algosFor(o, simsync.SemaphoreSet)
+	models := []topo.Topology{topo.Bus, topo.NUMA}
 	cols := []string{"P"}
-	for _, model := range []topo.Topology{topo.Bus, topo.NUMA} {
+	var names []string
+	for _, info := range infos {
+		names = append(names, info.Name)
+	}
+	for _, model := range models {
 		unit := "cyc/item"
 		if model == topo.NUMA {
 			unit = "refs/item"
 		}
-		for _, info := range infos {
-			cols = append(cols, fmt.Sprintf("%s: %s %s", model, info.Name, unit))
+		for _, name := range names {
+			cols = append(cols, fmt.Sprintf("%s: %s %s", model, name, unit))
 		}
 	}
 	t := Table{
@@ -74,22 +79,16 @@ func runF14(o Options) ([]Table, error) {
 		Note:  "the central spin semaphore hammers its counter from every blocked processor; the mechanism's queueing semaphore hands permits off directly with bounded traffic",
 		Cols:  cols,
 	}
-	models := []topo.Topology{topo.Bus, topo.NUMA}
-	for _, info := range infos {
-		o.clock().columns(info.Name)
-	}
 	perRow := len(models) * len(infos)
 	results := make([]simsync.PCResult, len(procsList)*perRow)
-	err := forEachCell(true, len(results), func(cell int, pool *machine.Pool) error {
+	err := o.forEachCell(true, names, len(results), func(cell int, pool *machine.Pool) error {
 		pi, rest := cell/perRow, cell%perRow
 		model, info := models[rest/len(infos)], infos[rest%len(infos)]
-		done := o.clock().cell(info.Name)
 		res, rerr := simsync.RunProducerConsumerIn(pool,
 			machine.Config{Procs: procsList[pi], Topo: model, Seed: o.seed()},
 			info,
 			simPCOpts(items),
 		)
-		done()
 		if rerr != nil {
 			return rerr
 		}

@@ -190,7 +190,9 @@ func (o Options) rwBatteryOn(tp topo.Topology) (Table, error) {
 	p, iters := o.rwSweepSize()
 	infos := algosFor(o, simsync.RWLockSet)
 	cols := []string{"read fraction"}
+	var names []string
 	for _, info := range infos {
+		names = append(names, info.Name)
 		cols = append(cols, info.Name+" cyc/op")
 	}
 	t := Table{
@@ -201,7 +203,7 @@ func (o Options) rwBatteryOn(tp topo.Topology) (Table, error) {
 	}
 	fracs := rwFracs()
 	results := make([]simsync.RWResult, len(fracs)*len(infos))
-	err := forEachCell(true, len(results), func(cell int, pool *machine.Pool) error {
+	err := o.forEachCell(true, names, len(results), func(cell int, pool *machine.Pool) error {
 		fi, ii := cell/len(infos), cell%len(infos)
 		res, rerr := simsync.RunRWIn(pool,
 			machine.Config{Procs: p, Topo: tp, Seed: o.seed()},
@@ -231,7 +233,9 @@ func (o Options) semBatteryOn(tp topo.Topology) (Table, error) {
 	items, procsList := o.semSweepSize()
 	infos := algosFor(o, simsync.SemaphoreSet)
 	cols := []string{"P"}
+	var names []string
 	for _, info := range infos {
+		names = append(names, info.Name)
 		cols = append(cols, info.Name+" cyc/item")
 	}
 	t := Table{
@@ -241,7 +245,7 @@ func (o Options) semBatteryOn(tp topo.Topology) (Table, error) {
 		Cols:  cols,
 	}
 	results := make([]simsync.PCResult, len(procsList)*len(infos))
-	err := forEachCell(true, len(results), func(cell int, pool *machine.Pool) error {
+	err := o.forEachCell(true, names, len(results), func(cell int, pool *machine.Pool) error {
 		pi, ii := cell/len(infos), cell%len(infos)
 		res, rerr := simsync.RunProducerConsumerIn(pool,
 			machine.Config{Procs: procsList[pi], Topo: tp, Seed: o.seed()},
@@ -272,7 +276,9 @@ func (o Options) counterBatteryOn(tp topo.Topology) (Table, error) {
 	procsList = clipProcs(procsList, tp.MaxProcs())
 	infos := algosFor(o, simsync.CounterSet)
 	cols := []string{"P"}
+	var names []string
 	for _, info := range infos {
+		names = append(names, info.Name)
 		cols = append(cols, info.Name+" cyc/inc")
 	}
 	for _, info := range infos {
@@ -285,7 +291,7 @@ func (o Options) counterBatteryOn(tp topo.Topology) (Table, error) {
 		Cols:  cols,
 	}
 	results := make([]simsync.CounterResult, len(procsList)*len(infos))
-	err := forEachCell(true, len(results), func(cell int, pool *machine.Pool) error {
+	err := o.forEachCell(true, names, len(results), func(cell int, pool *machine.Pool) error {
 		pi, ii := cell/len(infos), cell%len(infos)
 		res, rerr := simsync.RunCounterIn(pool,
 			machine.Config{Procs: procsList[pi], Topo: tp, Seed: o.seed()},

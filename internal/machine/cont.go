@@ -65,9 +65,10 @@ const (
 	ContCAS
 	// ContBranch invokes Branch(p, acc) with no simulated cost and
 	// continues at the pc it returns; len(ops) ends the script. The
-	// callback may rewrite Addr, Val and New of any op in the same
+	// callback may rewrite Addr, Val, New and Dur of any op in the same
 	// slice before they issue (a computed address, an observed old
-	// value), and update host-side counters.
+	// value, a backoff sized from a loaded value), and update host-side
+	// counters.
 	ContBranch
 )
 

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/sim"
 	"repro/internal/topo"
 )
 
@@ -141,6 +142,42 @@ func contCases() []contCase {
 				p.Store(w+2, Word(pid))
 			}
 		}},
+		// A proportional-backoff poll, ticket-bo's wait: processors
+		// take turns on w in pid order. Each loads w and, until its
+		// turn shows, delays in proportion to the distance; the branch
+		// either leaves the poll for the store that passes the turn on
+		// or rewrites the delay's Dur from the loaded value. host
+		// counts the delays.
+		{"backoff-poll", func(w Addr, pid int, host []int) ([]ContOp, func(*Proc)) {
+			procs := Word(len(host))
+			turn := Word(pid)
+			ops := make([]ContOp, 5)
+			ops[0] = ContOp{Kind: ContLoad, Addr: w}
+			ops[1] = ContOp{Kind: ContBranch, Branch: func(p *Proc, v Word) int {
+				if v == turn {
+					turn += procs
+					return 4
+				}
+				host[p.ID()]++
+				ops[2].Dur = sim.Time(turn-v) * 3
+				return 2
+			}}
+			ops[2] = ContOp{Kind: ContDelay}
+			ops[3] = ContOp{Kind: ContBranch, Branch: func(*Proc, Word) int { return 0 }}
+			ops[4] = ContOp{Kind: ContStoreAcc, Addr: w, Val: 1}
+			return ops, func(p *Proc) {
+				for {
+					v := p.Load(w)
+					if v == turn {
+						turn += procs
+						p.Store(w, v+1)
+						return
+					}
+					host[p.ID()]++
+					p.Delay(sim.Time(turn-v) * 3)
+				}
+			}
+		}},
 	}
 }
 
@@ -188,7 +225,7 @@ func runContCase(t *testing.T, cfg Config, c contCase, scripted bool) contRun {
 // and 8 contending processors on bus, numa and cluster, to the program
 // it encodes issued through Proc calls.
 func TestScriptMatchesProcCalls(t *testing.T) {
-	casFailures := 0
+	casFailures, backoffs := 0, 0
 	for _, tp := range []topo.Topology{topo.Bus, topo.NUMA, topo.Cluster} {
 		for _, procs := range []int{2, 8} {
 			for _, c := range contCases() {
@@ -210,9 +247,12 @@ func TestScriptMatchesProcCalls(t *testing.T) {
 					t.Errorf("%s: effects diverged: script words %v host %v, calls words %v host %v",
 						name, script.words, script.host, calls.words, calls.host)
 				}
-				if c.name == "cas-loop" {
-					for _, n := range script.host {
+				for _, n := range script.host {
+					switch c.name {
+					case "cas-loop":
 						casFailures += n
+					case "backoff-poll":
+						backoffs += n
 					}
 				}
 			}
@@ -220,6 +260,9 @@ func TestScriptMatchesProcCalls(t *testing.T) {
 	}
 	if casFailures == 0 {
 		t.Error("no cas-loop CAS ever failed: the failure path went unexercised")
+	}
+	if backoffs == 0 {
+		t.Error("no backoff-poll delay ever ran: the rewritten Dur went unexercised")
 	}
 }
 

@@ -201,11 +201,42 @@ func (t *backoffLock) ReleaseScript(p *machine.Proc) (machine.Addr, machine.Word
 // Plain version spins on now-serving (a coherent-cache spin, but every
 // release invalidates every waiter); the backoff version estimates its
 // distance from the head and sleeps proportionally.
+//
+// The backoff version's wait is a continuation script
+// (machine.RunScript), one per processor, encoding this Go poll loop op
+// for op:
+//
+//	for {
+//		s := p.Load(serving)
+//		if s == ticket {
+//			break
+//		}
+//		p.Delay(sim.Time(ticket-s) * propK)
+//	}
+//
+// The loop itself, verbatim, is the closure twin in twins_test.go.
 type ticketLock struct {
 	next    machine.Addr
 	serving machine.Addr
 	propK   sim.Time // 0: plain spin; >0: proportional backoff factor
 	held    machine.Word
+	waits   []ticketWait // propK > 0, per processor: the wait script
+}
+
+// The proportional-backoff wait script's ops, by pc.
+const (
+	ticketLoad    = iota // ContLoad of now-serving
+	ticketTest           // ContBranch: our turn (end), or size the backoff
+	ticketBackoff        // ContDelay of (ticket-s)*propK
+	ticketLoop           // ContBranch: reload
+	ticketOps
+)
+
+// ticketWait is one processor's wait script and the ticket it waits for.
+type ticketWait struct {
+	propK  sim.Time
+	ticket machine.Word
+	ops    [ticketOps]machine.ContOp
 }
 
 // NewTicket builds a plain ticket lock.
@@ -213,9 +244,32 @@ func NewTicket(m *machine.Machine) Lock {
 	return &ticketLock{next: m.AllocShared(1), serving: m.AllocShared(1)}
 }
 
-// NewTicketBackoff builds a ticket lock with proportional backoff.
+// NewTicketBackoff builds a ticket lock with proportional backoff and
+// its per-processor wait scripts.
 func NewTicketBackoff(m *machine.Machine) Lock {
-	return &ticketLock{next: m.AllocShared(1), serving: m.AllocShared(1), propK: 24}
+	t := &ticketLock{next: m.AllocShared(1), serving: m.AllocShared(1), propK: 24}
+	t.waits = make([]ticketWait, m.Procs())
+	for i := range t.waits {
+		w := &t.waits[i]
+		w.propK = t.propK
+		w.ops = [ticketOps]machine.ContOp{
+			ticketLoad:    {Kind: machine.ContLoad, Addr: t.serving},
+			ticketTest:    {Kind: machine.ContBranch, Branch: w.test},
+			ticketBackoff: {Kind: machine.ContDelay},
+			ticketLoop:    {Kind: machine.ContBranch, Branch: toTop},
+		}
+	}
+	return t
+}
+
+// test judges the loaded now-serving value s: the script ends on our
+// ticket, and otherwise backs off in proportion to the distance.
+func (w *ticketWait) test(_ *machine.Proc, s machine.Word) int {
+	if s == w.ticket {
+		return ticketOps
+	}
+	w.ops[ticketBackoff].Dur = sim.Time(w.ticket-s) * w.propK
+	return ticketBackoff
 }
 
 func (t *ticketLock) Name() string {
@@ -228,13 +282,9 @@ func (t *ticketLock) Name() string {
 func (t *ticketLock) Acquire(p *machine.Proc) {
 	ticket := p.FetchAdd(t.next, 1)
 	if t.propK > 0 {
-		for {
-			s := p.Load(t.serving)
-			if s == ticket {
-				break
-			}
-			p.Delay(sim.Time(ticket-s) * t.propK)
-		}
+		w := &t.waits[p.ID()]
+		w.ticket = ticket
+		p.RunScript(w.ops[:])
 	} else {
 		p.SpinUntilEq(t.serving, ticket)
 	}

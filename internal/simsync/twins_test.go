@@ -12,7 +12,8 @@ import (
 // against. A primitive runs part of its work as a continuation script
 // (machine.RunScript) — the held section and release of a
 // ScriptedRelease lock, the acquire poll of lease and lease-fence,
-// qheal's waitTurn, sem-sharded's P. Its twin is the same primitive
+// ticket-bo's proportional-backoff wait, qheal's waitTurn,
+// sem-sharded's P. Its twin is the same primitive
 // with each script replaced by the Go code the script encodes, so the
 // goroutine issues every op itself. The twin must reproduce the script
 // run in every result field except Stats.InlineDispatches.
@@ -42,6 +43,19 @@ func (l *leaseLock) acquireLoop(p *machine.Proc) {
 		}
 		p.Delay(l.poll)
 	}
+}
+
+// acquireLoop is ticketLock.Acquire with ticket-bo's Go poll loop.
+func (t *ticketLock) acquireLoop(p *machine.Proc) {
+	ticket := p.FetchAdd(t.next, 1)
+	for {
+		s := p.Load(t.serving)
+		if s == ticket {
+			break
+		}
+		p.Delay(sim.Time(ticket-s) * t.propK)
+	}
+	t.held = ticket
 }
 
 // acquireLoop is healQueueLock.Acquire waiting through waitTurnLoop.
@@ -132,6 +146,10 @@ func acquireLoopOf(l Lock) func(*machine.Proc) {
 		}
 	case *healQueueLock:
 		return l.acquireLoop
+	case *ticketLock:
+		if l.propK > 0 {
+			return l.acquireLoop
+		}
 	}
 	return nil
 }
