@@ -128,8 +128,8 @@ func BenchmarkMachineSpinContended(b *testing.B) {
 // BenchmarkMachineSpinContended, but in the pooled configuration the
 // sweeps actually run: each iteration resets a recycled machine instead
 // of constructing one, so the allocation report shows the steady-state
-// cell cost (near zero) and simops/s the batched engine's throughput
-// with construction amortized away. The simulated results are
+// cell cost (near zero) and simops/s the engine's throughput with
+// construction amortized away. The simulated results are
 // bit-identical between the two benchmarks — only host cost differs.
 func BenchmarkMachineSpinBatched(b *testing.B) {
 	for _, name := range []string{"tas", "ttas", "tas-bo"} {
@@ -164,7 +164,7 @@ func BenchmarkMachineSpinBatched(b *testing.B) {
 // BenchmarkMachineStormBatched — the cross-processor spin-window
 // workload: a 32-processor raw test&set storm on the bus machine, the
 // configuration where nearly every event is an interleaved probe and
-// window batching fast-forwards whole rotations in closed form. The
+// each window pops the storm's pending probes in one commit. The
 // windows/nowindows pair shares one pooled machine shape, so the ratio
 // of their simops/s is the window mechanism's speedup; the simulated
 // results are bit-identical (pinned by the determinism suite).
@@ -203,11 +203,10 @@ func BenchmarkMachineStormBatched(b *testing.B) {
 }
 
 // BenchmarkMachineClusterStorm — the same 32-processor raw test&set
-// storm on the two-level cluster topology. Since the per-distance-class
-// windows (PR 6) the hierarchical storm batches too: spinners are
-// partitioned by the topology's declared traversal classes and whole
-// mixed-period rotations are fast-forwarded through the cumulative
-// service schedule. This benchmark runs the default (windowed)
+// storm on the two-level cluster topology. The hierarchical storm
+// batches too: the topology declares its traversal classes, so each
+// spinner's service time is known, and a window retimes spinners of
+// both classes in one commit. This benchmark runs the default (windowed)
 // configuration the sweeps use; BenchmarkMachineClusterStormBatched
 // below isolates the mechanism with a windows/nowindows pair. The
 // sharded pair (ctr-sharded under the same pool) shows what group-home
@@ -268,10 +267,9 @@ func BenchmarkMachineClusterStorm(b *testing.B) {
 // the two-level cluster topology, windows on vs off over one pooled
 // machine shape. The storm mixes the topology's two traversal classes
 // (intra-cluster probes against the lock's home module and double-cost
-// inter-cluster ones), so the windowed leg exercises the mixed-service
-// rotation closed form rather than the bus machine's uniform-period
-// fast path; the ratio of the two legs' simops/s is what
-// per-distance-class batching buys on a hierarchical machine. The
+// inter-cluster ones), so the windowed leg's sets mix two service
+// times rather than the bus machine's one; the ratio of the two legs'
+// simops/s is what windows buy on a hierarchical machine. The
 // simulated results are bit-identical (pinned by the determinism
 // suite's mixed-class storm test).
 func BenchmarkMachineClusterStormBatched(b *testing.B) {
@@ -309,9 +307,9 @@ func BenchmarkMachineClusterStormBatched(b *testing.B) {
 }
 
 // BenchmarkMachineDeepClusterStorm — the P=256 deep-topology point of
-// the scaling sweeps (PR 6): a raw test&set storm on the cluster
-// machine four times past the bus protocol's 64-processor ceiling,
-// where a window relinks hundreds of probes per commit and the window
+// the scaling sweeps: a raw test&set storm on the cluster machine four
+// times past the bus protocol's 64-processor ceiling, where each window
+// pops and relinks about a hundred pending probes and the window
 // eligibility mask spans multiple words. Windows on vs off, pooled;
 // this is the configuration whose wall-clock bounds the P ∈ {256,
 // 1024} sweep tables in EXPERIMENTS.md.

@@ -303,14 +303,13 @@ func writeSimBench(path string, quick bool, label string) error {
 	}
 	// The windows-on/off pairs measure spin-window batching directly:
 	// same workload with windows on (default) and forced off, so the
-	// trajectory file itself carries the speedup. Since the
-	// per-distance-class rotations (PR 6) the cluster storms batch too
-	// — their pairs track the mixed-service closed form against the
-	// per-event path on the hierarchical machine. The deep P ∈ {256,
-	// 1024} rows are the scaling points: storms grow with P, so those
-	// rows carry their own (smaller) iteration counts to keep cell cost
-	// roughly flat, and their procs-axis scale labels keep them from
-	// colliding with the canonical P=32 rows.
+	// trajectory file itself carries the speedup. The cluster storms
+	// batch too — their pairs track windows whose sets mix two service
+	// times against the per-event path on the hierarchical machine.
+	// The deep P ∈ {256, 1024} rows are the scaling points: storms grow
+	// with P, so those rows carry their own (smaller) iteration counts
+	// to keep cell cost roughly flat, and their procs-axis scale labels
+	// keep them from colliding with the canonical P=32 rows.
 	battery := []struct {
 		lock  string
 		topo  topo.Topology

@@ -18,10 +18,10 @@ import (
 //     plan; the drive loop consults them at event-delivery time only,
 //     so the same plan on the same config yields bit-identical runs.
 //   - Window exactness: spin windows refuse to form while any fault
-//     interval is active and clamp their horizon to the next fault
-//     boundary (window.go), so no closed-form pop can ever straddle a
-//     point where fault state changes. The windows on/off A/B
-//     invariant therefore survives every plan.
+//     interval is active and cut their set at the next fault boundary
+//     (window.go), so no batched pop can ever straddle a point where
+//     fault state changes. The windows on/off A/B invariant therefore
+//     survives every plan.
 //
 // Fault semantics implemented here and in the drive loop:
 //
@@ -122,7 +122,7 @@ func compileFaults(p *fault.Plan, procs, modules int, suspectAfter sim.Time) *ma
 		// A restart is live only when this shape also crashes the same
 		// processor earlier; the earliest qualifying restart wins. The
 		// instant joins bounds like any other fault boundary, so spin
-		// batches and windows clamp to it.
+		// windows cut their set at it.
 		if r.Proc < 0 || r.Proc >= procs || r.At < 0 {
 			continue
 		}
@@ -265,9 +265,8 @@ func (f *machineFaults) activeAt(t sim.Time) bool {
 }
 
 // nextBound returns the earliest fault boundary — interval start or
-// end, or crash instant — strictly after t. Spin windows and inline
-// probe batches clamp their extent to it, so no closed form straddles
-// a change of fault state.
+// end, or crash instant — strictly after t. Spin windows cut their set
+// at it, so no batched pop straddles a change of fault state.
 func (f *machineFaults) nextBound(t sim.Time) (sim.Time, bool) {
 	i := sort.Search(len(f.bounds), func(i int) bool { return f.bounds[i] > t })
 	if i == len(f.bounds) {

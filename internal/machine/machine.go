@@ -83,9 +83,9 @@ type Config struct {
 	Seed     uint64 // RNG seed; default 1
 	MaxSteps uint64 // event limit; default sim.DefaultMaxSteps
 
-	// NoSpinWindows disables cross-processor spin-window batching
-	// (window.go). Simulated results are bit-identical either way —
-	// the switch exists for the determinism A/B tests and for host-side
+	// NoSpinWindows disables cross-processor spin windows (window.go).
+	// Simulated results are bit-identical either way — the switch
+	// exists for the determinism A/B tests and for host-side
 	// performance comparisons.
 	NoSpinWindows bool
 
@@ -202,11 +202,11 @@ type Stats struct {
 	// path with no engine event and no goroutine handoff. A host-side
 	// efficiency metric: it has no effect on simulated time or traffic.
 	InlineOps uint64
-	// WindowOps counts spin probes fast-forwarded in closed form by
-	// cross-processor spin windows (window.go). Like InlineOps it is a
-	// host-side efficiency metric with no effect on simulated time,
-	// traffic, or even the Events count (windowed pops are charged to
-	// the step counter exactly as if they had fired).
+	// WindowOps counts spin probes popped in batches by cross-processor
+	// spin windows (window.go). Like InlineOps it is a host-side
+	// efficiency metric with no effect on simulated time, traffic, or
+	// even the Events count (windowed pops are charged to the step
+	// counter exactly as if they had fired one by one).
 	WindowOps uint64
 	// InlineDispatches counts dispatches that advanced a continuation
 	// script in place in the drive loop (cont.go) instead of resuming
@@ -282,7 +282,7 @@ type Machine struct {
 	// fault-free hot path is untouched.
 	flt *machineFaults
 
-	// Cross-processor spin-window batching state (window.go):
+	// Cross-processor spin-window state (window.go):
 	// spinStreak governs the attempt trigger (negative while backing
 	// off after a failed attempt); winMask holds one eligibility bit
 	// per processor; winSet is reusable scratch for the detector.
@@ -295,14 +295,6 @@ type Machine struct {
 	winCount   int
 	winMask    []uint64
 	winSet     []sim.WindowEvent
-	// winPre is per-position scratch for windows (window.go): the
-	// prefix sums of the probe service times in rotation order.
-	winPre []sim.Time
-	// winRMWs defers window-charged per-processor RMW/traffic counts:
-	// the window commit writes this flat array instead of chasing a
-	// pointer into every spinner's Proc, and Stats() folds it into the
-	// per-processor snapshot (the only place the counters are read).
-	winRMWs []uint64
 
 	nextShared Addr
 	nextLocal  []Addr
@@ -417,7 +409,6 @@ func (m *Machine) Reset(cfg Config) error {
 	m.spinStreak = 0
 	m.winCount = 0
 	m.winMask = resetSlice(m.winMask, (cfg.Procs+63)/64)
-	m.winRMWs = resetSlice(m.winRMWs, cfg.Procs)
 	m.tearingDown = false
 	m.ran = false
 	m.progErr = nil
@@ -433,17 +424,6 @@ func resetSlice[T any](s []T, n int) []T {
 	s = s[:n]
 	clear(s)
 	return s
-}
-
-// growSlice returns s resized to n elements WITHOUT clearing: every
-// element's value is unspecified and the caller must write all n. Used
-// by the window batcher's per-attempt prefix-sum scratch, which is
-// fully rebuilt each attempt (clearing it first was measurable).
-func growSlice[T any](s []T, n int) []T {
-	if cap(s) < n {
-		return make([]T, n)
-	}
-	return s[:n]
 }
 
 // resizeKeep returns s resized to n elements, preserving existing
@@ -546,19 +526,6 @@ func (m *Machine) Stats() Stats {
 	s.PerProc = make([]ProcStats, len(m.procs))
 	for i, p := range m.procs {
 		s.PerProc[i] = p.stats
-		// Fold in the deferred window charges (window.go): every
-		// window-charged operation is an RMW, and its traffic kind is
-		// fixed by the model (a bus transaction per probe on Bus; a
-		// remote reference per probe on module machines, where window
-		// spinners are all remote to the probed word's home).
-		if i < len(m.winRMWs) && m.winRMWs[i] != 0 {
-			s.PerProc[i].RMWs += m.winRMWs[i]
-			if m.disc == topo.SnoopingBus {
-				s.PerProc[i].BusTxns += m.winRMWs[i]
-			} else {
-				s.PerProc[i].RemoteRefs += m.winRMWs[i]
-			}
-		}
 		s.Loads += s.PerProc[i].Loads
 		s.Stores += s.PerProc[i].Stores
 		s.RMWs += s.PerProc[i].RMWs
@@ -707,10 +674,10 @@ func (m *Machine) drive(p *Proc) {
 		}
 		if m.winEnabled && m.spinStreak >= 0 {
 			// The next event being an *eligible* spin probe is the
-			// cheap tell that a storm may be in rotation: scan for a
-			// closed-form window before replaying it (window.go). Any
-			// other next event would itself be the window's horizon,
-			// so a scan cannot pay off. A negative streak is the
+			// cheap tell that a storm may be in flight: scan for a
+			// window before replaying it (window.go). Any other next
+			// event would end the set before it began, so a scan
+			// cannot pay off. A negative streak is the
 			// post-failure backoff — it climbs back to zero as
 			// ineligible probes replay per-event; winEnabled is
 			// decided once per Reset (NoSpinWindows, Ideal model).

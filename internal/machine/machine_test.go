@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -278,24 +279,80 @@ func TestDeadlockDetection(t *testing.T) {
 	}
 }
 
+// TestLivelockStepLimit pins where the step limit trips for programs
+// that can never finish: a Delay loop, and a lone raw test&set spinner
+// on a word poked to 1, on Bus, NUMA and Cluster at P=1 and at P=2
+// (P1 delays, then exits), with the word local to the spinner or, on
+// the module machines, remote to it. A lone spinner's probes retire inline
+// whenever no event is pending, so the budget trips on an inline
+// charge. The error text and the Stats are literals recorded when a
+// closed form charged those inline runs; per-probe execution must
+// reproduce them exactly.
 func TestLivelockStepLimit(t *testing.T) {
-	m := newTestMachine(t, Config{Procs: 1, Topo: topo.NUMA, MaxSteps: 5000})
-	// Remote spin on another module's word that never changes: endless polling.
-	a := m.AllocShared(2)
-	remote := a
-	if m.home(remote) == 0 { // ensure the word is remote to P0... with 1 proc all is local
-		// With one processor everything is local, so force livelock with Delay loop instead.
+	spin := func(p *Proc, a Addr) {
+		if p.ID() == 0 {
+			p.SpinTAS(a, Backoff{})
+			return
+		}
+		p.Delay(1000)
 	}
-	err := m.Run(func(p *Proc) {
+	delayLoop := func(p *Proc, _ Addr) {
 		for {
 			p.Delay(1)
 		}
-	})
-	if err == nil {
-		t.Fatal("expected step-limit error")
 	}
-	if !strings.Contains(err.Error(), "limit") {
-		t.Fatalf("error %q does not mention the step limit", err)
+	// lone is the Stats of a P=1 spinner; pair those of a P=2 spinner,
+	// whose P1 issues no memory operation.
+	lone := func(cycles sim.Time, ps ProcStats) Stats {
+		return Stats{Cycles: cycles, Events: 3, InlineOps: 19998, RMWs: ps.RMWs,
+			BusTxns: ps.BusTxns, RemoteRefs: ps.RemoteRefs, PerProc: []ProcStats{ps}}
+	}
+	pair := func(cycles sim.Time, ps ProcStats) Stats {
+		return Stats{Cycles: cycles, Events: 7, InlineOps: 19994, RMWs: ps.RMWs,
+			BusTxns: ps.BusTxns, RemoteRefs: ps.RemoteRefs, PerProc: []ProcStats{ps, {}}}
+	}
+	const limit = "sim: event step limit exceeded (livelock?) "
+	for _, c := range []struct {
+		name     string
+		tp       topo.Topology
+		procs    int
+		maxSteps uint64
+		word     Addr // offset into the two allocated shared words
+		body     func(p *Proc, a Addr)
+		err      string
+		want     Stats
+	}{
+		{"delay/numa/P1", topo.NUMA, 1, 5000, 0, delayLoop, limit + "after 3 events at t=5000",
+			Stats{Cycles: 5000, Events: 3, InlineOps: 4998, PerProc: []ProcStats{{}}}},
+		{"tas/bus/P1", topo.Bus, 1, 20000, 0, spin, limit + "after 3 events at t=20019",
+			lone(20019, ProcStats{RMWs: 20000, BusTxns: 1})},
+		{"tas/bus/P2", topo.Bus, 2, 20000, 0, spin, limit + "after 7 events at t=20017",
+			pair(20017, ProcStats{RMWs: 19998, BusTxns: 1})},
+		{"tas/numa/P1", topo.NUMA, 1, 20000, 0, spin, limit + "after 3 events at t=40000",
+			lone(40000, ProcStats{RMWs: 20000})},
+		{"tas/numa/P2", topo.NUMA, 2, 20000, 0, spin, limit + "after 7 events at t=39996",
+			pair(39996, ProcStats{RMWs: 19998})},
+		{"tas/numa/P2/remote", topo.NUMA, 2, 20000, 1, spin, limit + "after 7 events at t=279972",
+			pair(279972, ProcStats{RMWs: 19998, RemoteRefs: 19998})},
+		{"tas/cluster/P1", topo.Cluster, 1, 20000, 0, spin, limit + "after 3 events at t=40000",
+			lone(40000, ProcStats{RMWs: 20000})},
+		{"tas/cluster/P2", topo.Cluster, 2, 20000, 0, spin, limit + "after 7 events at t=39996",
+			pair(39996, ProcStats{RMWs: 19998})},
+		{"tas/cluster/P2/remote", topo.Cluster, 2, 20000, 1, spin, limit + "after 7 events at t=119988",
+			pair(119988, ProcStats{RMWs: 19998, RemoteRefs: 19998})},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			m := newTestMachine(t, Config{Procs: c.procs, Topo: c.tp, MaxSteps: c.maxSteps})
+			a := m.AllocShared(2) + c.word
+			m.Poke(a, 1)
+			err := m.Run(func(p *Proc) { c.body(p, a) })
+			if err == nil || err.Error() != c.err {
+				t.Fatalf("Run = %v, want %q", err, c.err)
+			}
+			if got := m.Stats(); !reflect.DeepEqual(got, c.want) {
+				t.Errorf("Stats =\n %+v\nwant\n %+v", got, c.want)
+			}
+		})
 	}
 }
 

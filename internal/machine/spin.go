@@ -26,12 +26,11 @@ import (
 // difference is host-side: the goroutine is resumed once, when the wait
 // is over, instead of once per probe.
 //
-// On top of that, runs of failed raw test&set probes (the zero Backoff)
-// are charged in closed form: k probes collapse into O(1) counter
-// arithmetic whenever no pending event or budget boundary falls inside
-// the run (see spinBatchTAS; window.go batches the interleaved storm of
-// several raw spinners the same way). Backoff schedules always replay
-// probe by probe.
+// On top of that, the interleaved storm of several raw test&set
+// spinners (the zero Backoff) pops its pending probes in batches
+// (window.go). A lone spinner needs no batching: with no other event
+// pending, each of its probes retires inline. Backoff schedules always
+// replay probe by probe.
 
 // PredOp selects the comparison a Pred applies.
 type PredOp uint8
@@ -127,8 +126,8 @@ type spinState struct {
 	pollEvery  sim.Time // base poll spacing (topology-priced; set when poll)
 	// deadline, when non-zero, bounds a test&set wait: the spin gives
 	// up at the first probe boundary at or past it (SpinTASFor). A
-	// deadline spin is never window- or batch-eligible — the closed
-	// forms would fast-forward past the give-up point.
+	// deadline spin is never window-eligible: a window reissues every
+	// probe in its set without judging a give-up point.
 	deadline sim.Time
 	val      Word // last probed value; the spin's result
 }
@@ -271,9 +270,6 @@ func (m *Machine) spinAdvance(p *Proc) bool {
 			if s.deadline > 0 && p.localNow >= s.deadline {
 				return true // out of time: s.val is non-zero, the wait failed
 			}
-			if s.kind == spinTAS {
-				m.spinBatchTAS(p)
-			}
 			old, lat := p.tasIssue(s.addr)
 			s.val = old
 			if s.winStatic {
@@ -302,105 +298,6 @@ func (m *Machine) spinAdvance(p *Proc) bool {
 			s.phase = spTASIssue // raw storm: retry immediately
 		}
 	}
-}
-
-// spinBatchTAS charges a run of failed raw test&set probes in closed
-// form. It applies only when every probe in the run is provably
-// identical — the zero Backoff (no delay, no jitter draw) and no
-// deadline (a deadline spin judges its give-up point at every probe
-// boundary), a predicate-failing steady value, no watchers to wake, and
-// a memory system in steady state (the processor already owns the word
-// on Bus; the module port is idle on NUMA) — and only up to the first
-// pending event or livelock-budget boundary, where the normal
-// probe-by-probe path takes over. Within those bounds the per-probe effects are pure
-// arithmetic on the counters, so k probes collapse into O(1) work with
-// bit-identical results; in particular a lone livelocked spinner
-// reaches ErrStepLimit without replaying 10^8 probes.
-func (m *Machine) spinBatchTAS(p *Proc) {
-	s := &p.spin
-	if s.deadline != 0 || s.bo != (Backoff{}) {
-		return
-	}
-	a := s.addr
-	if m.mem[a] == 0 || m.watchHead[a] != 0 {
-		return // the next probe may succeed, or writes must wake watchers
-	}
-	var lat sim.Time
-	remote := false
-	switch m.disc {
-	case topo.SnoopingBus:
-		if m.owner[a] != int16(p.id)+1 {
-			return // first probe still needs a bus transaction
-		}
-		lat = m.cfg.CacheHit
-	case topo.Modules:
-		mod := m.home(a)
-		if m.modFreeAt[mod] > p.localNow {
-			return // port still draining: occupancy is not yet steady
-		}
-		trav := m.topo.Traversal(p.id, mod, m.tm)
-		if m.flt != nil {
-			// Price the whole run at the degrade factor active now; the
-			// fault-boundary clamp below guarantees the factor cannot
-			// change inside the batched span.
-			if f := m.flt.degradeFactor(mod, p.localNow); f > 1 {
-				trav *= sim.Time(f)
-			}
-		}
-		lat = m.cfg.LocalMem + trav
-		remote = m.topo.Remote(p.id, mod)
-	default:
-		lat = 1
-	}
-	if lat <= 0 {
-		return
-	}
-	k := m.eng.ChargeBudget()
-	if next, ok := m.eng.NextTime(); ok {
-		// Every per-probe completion must stay strictly before the next
-		// pending event; the run's last completion is at localNow + k*lat.
-		span := int64(next - p.localNow - 1)
-		if span < int64(lat) {
-			return
-		}
-		if byTime := uint64(span / int64(lat)); byTime < k {
-			k = byTime
-		}
-	}
-	if m.flt != nil {
-		// Likewise stay strictly before the next fault boundary, where
-		// the degrade factor (and hence the per-probe latency) may
-		// change. A pending crash is already an event, caught above;
-		// clamping on every bound kind is merely conservative — a
-		// shorter batch is always exact, the tail replays per-probe.
-		if fb, ok := m.flt.nextBound(p.localNow); ok {
-			span := int64(fb - p.localNow - 1)
-			if span < int64(lat) {
-				return
-			}
-			if byTime := uint64(span / int64(lat)); byTime < k {
-				k = byTime
-			}
-		}
-	}
-	if k < 2 {
-		return // not worth short-circuiting; the normal path handles it
-	}
-	// Apply k failed probes at once. mem[a] is already non-zero; the
-	// test&set write of 1 is idempotent after the first probe.
-	m.mem[a] = 1
-	p.stats.RMWs += k
-	if remote {
-		p.stats.RemoteRefs += k
-		m.stats.RemoteRefs += k
-	}
-	if m.disc == topo.Modules {
-		mod := m.home(a)
-		m.modFreeAt[mod] = p.localNow + sim.Time(k)*lat
-	}
-	m.eng.ChargeN(k)
-	m.stats.InlineOps += k
-	p.localNow += sim.Time(k) * lat
 }
 
 // watchRegister appends p to the intrusive watcher list of addr; the
@@ -467,9 +364,9 @@ func (p *Proc) SpinTAS(a Addr, bo Backoff) {
 // first probe boundary at or past the absolute deadline, reporting
 // whether the latch was won. A wait whose deadline has already passed
 // issues no probe and reports failure. Deadline waits replay
-// probe-by-probe (no closed-form batching or windowing — the give-up
-// point must be judged at every boundary), so they remain bit-identical
-// across every execution path by construction.
+// probe-by-probe (never in a spin window — the give-up point must be
+// judged at every boundary), so they remain bit-identical across every
+// execution path by construction.
 func (p *Proc) SpinTASFor(a Addr, bo Backoff, deadline sim.Time) bool {
 	if deadline <= 0 {
 		deadline = 1 // a degenerate deadline in the past, never "unbounded"

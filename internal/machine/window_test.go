@@ -139,7 +139,7 @@ func TestSpinWindowMixedBackoffStorm(t *testing.T) {
 }
 
 // TestSpinWindowFixedBackoffStorm pins the eligibility rule: only the
-// zero Backoff is charged in closed form. A fixed-backoff storm (the
+// zero Backoff is window-eligible. A fixed-backoff storm (the
 // sem-central latch's schedule) must replay per-event and commit no
 // window at all; mixed with raw spinners on the same word, its probes
 // and delays bound the windows the raw spinners still form. Both must
@@ -225,8 +225,8 @@ func TestSpinWindowWatchedWordRefusal(t *testing.T) {
 // TestSpinWindowLivelockTrip pins the budget interaction: a storm on a
 // word that is never released must trip ErrStepLimit with exactly the
 // same step count, clock, and error text as per-event execution — but
-// the windowed run reaches the budget in closed form instead of
-// replaying every probe.
+// the windowed run reaches the budget in batches of pops, the last one
+// cut at the pop budget.
 func TestSpinWindowLivelockTrip(t *testing.T) {
 	run := func(noWin bool) (string, Stats) {
 		m, err := New(Config{Procs: 8, Topo: topo.Bus, Seed: 1, MaxSteps: 30000, NoSpinWindows: noWin})
@@ -294,10 +294,10 @@ func TestSpinWindowPooledReset(t *testing.T) {
 // TestStormOverflowPushes pins how many events the engine's calendar
 // hands to its overflow heap (sim.Engine.OverflowPushes) in raw
 // test&set storms, windows on and off: none. A window commit relinks
-// every pending probe up to a rotation ahead, and an overflow probe
-// ends the next window early, so the calendar's span must cover the
-// deepest rotation; this is the test that notices a storm outgrowing
-// it. The count is host-side, like WindowOps.
+// every pending probe one round of the storm ahead, and an overflow
+// probe ends the next window early, so the calendar's span must cover
+// the deepest storm's round; this is the test that notices a storm
+// outgrowing it. The count is host-side, like WindowOps.
 func TestStormOverflowPushes(t *testing.T) {
 	for _, c := range []struct {
 		tp    topo.Topology

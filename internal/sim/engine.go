@@ -57,15 +57,15 @@ const (
 	// processor crash); arg0 is the processor index. Keeping faults in
 	// the event queue — rather than checking fault tables lazily — means
 	// a pending EvFault bounds every processor's inline run-ahead and
-	// every spin window's horizon exactly like any other event, which is
+	// ends every spin window's set exactly like any other event, which is
 	// what keeps faulted runs bit-identical across execution paths.
 	EvFault
 	// EvRecover rebirths a crashed processor; arg0 is the processor
 	// index. The simulation layer re-registers the processor at its
 	// recovery entry point with reset local state — nothing the dead
 	// incarnation held is released. Like EvFault, a pending EvRecover
-	// is an ordinary queue entry: it bounds inline run-ahead and window
-	// horizons exactly like any other event, so crash-recovery runs
+	// is an ordinary queue entry: it bounds inline run-ahead and ends
+	// window sets exactly like any other event, so crash-recovery runs
 	// keep the windows on/off bit-identity contract.
 	EvRecover
 )
@@ -202,23 +202,6 @@ func (e *Engine) ChargeStep() bool {
 	return false
 }
 
-// ChargeBudget returns how many further ChargeStep calls would succeed
-// from the current state. Closed-form spin accounting uses this to
-// charge a whole run of inline probes at once (via ChargeN) while
-// stopping at exactly the operation where step-by-step charging would
-// have hit the budget.
-func (e *Engine) ChargeBudget() uint64 {
-	if e.work+1 >= e.maxSteps {
-		return 0
-	}
-	return e.maxSteps - 1 - e.work
-}
-
-// ChargeN charges n units of inline work in one call. n must not exceed
-// ChargeBudget(); the pairing keeps batched charging bit-identical to n
-// individual ChargeStep calls.
-func (e *Engine) ChargeN(n uint64) { e.work += n }
-
 // Exhausted reports whether the livelock budget has been spent. External
 // drivers (the machine's baton-passing run loop steps the engine itself
 // rather than calling Run) use this to surface ErrStepLimit.
@@ -252,9 +235,7 @@ func (e *Engine) Reset() {
 func (e *Engine) Pending() int { return e.calLen + len(e.ovf) }
 
 // Seq returns the scheduling sequence counter: the seq of the most
-// recently scheduled event. Closed-form window accounting uses it to
-// compute the sequence numbers that elided AtEvent calls would have
-// consumed.
+// recently scheduled event (a window commit draws one per member).
 func (e *Engine) Seq() uint64 { return e.seq }
 
 // OverflowPushes returns how many events have landed in the overflow
@@ -337,28 +318,24 @@ func (e *Engine) PurgePending(match func(PendingEvent) bool) int {
 }
 
 // WindowEvent is one window-candidate event collected by ScanWindow.
-// A window commit rewrites When and Seq to the event's retimed key and
+// A window commit rewrites When to the event's retimed instant and
 // hands the set back to FinishWindow.
 type WindowEvent struct {
 	When Time
-	Seq  uint64
 	Arg0 int32
 	slot int32
 }
 
 // ScanWindow collects the eligible run at the head of the queue for a
-// closed-form window: walking pending events in firing order, it
-// appends to buf (reused across calls; pass buf[:0]) every event of
-// kind `kind` whose Arg0 bit is set in eligible and whose Arg1 equals
-// arg1 — the caller anchors the window on the next-to-fire event's
-// address, so concurrent storms on other words cannot steal the scan —
-// and stops at the first other event, the horizon, whose timestamp it
-// returns: the window must not reach it. The set therefore arrives
-// sorted, and it is exactly the next len(set) events to fire. Only
-// calendar events join the set; an overflow event is a horizon
-// candidate whatever its kind, which can only end a window early.
-func (e *Engine) ScanWindow(kind EventKind, arg1 int32, eligible []uint64, buf []WindowEvent) (
-	set []WindowEvent, horizon Time, haveHorizon bool) {
+// spin window: walking pending events in firing order, it appends to
+// buf (reused across calls; pass buf[:0]) every event of kind `kind`
+// whose Arg0 bit is set in eligible and whose Arg1 equals arg1 — the
+// caller anchors the window on the next-to-fire event's address, so
+// concurrent storms on other words cannot steal the scan — and stops
+// at the first other event. The set therefore arrives sorted, and it
+// is exactly the next len(set) events to fire. Only calendar events
+// join the set; the overflow heap's top ends it whatever its kind.
+func (e *Engine) ScanWindow(kind EventKind, arg1 int32, eligible []uint64, buf []WindowEvent) []WindowEvent {
 	var ovf *event
 	if len(e.ovf) > 0 {
 		ovf = &e.ovf[0]
@@ -371,24 +348,21 @@ func (e *Engine) ScanWindow(kind EventKind, arg1 int32, eligible []uint64, buf [
 		}
 		a0 := ev.arg0
 		if ev.kind != kind || ev.arg1 != arg1 || eligible[a0>>6]&(uint64(1)<<uint(a0&63)) == 0 {
-			return buf, ev.when, true
+			break
 		}
-		buf = append(buf, WindowEvent{When: ev.when, Seq: ev.seq, Arg0: a0, slot: i})
+		buf = append(buf, WindowEvent{When: ev.when, Arg0: a0, slot: i})
 		if i = ev.next; i == 0 && left > 1 {
 			i = e.buckets[e.scan((int(ev.when)+1)&calMask)].head
 		}
 	}
-	if ovf != nil {
-		return buf, ovf.when, true
-	}
-	return buf, 0, false
+	return buf
 }
 
 // PopBudget returns how many further events may fire before the step
 // limit trips (Step/StepPayload charge one unit of work per event, and
-// Exhausted reports work > maxSteps). Closed-form window accounting
-// caps its elided pops here so a livelocked storm still trips
-// ErrStepLimit at exactly the event where per-event execution would.
+// Exhausted reports work > maxSteps). A window commit caps its set
+// here so a livelocked storm still trips ErrStepLimit at exactly the
+// event where per-event execution would.
 func (e *Engine) PopBudget() uint64 {
 	if e.work >= e.maxSteps {
 		return 0
@@ -396,22 +370,21 @@ func (e *Engine) PopBudget() uint64 {
 	return e.maxSteps - e.work
 }
 
-// FinishWindow commits a closed-form fast-forward of pops elided event
-// firings. set is a prefix of the last ScanWindow result — so it is
-// the next len(set) events to fire — with When and Seq rewritten to
-// each event's retimed key, exactly as if it had been popped and a
-// successor scheduled there: the set is unlinked from the front of the
-// queue and each event relinked at its new instant. The step, work,
-// and sequence counters advance as if pops events had been popped and
-// each had scheduled one successor. The caller (the machine layer's
-// spin-window batcher) is responsible for the equivalence argument:
-// every retimed (when, seq) must be what event-by-event execution
-// would have left pending, pops must not exceed PopBudget(), the
-// retimed seqs must be distinct and lie in (Seq(), Seq()+pops], and the
-// queue must not change between the scan and the commit. The engine
-// clock is not advanced; it catches up at the next pop, which no
-// simulated quantity can observe.
-func (e *Engine) FinishWindow(set []WindowEvent, pops uint64) {
+// FinishWindow fires the set as a batch: set is a prefix of the last
+// ScanWindow result — so it is the next len(set) events to fire — with
+// When rewritten to the instant of the successor each event schedules
+// when it fires. The set is unlinked from the front of the queue and
+// each event relinked at its new instant, numbered Seq()+1, Seq()+2, …
+// in set order, exactly as if the events had been popped in turn and
+// each had scheduled its successor; the step and work counters advance
+// by len(set). The caller (the machine layer's spin-window commit) is
+// responsible for the equivalence argument: each retimed instant must
+// be what event-by-event execution would have scheduled, no successor
+// may come due before the set's last member, len(set) must not exceed
+// PopBudget(), and the queue must not change between the scan and the
+// commit. The engine clock is not advanced; it catches up at the next
+// pop, which no simulated quantity can observe.
+func (e *Engine) FinishWindow(set []WindowEvent) {
 	if set[0].slot != e.first || e.calLen < len(set) {
 		panic("sim: FinishWindow set is not the head of the queue")
 	}
@@ -432,8 +405,9 @@ func (e *Engine) FinishWindow(set []WindowEvent, pops uint64) {
 		e.first = e.buckets[e.scan(b)].head
 	}
 	for _, w := range set {
+		e.seq++
 		s := &e.slots[w.slot]
-		s.when, s.seq, s.next = e.clamp(w.When), w.Seq, 0
+		s.when, s.seq, s.next = e.clamp(w.When), e.seq, 0
 		if s.when-e.now >= calSpan {
 			e.pushOverflow(*s)
 			s.next = e.free
@@ -442,9 +416,8 @@ func (e *Engine) FinishWindow(set []WindowEvent, pops uint64) {
 		}
 		e.link(w.slot)
 	}
-	e.steps += pops
-	e.work += pops
-	e.seq += pops
+	e.steps += uint64(len(set))
+	e.work += uint64(len(set))
 }
 
 // NextTime returns the timestamp of the earliest pending event and
@@ -463,8 +436,8 @@ func (e *Engine) NextTime() (Time, bool) {
 // pending event, without firing it — the cheap peek the machine
 // layer's window trigger uses to decide whether a queue scan could pay
 // off (a window can only form when the very next event is itself an
-// eligible probe of a live storm; anything else would be the horizon
-// and leave the window empty).
+// eligible probe of a live storm; anything else would end the set
+// before it began).
 func (e *Engine) NextPeek() (EventKind, int32, int32, bool) {
 	if ev := e.top(); ev != nil {
 		return ev.kind, ev.arg0, ev.arg1, true
@@ -627,31 +600,21 @@ func (e *Engine) pop() (EventKind, int32, int32) {
 	return s.kind, s.arg0, s.arg1
 }
 
-// link appends slot i to the bucket of its instant. A scheduled event
-// carries the largest seq yet and always lands at the tail; only a
-// window commit can relink an event behind a later-scheduled one, and
-// it is inserted in seq order.
+// link appends slot i to the bucket of its instant. Every linked event
+// (scheduled, or relinked by a window commit) carries the largest seq
+// yet, so the tail is its place in (when, seq) order.
 func (e *Engine) link(i int32) {
 	ev := &e.slots[i]
 	b := int(ev.when) & calMask
 	bk := &e.buckets[b]
 	w, bit := b>>6, uint64(1)<<uint(b&63)
-	switch {
-	case e.occ[w]&bit == 0:
+	if e.occ[w]&bit == 0 {
 		e.occ[w] |= bit
 		e.occSum[w>>6] |= uint64(1) << uint(w&63)
 		bk.head, bk.tail = i, i
-	case e.slots[bk.tail].seq < ev.seq:
+	} else {
 		e.slots[bk.tail].next = i
 		bk.tail = i
-	default:
-		// Walk the links to the first later seq; the tail's stops it.
-		p := &bk.head
-		for e.slots[*p].seq < ev.seq {
-			p = &e.slots[*p].next
-		}
-		ev.next = *p
-		*p = i
 	}
 	e.calLen++
 	if e.calLen == 1 || ev.when <= e.slots[e.first].when {

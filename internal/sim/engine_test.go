@@ -493,12 +493,12 @@ func TestPurgePendingSeesQueue(t *testing.T) {
 }
 
 // TestApplyWindowEquivalence drives the same schedule two ways — fully
-// event by event, and with a middle run of pops replaced by a
+// event by event, and with a run of pops replaced by a
 // ScanWindow+FinishWindow commit — and requires identical counters,
 // identical remaining pop order, and identical sequence numbering for
-// events scheduled afterwards. The scan must stop at the horizon (the
-// dispatch), hand the spins back in firing order, and treat the
-// overflow heap's top as a horizon whatever its kind.
+// events scheduled afterwards. The scan must stop at the first other
+// event (the dispatch), hand the spins back in firing order, and stop
+// at the overflow heap's top whatever its kind.
 func TestApplyWindowEquivalence(t *testing.T) {
 	build := func() *Engine {
 		e := NewEngine()
@@ -516,7 +516,7 @@ func TestApplyWindowEquivalence(t *testing.T) {
 	eligible := []uint64{0b11111}
 
 	// Reference: pop the three spins, each rescheduling one successor
-	// past the horizon (what a probe rotation leaves behind).
+	// past the dispatch.
 	ref := build()
 	for i := 0; i < 3; i++ {
 		kind, arg0, _, fired := ref.StepPayload()
@@ -526,29 +526,26 @@ func TestApplyWindowEquivalence(t *testing.T) {
 		ref.AtEvent(Time(110+10*int(arg0)), EvSpin, arg0, 0)
 	}
 
-	// Windowed: commit the same three pops in closed form.
+	// Windowed: commit the same three pops as one batch.
 	win := build()
-	set, horizon, ok := win.ScanWindow(EvSpin, 0, eligible, nil)
-	if !ok || horizon != 100 || len(set) != 3 {
-		t.Fatalf("ScanWindow = %d events, horizon (%d, %v); want 3 before 100", len(set), horizon, ok)
+	set := win.ScanWindow(EvSpin, 0, eligible, nil)
+	if len(set) != 3 {
+		t.Fatalf("ScanWindow = %d events, want the 3 before the dispatch", len(set))
 	}
-	seq0 := win.Seq()
 	for i := range set {
 		if set[i].Arg0 != int32(i) || set[i].When != Time(10+10*i) {
 			t.Fatalf("set[%d] = %+v, want processor %d at %d", i, set[i], i, 10+10*i)
 		}
-		// Spinner i was popped as pop i+1 and rescheduled at 110+10i
-		// with the (i+1)-th elided sequence number.
-		set[i].When, set[i].Seq = Time(110+10*i), seq0+uint64(i)+1
+		// Spinner i was popped as pop i+1 and rescheduled at 110+10i.
+		set[i].When = Time(110 + 10*i)
 	}
-	win.FinishWindow(set, 3)
+	win.FinishWindow(set)
 
-	// With the dispatch gone, a scan runs to the overflow heap's top.
+	// With the dispatch gone, a scan runs up to the overflow heap's top:
+	// the spinner at 150, not the one due a span ahead.
 	if probe := build(); probe.PurgePending(func(ev PendingEvent) bool { return ev.Kind == EvDispatch }) == 1 {
-		set, horizon, ok := probe.ScanWindow(EvSpin, 0, eligible, nil)
-		if !ok || horizon != calSpan+5 || len(set) != 4 {
-			t.Fatalf("ScanWindow past the dispatch = %d events, horizon (%d, %v); want 4 before %d",
-				len(set), horizon, ok, calSpan+5)
+		if set := probe.ScanWindow(EvSpin, 0, eligible, nil); len(set) != 4 || set[3].When != 150 {
+			t.Fatalf("ScanWindow past the dispatch = %+v; want 4 events ending at 150", set)
 		}
 	}
 
@@ -579,9 +576,11 @@ func TestApplyWindowEquivalence(t *testing.T) {
 }
 
 // TestApplyWindowHeapMode retimes a window whose successors cross the
-// calendar's span into the overflow heap, share instants with pending
-// events, and carry seqs out of rotation order, and checks that the
-// queue drains in exactly the recomputed (when, seq) order.
+// calendar's span into the overflow heap, share instants with a
+// pending event and with each other, and checks that the queue drains
+// in exactly the recomputed (when, seq) order: the commit numbers the
+// set in order, so each relinked event queues behind every event
+// already at its instant.
 func TestApplyWindowHeapMode(t *testing.T) {
 	e := NewEngine()
 	e.SetHandler(func(EventKind, int32, int32) {})
@@ -589,14 +588,13 @@ func TestApplyWindowHeapMode(t *testing.T) {
 	for i := 0; i < n; i++ {
 		e.AtEvent(Time(10+i), EvSpin, int32(i), 0)
 	}
-	set, _, ok := e.ScanWindow(EvSpin, 0, []uint64{1<<n - 1}, nil)
-	if ok || len(set) != n {
-		t.Fatalf("ScanWindow = %d events, horizon %v; want all %d and none", len(set), ok, n)
+	set := e.ScanWindow(EvSpin, 0, []uint64{1<<n - 1}, nil)
+	if len(set) != n {
+		t.Fatalf("ScanWindow = %d events; want all %d", len(set), n)
 	}
-	// Retime the earliest 8 entries, with seqs assigned in reverse so
-	// that buckets must insert in seq order rather than append: the even
-	// ones past the span, 1 and 5 onto the instant of pending event 11,
-	// 3 and 7 onto an empty instant after every pending event.
+	// Retime the earliest 8 entries: the even ones past the span, 1 and
+	// 5 onto the instant of pending event 11, 3 and 7 onto an empty
+	// instant after every pending event.
 	seq0 := e.Seq()
 	set = set[:8]
 	for i := range set {
@@ -608,9 +606,8 @@ func TestApplyWindowHeapMode(t *testing.T) {
 		default:
 			set[i].When = 50
 		}
-		set[i].Seq = seq0 + uint64(8-i)
 	}
-	e.FinishWindow(set, 8)
+	e.FinishWindow(set)
 	if e.OverflowPushes() != 4 {
 		t.Fatalf("OverflowPushes = %d, want the 4 retimes past the span", e.OverflowPushes())
 	}
@@ -622,13 +619,13 @@ func TestApplyWindowHeapMode(t *testing.T) {
 		_, arg0, _, _ := e.StepPayload()
 		got = append(got, arg0)
 	}
-	// 8, 9, 10 at 18..20; at 21 the pending 11, then 5 and 1 by seq;
-	// 12..31 at 22..41; at 50 7 then 3; then the overflow heap.
-	want := []int32{8, 9, 10, 11, 5, 1}
+	// 8, 9, 10 at 18..20; at 21 the pending 11, then 1 and 5 in set
+	// order; 12..31 at 22..41; at 50 3 then 7; then the overflow heap.
+	want := []int32{8, 9, 10, 11, 1, 5}
 	for i := 12; i < n; i++ {
 		want = append(want, int32(i))
 	}
-	want = append(want, 7, 3, 0, 2, 4, 6)
+	want = append(want, 3, 7, 0, 2, 4, 6)
 	if !slices.Equal(got, want) {
 		t.Fatalf("drain order\n got  %v\n want %v", got, want)
 	}
@@ -701,8 +698,8 @@ func TestEngineZeroAllocs(t *testing.T) {
 		}
 	}
 
-	// A probe rotation: each window retimes the pending probes one
-	// rotation later, as the machine layer's storm commit does.
+	// A probe storm: each window retimes the pending probes one round
+	// later, as the machine layer's storm commit does.
 	e := NewEngine()
 	const spinners = 64
 	for p := 0; p < spinners; p++ {
@@ -711,13 +708,11 @@ func TestEngineZeroAllocs(t *testing.T) {
 	eligible := []uint64{^uint64(0)}
 	buf := make([]WindowEvent, 0, spinners)
 	commit := func() {
-		set, _, _ := e.ScanWindow(EvSpin, 0, eligible, buf[:0])
-		seq0 := e.Seq()
+		set := e.ScanWindow(EvSpin, 0, eligible, buf[:0])
 		for i := range set {
 			set[i].When += 10 * spinners
-			set[i].Seq = seq0 + uint64(i) + 1
 		}
-		e.FinishWindow(set, uint64(len(set)))
+		e.FinishWindow(set)
 	}
 	commit()
 	if e.Steps() != spinners || e.Pending() != spinners {

@@ -11,8 +11,8 @@ import (
 // reference model that keeps its pending events in one sorted slice,
 // and requires the engine to agree with it after every operation: pop
 // order and payloads, Now, Seq, Steps, PopBudget, Pending, the next
-// event, the overflow count, each scanned window and its horizon, and
-// RunUntil's step-limit error. Plain `go test` runs the seed corpus.
+// event, the overflow count, each scanned window, and RunUntil's
+// step-limit error. Plain `go test` runs the seed corpus.
 func FuzzEngineOrder(f *testing.F) {
 	for _, seed := range orderSeeds() {
 		f.Add(seed)
@@ -30,7 +30,7 @@ const (
 	opPop
 	opRunUntil // operand: time class of the deadline
 	opPurge    // operand: payload selector
-	opWindow   // operands: anchor, eligible mask, extra pops, flags, one time class per member
+	opWindow   // operands: anchor, eligible mask, flags, one time class per member
 	opReset
 	opPeek // no operation: the comparison after every op peeks
 )
@@ -38,8 +38,9 @@ const (
 // orderSeeds are hand-written programs covering the queue's edges:
 // same-instant bursts, past-time clamps, pushes at span−1, at span and
 // far beyond it, an overflow event tied with a calendar event, windows
-// that stop at a horizon or at the overflow top, and retimes that
-// collide on one instant or cross into the overflow.
+// that stop at another event or at the overflow top, and retimes that
+// share an instant with a pending event, collide with each other, or
+// cross into the overflow.
 func orderSeeds() [][]byte {
 	push := func(class, off, payload byte) []byte { return []byte{opPush, class<<5 | off, payload} }
 	cat := func(parts ...[]byte) []byte { return slices.Concat(parts...) }
@@ -52,31 +53,31 @@ func orderSeeds() [][]byte {
 	span = cat(push(3, 0, 0), push(4, 0, 1), push(5, 3, 2), push(3, 2, 3), push(4, 1, 4), push(0, 1, 5),
 		[]byte{opPop, opPop, opPeek, opRunUntil, 3<<5 | 0, opPop, opPop, opPop})
 	// Five EvSpin probes on word 0 (kind 1 is bits 4-5 = 01), a
-	// dispatch horizon, then a window retiming the probes past it with
-	// reversed seqs, the first two onto one empty instant.
+	// dispatch, then a window retiming the probes past it, the first
+	// two onto one empty instant.
 	for i := byte(0); i < 5; i++ {
 		window = cat(window, push(0, 2+i, i|1<<4))
 	}
 	window = cat(window, push(0, 20, 7), push(0, 25, 5|1<<4),
-		[]byte{opWindow, 0, 0xff, 3, 2, 0<<5 | 30, 0<<5 | 30, 6<<5 | 1, 6<<5 | 2, 6<<5 | 3},
+		[]byte{opWindow, 0, 0xff, 0, 0<<5 | 30, 0<<5 | 30, 6<<5 | 1, 6<<5 | 2, 6<<5 | 3},
 		[]byte{opPop, opPop, opPeek, opPurge, 2, opPop})
 	// Six probes, a dispatch at 873 and a probe beyond the span. The
-	// window drops its last member and retimes the rest with zigzag
-	// seqs: one past the span, three onto the dispatch's instant (each
-	// inserted by seq behind it), one just inside the span. A second
-	// window commits the dropped probe alone.
+	// window drops its last member and retimes the rest: one past the
+	// span, three onto the dispatch's instant (each queued behind it),
+	// one just inside the span. A second window commits the dropped
+	// probe alone.
 	for i := byte(0); i < 6; i++ {
 		overflow = cat(overflow, push(0, 1+i, i|1<<4))
 	}
 	overflow = cat(overflow, push(6, 9, 7), push(5, 0, 6|1<<4),
-		[]byte{opWindow, 0, 0xff, 2, 5, 4<<5 | 0, 6<<5 | 9, 6<<5 | 9, 6<<5 | 9, 3<<5 | 0},
-		[]byte{opWindow, 0, 0xff, 0, 0, 7<<5 | 31},
+		[]byte{opWindow, 0, 0xff, 1, 4<<5 | 0, 6<<5 | 9, 6<<5 | 9, 6<<5 | 9, 3<<5 | 0},
+		[]byte{opWindow, 0, 0xff, 0, 7<<5 | 31},
 		[]byte{opRunUntil, 7<<5 | 31, opRunUntil, 5<<5 | 7, opPop, opPop})
 	// An overflow probe that comes due before a later calendar probe:
 	// the scan must stop at the heap's top between two calendar events.
 	late = cat(push(4, 5, 0|1<<4), push(0, 10, 7|1<<4), []byte{opPop},
 		push(3, 0, 1|1<<4), push(0, 5, 2|1<<4),
-		[]byte{opWindow, 0, 0xff, 1, 0, 0<<5 | 20, opPop, opPop, opPop, opPop})
+		[]byte{opWindow, 0, 0xff, 0, 0<<5 | 20, opPop, opPop, opPop, opPop})
 	// Two events on one instant, the earlier-scheduled one pushed beyond
 	// the span and the later one, after the clock moved, into the
 	// calendar: the heap's event must fire first.
@@ -254,11 +255,8 @@ func runOrderProgram(t *testing.T, prog []byte) {
 				t.Fatalf("step %d: PurgePending removed %d, model %d", step, got, want)
 			}
 		case opWindow:
-			anchor, mask, extra, flags := int32(next()&1), next(), uint64(next()&3), next()
-			var set []WindowEvent
-			var horizon Time
-			var ok bool
-			set, horizon, ok = e.ScanWindow(EvSpin, anchor, []uint64{uint64(mask)}, buf[:0])
+			anchor, mask, flags := int32(next()&1), next(), next()
+			set := e.ScanWindow(EvSpin, anchor, []uint64{uint64(mask)}, buf[:0])
 			buf = set
 			k := 0
 			for k < len(m.evs) {
@@ -268,49 +266,35 @@ func runOrderProgram(t *testing.T, prog []byte) {
 				}
 				k++
 			}
-			if len(set) != k || ok != (k < len(m.evs)) || (ok && horizon != m.evs[k].when) {
-				t.Fatalf("step %d: ScanWindow = %d events, horizon (%d, %v); model %d events of %v",
-					step, len(set), horizon, ok, k, m.evs)
+			if len(set) != k {
+				t.Fatalf("step %d: ScanWindow = %d events; model %d events of %v", step, len(set), k, m.evs)
 			}
 			for i := range set {
-				if w := m.evs[i]; set[i].When != w.when || set[i].Seq != w.seq || set[i].Arg0 != w.arg0 {
+				if w := m.evs[i]; set[i].When != w.when || set[i].Arg0 != w.arg0 {
 					t.Fatalf("step %d: window event %d = %+v, model %+v", step, i, set[i], w)
 				}
 			}
-			// Commit a prefix (flags bit 0 drops the last member) with
-			// pops elided firings and retimed seqs in (Seq, Seq+pops]
-			// assigned forward, in reverse (flags bits 1-2 = 1) or
-			// zigzag (2: first, last, second, ...).
+			// Commit a prefix (flags bit 0 drops the last member); the
+			// engine numbers it m.seq+1, m.seq+2, ... in set order.
 			if flags&1 == 1 && k > 0 {
 				k--
 			}
-			pops := uint64(k) + extra
-			if k == 0 || pops > e.PopBudget() {
+			if k == 0 || uint64(k) > e.PopBudget() {
 				break
 			}
 			set = set[:k]
 			taken := slices.Clone(m.evs[:k])
 			m.evs = m.evs[k:]
 			for i := range set {
-				s := m.seq + extra + uint64(i) + 1
-				switch flags >> 1 & 3 {
-				case 1:
-					s = m.seq + pops - uint64(i)
-				case 2:
-					s = m.seq + extra + uint64(i/2) + 1
-					if i%2 == 1 {
-						s = m.seq + pops - uint64(i/2)
-					}
-				}
-				set[i].When, set[i].Seq = orderTime(e.Now(), next()), s
+				set[i].When = orderTime(e.Now(), next())
+				m.seq++
 				ev := taken[i]
-				ev.when, ev.seq = set[i].When, s
+				ev.when, ev.seq = set[i].When, m.seq
 				m.insert(ev)
 			}
-			m.seq += pops
-			m.steps += pops
-			m.work += pops
-			e.FinishWindow(set, pops)
+			m.steps += uint64(k)
+			m.work += uint64(k)
+			e.FinishWindow(set)
 		case opReset:
 			e.Reset()
 			m.now, m.seq, m.steps, m.work, m.ovfPushes, m.evs = 0, 0, 0, 0, 0, m.evs[:0]

@@ -71,13 +71,13 @@ func TestDeterminismHighP(t *testing.T) {
 	}
 }
 
-// TestClusterMixedClassStorm pins the per-distance-class rotation on
-// the cluster machine. A raw test&set storm on a word homed in module
+// TestClusterMixedClassStorm pins mixed-period spin windows on the
+// cluster machine. A raw test&set storm on a word homed in module
 // 0 splits the spinners into the cluster topology's two declared
 // traversal classes — the lock cluster's processors probe with the
 // short intra-cluster hop, everyone else pays the double-cost
-// inter-cluster traversal — and the window batcher must fast-forward
-// the interleaved storm without disturbing either class's probe
+// inter-cluster traversal — and spin windows must batch the
+// interleaved storm without disturbing either class's probe
 // account. The per-class RMW totals are pinned as literals (a change
 // means the simulation itself changed, not just the batching), the
 // windows-off twin must match them bit for bit, and the run must
@@ -134,8 +134,8 @@ func TestClusterMixedClassStorm(t *testing.T) {
 	}
 	// Pinned per-class event counts (generated from the windows-off
 	// per-event run; see CHANGES.md PR 6). Both classes must appear —
-	// a storm with only one class would not exercise the mixed-period
-	// cumS schedule at all.
+	// a storm with only one class would not give a window's set mixed
+	// service times at all.
 	wantRMWs := [2]uint64{2046, 3144}
 	wantRefs := [2]uint64{1520, 3864}
 	if rmws != wantRMWs {

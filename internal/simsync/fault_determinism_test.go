@@ -14,7 +14,7 @@ import (
 // bit-identical, windows on/off A/B identical — must survive fault
 // injection. Stalls and degrades perturb event timing and memory
 // pricing mid-run, which is exactly the regime where a spin window
-// popping in closed form across a fault boundary would diverge from
+// batching pops across a fault boundary would diverge from
 // the per-event execution; these suites replay every family through
 // such plans on every registered topology.
 //

@@ -136,7 +136,7 @@ func TestGoldenRobust(t *testing.T) {
 			continue
 		}
 		// Scrubbed as in TestGoldenBusNUMAEquivalence: both count host
-		// work (closed-form window pops, dispatches a script advanced in
+		// work (batched window pops, dispatches a script advanced in
 		// place), not simulated observables.
 		got.Stats.WindowOps, w.Stats.WindowOps = 0, 0
 		got.Stats.InlineDispatches, w.Stats.InlineDispatches = 0, 0
