@@ -204,13 +204,13 @@ func BenchmarkMachineStormBatched(b *testing.B) {
 
 // BenchmarkMachineClusterStorm — the same 32-processor raw test&set
 // storm on the two-level cluster topology. The hierarchical storm
-// batches too: the topology declares its traversal classes, so each
-// spinner's service time is known, and a window retimes spinners of
-// both classes in one commit. This benchmark runs the default (windowed)
-// configuration the sweeps use; BenchmarkMachineClusterStormBatched
-// below isolates the mechanism with a windows/nowindows pair. The
-// sharded pair (ctr-sharded under the same pool) shows what group-home
-// placement buys back.
+// batches too: a topology's hop prices cannot change mid-storm, so
+// each spinner's service time is known, and a window retimes spinners
+// of both distance classes in one commit. This benchmark runs the
+// default (windowed) configuration the sweeps use;
+// BenchmarkMachineClusterStormBatched below isolates the mechanism
+// with a windows/nowindows pair. The sharded pair (ctr-sharded under
+// the same pool) shows what group-home placement buys back.
 func BenchmarkMachineClusterStorm(b *testing.B) {
 	b.Run("lock/tas", func(b *testing.B) {
 		info, ok := simsync.LockByName("tas")

@@ -40,8 +40,9 @@ type Options struct {
 	// -faults= flag) the fault-axis experiments sweep, resolved strictly
 	// against FaultLevels. Empty defaults per experiment: FT1/FT2 ramp
 	// the fail-stop levels, FT3/FT4 the crash-recovery ones. FT1/FT2
-	// reject the restart-carrying levels (R1, R2) — their fail-stop
-	// runner is incarnation-blind; FT3/FT4 accept every level.
+	// reject the restart-carrying levels (R1, R2) because they are the
+	// fail-stop ramp; recovery is measured by FT3/FT4, which accept
+	// every level.
 	Faults []string
 }
 

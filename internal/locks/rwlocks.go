@@ -48,9 +48,6 @@ func init() {
 // RWLocks returns the reader-writer registry in canonical order.
 func RWLocks() []RWInfo { return RWRegistry.All() }
 
-// RWByName returns the reader-writer registry entry for name, or false.
-func RWByName(name string) (RWInfo, bool) { return RWRegistry.ByName(name) }
-
 // qsyncRW adapts core.RWMutex (the mechanism's fair queue lock).
 type qsyncRW struct {
 	rw core.RWMutex

@@ -48,9 +48,10 @@ import (
 //     is released on p's behalf. A processor crashes at most once and
 //     recovers at most once per run: the compile keeps the earliest
 //     crash and the earliest restart strictly after it.
-//   - The heartbeat failure detector is compiled here too: processor p
-//     is suspected from crash+threshold until its restart (forever,
-//     failing one), and a stall longer than the threshold reads as a
+//   - The heartbeat failure detector is compiled here too, with the
+//     fixed threshold suspectAfter (2000 cycles): processor p is
+//     suspected from crash+suspectAfter until its restart (forever,
+//     failing one), and a stall longer than suspectAfter reads as a
 //     false positive for its remainder. Suspicion is pure compiled
 //     data — queries (Proc.Suspects) draw nothing and cost nothing, so
 //     the detector cannot perturb timing or the window A/B contract.
@@ -87,12 +88,12 @@ const suspectForever = sim.Time(1) << 62
 // apply to this shape — indices out of range, empty intervals,
 // factors <= 1, negative times — are skipped, so one plan is portable
 // across machine sizes.
-func compileFaults(p *fault.Plan, procs, modules int, suspectAfter sim.Time) *machineFaults {
+func compileFaults(p *fault.Plan, procs int) *machineFaults {
 	f := &machineFaults{
 		stalls:    make([][]faultSpan, procs),
 		crashAt:   make([]sim.Time, procs),
 		restartAt: make([]sim.Time, procs),
-		degrades:  make([][]faultSpan, modules),
+		degrades:  make([][]faultSpan, procs),
 		suspect:   make([][]faultSpan, procs),
 	}
 	for i := range f.crashAt {
@@ -140,7 +141,7 @@ func compileFaults(p *fault.Plan, procs, modules int, suspectAfter sim.Time) *ma
 		}
 	}
 	for _, d := range p.Degrades() {
-		if d.Module < 0 || d.Module >= modules || d.Start < 0 || d.End <= d.Start || d.Factor <= 1 {
+		if d.Module < 0 || d.Module >= procs || d.Start < 0 || d.End <= d.Start || d.Factor <= 1 {
 			continue
 		}
 		f.degrades[d.Module] = append(f.degrades[d.Module], faultSpan{start: d.Start, end: d.End, factor: d.Factor})
@@ -150,32 +151,30 @@ func compileFaults(p *fault.Plan, procs, modules int, suspectAfter sim.Time) *ma
 	for i := range f.stalls {
 		f.stalls[i] = mergeSpans(f.stalls[i])
 	}
-	if suspectAfter > 0 {
-		// Compile the heartbeat failure detector's suspicion intervals.
-		// A processor silent for suspectAfter cycles is suspected: a
-		// crash from crash+threshold until its restart (forever without
-		// one), and any single stall longer than the threshold from
-		// stall-start+threshold until the stall ends — the detector's
-		// honest false-positive mode. Suspicion intervals do not join
-		// bounds: they gate no event timing, only Suspects queries.
-		for i := range f.suspect {
-			var spans []faultSpan
-			if c := f.crashAt[i]; c >= 0 {
-				end := suspectForever
-				if f.restartAt[i] >= 0 {
-					end = f.restartAt[i]
-				}
-				if c+suspectAfter < end {
-					spans = append(spans, faultSpan{start: c + suspectAfter, end: end})
-				}
+	// Compile the heartbeat failure detector's suspicion intervals. A
+	// processor silent for suspectAfter cycles is suspected: a crash
+	// from crash+suspectAfter until its restart (forever without one),
+	// and any single stall longer than suspectAfter from
+	// stall-start+suspectAfter until the stall ends — the detector's
+	// honest false-positive mode. Suspicion intervals do not join
+	// bounds: they gate no event timing, only Suspects queries.
+	for i := range f.suspect {
+		var spans []faultSpan
+		if c := f.crashAt[i]; c >= 0 {
+			end := suspectForever
+			if f.restartAt[i] >= 0 {
+				end = f.restartAt[i]
 			}
-			for _, s := range f.stalls[i] {
-				if s.end-s.start > suspectAfter {
-					spans = append(spans, faultSpan{start: s.start + suspectAfter, end: s.end})
-				}
+			if c+suspectAfter < end {
+				spans = append(spans, faultSpan{start: c + suspectAfter, end: end})
 			}
-			f.suspect[i] = mergeSpans(spans)
 		}
+		for _, s := range f.stalls[i] {
+			if s.end-s.start > suspectAfter {
+				spans = append(spans, faultSpan{start: s.start + suspectAfter, end: s.end})
+			}
+		}
+		f.suspect[i] = mergeSpans(spans)
 	}
 	for i := range f.degrades {
 		sort.Slice(f.degrades[i], func(a, b int) bool {

@@ -4,11 +4,11 @@
 // interconnect transactions per operation.
 //
 // The shape of the memory system comes from a composable topology
-// (internal/topo): module count, home-module mapping, hop costs, poll
-// spacing, and traffic classification are all topology properties,
-// while this package supplies the mechanism — the coherence protocol,
-// port occupancy, and deterministic event scheduling. The canonical
-// instances are:
+// (internal/topo): home-module mapping, hop costs, poll spacing, and
+// traffic classification are all topology properties, while this
+// package supplies the mechanism — the coherence protocol, one memory
+// module per processor with its port occupancy, and deterministic
+// event scheduling. The canonical instances are:
 //
 //   - topo.Bus: a symmetric bus-based multiprocessor with per-processor
 //     caches kept consistent by a write-invalidate protocol (Sequent
@@ -69,16 +69,16 @@ type Config struct {
 	// registered in topo.Registry alongside any custom shapes.
 	Topo topo.Topology
 
-	// Timing, in cycles. Topologies price their hops relative to these
-	// knobs (see topo.Timing), so they apply across machine shapes.
-	CacheHit     sim.Time // cache hit (coherent topologies); default 1
-	BusLatency   sim.Time // full bus transaction; default 20
-	LocalMem     sim.Time // local module access; default 2
-	RemoteMem    sim.Time // reference network traversal for remote refs; default 12
-	PollInterval sim.Time // base spacing between remote spin polls; default 36
+	// Interconnect timing, in cycles (the A1 ablation varies both).
+	// Topologies price their hops relative to RemoteMem (see
+	// topo.Timing), so it applies across machine shapes. The timings no
+	// experiment varies are the constants cacheHit, localMem and
+	// pollInterval below.
+	BusLatency sim.Time // full bus transaction; default 20
+	RemoteMem  sim.Time // reference network traversal for remote refs; default 12
 
 	SharedWords int // size of the shared heap; default 1<<16
-	LocalWords  int // per-module local region (placement target); default 1<<12
+	LocalWords  int // per-module local region; default 1<<12
 
 	Seed     uint64 // RNG seed; default 1
 	MaxSteps uint64 // event limit; default sim.DefaultMaxSteps
@@ -89,26 +89,27 @@ type Config struct {
 	// performance comparisons.
 	NoSpinWindows bool
 
-	// Placement is the default data-placement policy handed to
-	// placement-aware algorithms (see AllocPlaced); nil defaults to
-	// topo.PlaceGroup, which degenerates to per-processor local
-	// placement on flat topologies.
-	Placement topo.Placement
-
 	// Faults attaches a deterministic fault plan (processor stalls,
 	// crashes and restarts, module degradation; see internal/fault and
 	// fault.go in this package). Nil means a fault-free machine with
 	// behavior bit-identical to builds predating fault support. The
 	// plan is treated as read-only and may be shared across machines.
 	Faults *fault.Plan
-
-	// SuspectAfter is the heartbeat failure detector's suspicion
-	// threshold in cycles (default 2000): a processor silent that long
-	// is suspected dead until it speaks again. The detector is compiled
-	// from the fault plan, so queries (Proc.Suspects) are table lookups
-	// with zero timing or RNG effect. Negative disables the detector.
-	SuspectAfter sim.Time
 }
+
+// The fixed timings, in cycles.
+const (
+	cacheHit     sim.Time = 1  // cache hit (coherent topologies)
+	localMem     sim.Time = 2  // local module access
+	pollInterval sim.Time = 36 // base spacing between remote spin polls
+	// suspectAfter is the heartbeat failure detector's suspicion
+	// threshold: a processor silent that long is suspected dead until
+	// it speaks again (see Proc.Suspects). It equals the longest stall
+	// the standard fault sweeps draw (their StallMax), so only genuine
+	// crashes trip the detector there; a plan whose stalls run longer
+	// produces false positives.
+	suspectAfter sim.Time = 2000
+)
 
 // Defaults fills in zero fields and returns the completed config.
 func (c Config) Defaults() Config {
@@ -118,23 +119,11 @@ func (c Config) Defaults() Config {
 	if c.Topo == nil {
 		c.Topo = topo.Ideal
 	}
-	if c.Placement == nil {
-		c.Placement = topo.PlaceGroup
-	}
-	if c.CacheHit == 0 {
-		c.CacheHit = 1
-	}
 	if c.BusLatency == 0 {
 		c.BusLatency = 20
 	}
-	if c.LocalMem == 0 {
-		c.LocalMem = 2
-	}
 	if c.RemoteMem == 0 {
 		c.RemoteMem = 12
-	}
-	if c.PollInterval == 0 {
-		c.PollInterval = 36
 	}
 	if c.SharedWords == 0 {
 		c.SharedWords = 1 << 16
@@ -144,12 +133,6 @@ func (c Config) Defaults() Config {
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
-	}
-	if c.SuspectAfter == 0 {
-		// Above every stall the standard fault sweeps draw (their
-		// StallMax is 2000), so only genuine crashes trip the detector
-		// by default; shorten it deliberately to study false positives.
-		c.SuspectAfter = 2000
 	}
 	return c
 }
@@ -168,16 +151,6 @@ func (c Config) validate() error {
 	// implementation itself cannot track more than 64 sharers per word.
 	if c.Topo.Discipline() == topo.SnoopingBus && c.Procs > 64 {
 		return fmt.Errorf("machine: coherent topology %s exceeds the 64-sharer bitmask", c.Topo.Name())
-	}
-	// The machine's memory layout attaches one local region (and hence
-	// one module) to each processor — home() maps local addresses to
-	// their owning processor index. A topology declaring a different
-	// module count would index past modFreeAt, so refuse it up front
-	// instead of panicking mid-run; lifting the restriction means
-	// generalizing the local-region layout, not just this check.
-	if mods := c.Topo.Modules(c.Procs); mods != c.Procs {
-		return fmt.Errorf("machine: topology %s declares %d modules for %d processors; the machine currently requires one module per processor",
-			c.Topo.Name(), mods, c.Procs)
 	}
 	if c.Procs > 1024 {
 		return errors.New("machine: at most 1024 processors")
@@ -258,7 +231,7 @@ type Machine struct {
 	owner   []int16  // coherent: processor index + 1 holding the word exclusive, or 0
 
 	busFreeAt sim.Time
-	modFreeAt []sim.Time // modules: per-module port availability
+	modFreeAt []sim.Time // modules: per-module port availability, one module per processor
 
 	// Watchers form one intrusive FIFO list per word: watchHead/watchTail
 	// index the first and last watching processor and each Proc carries
@@ -287,10 +260,6 @@ type Machine struct {
 	// off after a failed attempt); winMask holds one eligibility bit
 	// per processor; winSet is reusable scratch for the detector.
 	winEnabled bool // set by Reset: windows possible on this config at all
-	// winClassed caches the topology's TraversalClasses declaration for
-	// Modules machines: storms are window-eligible only on topologies
-	// that declare a closed set of remote distance classes.
-	winClassed bool
 	spinStreak int
 	winCount   int
 	winMask    []uint64
@@ -337,13 +306,7 @@ func (m *Machine) Reset(cfg Config) error {
 	m.cfg = cfg
 	m.topo = cfg.Topo
 	m.disc = cfg.Topo.Discipline()
-	m.tm = topo.Timing{
-		CacheHit:     cfg.CacheHit,
-		BusLatency:   cfg.BusLatency,
-		LocalMem:     cfg.LocalMem,
-		RemoteMem:    cfg.RemoteMem,
-		PollInterval: cfg.PollInterval,
-	}
+	m.tm = topo.Timing{RemoteMem: cfg.RemoteMem, PollInterval: pollInterval}
 	total := cfg.SharedWords + cfg.Procs*cfg.LocalWords
 
 	m.eng.Reset()
@@ -358,7 +321,7 @@ func (m *Machine) Reset(cfg Config) error {
 		m.owner = resetSlice(m.owner, total)
 	}
 	if m.disc == topo.Modules {
-		m.modFreeAt = resetSlice(m.modFreeAt, m.topo.Modules(cfg.Procs))
+		m.modFreeAt = resetSlice(m.modFreeAt, cfg.Procs)
 	}
 	m.busFreeAt = 0
 
@@ -391,7 +354,7 @@ func (m *Machine) Reset(cfg Config) error {
 	if cfg.Faults != nil && !cfg.Faults.Empty() {
 		// Compiling per Reset keeps the plan portable across machine
 		// shapes; the compile allocates, but only faulted configs pay it.
-		m.flt = compileFaults(cfg.Faults, cfg.Procs, m.topo.Modules(cfg.Procs), cfg.SuspectAfter)
+		m.flt = compileFaults(cfg.Faults, cfg.Procs)
 	}
 
 	m.nextShared = 0
@@ -402,10 +365,6 @@ func (m *Machine) Reset(cfg Config) error {
 
 	m.stats = Stats{}
 	m.winEnabled = !cfg.NoSpinWindows && m.disc != topo.Uniform
-	m.winClassed = false
-	if m.disc == topo.Modules {
-		_, m.winClassed = m.topo.TraversalClasses(m.tm)
-	}
 	m.spinStreak = 0
 	m.winCount = 0
 	m.winMask = resetSlice(m.winMask, (cfg.Procs+63)/64)
@@ -443,9 +402,6 @@ func (m *Machine) Config() Config { return m.cfg }
 
 // Topo returns the machine's topology.
 func (m *Machine) Topo() topo.Topology { return m.topo }
-
-// Placement returns the machine's default data-placement policy.
-func (m *Machine) Placement() topo.Placement { return m.cfg.Placement }
 
 // Procs returns the processor count.
 func (m *Machine) Procs() int { return m.cfg.Procs }
@@ -485,15 +441,6 @@ func (m *Machine) AllocLocal(p, n int) Addr {
 	}
 	m.nextLocal[p] += Addr(n)
 	return base
-}
-
-// AllocPlaced reserves n words in the module the placement policy picks
-// for a word primarily touched by processor owner. This is how
-// placement-aware algorithms allocate: the same algorithm text places
-// its words per-processor on a flat machine and on cluster homes on a
-// hierarchical one, with the policy as the only varying part.
-func (m *Machine) AllocPlaced(pl topo.Placement, owner, n int) Addr {
-	return m.AllocLocal(pl.Module(m.topo, owner, m.cfg.Procs), n)
 }
 
 // home returns the memory module owning addr: local regions belong to

@@ -176,9 +176,9 @@ func TestWatcherSpuriousWakeRearms(t *testing.T) {
 
 func TestConfigDefaults(t *testing.T) {
 	c := Config{}.Defaults()
-	if c.Procs != 1 || c.CacheHit != 1 || c.BusLatency != 20 ||
-		c.LocalMem != 2 || c.RemoteMem != 12 || c.PollInterval != 36 ||
-		c.SharedWords != 1<<16 || c.LocalWords != 1<<12 || c.Seed != 1 {
+	if c.Procs != 1 || c.Topo != topo.Ideal || c.BusLatency != 20 || c.RemoteMem != 12 ||
+		c.SharedWords != 1<<16 || c.LocalWords != 1<<12 || c.Seed != 1 ||
+		c.MaxSteps != 0 || c.NoSpinWindows || c.Faults != nil {
 		t.Fatalf("defaults wrong: %+v", c)
 	}
 	// Explicit values survive.
@@ -237,7 +237,7 @@ func TestNUMAModuleContention(t *testing.T) {
 	if d < 0 {
 		d = -d
 	}
-	// Remote service time is LocalMem+RemoteMem (14); the second
+	// Remote service time is localMem+RemoteMem (14); the second
 	// requester queues behind the first for a full service slot.
 	if d != 14 {
 		t.Fatalf("module completions differ by %d, want 14 (port serialization)", d)

@@ -45,7 +45,7 @@ func (m *Machine) accessBus(p *Proc, a Addr, k accessKind) sim.Time {
 	switch k {
 	case accRead:
 		if m.sharers[a]&bit != 0 {
-			return m.cfg.CacheHit // hit: shared or exclusive copy present
+			return cacheHit // hit: shared or exclusive copy present
 		}
 		lat := m.busTransaction(p)
 		// Read miss: any exclusive owner is downgraded to shared; the
@@ -56,7 +56,7 @@ func (m *Machine) accessBus(p *Proc, a Addr, k accessKind) sim.Time {
 		return lat
 	default: // accWrite, accRMW
 		if m.owner[a] == int16(p.id)+1 {
-			return m.cfg.CacheHit // already exclusive: write hit
+			return cacheHit // already exclusive: write hit
 		}
 		lat := m.busTransaction(p)
 		// Invalidate all other copies; requester becomes exclusive owner.
@@ -84,7 +84,7 @@ func (m *Machine) busTransaction(p *Proc) sim.Time {
 
 // accessModules models per-module memory ports and distance-priced
 // network traversal for off-module references. An access occupies the
-// target module's port for its full service time — LocalMem cycles
+// target module's port for its full service time — localMem cycles
 // plus whatever traversal the topology charges for the hop (the module
 // and its switch path are busy for the whole transaction on a
 // Butterfly-class machine, near or far). This occupancy is what makes
@@ -110,7 +110,7 @@ func (m *Machine) accessModules(p *Proc, a Addr, _ accessKind) sim.Time {
 			trav *= sim.Time(f)
 		}
 	}
-	service := m.cfg.LocalMem + trav
+	service := localMem + trav
 	if m.topo.Remote(p.id, mod) {
 		p.stats.RemoteRefs++
 		m.stats.RemoteRefs++

@@ -103,7 +103,7 @@ func (p *Proc) waitBaton() {
 // processor q is suspected dead as of this processor's local clock.
 // The detector is compiled from the fault plan (fault.go): suspicion
 // follows q's heartbeats with a fixed threshold, so a crash is
-// suspected Config.SuspectAfter cycles after it happens, the suspicion
+// suspected suspectAfter (2000) cycles after it happens, the suspicion
 // clears at q's restart, and a stall longer than the threshold shows
 // up as a false positive for its duration. The query costs no cycles,
 // no traffic, and no RNG draws — the model is a hardware-maintained

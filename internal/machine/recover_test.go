@@ -207,16 +207,6 @@ func TestSuspectIntervals(t *testing.T) {
 			t.Errorf("sub-threshold stall suspected at t=%d", at)
 		}
 	}
-
-	// A negative threshold disables the detector entirely.
-	off, err := New(Config{Procs: 2, Topo: topo.Bus, Seed: 1, SuspectAfter: -1,
-		Faults: fault.NewPlan("off").WithCrash(0, 100)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if off.SuspectedAt(0, 1<<40) {
-		t.Error("disabled detector still suspects")
-	}
 }
 
 // TestDeadlockErrorDetail: the typed DeadlockError carries who was

@@ -114,8 +114,8 @@ type spinState struct {
 	// machine's eligibility mask at each issue.
 	winStatic bool
 	// winService is this spinner's probe service time on the
-	// serializing resource (BusLatency, or LocalMem plus the declared
-	// distance-class traversal to the probed word's home module),
+	// serializing resource (BusLatency, or localMem plus the
+	// topology-priced traversal to the probed word's home module),
 	// cached at spin entry so the window detector never recomputes the
 	// topology's hop price per scan. Valid only while winStatic.
 	winService sim.Time
@@ -328,7 +328,7 @@ func (p *Proc) watchRegister(a Addr) {
 //     bandwidth (it spins in its own cache); each write to the word
 //     invalidates and forces a re-read, charged through the normal path.
 //   - NUMA, word in another module: there is no cache to spin in, so the
-//     processor polls the remote module every PollInterval cycles; every
+//     processor polls the remote module every pollInterval cycles; every
 //     poll is a remote reference. This is exactly why remote-spin
 //     algorithms melt Butterfly-class machines.
 //   - NUMA, word in this processor's module: local spin; watchers model

@@ -24,8 +24,8 @@ import (
 // the last pending completion, every reissue queues behind the one
 // before it: the i-th pending probe (0-based, in firing order)
 // reissues to complete at F + S_0 + … + S_i, where S_k is the service
-// time of position k (BusLatency on the bus, LocalMem plus the
-// spinner's declared distance-class traversal on a module machine).
+// time of position k (BusLatency on the bus, localMem plus the
+// spinner's topology-priced traversal on a module machine).
 // Every reissue completes after the last pending probe, so the set pops
 // in exactly its pending order, and each pop performs one RMW, one
 // traffic charge and one step, and draws the next sequence number for
@@ -71,10 +71,10 @@ import (
 //     so it is a full bus transaction; only the first could instead be
 //     a cache hit, which would break the service schedule.
 //   - Modules: every window spinner is remote to the word's home
-//     module, on a topology declaring closed traversal classes
-//     (topo.TraversalClasses), so each spinner's service time is a
-//     storm-stable constant. The home processor itself has a shorter
-//     period; its events end the set instead.
+//     module. A Topology is a stateless value, so Traversal prices a
+//     spinner's hop the same for the whole storm and its service time
+//     is a storm-stable constant. The home processor itself has a
+//     shorter period; its events end the set instead.
 //   - Saturation: the resource's free point F is at or past the last
 //     pending probe completion, so every reissue queues on the resource
 //     and completes after the whole set has popped. This holds whenever
@@ -134,10 +134,8 @@ func (m *Machine) winMaskBit(pid int32) bool {
 // winStatic reports the spin-entry-time part of window eligibility: a
 // raw test&set (the zero Backoff) on a machine with a serializing
 // resource, and on a module machine only a spinner remote to the
-// word's home module on a topology declaring closed traversal classes
-// (a local spinner's shorter service period breaks the schedule the
-// commit depends on; undeclared topologies replay per-event, still
-// exact).
+// word's home module (a local spinner's shorter service period breaks
+// the schedule the commit depends on).
 // On success it caches the spinner's probe service time in
 // spinState.winService (one topology hop-price call per spin entry,
 // not per window scan); a zero-cost probe has no serial schedule and
@@ -151,10 +149,10 @@ func (m *Machine) winStatic(p *Proc, kind uint8, a Addr, bo Backoff) bool {
 		p.spin.winService = m.cfg.BusLatency
 	case topo.Modules:
 		mod := m.home(a)
-		if !m.winClassed || mod == p.id {
+		if mod == p.id {
 			return false
 		}
-		p.spin.winService = m.cfg.LocalMem + m.topo.Traversal(p.id, mod, m.tm)
+		p.spin.winService = localMem + m.topo.Traversal(p.id, mod, m.tm)
 	default:
 		return false
 	}

@@ -232,7 +232,7 @@ func TestHealQueueExcisesDeadTicket(t *testing.T) {
 	plan := fault.NewPlan("heal/excise").
 		WithCrash(0, 700).
 		WithRestart(0, 9000).
-		// Long enough past SuspectAfter (2000) to read as a false
+		// Long enough past the detector threshold (2000) to read as a false
 		// positive: processor 1's queued ticket gets excised while it
 		// sleeps, forcing the requeue path when it wakes.
 		WithStall(1, 1000, 4000)

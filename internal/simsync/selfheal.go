@@ -46,7 +46,6 @@ type fenceLock struct {
 	tokens []machine.Word // host-side: fencing token from each processor's last acquire
 
 	staleWrites uint64 // GuardedStores suppressed on a stale token
-	renewals    uint64 // successful lease renewals
 }
 
 // NewLeaseFence builds a fencing lease lock with an effectively
@@ -93,11 +92,7 @@ func (l *fenceLock) Renew(p *machine.Proc) bool {
 	if int(v>>leaseExpBits) != p.ID()+1 {
 		return false // already usurped; nothing to renew
 	}
-	if p.CompareAndSwap(l.lease.word, v, l.lease.pack(p, p.Now()+l.lease.lease)) {
-		l.renewals++
-		return true
-	}
-	return false
+	return p.CompareAndSwap(l.lease.word, v, l.lease.pack(p, p.Now()+l.lease.lease))
 }
 
 func (l *fenceLock) Release(p *machine.Proc) {
@@ -117,17 +112,11 @@ func (l *fenceLock) GuardedStore(p *machine.Proc, a machine.Addr, v machine.Word
 	return true
 }
 
-// Token returns the fencing token from processor pid's last acquire.
-func (l *fenceLock) Token(pid int) machine.Word { return l.tokens[pid] }
-
 // Takeovers reports how many acquires usurped an expired lease.
 func (l *fenceLock) Takeovers() uint64 { return l.lease.takeovers }
 
 // StaleWrites reports how many GuardedStores were fenced off.
 func (l *fenceLock) StaleWrites() uint64 { return l.staleWrites }
-
-// Renewals reports how many lease renewals succeeded.
-func (l *fenceLock) Renewals() uint64 { return l.renewals }
 
 // ---------------------------------------------------------------------
 // self-healing ticket queue lock

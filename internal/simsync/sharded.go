@@ -6,16 +6,16 @@ import (
 )
 
 // shardedCounter stripes the hot-spot counter across the machine's
-// locality groups, placing each stripe through the machine's placement
-// policy (machine.AllocPlaced). On a flat machine every processor is
-// its own group, so this is the classic per-processor striping: an
+// locality groups, allocating each stripe in its group's home module
+// (topo.Topology.GroupHome). On a flat machine every processor is its
+// own group, so this is the classic per-processor striping: an
 // increment is one local fetch&add — no interconnect transaction at
 // all on NUMA, and no invalidation storm on a bus. On a hierarchical
 // machine (topo.Cluster) the stripes land one per cluster on the
 // cluster's home module: increments pay at most a cheap intra-cluster
 // hop and the expensive inter-cluster links carry no counter traffic —
-// the SynCron-style near-data trade (arXiv:2101.07557) expressed as a
-// placement policy instead of a rewritten algorithm. The global value
+// the SynCron-style near-data trade (arXiv:2101.07557) expressed as
+// data placement instead of a rewritten algorithm. The global value
 // exists only on demand: ReadTotal combines the stripes.
 //
 // Inc still returns a globally unique pre-increment value by giving
@@ -25,13 +25,13 @@ import (
 // discipline a statistics counter or work-stealing id generator needs,
 // and what the central fetch&add pays a hot spot to over-deliver.
 type shardedCounter struct {
-	stripes []machine.Addr // one per locality group, at the group's placed module
+	stripes []machine.Addr // one per locality group, in the group's home module
 	group   []machine.Word // processor -> stripe index (host-side, fixed at build)
 	groups  machine.Word
 }
 
-// NewShardedCounter builds the group-striped counter on m, placing
-// stripes through the machine's placement policy.
+// NewShardedCounter builds the group-striped counter on m, one stripe
+// in each group's home module.
 func NewShardedCounter(m *machine.Machine) Counter {
 	t := m.Topo()
 	procs := m.Procs()
@@ -41,9 +41,8 @@ func NewShardedCounter(m *machine.Machine) Counter {
 		group:   make([]machine.Word, procs),
 		groups:  machine.Word(groups),
 	}
-	pl := m.Placement()
 	for g := 0; g < groups; g++ {
-		c.stripes[g] = m.AllocPlaced(pl, t.GroupHome(g, procs), 1)
+		c.stripes[g] = m.AllocLocal(t.GroupHome(g, procs), 1)
 	}
 	for p := 0; p < procs; p++ {
 		c.group[p] = machine.Word(t.Group(p, procs))

@@ -9,14 +9,14 @@ import (
 // shardedSem is the counting semaphore built on the same placement
 // idea as the sharded counter: the permit pool is striped across the
 // machine's locality groups, each stripe living in its group's home
-// module (machine.AllocPlaced). V returns a permit to the caller's own
-// stripe — a cheap, contention-free fetch&add. P tries the caller's
-// stripe first and then sweeps the others, so a permit released
-// anywhere can satisfy a waiter anywhere (no lost permits), but in the
-// common producer/consumer steady state permits circulate within a
-// group and the expensive links stay quiet. On a flat machine every
-// processor is its own group and the semaphore degenerates to
-// per-processor permit caching with stealing.
+// module (topo.Topology.GroupHome). V returns a permit to the caller's
+// own stripe — a cheap, contention-free fetch&add. P tries the
+// caller's stripe first and then sweeps the others, so a permit
+// released anywhere can satisfy a waiter anywhere (no lost permits),
+// but in the common producer/consumer steady state permits circulate
+// within a group and the expensive links stay quiet. On a flat
+// machine every processor is its own group and the semaphore
+// degenerates to per-processor permit caching with stealing.
 //
 // A stripe is decremented with a load + compare&swap pair (the era's
 // optimistic "decrement if positive"); a failed CAS just moves the
@@ -84,9 +84,8 @@ func NewShardedSemaphore(m *machine.Machine, permits int) Semaphore {
 		group:   make([]int32, procs),
 		groups:  groups,
 	}
-	pl := m.Placement()
 	for g := 0; g < groups; g++ {
-		s.stripes[g] = m.AllocPlaced(pl, t.GroupHome(g, procs), 1)
+		s.stripes[g] = m.AllocLocal(t.GroupHome(g, procs), 1)
 	}
 	s.sweeps = make([]semSweep, procs)
 	for p := 0; p < procs; p++ {

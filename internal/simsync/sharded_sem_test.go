@@ -111,21 +111,3 @@ func TestShardedCounterClusterPlacement(t *testing.T) {
 		t.Fatalf("flat-placed sharded counter made %d remote refs, want 0", resFlat.Stats.RemoteRefs)
 	}
 }
-
-// The central placement policy is the deliberate hot-spot: every
-// stripe lands on module 0, so the sharded counter degenerates into a
-// striped-but-centralized structure and pays remote references from
-// every non-zero processor. This pins that the policy knob actually
-// reaches the allocation.
-func TestCentralPlacementCreatesHotSpot(t *testing.T) {
-	info, _ := CounterByName("ctr-sharded")
-	res, err := RunCounterIn(nil,
-		machine.Config{Procs: 8, Topo: topo.NUMA, Seed: 9, Placement: topo.PlaceCentral},
-		info, CounterOpts{Incs: 20, Think: 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := res.Stats.RemoteRefs, uint64(7*20); got != want {
-		t.Fatalf("central placement made %d remote refs, want %d", got, want)
-	}
-}

@@ -26,13 +26,12 @@ var (
 )
 
 // flat supplies the degenerate structure shared by machines without a
-// locality hierarchy: one module per processor, shared words
-// interleaved across modules, and every processor its own group (so
-// group-aware placement degenerates to per-processor placement).
+// locality hierarchy: shared words interleaved across modules, and
+// every processor its own group (so per-group striping degenerates to
+// per-processor striping).
 type flat struct{}
 
 func (flat) MaxProcs() int                              { return 0 }
-func (flat) Modules(procs int) int                      { return procs }
 func (flat) HomeModule(w, procs int) int                { return w % procs }
 func (flat) Group(p, procs int) int                     { return p }
 func (flat) GroupHome(g, procs int) int                 { return g }
@@ -44,13 +43,12 @@ func (flat) PollSpacing(p, mod int, tm Timing) sim.Time { return tm.PollInterval
 
 type idealTopo struct{ flat }
 
-func (idealTopo) Name() string                                  { return "ideal" }
-func (idealTopo) String() string                                { return "ideal" }
-func (idealTopo) Discipline() Discipline                        { return Uniform }
-func (idealTopo) Traversal(p, mod int, tm Timing) sim.Time      { return 0 }
-func (idealTopo) Remote(p, mod int) bool                        { return false }
-func (idealTopo) TraversalClasses(tm Timing) ([]sim.Time, bool) { return nil, false }
-func (idealTopo) Traffic() TrafficKind                          { return TrafficOps }
+func (idealTopo) Name() string                             { return "ideal" }
+func (idealTopo) String() string                           { return "ideal" }
+func (idealTopo) Discipline() Discipline                   { return Uniform }
+func (idealTopo) Traversal(p, mod int, tm Timing) sim.Time { return 0 }
+func (idealTopo) Remote(p, mod int) bool                   { return false }
+func (idealTopo) Traffic() TrafficKind                     { return TrafficOps }
 
 // ---------------------------------------------------------------------
 // bus
@@ -69,13 +67,12 @@ func (busTopo) Discipline() Discipline { return SnoopingBus }
 // topology property, visible to validation and CLIs.)
 func (busTopo) MaxProcs() int { return 64 }
 
-// TraversalClasses: the bus machine has no module traversals at all —
-// probe serialization happens on the bus itself, which the machine
-// prices directly (spin windows on SnoopingBus never consult this).
-func (busTopo) Traversal(p, mod int, tm Timing) sim.Time      { return 0 }
-func (busTopo) Remote(p, mod int) bool                        { return false }
-func (busTopo) TraversalClasses(tm Timing) ([]sim.Time, bool) { return nil, false }
-func (busTopo) Traffic() TrafficKind                          { return TrafficBusTxns }
+// The bus machine has no module traversals at all: probe
+// serialization happens on the bus itself, which the machine prices
+// directly.
+func (busTopo) Traversal(p, mod int, tm Timing) sim.Time { return 0 }
+func (busTopo) Remote(p, mod int) bool                   { return false }
+func (busTopo) Traffic() TrafficKind                     { return TrafficBusTxns }
 
 // ---------------------------------------------------------------------
 // numa
@@ -96,12 +93,6 @@ func (numaTopo) Traversal(p, mod int, tm Timing) sim.Time {
 
 func (numaTopo) Remote(p, mod int) bool { return mod != p }
 
-// TraversalClasses: every remote hop costs RemoteMem — one distance
-// class, so flat NUMA storms rotate with a single uniform probe period.
-func (numaTopo) TraversalClasses(tm Timing) ([]sim.Time, bool) {
-	return []sim.Time{tm.RemoteMem}, true
-}
-
 func (numaTopo) Traffic() TrafficKind { return TrafficRemoteRefs }
 
 // ---------------------------------------------------------------------
@@ -111,9 +102,10 @@ func (numaTopo) Traffic() TrafficKind { return TrafficRemoteRefs }
 // clusterTopo is the two-level cluster-NUMA machine: processors (and
 // their modules) are grouped into clusters of span; intra-cluster hops
 // are cheap, inter-cluster traversals expensive. This is the shape
-// where placement policy starts to matter: a word shared within a
-// cluster wants the cluster's home module, not the toucher's own —
-// the hierarchical near-data trade SynCron-class designs exploit.
+// where data placement starts to matter: a word shared within a
+// cluster wants the cluster's home module (GroupHome), not the
+// toucher's own — the hierarchical near-data trade SynCron-class
+// designs exploit.
 type clusterTopo struct {
 	name string
 	span int
@@ -133,7 +125,6 @@ func (c clusterTopo) Name() string                { return c.name }
 func (c clusterTopo) String() string              { return c.name }
 func (c clusterTopo) Discipline() Discipline      { return Modules }
 func (c clusterTopo) MaxProcs() int               { return 0 }
-func (c clusterTopo) Modules(procs int) int       { return procs }
 func (c clusterTopo) HomeModule(w, procs int) int { return w % procs }
 
 func (c clusterTopo) Group(p, procs int) int     { return p / c.span }
@@ -163,15 +154,6 @@ func (c clusterTopo) PollSpacing(p, mod int, tm Timing) sim.Time {
 		return tm.PollInterval
 	}
 	return 2 * tm.PollInterval
-}
-
-// TraversalClasses: two distance classes — the short intra-cluster hop
-// and the double-cost inter-cluster traversal. Declaring them makes
-// cluster storms spin-window eligible: the home port still serializes
-// every probe, so the mixed-period rotation is computable in closed
-// form (internal/machine/window.go).
-func (c clusterTopo) TraversalClasses(tm Timing) ([]sim.Time, bool) {
-	return []sim.Time{tm.RemoteMem / 3, 2 * tm.RemoteMem}, true
 }
 
 func (c clusterTopo) Traffic() TrafficKind { return TrafficRemoteRefs }

@@ -1,12 +1,14 @@
 // Package topo describes the shape of a simulated machine's memory
-// system: how many modules it has, which module a word calls home, what
-// a hop between a processor and a module costs, how remote spinning is
-// polled, and which interconnect metric the topology's experiments
-// headline. internal/machine consumes a Topology instead of switching
-// on a machine-model enum, so new memory systems — hierarchical
-// cluster machines, near-data topologies, asymmetric interconnects —
-// are one Register call away from every sweep, CLI flag, and benchmark,
-// exactly like algorithms are.
+// system: which module a word calls home, how processors group into
+// clusters, what a hop between a processor and a module costs, how
+// remote spinning is polled, and which interconnect metric the
+// topology's experiments headline. Every topology keeps one memory
+// module per processor (module i is attached to processor i) and
+// varies distance instead. internal/machine consumes a Topology
+// instead of switching on a machine-model enum, so new memory systems
+// — hierarchical cluster machines, near-data topologies, asymmetric
+// interconnects — are one Register call away from every sweep, CLI
+// flag, and benchmark, exactly like algorithms are.
 //
 // Two invariants govern the package:
 //
@@ -69,14 +71,11 @@ func (k TrafficKind) Unit() string {
 	return "ops"
 }
 
-// Timing carries the machine's configured timing parameters into the
-// topology's cost methods. Topologies price hops relative to these
-// knobs (rather than holding absolute numbers) so parameter-sensitivity
-// sweeps like A1 stay meaningful on every topology.
+// Timing carries the machine's timing parameters into the topology's
+// cost methods. Topologies price hops relative to these knobs (rather
+// than holding absolute numbers) so parameter-sensitivity sweeps like
+// A1, which varies RemoteMem, stay meaningful on every topology.
 type Timing struct {
-	CacheHit     sim.Time // cache hit (coherent machines)
-	BusLatency   sim.Time // full bus transaction
-	LocalMem     sim.Time // local module access
 	RemoteMem    sim.Time // reference network traversal for remote refs
 	PollInterval sim.Time // base spacing between remote spin polls
 }
@@ -84,7 +83,8 @@ type Timing struct {
 // Topology is the shape of one memory system. Implementations must be
 // stateless comparable values: a Topology is used as a configuration
 // key (pooled machines compare it on Reset) and shared by concurrent
-// sweeps.
+// sweeps, and its prices cannot change mid-run (cross-processor spin
+// windows in internal/machine rely on that).
 type Topology interface {
 	// Name is the registry key and table label ("bus", "numa", ...).
 	Name() string
@@ -93,16 +93,12 @@ type Topology interface {
 	// MaxProcs is the topology's processor ceiling; 0 means only the
 	// simulator-wide cap applies.
 	MaxProcs() int
-	// Modules is the memory-module count of a procs-processor machine.
-	// Module i is attached to processor i; today every topology keeps
-	// one module per processor and varies distance instead.
-	Modules(procs int) int
 	// HomeModule maps shared-heap word index w to its home module
 	// (local regions always live with their owning processor).
 	HomeModule(w, procs int) int
 	// Group is the locality group (cluster) of processor p. Flat
-	// topologies make every processor its own group, so group-aware
-	// data placement degenerates to per-processor placement on them.
+	// topologies make every processor its own group, so data striped
+	// per group degenerates to per-processor striping on them.
 	Group(p, procs int) int
 	// GroupHome is the canonical home module of group g — where
 	// group-shared words are placed.
@@ -118,18 +114,6 @@ type Topology interface {
 	// spins on a remote word homed at mod (jitter is added by the
 	// machine on top).
 	PollSpacing(p, mod int, tm Timing) sim.Time
-	// TraversalClasses enumerates the closed set of distinct remote
-	// traversal costs a processor can pay to reach another processor's
-	// module — the topology's distance classes. Declaring the set (ok
-	// true) is the precondition for cross-processor spin-window
-	// batching on a Modules machine: a test&set storm serializes on the
-	// probed word's home port, so per-spinner probe periods drawn from
-	// a small closed set still form a computable rotation (the machine
-	// prices each spinner's hop individually via Traversal; the
-	// declaration promises those prices are storm-stable). Topologies
-	// whose hop costs are unbounded or state-dependent return ok=false
-	// and their storms replay per-event.
-	TraversalClasses(tm Timing) (classes []sim.Time, ok bool)
 	// Traffic names the headline interconnect metric.
 	Traffic() TrafficKind
 }
@@ -159,5 +143,4 @@ func Names() []string { return Registry.Names() }
 
 func init() {
 	Registry.Register(Ideal, Bus, NUMA, Cluster)
-	Placements.Register(PlaceLocal, PlaceGroup, PlaceCentral)
 }

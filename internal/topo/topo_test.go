@@ -6,7 +6,7 @@ import (
 	"repro/internal/sim"
 )
 
-var testTiming = Timing{CacheHit: 1, BusLatency: 20, LocalMem: 2, RemoteMem: 12, PollInterval: 36}
+var testTiming = Timing{RemoteMem: 12, PollInterval: 36}
 
 func TestRegistryCanonicalOrder(t *testing.T) {
 	want := []string{"ideal", "bus", "numa", "cluster"}
@@ -52,19 +52,17 @@ func TestCanonicalShapes(t *testing.T) {
 	if NUMA.Remote(3, 3) || !NUMA.Remote(3, 5) {
 		t.Error("numa remote classification wrong")
 	}
-	if classes, ok := NUMA.TraversalClasses(testTiming); !ok || len(classes) != 1 || classes[0] != testTiming.RemoteMem {
-		t.Errorf("numa TraversalClasses = (%v, %v)", classes, ok)
+	// One distance class: every remote hop costs exactly RemoteMem.
+	for p := 0; p < 16; p++ {
+		for mod := 0; mod < 16; mod++ {
+			if d := NUMA.Traversal(p, mod, testTiming); p != mod && d != testTiming.RemoteMem {
+				t.Errorf("numa Traversal(%d,%d) = %d, want %d", p, mod, d, testTiming.RemoteMem)
+			}
+		}
 	}
-	if _, ok := Ideal.TraversalClasses(testTiming); ok {
-		t.Error("ideal declares traversal classes")
-	}
-	if _, ok := Bus.TraversalClasses(testTiming); ok {
-		t.Error("bus declares traversal classes")
-	}
-	// Flat topologies: one module per processor, interleaved shared
-	// heap, per-processor groups.
+	// Flat topologies: interleaved shared heap, per-processor groups.
 	for _, tp := range []Topology{Bus, NUMA, Ideal} {
-		if tp.Modules(16) != 16 || tp.HomeModule(35, 16) != 35%16 {
+		if tp.HomeModule(35, 16) != 35%16 {
 			t.Errorf("%s module mapping wrong", tp.Name())
 		}
 		if tp.Group(7, 16) != 7 || tp.GroupHome(7, 16) != 7 {
@@ -113,29 +111,15 @@ func TestClusterShape(t *testing.T) {
 	if sp := c.PollSpacing(1, 12, testTiming); sp != 2*testTiming.PollInterval {
 		t.Errorf("inter-cluster poll spacing = %d", sp)
 	}
-	// Two declared distance classes: intra- and inter-cluster hops.
-	// Every Traversal cost a remote access can pay must be one of them —
-	// the spin-window batcher's per-class rotation depends on it.
-	classes, ok := c.TraversalClasses(testTiming)
-	if !ok || len(classes) != 2 ||
-		classes[0] != testTiming.RemoteMem/3 || classes[1] != 2*testTiming.RemoteMem {
-		t.Errorf("cluster TraversalClasses = (%v, %v)", classes, ok)
-	}
-	inClasses := func(d sim.Time) bool {
-		for _, cl := range classes {
-			if cl == d {
-				return true
-			}
-		}
-		return false
-	}
+	// Two distance classes: every remote hop is an intra-cluster
+	// RemoteMem/3 or an inter-cluster 2*RemoteMem.
 	for p := 0; p < 16; p++ {
 		for mod := 0; mod < 16; mod++ {
 			if p == mod {
 				continue
 			}
-			if d := c.Traversal(p, mod, testTiming); !inClasses(d) {
-				t.Errorf("Traversal(%d,%d) = %d not in declared classes %v", p, mod, d, classes)
+			if d := c.Traversal(p, mod, testTiming); d != testTiming.RemoteMem/3 && d != 2*testTiming.RemoteMem {
+				t.Errorf("Traversal(%d,%d) = %d, want %d or %d", p, mod, d, testTiming.RemoteMem/3, 2*testTiming.RemoteMem)
 			}
 		}
 	}
@@ -148,29 +132,6 @@ func TestNewClusterSpanValidation(t *testing.T) {
 		}
 	}()
 	NewCluster("bad", 0)
-}
-
-func TestPlacements(t *testing.T) {
-	for _, name := range []string{"local", "group-home", "central"} {
-		if _, ok := PlacementByName(name); !ok {
-			t.Errorf("placement %q not registered", name)
-		}
-	}
-	if m := PlaceLocal.Module(Cluster, 6, 16); m != 6 {
-		t.Errorf("local placement = %d", m)
-	}
-	// Group-home on the cluster machine: processor 6 is in cluster 1,
-	// whose home module is 4.
-	if m := PlaceGroup.Module(Cluster, 6, 16); m != 4 {
-		t.Errorf("group placement on cluster = %d, want 4", m)
-	}
-	// On flat topologies group placement degenerates to local.
-	if m := PlaceGroup.Module(NUMA, 6, 16); m != 6 {
-		t.Errorf("group placement on numa = %d, want 6", m)
-	}
-	if m := PlaceCentral.Module(NUMA, 6, 16); m != 0 {
-		t.Errorf("central placement = %d", m)
-	}
 }
 
 // TestTopologyComparable pins that topology values work as
