@@ -7,9 +7,10 @@
 // either built explicitly (NewPlan().WithStall(...)...) or generated
 // up front by Generate from a seed on its own RNG stream, independent
 // of every algorithm and machine stream. The same plan attached to the
-// same machine.Config therefore yields bit-identical runs, and the
-// machine's spin-window A/B invariant (windows on/off produce the same
-// Stats) holds under any plan.
+// same machine.Config therefore yields bit-identical runs. A machine
+// with a plan forms no spin windows, so its windows on/off A/B
+// invariant (the same Stats either way) holds under any plan, whatever
+// kinds of fault it carries.
 //
 // Entries that do not apply to a given machine — a processor index at
 // or above Procs, a module index at or above the topology's module
@@ -25,8 +26,8 @@ import (
 )
 
 // Stall suspends event delivery to one processor for [Start, End):
-// every dispatch or spin event addressed to the processor inside the
-// window is retimed to End. It models an OS preemption of the thread
+// every dispatch addressed to the processor inside the window is
+// retimed to End. It models an OS preemption of the thread
 // pinned to that processor — memory the processor holds stays held,
 // in-flight operations complete, but it makes no forward progress
 // until the window closes.
@@ -155,8 +156,9 @@ func (e *PlanError) Error() string {
 // machine shape (an index beyond that machine's size) are fine;
 // validation is machine-independent. The machine never calls this —
 // attaching an unvalidated plan keeps the documented skip-inert
-// semantics — but generated plans always pass, and harness/cmd paths
-// validate what they build.
+// semantics — and neither do the harness or cmd paths: their plans are
+// empty (the fault-free level) or drawn by Generate, which validates
+// the Spec (Spec.Validate) and only ever draws plans that pass.
 func (p *Plan) Validate() error {
 	if p == nil {
 		return nil

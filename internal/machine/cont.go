@@ -131,26 +131,6 @@ func (p *Proc) RunScript(ops []ContOp) {
 	p.blockedOn = ""
 }
 
-// contComplete mirrors Proc.complete for an operation issued by the
-// continuation machinery: retire inline when no pending event precedes
-// the completion (charging the livelock budget), otherwise schedule the
-// processor's EvDispatch at the completion time — the same decision,
-// charge, and event the goroutine path makes. The drive loop advances
-// the script when that dispatch fires.
-func (p *Proc) contComplete(lat sim.Time) bool {
-	target := p.localNow + lat
-	eng := p.m.eng
-	if nxt, ok := eng.NextTime(); !ok || nxt > target {
-		if !eng.ChargeStep() {
-			p.localNow = target
-			p.m.stats.InlineOps++
-			return true
-		}
-	}
-	eng.AtEvent(target, sim.EvDispatch, int32(p.id), 0)
-	return false
-}
-
 // contAdvance runs p's continuation until the script completes (returns
 // true: the processor's program resumes at p.localNow) or the current
 // op must wait for an engine event (returns false). RunScript calls it
@@ -171,22 +151,15 @@ func (m *Machine) contAdvance(p *Proc) bool {
 			lat = op.Dur
 		case ContExpDelay:
 			lat = p.rng.ExpTime(op.Dur)
-		case ContStore, ContStoreAcc:
-			v := op.Val
-			if op.Kind == ContStoreAcc {
-				v += c.acc
-			}
-			p.stats.Stores++
-			lat = m.access(p, op.Addr, accWrite)
-			m.mem[op.Addr] = v
-			m.wakeWatchers(op.Addr, p.localNow+lat)
+		case ContStore:
+			lat = p.storeIssue(op.Addr, op.Val)
+		case ContStoreAcc:
+			lat = p.storeIssue(op.Addr, c.acc+op.Val)
 		case ContCAS:
-			p.stats.RMWs++
-			lat = m.access(p, op.Addr, accRMW)
+			var ok bool
+			ok, lat = p.casIssue(op.Addr, op.Val, op.New)
 			c.acc = 0
-			if m.mem[op.Addr] == op.Val {
-				m.mem[op.Addr] = op.New
-				m.wakeWatchers(op.Addr, p.localNow+lat)
+			if ok {
 				c.acc = 1
 			}
 		case ContCall:
@@ -199,8 +172,8 @@ func (m *Machine) contAdvance(p *Proc) bool {
 		if lat < 0 {
 			lat = 0
 		}
-		if !p.contComplete(lat) {
-			return false
+		if !p.retire(lat, 0) {
+			return false // the drive loop resumes the script at this dispatch
 		}
 	}
 	return true

@@ -17,18 +17,16 @@ import (
 //   - Determinism: the compiled tables are pure data derived from the
 //     plan; the drive loop consults them at event-delivery time only,
 //     so the same plan on the same config yields bit-identical runs.
-//   - Window exactness: spin windows refuse to form while any fault
-//     interval is active and cut their set at the next fault boundary
-//     (window.go), so no batched pop can ever straddle a point where
-//     fault state changes. The windows on/off A/B invariant therefore
-//     survives every plan.
+//   - Window exactness: a faulted machine forms no spin windows (Reset
+//     leaves them off whenever a plan compiles to fault state), so
+//     every pop replays per event and the windows on/off A/B invariant
+//     holds under every plan without a per-fault-kind argument.
 //
 // Fault semantics implemented here and in the drive loop:
 //
-//   - Stall [start, end) of processor p: every dispatch or spin event
-//     addressed to p inside the window is retimed to end (one extra
-//     engine event per deferred delivery, identical in the windowed and
-//     per-event executions). Inline run-ahead is not preempted — a
+//   - Stall [start, end) of processor p: every dispatch addressed to p
+//     inside the window is retimed to end (one extra engine event per
+//     deferred delivery). Inline run-ahead is not preempted — a
 //     stall suspends event delivery, the model's stand-in for the OS
 //     descheduling the thread between observable memory operations.
 //   - Crash of processor p at time t: an EvFault event scheduled at t
@@ -54,7 +52,7 @@ import (
 //     failing one), and a stall longer than suspectAfter reads as a
 //     false positive for its remainder. Suspicion is pure compiled
 //     data — queries (Proc.Suspects) draw nothing and cost nothing, so
-//     the detector cannot perturb timing or the window A/B contract.
+//     the detector cannot perturb timing.
 //   - Degrade [start, end) of module m by factor f: the network
 //     traversal term of every access serviced by m and issued in the
 //     window is scaled by f (module topologies only; the local-memory
@@ -67,17 +65,16 @@ type faultSpan struct {
 	factor     int // degrade factor; unused for stalls
 }
 
-// machineFaults is the compiled plan. Entry lists are tiny (a handful
-// of faults per run), so point queries scan linearly; only nextBound,
-// consulted per window attempt, binary-searches.
+// machineFaults is the compiled plan, queried at event delivery
+// (stalls, crashes, restarts), at access pricing (degrades) and by
+// Proc.Suspects. Entry lists are tiny (a handful of faults per run), so
+// queries scan linearly.
 type machineFaults struct {
 	stalls    [][]faultSpan // per processor: sorted, merged, disjoint
 	crashAt   []sim.Time    // per processor: earliest crash instant, or -1
 	restartAt []sim.Time    // per processor: earliest restart after the crash, or -1
 	degrades  [][]faultSpan // per module: sorted by start (largest covering factor wins)
 	suspect   [][]faultSpan // per processor: failure-detector suspicion intervals
-	active    []faultSpan   // union of all stall+degrade intervals, merged
-	bounds    []sim.Time    // sorted, deduped: every interval endpoint and crash/restart instant
 }
 
 // suspectForever stands in for an open-ended suspicion interval (a
@@ -100,15 +97,15 @@ func compileFaults(p *fault.Plan, procs int) *machineFaults {
 		f.crashAt[i] = -1
 		f.restartAt[i] = -1
 	}
-	var raw []faultSpan
-	var bounds []sim.Time
+	// applied counts the entries that apply to this shape; a restart
+	// applies only with a crash, which is counted already.
+	applied := 0
 	for _, s := range p.Stalls() {
 		if s.Proc < 0 || s.Proc >= procs || s.Start < 0 || s.End <= s.Start {
 			continue
 		}
 		f.stalls[s.Proc] = append(f.stalls[s.Proc], faultSpan{start: s.Start, end: s.End})
-		raw = append(raw, faultSpan{start: s.Start, end: s.End})
-		bounds = append(bounds, s.Start, s.End)
+		applied++
 	}
 	for _, c := range p.Crashes() {
 		if c.Proc < 0 || c.Proc >= procs || c.At < 0 {
@@ -117,13 +114,11 @@ func compileFaults(p *fault.Plan, procs int) *machineFaults {
 		if f.crashAt[c.Proc] < 0 || c.At < f.crashAt[c.Proc] {
 			f.crashAt[c.Proc] = c.At
 		}
-		bounds = append(bounds, c.At)
+		applied++
 	}
 	for _, r := range p.Restarts() {
 		// A restart is live only when this shape also crashes the same
-		// processor earlier; the earliest qualifying restart wins. The
-		// instant joins bounds like any other fault boundary, so spin
-		// windows cut their set at it.
+		// processor earlier; the earliest qualifying restart wins.
 		if r.Proc < 0 || r.Proc >= procs || r.At < 0 {
 			continue
 		}
@@ -135,18 +130,18 @@ func compileFaults(p *fault.Plan, procs int) *machineFaults {
 			f.restartAt[r.Proc] = r.At
 		}
 	}
-	for _, at := range f.restartAt {
-		if at >= 0 {
-			bounds = append(bounds, at)
-		}
-	}
 	for _, d := range p.Degrades() {
 		if d.Module < 0 || d.Module >= procs || d.Start < 0 || d.End <= d.Start || d.Factor <= 1 {
 			continue
 		}
 		f.degrades[d.Module] = append(f.degrades[d.Module], faultSpan{start: d.Start, end: d.End, factor: d.Factor})
-		raw = append(raw, faultSpan{start: d.Start, end: d.End})
-		bounds = append(bounds, d.Start, d.End)
+		applied++
+	}
+	if applied == 0 {
+		// Every entry was inert for this shape: compile to "no faults"
+		// so the run takes the nil-plan path exactly (no EvFault
+		// scheduling, no per-delivery checks, spin windows on).
+		return nil
 	}
 	for i := range f.stalls {
 		f.stalls[i] = mergeSpans(f.stalls[i])
@@ -156,8 +151,8 @@ func compileFaults(p *fault.Plan, procs int) *machineFaults {
 	// from crash+suspectAfter until its restart (forever without one),
 	// and any single stall longer than suspectAfter from
 	// stall-start+suspectAfter until the stall ends — the detector's
-	// honest false-positive mode. Suspicion intervals do not join
-	// bounds: they gate no event timing, only Suspects queries.
+	// honest false-positive mode. Suspicion gates no event timing,
+	// only Suspects queries.
 	for i := range f.suspect {
 		var spans []faultSpan
 		if c := f.crashAt[i]; c >= 0 {
@@ -180,19 +175,6 @@ func compileFaults(p *fault.Plan, procs int) *machineFaults {
 		sort.Slice(f.degrades[i], func(a, b int) bool {
 			return f.degrades[i][a].start < f.degrades[i][b].start
 		})
-	}
-	f.active = mergeSpans(raw)
-	sort.Slice(bounds, func(a, b int) bool { return bounds[a] < bounds[b] })
-	for _, b := range bounds {
-		if n := len(f.bounds); n == 0 || f.bounds[n-1] != b {
-			f.bounds = append(f.bounds, b)
-		}
-	}
-	if len(f.bounds) == 0 {
-		// Every entry was inert for this shape: compile to "no faults"
-		// so the run takes the nil-plan path exactly (no EvFault
-		// scheduling, no window gating, no per-delivery checks).
-		return nil
 	}
 	return f
 }
@@ -246,32 +228,6 @@ func (f *machineFaults) degradeFactor(mod int, t sim.Time) int {
 		}
 	}
 	return factor
-}
-
-// activeAt reports whether any stall or degrade interval covers t —
-// the conservative "some fault state is in effect" gate spin windows
-// check before forming.
-func (f *machineFaults) activeAt(t sim.Time) bool {
-	for _, s := range f.active {
-		if s.start > t {
-			return false
-		}
-		if t < s.end {
-			return true
-		}
-	}
-	return false
-}
-
-// nextBound returns the earliest fault boundary — interval start or
-// end, or crash instant — strictly after t. Spin windows cut their set
-// at it, so no batched pop straddles a change of fault state.
-func (f *machineFaults) nextBound(t sim.Time) (sim.Time, bool) {
-	i := sort.Search(len(f.bounds), func(i int) bool { return f.bounds[i] > t })
-	if i == len(f.bounds) {
-		return 0, false
-	}
-	return f.bounds[i], true
 }
 
 // Crashed reports whether processor i is crashed right now (a reborn

@@ -195,7 +195,7 @@ func faultedConfig(procs int, seed uint64) Config {
 
 // TestFaultPlanDeterminism: the same plan with the same seed must be
 // bit-identical across fresh runs, across pooled Reset, and across the
-// windows-on/off A/B pair.
+// windows-on/off A/B pair, and the windows-on run must form no window.
 func TestFaultPlanDeterminism(t *testing.T) {
 	cfg := faultedConfig(6, 11)
 	m1, err := New(cfg)
@@ -226,7 +226,22 @@ func TestFaultPlanDeterminism(t *testing.T) {
 		t.Errorf("pooled faulted run diverged from fresh:\n  %+v\n  %+v", st1, st3)
 	}
 
-	// Windows A/B: batching must be invisible under faults too.
+	// Windows A/B: a machine with a fault plan forms no windows, so the
+	// windows-on run replays every probe per event, exactly like the
+	// windows-off one. The same program without the plan does batch:
+	// the plan, not the program, keeps the windows shut.
+	if st1.WindowOps != 0 {
+		t.Errorf("faulted run batched %d window ops; a plan turns windows off", st1.WindowOps)
+	}
+	clean := cfg
+	clean.Faults = nil
+	m0, err := New(clean)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st0, _, _ := contendedProgram(t, m0); st0.WindowOps == 0 {
+		t.Error("positive control: the fault-free program formed no windows")
+	}
 	cfgNoWin := cfg
 	cfgNoWin.NoSpinWindows = true
 	m4, err := New(cfgNoWin)

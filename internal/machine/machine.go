@@ -92,8 +92,9 @@ type Config struct {
 	// Faults attaches a deterministic fault plan (processor stalls,
 	// crashes and restarts, module degradation; see internal/fault and
 	// fault.go in this package). Nil means a fault-free machine with
-	// behavior bit-identical to builds predating fault support. The
-	// plan is treated as read-only and may be shared across machines.
+	// behavior bit-identical to builds predating fault support. A plan
+	// that applies to the machine turns spin windows off. The plan is
+	// treated as read-only and may be shared across machines.
 	Faults *fault.Plan
 }
 
@@ -364,7 +365,9 @@ func (m *Machine) Reset(cfg Config) error {
 	}
 
 	m.stats = Stats{}
-	m.winEnabled = !cfg.NoSpinWindows && m.disc != topo.Uniform
+	// A faulted machine forms no windows, so no fault kind needs a
+	// window-exactness argument.
+	m.winEnabled = !cfg.NoSpinWindows && m.disc != topo.Uniform && m.flt == nil
 	m.spinStreak = 0
 	m.winCount = 0
 	m.winMask = resetSlice(m.winMask, (cfg.Procs+63)/64)
@@ -504,9 +507,9 @@ func (m *Machine) Run(body func(p *Proc)) error {
 // usually none: an operation retired on the inline fast path schedules
 // no event at all, machine-driven spin waits (spin.go) and scripted
 // continuations (cont.go) advance inside whichever goroutine pops
-// their spin events or dispatches, and the baton moves only when a
-// processor's *program* must resume (acquire completed, script
-// finished, recovery re-entry).
+// their dispatches, and the baton moves only when a processor's
+// *program* must resume (wait satisfied, script finished, recovery
+// re-entry).
 func (m *Machine) RunEach(bodies []func(p *Proc)) error {
 	if len(bodies) != m.cfg.Procs {
 		return fmt.Errorf("machine: RunEach needs %d bodies, got %d", m.cfg.Procs, len(bodies))
@@ -598,14 +601,14 @@ func (m *Machine) RunEach(bodies []func(p *Proc)) error {
 
 // drive steps the engine on the calling goroutine until an event
 // dispatches p (p resumes its program), handing the baton to any other
-// processor dispatched along the way. EvSpin events, and dispatches of
-// a processor inside a continuation script, advance the target's spin
-// state machine or script in place — executing its operations without
-// waking its goroutine — handing the baton over only when the spin or
-// script completes. When the queue drains or the work budget trips,
-// drive signals termination on m.done; a finished (or nil, for kickoff)
-// p then returns so its goroutine can exit, while a live p parks for
-// teardown.
+// processor dispatched along the way. A dispatch is routed by the woken
+// processor's state: one inside a spin wait or a continuation script
+// has its state machine or script advanced in place — executing its
+// operations without waking its goroutine — and the baton moves only
+// when the spin or script completes. When the queue drains or the work
+// budget trips, drive signals termination on m.done; a finished (or
+// nil, for kickoff) p then returns so its goroutine can exit, while a
+// live p parks for teardown.
 func (m *Machine) drive(p *Proc) {
 	for {
 		if m.live == 0 && m.reviving == 0 {
@@ -627,8 +630,10 @@ func (m *Machine) drive(p *Proc) {
 			// cannot pay off. A negative streak is the
 			// post-failure backoff — it climbs back to zero as
 			// ineligible probes replay per-event; winEnabled is
-			// decided once per Reset (NoSpinWindows, Ideal model).
-			if k, a0, a1, ok := m.eng.NextPeek(); ok && k == sim.EvSpin && m.winMaskBit(a0) {
+			// decided once per Reset (NoSpinWindows, the Ideal model,
+			// a fault plan). A processor whose mask bit is set has no
+			// pending event but its probe, so a dispatch of it is one.
+			if k, a0, a1, ok := m.eng.NextPeek(); ok && k == sim.EvDispatch && m.winMaskBit(a0) {
 				m.tryWindow(Addr(a1))
 			}
 		}
@@ -646,24 +651,25 @@ func (m *Machine) drive(p *Proc) {
 		var q *Proc
 		switch kind {
 		case sim.EvDispatch:
-			m.spinStreak = 0
 			q = m.procs[arg0]
 			if q.finished || q.crashed {
+				m.spinStreak = 0
 				continue // stale wakeup: the processor returned or died
 			}
 			if m.flt != nil {
 				if e := m.flt.stallEnd(int(arg0), m.eng.Now()); e > m.eng.Now() {
 					// The processor is stalled: defer this delivery to the
-					// end of the stall window. The replacement event draws
-					// a fresh sequence number in both the windowed and
-					// per-event executions (windows never contain a
-					// stalled processor's events — see tryWindow), so the
-					// A/B invariant is preserved.
+					// end of the stall window.
 					m.eng.AtEvent(e, kind, arg0, arg1)
 					continue
 				}
 			}
 			q.localNow = m.eng.Now()
+			if q.spin.active && !m.spinAdvance(q) {
+				m.spinStreak++
+				continue // still waiting: probes ran here, no handoff
+			}
+			m.spinStreak = 0
 			if q.cont.active {
 				// The processor is inside a continuation script
 				// (cont.go): run its next ops here, in the popping
@@ -673,26 +679,6 @@ func (m *Machine) drive(p *Proc) {
 					continue // script still running: ops ran here, no handoff
 				}
 			}
-		case sim.EvSpin:
-			s := m.procs[arg0]
-			if s.finished || s.crashed {
-				m.spinStreak = 0
-				continue
-			}
-			if m.flt != nil {
-				if e := m.flt.stallEnd(int(arg0), m.eng.Now()); e > m.eng.Now() {
-					m.spinStreak = 0
-					m.eng.AtEvent(e, kind, arg0, arg1)
-					continue
-				}
-			}
-			s.localNow = m.eng.Now()
-			if !m.spinAdvance(s) {
-				m.spinStreak++
-				continue // still waiting: probes ran here, no handoff
-			}
-			m.spinStreak = 0
-			q = s // spin satisfied: resume the program at s.localNow
 		case sim.EvFault:
 			// Materialize a processor crash. The processor's live count
 			// is surrendered here; its pending events are dropped on
@@ -702,12 +688,10 @@ func (m *Machine) drive(p *Proc) {
 			// when the crash actually materialized, so a crash drawn
 			// past the run's natural end never drags a recovery (or the
 			// stale queue remainder) into the run either.
-			m.spinStreak = 0
 			r := m.procs[arg0]
 			if !r.finished && !r.crashed {
 				r.crashed = true
 				m.live--
-				m.setWinMask(r.id, false)
 				if at := m.flt.restartAt[arg0]; at >= 0 {
 					m.eng.AtEvent(at, sim.EvRecover, arg0, 0)
 					m.reviving++
@@ -721,7 +705,6 @@ func (m *Machine) drive(p *Proc) {
 			// protocol's problem — but all proc-local machine state
 			// (spin machinery, watch registration, pending wakeups, the
 			// derived RNG stream) resets as at boot.
-			m.spinStreak = 0
 			m.reviving--
 			r := m.procs[arg0]
 			if r.finished || !r.crashed {
@@ -785,7 +768,7 @@ func runBody(p *Proc, body func(*Proc), wait bool) (reborn bool) {
 
 // revive resets a crashed processor's machine-local state to its boot
 // value at the current instant. The dead incarnation's pending wakeups
-// (EvDispatch/EvSpin addressed to it) are purged so they cannot fire
+// (every EvDispatch addressed to it) are purged so they cannot fire
 // into the reborn program, its watcher registration is unlinked, and
 // its RNG stream is re-derived from the machine seed — a reborn
 // processor draws exactly what its first incarnation drew, which keeps
@@ -795,8 +778,7 @@ func runBody(p *Proc, body func(*Proc), wait bool) (reborn bool) {
 func (m *Machine) revive(r *Proc) {
 	pid := int32(r.id)
 	m.eng.PurgePending(func(ev sim.PendingEvent) bool {
-		return ev.Arg0 == pid &&
-			(ev.Kind == sim.EvDispatch || ev.Kind == sim.EvSpin)
+		return ev.Kind == sim.EvDispatch && ev.Arg0 == pid
 	})
 	if r.spin.active {
 		m.watchUnlink(r.spin.addr, r.id)
@@ -938,9 +920,9 @@ func (m *Machine) deadlockError() error {
 // the given absolute time, in registration (FIFO) order. Spurious
 // wakeups are fine: the spin machine rechecks. The intrusive list is
 // consumed in place; no allocation, no map churn. Links are processor
-// index + 1 (zero = end of list). Watchers in a machine-driven spin are
-// woken as EvSpin (the drive loop runs their re-check in place); any
-// other watcher gets a plain dispatch.
+// index + 1 (zero = end of list). Only the spin machine registers
+// watchers, so the drive loop routes each wake to the watcher's
+// re-check in place.
 func (m *Machine) wakeWatchers(a Addr, at sim.Time) {
 	link := m.watchHead[a]
 	if link == 0 {
@@ -950,11 +932,7 @@ func (m *Machine) wakeWatchers(a Addr, at sim.Time) {
 	m.watchTail[a] = 0
 	for link != 0 {
 		p := m.procs[link-1]
-		kind := sim.EvDispatch
-		if p.spin.active {
-			kind = sim.EvSpin
-		}
-		m.eng.AtEvent(at, kind, link-1, int32(a))
+		m.eng.AtEvent(at, sim.EvDispatch, link-1, int32(a))
 		link = p.watchNext
 		p.watchNext = 0
 	}

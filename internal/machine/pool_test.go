@@ -171,3 +171,28 @@ func TestPoolReusesMachines(t *testing.T) {
 		t.Fatal("pool handed out a machine still owned by the caller")
 	}
 }
+
+// TestNilPoolAllocatesFresh: a nil *Pool is the unpooled path — Get
+// builds a fresh machine (passing a config error through) and Put
+// drops the machine instead of keeping it.
+func TestNilPoolAllocatesFresh(t *testing.T) {
+	var pool *Pool
+	m1, err := pool.Get(Config{Procs: 2, Topo: topo.Bus})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m1.Run(func(p *Proc) { p.Delay(10) }); err != nil {
+		t.Fatal(err)
+	}
+	pool.Put(m1)
+	m2, err := pool.Get(Config{Procs: 2, Topo: topo.Bus})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m2 == m1 {
+		t.Fatal("a nil pool recycled a machine")
+	}
+	if _, err := pool.Get(Config{Procs: 65, Topo: topo.Bus}); err == nil {
+		t.Fatal("a nil pool accepted a config New refuses")
+	}
+}

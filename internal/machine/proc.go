@@ -111,31 +111,44 @@ func (p *Proc) waitBaton() {
 // perturbing timing, and the A/B window contract is unaffected.
 func (p *Proc) Suspects(q int) bool { return p.m.SuspectedAt(q, p.localNow) }
 
-// complete finishes an operation that costs lat cycles. Fast path: when
-// every pending engine event is strictly later than the completion time,
-// the operation retires inline by advancing the local clock. Slow path:
-// schedule the wakeup and yield to the engine.
-func (p *Proc) complete(lat sim.Time, why string) {
+// retire finishes an operation that costs lat cycles: the one
+// inline-or-schedule rule that goroutine calls, spin probes and script
+// ops share. When every pending engine event is strictly later than the
+// completion time, the operation retires inline by advancing the local
+// clock, and retire reports true. Otherwise it schedules the
+// processor's EvDispatch at the completion time, with arg1 as payload
+// (a spin probe's address, read by the window detector), and reports
+// false.
+func (p *Proc) retire(lat sim.Time, arg1 int32) bool {
 	target := p.localNow + lat
-	if next, ok := p.m.eng.NextTime(); !ok || next > target {
+	eng := p.m.eng
+	if next, ok := eng.NextTime(); !ok || next > target {
 		// Inline work still charges the livelock budget; once it is
 		// exhausted we must go through the engine so its run loop can
 		// surface ErrStepLimit instead of spinning the host forever.
-		if !p.m.eng.ChargeStep() {
+		if !eng.ChargeStep() {
 			p.localNow = target
 			p.m.stats.InlineOps++
-			return
+			return true
 		}
 	}
-	p.blockAt(target, why)
+	eng.AtEvent(target, sim.EvDispatch, int32(p.id), arg1)
+	return false
 }
 
-// blockAt schedules this processor's wakeup at absolute time t and
-// drives the engine until the wakeup fires; the drive loop
-// resynchronizes the local clock.
-func (p *Proc) blockAt(t sim.Time, why string) {
+// complete finishes an operation issued by the processor's goroutine:
+// retire it, or drive the engine until its wakeup fires (the drive loop
+// resynchronizes the local clock).
+func (p *Proc) complete(lat sim.Time, why string) {
+	if !p.retire(lat, 0) {
+		p.block(why)
+	}
+}
+
+// block drives the engine until this processor's pending dispatch fires,
+// tagging the wait for deadlock reports.
+func (p *Proc) block(why string) {
 	p.blockedOn = why
-	p.m.eng.AtEvent(t, sim.EvDispatch, int32(p.id), 0)
 	p.m.drive(p)
 	p.blockedOn = ""
 }
@@ -145,7 +158,8 @@ func (p *Proc) blockAt(t sim.Time, why string) {
 // when the program body returns.
 func (p *Proc) syncClock() {
 	if p.localNow > p.m.eng.Now() {
-		p.blockAt(p.localNow, "finish")
+		p.m.eng.AtEvent(p.localNow, sim.EvDispatch, int32(p.id), 0)
+		p.block("finish")
 	}
 }
 
@@ -161,15 +175,26 @@ func (p *Proc) Delay(d sim.Time) {
 
 // loadIssue performs the issue half of a load — traffic accounting,
 // coherence/occupancy update, data read — and returns the value and the
-// operation latency. Load and the spin state machine share it so a
-// machine-driven probe is bit-identical to a goroutine-issued one.
+// operation latency. Each issue function below is the single
+// implementation of its operation: Proc's methods, the spin state
+// machine and continuation scripts all call it, so a machine-driven
+// probe or script op is bit-identical to a goroutine-issued one.
 func (p *Proc) loadIssue(a Addr) (Word, sim.Time) {
 	p.stats.Loads++
 	lat := p.m.access(p, a, accRead)
 	return p.m.mem[a], lat
 }
 
-// tasIssue likewise performs the issue half of a test&set.
+// storeIssue performs the issue half of a store, waking watchers.
+func (p *Proc) storeIssue(a Addr, v Word) sim.Time {
+	p.stats.Stores++
+	lat := p.m.access(p, a, accWrite)
+	p.m.mem[a] = v
+	p.m.wakeWatchers(a, p.localNow+lat)
+	return lat
+}
+
+// tasIssue performs the issue half of a test&set.
 func (p *Proc) tasIssue(a Addr) (Word, sim.Time) {
 	p.stats.RMWs++
 	lat := p.m.access(p, a, accRMW)
@@ -177,6 +202,19 @@ func (p *Proc) tasIssue(a Addr) (Word, sim.Time) {
 	p.m.mem[a] = 1
 	p.m.wakeWatchers(a, p.localNow+lat)
 	return old, lat
+}
+
+// casIssue performs the issue half of a compare&swap: one RMW charge
+// whether or not it succeeds, watchers woken only on success.
+func (p *Proc) casIssue(a Addr, old, new Word) (bool, sim.Time) {
+	p.stats.RMWs++
+	lat := p.m.access(p, a, accRMW)
+	ok := p.m.mem[a] == old
+	if ok {
+		p.m.mem[a] = new
+		p.m.wakeWatchers(a, p.localNow+lat)
+	}
+	return ok, lat
 }
 
 // Load reads a word.
@@ -188,11 +226,7 @@ func (p *Proc) Load(a Addr) Word {
 
 // Store writes a word.
 func (p *Proc) Store(a Addr, v Word) {
-	p.stats.Stores++
-	lat := p.m.access(p, a, accWrite)
-	p.m.mem[a] = v
-	p.m.wakeWatchers(a, p.localNow+lat)
-	p.complete(lat, "store")
+	p.complete(p.storeIssue(a, v), "store")
 }
 
 // TestAndSet atomically sets the word to 1 and returns its old value.
@@ -228,13 +262,7 @@ func (p *Proc) FetchAdd(a Addr, d Word) Word {
 // Failed CAS still costs a full interconnect transaction, as on real
 // hardware of the era.
 func (p *Proc) CompareAndSwap(a Addr, old, new Word) bool {
-	p.stats.RMWs++
-	lat := p.m.access(p, a, accRMW)
-	ok := p.m.mem[a] == old
-	if ok {
-		p.m.mem[a] = new
-		p.m.wakeWatchers(a, p.localNow+lat)
-	}
+	ok, lat := p.casIssue(a, old, new)
 	p.complete(lat, "compare&swap")
 	return ok
 }

@@ -16,15 +16,15 @@ import (
 //
 // SpinTAS, SpinTTAS, SpinUntilPred (and the SpinUntil* wrappers) instead
 // park the goroutine once and hand the wait to a per-processor spin
-// state machine executed inside the drive loop. Each EvSpin event
-// advances the machine by exactly the operations the goroutine loop
-// would have performed at that moment — same side effects, same
-// scheduling calls, same livelock-budget charges, same RNG draws, in the
-// same order — so cycle counts, traffic counters, and the interleaving
-// of all processors are bit-identical to probe-by-probe execution (the
-// determinism regression tests in internal/simsync pin this). The only
-// difference is host-side: the goroutine is resumed once, when the wait
-// is over, instead of once per probe.
+// state machine executed inside the drive loop. Each dispatch of a
+// spinning processor advances the machine by exactly the operations the
+// goroutine loop would have performed at that moment — same side
+// effects, same scheduling calls, same livelock-budget charges, same RNG
+// draws, in the same order — so cycle counts, traffic counters, and the
+// interleaving of all processors are bit-identical to probe-by-probe
+// execution (the determinism regression tests in internal/simsync pin
+// this). The only difference is host-side: the goroutine is resumed
+// once, when the wait is over, instead of once per probe.
 //
 // On top of that, the interleaved storm of several raw test&set
 // spinners (the zero Backoff) pops its pending probes in batches
@@ -198,33 +198,19 @@ func (p *Proc) spinBegin(kind uint8, a Addr, pr Pred, bo Backoff, deadline sim.T
 	return s.val
 }
 
-// spinComplete mirrors Proc.complete for an operation issued by the spin
-// state machine: retire inline when no pending event precedes the
-// completion (charging the livelock budget), otherwise schedule the
-// continuation as an EvSpin at the completion time. The scheduling
-// decision, charge, and event timestamp are identical to the goroutine
-// path; only the event kind differs, which the engine orders identically.
+// spinComplete records the phase to resume at and retires the spin
+// machine's operation through Proc.retire, with the spun-on address as
+// the wakeup's arg1 (the window detector reads it; window.go).
 func (p *Proc) spinComplete(lat sim.Time, next uint8) bool {
-	target := p.localNow + lat
-	eng := p.m.eng
-	if nxt, ok := eng.NextTime(); !ok || nxt > target {
-		if !eng.ChargeStep() {
-			p.localNow = target
-			p.m.stats.InlineOps++
-			p.spin.phase = next
-			return true
-		}
-	}
 	p.spin.phase = next
-	eng.AtEvent(target, sim.EvSpin, int32(p.id), int32(p.spin.addr))
-	return false
+	return p.retire(lat, int32(p.spin.addr))
 }
 
 // spinAdvance runs p's spin state machine until it completes (returns
 // true: the processor's program resumes at p.localNow) or must wait for
 // an engine event or a write to the watched word (returns false). It is
-// called from the drive loop when an EvSpin fires, and once at spin
-// entry on the processor's own goroutine.
+// called from the drive loop when a dispatch of the spinning processor
+// fires, and once at spin entry on the processor's own goroutine.
 func (m *Machine) spinAdvance(p *Proc) bool {
 	s := &p.spin
 	for {

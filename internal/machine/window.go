@@ -50,16 +50,21 @@ import (
 //
 // A backoff spinner is never eligible: its probes, and any delay it
 // schedules as an event, end the set like every other event and replay
-// per-event, which is exact by definition.
+// per-event, which is exact by definition. Nor does a machine with a
+// fault plan form windows at all (Reset leaves winEnabled off), so no
+// stall, degrade, crash or restart ever needs arguing here.
 //
 // Preconditions checked by tryWindow, and why each one matters:
 //
-//   - Every event in the set is an EvSpin whose processor sits in a
-//     window-eligible test&set spin (kind spinTAS, phase spTASJudge,
-//     zero Backoff, no deadline) on one shared address. Anything else —
-//     a dispatch, a continuation, a TTAS burst probe, a backoff probe
-//     or delay, a woken read-spin, or any event the engine holds in its
-//     overflow heap (due a calendar span or more ahead) — ends the set.
+//   - Every event in the set is the dispatch of a processor that sits
+//     in a window-eligible test&set spin (kind spinTAS, phase
+//     spTASJudge, zero Backoff, no deadline) on one shared address: its
+//     eligibility bit is set, which means that dispatch is its only
+//     pending event and carries the probed address in arg1. Anything
+//     else — a goroutine's dispatch, a continuation, a TTAS burst
+//     probe, a backoff probe or delay, a woken read-spin, or any event
+//     the engine holds in its overflow heap (due a calendar span or
+//     more ahead) — ends the set.
 //   - The last probe each spinner issued read a non-zero value
 //     (spin.val != 0), so every judge in the set fails, and the probed
 //     word is non-zero, so every reissue reads non-zero too. A freed
@@ -105,7 +110,7 @@ const (
 // The eligibility bitmask. Scanning the queue per attempt must not
 // chase a pointer into every spinner's Proc struct, so the spin
 // machinery maintains one bit per processor: set exactly while the
-// processor's pending EvSpin (if any) is a window-eligible test&set
+// processor's pending dispatch (if any) is a window-eligible test&set
 // probe completion that read a non-zero value. The static part
 // (spinState.winStatic) is computed once at spin entry; the dynamic
 // part follows the value each issued probe reads. The mask is a
@@ -176,17 +181,6 @@ func (m *Machine) tryWindow(next Addr) {
 		return
 	}
 	eng := m.eng
-	// Fault gating, part one: refuse to form a window while any stall
-	// or degrade interval is active — a stalled spinner's pops would
-	// need deferring and a degraded module would change the service
-	// schedule, and a refused window is always exact (the per-event
-	// path replays the storm identically). Crashes need no check here:
-	// a pending EvFault ends the set like any other event, and a
-	// materialized crash already cleared its processor's mask bit.
-	if m.flt != nil && m.flt.activeAt(eng.Now()) {
-		return
-	}
-
 	// Collect the set in one engine-side walk of the queue in firing
 	// order: eligible probes of the anchor address (classified by the
 	// eligibility mask, no per-Proc pointer chasing) up to the first
@@ -195,24 +189,10 @@ func (m *Machine) tryWindow(next Addr) {
 	// set arrives in (when, seq) order, and it is exactly the next n
 	// events to fire.
 	addr := next
-	set := eng.ScanWindow(sim.EvSpin, int32(addr), m.winMask, m.winSet[:0])
+	set := eng.ScanWindow(sim.EvDispatch, int32(addr), m.winMask, m.winSet[:0])
 	m.winSet = set // keep the grown buffer
 	if len(set) < windowMinPops {
 		return
-	}
-	// Fault gating, part two: cut the set at the next fault boundary.
-	// No interval is active now (checked above) and none starts before
-	// the boundary, so fault state is constant across every pop in the
-	// set — no stall can defer one, no degrade can reprice one.
-	if m.flt != nil {
-		if fb, ok := m.flt.nextBound(eng.Now()); ok {
-			for k := range set {
-				if set[k].When >= fb {
-					set = set[:k]
-					break
-				}
-			}
-		}
 	}
 
 	// A storm is present; any remaining blocker is transient (a winner

@@ -38,35 +38,26 @@ type Time int64
 type EventKind uint8
 
 const (
-	// EvDispatch resumes a parked processor; arg0 is the processor index.
-	// For a processor inside a straight-line continuation script the
-	// simulation layer instead executes the script's next step directly
-	// in its drive loop, resuming the goroutine only once the script
-	// completes.
+	// EvDispatch wakes a processor; arg0 is the processor index. The
+	// simulation layer routes it by the processor's own state: a
+	// processor in a machine-driven spin wait or a continuation script
+	// has its next operations executed directly in the drive loop, any
+	// other resumes its goroutine. arg1 is free for the simulation
+	// layer's use (the machine layer puts a spin probe's address there,
+	// for ScanWindow).
 	EvDispatch EventKind = iota
-	// EvSpin advances a machine-driven spin wait: the simulation layer
-	// executes the waiting processor's next probe (or watcher re-check)
-	// directly in its drive loop, without resuming the processor's
-	// goroutine. arg0 is the processor index, arg1 an address for
-	// debugging. Scheduling-wise an EvSpin is indistinguishable from the
-	// EvDispatch it replaces — same timestamp, same sequence-number
-	// consumption — which is what keeps spin batching bit-identical to
-	// probe-by-probe execution.
-	EvSpin
 	// EvFault materializes a scheduled machine fault (today: a permanent
 	// processor crash); arg0 is the processor index. Keeping faults in
 	// the event queue — rather than checking fault tables lazily — means
-	// a pending EvFault bounds every processor's inline run-ahead and
-	// ends every spin window's set exactly like any other event, which is
-	// what keeps faulted runs bit-identical across execution paths.
+	// a pending EvFault bounds every processor's inline run-ahead like
+	// any other event, which is what keeps faulted runs bit-identical
+	// across execution paths.
 	EvFault
 	// EvRecover rebirths a crashed processor; arg0 is the processor
 	// index. The simulation layer re-registers the processor at its
 	// recovery entry point with reset local state — nothing the dead
 	// incarnation held is released. Like EvFault, a pending EvRecover
-	// is an ordinary queue entry: it bounds inline run-ahead and ends
-	// window sets exactly like any other event, so crash-recovery runs
-	// keep the windows on/off bit-identity contract.
+	// is an ordinary queue entry that bounds inline run-ahead.
 	EvRecover
 )
 

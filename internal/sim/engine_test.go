@@ -37,7 +37,7 @@ func TestEngineFiresInTimeOrder(t *testing.T) {
 	e := NewEngine()
 	got := recorder(e, nil)
 	for _, d := range []Time{30, 10, 20, 10, 5} {
-		e.AtEvent(d, EvSpin, int32(d), int32(2*d))
+		e.AtEvent(d, EvFault, int32(d), int32(2*d))
 	}
 	if err := e.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
@@ -51,7 +51,7 @@ func TestEngineFiresInTimeOrder(t *testing.T) {
 		if f.when != want[i] || Time(f.arg0) != want[i] {
 			t.Fatalf("fire order %v, want times %v", *got, want)
 		}
-		if f.kind != EvSpin || f.arg1 != 2*f.arg0 {
+		if f.kind != EvFault || f.arg1 != 2*f.arg0 {
 			t.Fatalf("handler saw %+v, want the scheduled kind and payload", f)
 		}
 	}
@@ -450,7 +450,7 @@ func TestPurgePendingSeesQueue(t *testing.T) {
 			if i%3 == 0 {
 				when += calSpan // beyond the span: the overflow heap
 			}
-			e.AtEvent(when, EvSpin, int32(i), int32(2*i))
+			e.AtEvent(when, EvFault, int32(i), int32(2*i))
 		}
 		if e.Pending() != n {
 			t.Fatalf("Pending = %d, want %d", e.Pending(), n)
@@ -472,7 +472,7 @@ func TestPurgePendingSeesQueue(t *testing.T) {
 			if i%3 == 0 {
 				when += calSpan
 			}
-			if ev.When != when || ev.Kind != EvSpin || ev.Arg1 != int32(2*i) || ev.Seq != uint64(i+1) {
+			if ev.When != when || ev.Kind != EvFault || ev.Arg1 != int32(2*i) || ev.Seq != uint64(i+1) {
 				t.Fatalf("event %d = %+v, want when=%d arg1=%d seq=%d", i, ev, when, 2*i, i+1)
 			}
 		}
@@ -505,12 +505,12 @@ func TestApplyWindowEquivalence(t *testing.T) {
 		e.SetHandler(func(EventKind, int32, int32) {})
 		// Three "spinners" at 30/10/20 plus a horizon event at 100, a
 		// spinner behind it and one in the overflow heap.
-		e.AtEvent(30, EvSpin, 2, 0)
-		e.AtEvent(10, EvSpin, 0, 0)
-		e.AtEvent(20, EvSpin, 1, 0)
+		e.AtEvent(30, EvFault, 2, 0)
+		e.AtEvent(10, EvFault, 0, 0)
+		e.AtEvent(20, EvFault, 1, 0)
 		e.AtEvent(100, EvDispatch, 9, 0)
-		e.AtEvent(150, EvSpin, 3, 0)
-		e.AtEvent(calSpan+5, EvSpin, 4, 0)
+		e.AtEvent(150, EvFault, 3, 0)
+		e.AtEvent(calSpan+5, EvFault, 4, 0)
 		return e
 	}
 	eligible := []uint64{0b11111}
@@ -520,15 +520,15 @@ func TestApplyWindowEquivalence(t *testing.T) {
 	ref := build()
 	for i := 0; i < 3; i++ {
 		kind, arg0, _, fired := ref.StepPayload()
-		if !fired || kind != EvSpin || arg0 != int32(i) {
+		if !fired || kind != EvFault || arg0 != int32(i) {
 			t.Fatalf("pop %d: kind=%v arg0=%d fired=%v", i, kind, arg0, fired)
 		}
-		ref.AtEvent(Time(110+10*int(arg0)), EvSpin, arg0, 0)
+		ref.AtEvent(Time(110+10*int(arg0)), EvFault, arg0, 0)
 	}
 
 	// Windowed: commit the same three pops as one batch.
 	win := build()
-	set := win.ScanWindow(EvSpin, 0, eligible, nil)
+	set := win.ScanWindow(EvFault, 0, eligible, nil)
 	if len(set) != 3 {
 		t.Fatalf("ScanWindow = %d events, want the 3 before the dispatch", len(set))
 	}
@@ -544,7 +544,7 @@ func TestApplyWindowEquivalence(t *testing.T) {
 	// With the dispatch gone, a scan runs up to the overflow heap's top:
 	// the spinner at 150, not the one due a span ahead.
 	if probe := build(); probe.PurgePending(func(ev PendingEvent) bool { return ev.Kind == EvDispatch }) == 1 {
-		if set := probe.ScanWindow(EvSpin, 0, eligible, nil); len(set) != 4 || set[3].When != 150 {
+		if set := probe.ScanWindow(EvFault, 0, eligible, nil); len(set) != 4 || set[3].When != 150 {
 			t.Fatalf("ScanWindow past the dispatch = %+v; want 4 events ending at 150", set)
 		}
 	}
@@ -586,9 +586,9 @@ func TestApplyWindowHeapMode(t *testing.T) {
 	e.SetHandler(func(EventKind, int32, int32) {})
 	const n = 32
 	for i := 0; i < n; i++ {
-		e.AtEvent(Time(10+i), EvSpin, int32(i), 0)
+		e.AtEvent(Time(10+i), EvFault, int32(i), 0)
 	}
-	set := e.ScanWindow(EvSpin, 0, []uint64{1<<n - 1}, nil)
+	set := e.ScanWindow(EvFault, 0, []uint64{1<<n - 1}, nil)
 	if len(set) != n {
 		t.Fatalf("ScanWindow = %d events; want all %d", len(set), n)
 	}
@@ -638,7 +638,7 @@ func TestPopBudgetMatchesExhaustion(t *testing.T) {
 	e.SetHandler(func(EventKind, int32, int32) {})
 	e.SetMaxSteps(5)
 	for i := 0; i < 10; i++ {
-		e.AtEvent(Time(i), EvSpin, 0, 0)
+		e.AtEvent(Time(i), EvFault, 0, 0)
 	}
 	for !e.Exhausted() {
 		if e.PopBudget() == 0 {
@@ -703,12 +703,12 @@ func TestEngineZeroAllocs(t *testing.T) {
 	e := NewEngine()
 	const spinners = 64
 	for p := 0; p < spinners; p++ {
-		e.AtEvent(Time(10*p), EvSpin, int32(p), 0)
+		e.AtEvent(Time(10*p), EvFault, int32(p), 0)
 	}
 	eligible := []uint64{^uint64(0)}
 	buf := make([]WindowEvent, 0, spinners)
 	commit := func() {
-		set := e.ScanWindow(EvSpin, 0, eligible, buf[:0])
+		set := e.ScanWindow(EvFault, 0, eligible, buf[:0])
 		for i := range set {
 			set[i].When += 10 * spinners
 		}

@@ -52,9 +52,10 @@ func orderSeeds() [][]byte {
 	clamp = cat(push(0, 9, 0), push(0, 3, 1), []byte{opPop}, push(2, 5, 2), push(2, 0, 3), []byte{opPop, opPop, opPop})
 	span = cat(push(3, 0, 0), push(4, 0, 1), push(5, 3, 2), push(3, 2, 3), push(4, 1, 4), push(0, 1, 5),
 		[]byte{opPop, opPop, opPeek, opRunUntil, 3<<5 | 0, opPop, opPop, opPop})
-	// Five EvSpin probes on word 0 (kind 1 is bits 4-5 = 01), a
-	// dispatch, then a window retiming the probes past it, the first
-	// two onto one empty instant.
+	// Five window candidates on word 0 (kind 1, EvFault, is bits 4-5 =
+	// 01; the engine reads a kind only as a tag), a dispatch, then a
+	// window retiming the candidates past it, the first two onto one
+	// empty instant.
 	for i := byte(0); i < 5; i++ {
 		window = cat(window, push(0, 2+i, i|1<<4))
 	}
@@ -256,12 +257,12 @@ func runOrderProgram(t *testing.T, prog []byte) {
 			}
 		case opWindow:
 			anchor, mask, flags := int32(next()&1), next(), next()
-			set := e.ScanWindow(EvSpin, anchor, []uint64{uint64(mask)}, buf[:0])
+			set := e.ScanWindow(EvFault, anchor, []uint64{uint64(mask)}, buf[:0])
 			buf = set
 			k := 0
 			for k < len(m.evs) {
 				ev := m.evs[k]
-				if ev.ovf || ev.kind != EvSpin || ev.arg1 != anchor || mask&(1<<ev.arg0) == 0 {
+				if ev.ovf || ev.kind != EvFault || ev.arg1 != anchor || mask&(1<<ev.arg0) == 0 {
 					break
 				}
 				k++

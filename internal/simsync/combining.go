@@ -171,17 +171,17 @@ type CounterResult struct {
 }
 
 // RunCounterIn drives a counter from every processor on a machine
-// drawn from pool (see machines.go) and checks the two correctness
+// drawn from pool (see machine.Pool) and checks the two correctness
 // properties of a combining counter: the final total equals the number
 // of increments, and the returned pre-increment values are unique (each
 // caller owns a distinct slot of the count).
 func RunCounterIn(pool *machine.Pool, cfg machine.Config, info CounterInfo, opts CounterOpts) (CounterResult, error) {
 	cfg = cfg.Defaults()
-	m, err := getMachine(pool, cfg)
+	m, err := pool.Get(cfg)
 	if err != nil {
 		return CounterResult{}, err
 	}
-	defer putMachine(pool, m)
+	defer pool.Put(m)
 	ctr := info.Make(m)
 
 	seen := make(map[machine.Word]bool)

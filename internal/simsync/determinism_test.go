@@ -84,7 +84,7 @@ func assertIdentical(t *testing.T, name string, measure func(noWindows bool) (ma
 
 // assertLockIdentical holds one lock cell to assertIdentical's contract
 // and, for a scripted lock, to assertClosureTwin's. A run under a fault
-// plan must also complete.
+// plan must also complete, and form no spin window.
 func assertLockIdentical(t *testing.T, name string, cfg machine.Config, info LockInfo, opts LockOpts) {
 	t.Helper()
 	var script LockResult
@@ -94,6 +94,9 @@ func assertLockIdentical(t *testing.T, name string, cfg machine.Config, info Loc
 		res, err := RunLockIn(nil, c, info, opts)
 		if !noWindows {
 			script = res
+		}
+		if cfg.Faults != nil {
+			assertNoWindows(t, name, res.Stats)
 		}
 		return res.Stats, completed(err, res.Outcome)
 	})
@@ -141,8 +144,8 @@ func TestDeterminismRWLocks(t *testing.T) {
 }
 
 // assertSemIdentical is assertLockIdentical for a producer/consumer
-// cell: assertIdentical's contract and, for a scripted semaphore,
-// assertSemTwin's.
+// cell: assertIdentical's contract, for a scripted semaphore
+// assertSemTwin's, and under a fault plan no spin window.
 func assertSemIdentical(t *testing.T, name string, cfg machine.Config, info SemaphoreInfo, opts PCOpts) {
 	t.Helper()
 	var script PCResult
@@ -152,6 +155,9 @@ func assertSemIdentical(t *testing.T, name string, cfg machine.Config, info Sema
 		res, err := RunProducerConsumerIn(nil, c, info, opts)
 		if !noWindows {
 			script = res
+		}
+		if cfg.Faults != nil {
+			assertNoWindows(t, name, res.Stats)
 		}
 		return res.Stats, err
 	})

@@ -14,8 +14,10 @@ import (
 // bit-identical, windows on/off A/B identical — must survive fault
 // injection. Stalls and degrades perturb event timing and memory
 // pricing mid-run, which is exactly the regime where a spin window
-// batching pops across a fault boundary would diverge from
-// the per-event execution; these suites replay every family through
+// batching pops across a fault boundary would diverge from the
+// per-event execution, so a machine with a plan forms no windows at
+// all: every faulted run here must report WindowOps == 0, the
+// windows-on leg included. These suites replay every family through
 // such plans on every registered topology.
 //
 // The plans here carry no crashes: a crash can wedge the blocking
@@ -32,6 +34,15 @@ func completed(err error, o Outcome) error {
 		return fmt.Errorf("run under fault plan ended %v", o)
 	}
 	return err
+}
+
+// assertNoWindows fails a run under a fault plan that batched any
+// probe: a machine with a plan forms no spin windows.
+func assertNoWindows(t *testing.T, name string, st machine.Stats) {
+	t.Helper()
+	if st.WindowOps != 0 {
+		t.Errorf("%s: faulted run batched %d window ops; a plan turns windows off", name, st.WindowOps)
+	}
 }
 
 // faultPlanFor builds a deterministic stall+degrade plan sized to the
@@ -71,6 +82,7 @@ func TestFaultDeterminismBarriers(t *testing.T) {
 				res, err := RunBarrierIn(nil,
 					machine.Config{Procs: procs, Topo: tp, Seed: 7, NoSpinWindows: noWindows, Faults: plan},
 					info, BarrierOpts{Episodes: 10, Work: 150})
+				assertNoWindows(t, name, res.Stats)
 				return res.Stats, completed(err, res.Outcome)
 			})
 		}
@@ -87,6 +99,7 @@ func TestFaultDeterminismRWLocks(t *testing.T) {
 				res, err := RunRWIn(nil,
 					machine.Config{Procs: procs, Topo: tp, Seed: 7, NoSpinWindows: noWindows, Faults: plan},
 					info, RWOpts{Iters: 20, ReadFraction: 0.8, Work: 40, Think: 60})
+				assertNoWindows(t, name, res.Stats)
 				return res.Stats, err
 			})
 		}
@@ -114,6 +127,7 @@ func TestFaultDeterminismCounters(t *testing.T) {
 				res, err := RunCounterIn(nil,
 					machine.Config{Procs: procs, Topo: tp, Seed: 7, NoSpinWindows: noWindows, Faults: plan},
 					info, CounterOpts{Incs: 30, Think: 20})
+				assertNoWindows(t, name, res.Stats)
 				return res.Stats, err
 			})
 		}
@@ -167,6 +181,7 @@ func TestFaultDeterminismCrashRunner(t *testing.T) {
 					t.Fatalf("%s: NoSpinWindows run still batched %d window ops", name, c.Stats.WindowOps)
 				}
 				assertClosureTwin(t, name, cfg, info, opts, a)
+				assertNoWindows(t, name, a.Stats)
 				a.Stats.WindowOps = 0
 				if !reflect.DeepEqual(a, c) {
 					t.Errorf("%s: window batching changed results:\n  on:  %+v\n  off: %+v", name, a, c)

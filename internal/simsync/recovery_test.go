@@ -14,9 +14,10 @@ import (
 // Crash-recovery determinism and self-healing behavior. The recovery
 // seam (EvRecover, rebirth, the failure detector) must preserve the
 // whole determinism contract — run twice bit-identical, windows on/off
-// A/B identical — and the self-healing primitives must actually heal:
-// qheal completes the workload that wedges plain qsync, and lease-fence
-// suppresses a usurped holder's stale writes.
+// A/B identical, no window formed under the plan — and the self-healing
+// primitives must actually heal: qheal completes the workload that
+// wedges plain qsync, and lease-fence suppresses a usurped holder's
+// stale writes.
 
 // recoveryPlanFor extends the stall+degrade determinism plan with a
 // crash-at-zero + restart of the last processor. Crashing at t=0 keeps
@@ -56,6 +57,7 @@ func TestRecoveryDeterminismBarriers(t *testing.T) {
 				res, err := RunBarrierIn(nil,
 					machine.Config{Procs: procs, Topo: tp, Seed: 7, NoSpinWindows: noWindows, Faults: plan},
 					info, BarrierOpts{Episodes: 10, Work: 150})
+				assertNoWindows(t, name, res.Stats)
 				return res.Stats, completed(err, res.Outcome)
 			})
 		}
@@ -72,6 +74,7 @@ func TestRecoveryDeterminismRWLocks(t *testing.T) {
 				res, err := RunRWIn(nil,
 					machine.Config{Procs: procs, Topo: tp, Seed: 7, NoSpinWindows: noWindows, Faults: plan},
 					info, RWOpts{Iters: 20, ReadFraction: 0.8, Work: 40, Think: 60})
+				assertNoWindows(t, name, res.Stats)
 				return res.Stats, err
 			})
 		}
@@ -99,6 +102,7 @@ func TestRecoveryDeterminismCounters(t *testing.T) {
 				res, err := RunCounterIn(nil,
 					machine.Config{Procs: procs, Topo: tp, Seed: 7, NoSpinWindows: noWindows, Faults: plan},
 					info, CounterOpts{Incs: 30, Think: 20})
+				assertNoWindows(t, name, res.Stats)
 				return res.Stats, err
 			})
 		}
@@ -151,6 +155,7 @@ func TestRecoveryDeterminismMidRunCrash(t *testing.T) {
 					t.Fatalf("%s: NoSpinWindows run still batched %d window ops", name, c.Stats.WindowOps)
 				}
 				assertClosureTwin(t, name, cfg, info, opts, a)
+				assertNoWindows(t, name, a.Stats)
 				a.Stats.WindowOps = 0
 				if !reflect.DeepEqual(a, c) {
 					t.Errorf("%s: window batching changed results:\n  on:  %+v\n  off: %+v", name, a, c)

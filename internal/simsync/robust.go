@@ -300,17 +300,18 @@ func NewStragglerBarrier(m *machine.Machine, budget sim.Time) Barrier {
 
 func (b *stragglerBarrier) Name() string { return "straggler" }
 
-// raiseTo lifts the release word to at least e. CAS-max rather than a
-// plain store: with timeouts in play a slow processor can complete an
+// raiseTo lifts the release word to at least e: the release step of
+// the straggler and reconf barriers. CAS-max rather than a plain store:
+// with timeouts or evictions in play a slow processor can complete an
 // old episode after a fast one forced a newer episode open, and a blind
 // store of the old episode number would momentarily un-release it.
-func (b *stragglerBarrier) raiseTo(p *machine.Proc, e machine.Word) {
+func raiseTo(p *machine.Proc, release machine.Addr, e machine.Word) {
 	for {
-		v := p.Load(b.release)
+		v := p.Load(release)
 		if v >= e {
 			return
 		}
-		if p.CompareAndSwap(b.release, v, e) {
+		if p.CompareAndSwap(release, v, e) {
 			return
 		}
 	}
@@ -323,14 +324,14 @@ func (b *stragglerBarrier) Wait(p *machine.Proc) {
 	if pos == e*b.procs-1 {
 		// Cumulative position e*P-1 means e*P arrivals total: every
 		// processor has arrived e times, episode e is complete.
-		b.raiseTo(p, e)
+		raiseTo(p, b.release, e)
 		return
 	}
 	deadline := p.Now() + b.budget
 	for p.Load(b.release) < e {
 		if p.Now() >= deadline {
 			b.timeouts++
-			b.raiseTo(p, e) // give up on the stragglers; open the episode
+			raiseTo(p, b.release, e) // give up on the stragglers; open the episode
 			return
 		}
 		p.Delay(b.poll)

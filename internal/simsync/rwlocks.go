@@ -250,17 +250,17 @@ type RWResult struct {
 }
 
 // RunRWIn drives a simulated reader-writer lock through a read/write
-// mix on a machine drawn from pool (see machines.go) and verifies both
+// mix on a machine drawn from pool (see machine.Pool) and verifies both
 // exclusion invariants exactly (the simulator interleaves only at yield
 // points, so host-side brackets are precise): writers exclude everyone;
 // readers exclude writers only.
 func RunRWIn(pool *machine.Pool, cfg machine.Config, info RWLockInfo, opts RWOpts) (RWResult, error) {
 	cfg = cfg.Defaults()
-	m, err := getMachine(pool, cfg)
+	m, err := pool.Get(cfg)
 	if err != nil {
 		return RWResult{}, err
 	}
-	defer putMachine(pool, m)
+	defer pool.Put(m)
 	lock := info.Make(m)
 
 	activeReaders, activeWriters := 0, 0

@@ -415,20 +415,6 @@ func NewReconfBudget(m *machine.Machine, budget sim.Time) Barrier {
 
 func (b *reconfBarrier) Name() string { return "reconf" }
 
-// raiseTo lifts the release word to at least e (CAS-max; see the
-// straggler barrier for why a blind store would be wrong).
-func (b *reconfBarrier) raiseTo(p *machine.Proc, e machine.Word) {
-	for {
-		v := p.Load(b.release)
-		if v >= e {
-			return
-		}
-		if p.CompareAndSwap(b.release, v, e) {
-			return
-		}
-	}
-}
-
 // scan runs one completion pass for episode e: every processor must be
 // arrived, evicted, or — when suspected dead — evicted now. Reports
 // whether the episode is complete over the surviving membership.
@@ -467,7 +453,7 @@ func (b *reconfBarrier) Wait(p *machine.Proc) {
 	b.epoch[me] = e
 	p.Store(b.arrive+machine.Addr(me), e)
 	if b.scan(p, e) {
-		b.raiseTo(p, e)
+		raiseTo(p, b.release, e)
 		return
 	}
 	deadline := p.Now() + b.budget
@@ -476,7 +462,7 @@ func (b *reconfBarrier) Wait(p *machine.Proc) {
 			// Re-scan: late crashes become suspicions only with time, so
 			// waiting on release alone could park the survivors forever.
 			if b.scan(p, e) {
-				b.raiseTo(p, e)
+				raiseTo(p, b.release, e)
 				return
 			}
 			deadline = p.Now() + b.budget

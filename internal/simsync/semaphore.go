@@ -169,7 +169,7 @@ type PCResult struct {
 
 // RunProducerConsumerIn drives a bounded buffer with two semaphores
 // (spaces, items) on half producers / half consumers, on a machine drawn
-// from pool (see machines.go), and validates conservation: every slot
+// from pool (see machine.Pool), and validates conservation: every slot
 // value written is read exactly once.
 func RunProducerConsumerIn(pool *machine.Pool, cfg machine.Config, info SemaphoreInfo, opts PCOpts) (PCResult, error) {
 	cfg = cfg.Defaults()
@@ -179,11 +179,11 @@ func RunProducerConsumerIn(pool *machine.Pool, cfg machine.Config, info Semaphor
 	if opts.Capacity < 1 {
 		opts.Capacity = 1
 	}
-	m, err := getMachine(pool, cfg)
+	m, err := pool.Get(cfg)
 	if err != nil {
 		return PCResult{}, err
 	}
-	defer putMachine(pool, m)
+	defer pool.Put(m)
 	spaces := info.Make(m, opts.Capacity)
 	items := info.Make(m, 0)
 	ring := m.AllocShared(opts.Capacity)

@@ -86,7 +86,7 @@ type grantRecord struct {
 }
 
 // RunLockIn executes a standard critical-section workload for one lock
-// algorithm on a machine drawn from pool (see machines.go) and verifies
+// algorithm on a machine drawn from pool (see machine.Pool) and verifies
 // the lock's safety invariants as it goes. Any invariant violation is
 // returned as an error: a broken lock must never produce a data point.
 //
@@ -110,11 +110,11 @@ type grantRecord struct {
 // critical section, and is skipped for a run that did not complete.
 func RunLockIn(pool *machine.Pool, cfg machine.Config, info LockInfo, opts LockOpts) (LockResult, error) {
 	cfg = cfg.Defaults()
-	m, err := getMachine(pool, cfg)
+	m, err := pool.Get(cfg)
 	if err != nil {
 		return LockResult{}, err
 	}
-	defer putMachine(pool, m)
+	defer pool.Put(m)
 	lock := info.Make(m)
 
 	var counter machine.Addr
@@ -396,11 +396,11 @@ type BarrierResult struct {
 // host's count by one.
 func RunBarrierIn(pool *machine.Pool, cfg machine.Config, info BarrierInfo, opts BarrierOpts) (BarrierResult, error) {
 	cfg = cfg.Defaults()
-	m, err := getMachine(pool, cfg)
+	m, err := pool.Get(cfg)
 	if err != nil {
 		return BarrierResult{}, err
 	}
-	defer putMachine(pool, m)
+	defer pool.Put(m)
 	bar := info.Make(m)
 	var leaver interface{ Leave(*machine.Proc) }
 	if cfg.Faults != nil {
@@ -591,15 +591,15 @@ func (r *rebirths) worked(p *machine.Proc) {
 
 // UncontendedLockCostIn measures the latency in cycles of a single
 // acquire/release pair with no contention whatsoever (T1), on a machine
-// drawn from pool (see machines.go): the T1 table and its benchmark
+// drawn from pool (see machine.Pool): the T1 table and its benchmark
 // measure one acquire/release pair per machine, so without pooling the
 // dominant cost of the sweep is machine construction, not simulation.
 func UncontendedLockCostIn(pool *machine.Pool, tp topo.Topology, info LockInfo) (acquireRelease sim.Time, traffic uint64, err error) {
-	m, err := getMachine(pool, machine.Config{Procs: 1, Topo: tp})
+	m, err := pool.Get(machine.Config{Procs: 1, Topo: tp})
 	if err != nil {
 		return 0, 0, err
 	}
-	defer putMachine(pool, m)
+	defer pool.Put(m)
 	lock := info.Make(m)
 	var start, end sim.Time
 	var trafBefore uint64

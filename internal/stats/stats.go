@@ -1,14 +1,15 @@
 // Package stats provides the small statistical toolkit the benchmark
-// harness needs: summary statistics, percentiles, confidence intervals,
-// least-squares fits (for scaling exponents), and text histograms.
-// Standard library only.
+// harness and the real-runtime stack need: the mean, least-squares
+// fits (for scaling exponents), an allocation-free log-bucket latency
+// histogram with bounded-error quantiles (Hist) and its striped
+// concurrent form (ShardedHist), and an exact interpolated Percentile
+// that the histogram's quantile tests are held to. Standard library
+// only.
 package stats
 
 import (
-	"fmt"
 	"math"
 	"sort"
-	"strings"
 )
 
 // Mean returns the arithmetic mean of xs, or 0 for an empty slice.
@@ -21,38 +22,6 @@ func Mean(xs []float64) float64 {
 		s += x
 	}
 	return s / float64(len(xs))
-}
-
-// Stddev returns the sample standard deviation (n-1 denominator), or 0
-// for fewer than two samples.
-func Stddev(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	var ss float64
-	for _, x := range xs {
-		d := x - m
-		ss += d * d
-	}
-	return math.Sqrt(ss / float64(len(xs)-1))
-}
-
-// MinMax returns the extremes of xs; both zero for an empty slice.
-func MinMax(xs []float64) (min, max float64) {
-	if len(xs) == 0 {
-		return 0, 0
-	}
-	min, max = xs[0], xs[0]
-	for _, x := range xs[1:] {
-		if x < min {
-			min = x
-		}
-		if x > max {
-			max = x
-		}
-	}
-	return min, max
 }
 
 // Percentile returns the p-th percentile (0 <= p <= 100) using linear
@@ -81,46 +50,6 @@ func Percentile(xs []float64, p float64) float64 {
 	}
 	frac := rank - float64(lo)
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
-}
-
-// CI95 returns the half-width of the 95% confidence interval of the
-// mean under a normal approximation (1.96 sigma / sqrt(n)).
-func CI95(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	return 1.96 * Stddev(xs) / math.Sqrt(float64(len(xs)))
-}
-
-// Summary bundles the usual descriptive statistics.
-type Summary struct {
-	N      int
-	Mean   float64
-	Stddev float64
-	Min    float64
-	Max    float64
-	P50    float64
-	P95    float64
-}
-
-// Summarize computes a Summary of xs.
-func Summarize(xs []float64) Summary {
-	min, max := MinMax(xs)
-	return Summary{
-		N:      len(xs),
-		Mean:   Mean(xs),
-		Stddev: Stddev(xs),
-		Min:    min,
-		Max:    max,
-		P50:    Percentile(xs, 50),
-		P95:    Percentile(xs, 95),
-	}
-}
-
-// String renders the summary compactly.
-func (s Summary) String() string {
-	return fmt.Sprintf("n=%d mean=%.3g sd=%.3g min=%.3g p50=%.3g p95=%.3g max=%.3g",
-		s.N, s.Mean, s.Stddev, s.Min, s.P50, s.P95, s.Max)
 }
 
 // Fit is a least-squares line y = Intercept + Slope*x with the
@@ -173,48 +102,4 @@ func PowerLawExponent(xs, ys []float64) (k, r2 float64) {
 	}
 	f := LinearFit(lx, ly)
 	return f.Slope, f.R2
-}
-
-// Histogram renders a fixed-width text histogram of xs with the given
-// number of buckets, suitable for terminal output.
-func Histogram(xs []float64, buckets int, width int) string {
-	if len(xs) == 0 || buckets < 1 {
-		return "(no data)\n"
-	}
-	if width < 1 {
-		width = 40
-	}
-	min, max := MinMax(xs)
-	span := max - min
-	if span == 0 {
-		span = 1
-	}
-	counts := make([]int, buckets)
-	for _, x := range xs {
-		b := int((x - min) / span * float64(buckets))
-		if b >= buckets {
-			b = buckets - 1
-		}
-		if b < 0 {
-			b = 0
-		}
-		counts[b]++
-	}
-	peak := 0
-	for _, c := range counts {
-		if c > peak {
-			peak = c
-		}
-	}
-	var sb strings.Builder
-	for b, c := range counts {
-		lo := min + span*float64(b)/float64(buckets)
-		hi := min + span*float64(b+1)/float64(buckets)
-		bar := 0
-		if peak > 0 {
-			bar = c * width / peak
-		}
-		fmt.Fprintf(&sb, "[%10.3g, %10.3g) %6d %s\n", lo, hi, c, strings.Repeat("#", bar))
-	}
-	return sb.String()
 }

@@ -2,7 +2,6 @@ package stats
 
 import (
 	"math"
-	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -15,27 +14,6 @@ func TestMean(t *testing.T) {
 	}
 	if got := Mean([]float64{1, 2, 3, 4}); got != 2.5 {
 		t.Fatalf("Mean = %v, want 2.5", got)
-	}
-}
-
-func TestStddev(t *testing.T) {
-	if Stddev([]float64{5}) != 0 {
-		t.Fatal("Stddev of one sample should be 0")
-	}
-	got := Stddev([]float64{2, 4, 4, 4, 5, 5, 7, 9})
-	if !approx(got, 2.138, 0.01) {
-		t.Fatalf("Stddev = %v, want ~2.138", got)
-	}
-}
-
-func TestMinMax(t *testing.T) {
-	min, max := MinMax([]float64{3, -1, 7, 2})
-	if min != -1 || max != 7 {
-		t.Fatalf("MinMax = %v,%v", min, max)
-	}
-	min, max = MinMax(nil)
-	if min != 0 || max != 0 {
-		t.Fatal("MinMax(nil) should be zeros")
 	}
 }
 
@@ -67,29 +45,6 @@ func TestPercentileDoesNotMutate(t *testing.T) {
 	Percentile(xs, 50)
 	if xs[0] != 3 || xs[1] != 1 || xs[2] != 2 {
 		t.Fatal("Percentile mutated its input")
-	}
-}
-
-func TestCI95(t *testing.T) {
-	if CI95([]float64{1}) != 0 {
-		t.Fatal("CI95 of one sample should be 0")
-	}
-	xs := make([]float64, 100)
-	for i := range xs {
-		xs[i] = float64(i % 2) // sd ~0.5, n=100 -> CI ~0.098
-	}
-	if got := CI95(xs); !approx(got, 0.0985, 0.01) {
-		t.Fatalf("CI95 = %v, want ~0.0985", got)
-	}
-}
-
-func TestSummarize(t *testing.T) {
-	s := Summarize([]float64{1, 2, 3})
-	if s.N != 3 || s.Mean != 2 || s.Min != 1 || s.Max != 3 {
-		t.Fatalf("Summary = %+v", s)
-	}
-	if !strings.Contains(s.String(), "n=3") {
-		t.Fatal("Summary.String missing n")
 	}
 }
 
@@ -137,21 +92,7 @@ func TestPowerLawSkipsNonPositive(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	out := Histogram([]float64{1, 1, 2, 3, 3, 3}, 3, 20)
-	if !strings.Contains(out, "#") {
-		t.Fatal("histogram has no bars")
-	}
-	if Histogram(nil, 3, 20) != "(no data)\n" {
-		t.Fatal("empty histogram output wrong")
-	}
-	// Constant data must not divide by zero.
-	if out := Histogram([]float64{2, 2, 2}, 4, 10); !strings.Contains(out, "3") {
-		t.Fatalf("constant histogram: %q", out)
-	}
-}
-
-// Property: mean lies within [min, max]; stddev is non-negative.
+// Property: mean lies within [min, max].
 func TestMeanBoundsProperty(t *testing.T) {
 	f := func(raw []float64) bool {
 		xs := make([]float64, 0, len(raw))
@@ -163,9 +104,12 @@ func TestMeanBoundsProperty(t *testing.T) {
 		if len(xs) == 0 {
 			return true
 		}
+		lo, hi := xs[0], xs[0]
+		for _, x := range xs[1:] {
+			lo, hi = math.Min(lo, x), math.Max(hi, x)
+		}
 		m := Mean(xs)
-		min, max := MinMax(xs)
-		return m >= min-1e-6 && m <= max+1e-6 && Stddev(xs) >= 0
+		return m >= lo-1e-6 && m <= hi+1e-6
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
