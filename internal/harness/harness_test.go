@@ -320,7 +320,8 @@ func TestRunIDsDeduplicates(t *testing.T) {
 // experiment with one footer line naming every sweep column and its
 // summed host seconds, and the tables stay byte-identical to a run
 // without one. F6 is a runMatrix sweep; F13 assembles its table from
-// its own cells.
+// its own cells, and so do T1 (one cell per lock) and F5, whose
+// footer names each row's lock because its row labels carry spaces.
 func TestColumnFooter(t *testing.T) {
 	var lockNames, rwNames []string
 	for _, li := range algosFor(Options{}, simsync.LockSet) {
@@ -335,6 +336,8 @@ func TestColumnFooter(t *testing.T) {
 	}{
 		{"F6", lockNames},
 		{"F13", rwNames},
+		{"T1", lockNames},
+		{"F5", []string{"tas-bo", "qsync"}},
 	} {
 		t.Run(tc.id, func(t *testing.T) {
 			var plain, verbose, progress bytes.Buffer

@@ -225,8 +225,12 @@ func runMatrix[A any](o Options, parallel bool, algos []A, nameOf func(A) string
 		return
 	}
 	err := o.forEachCell(parallel, names, len(axis)*len(algos), func(cell int, pool *machine.Pool) error {
-		// Axis-major assignment keeps the single-worker order identical
-		// to the historical sequential sweep.
+		// Cells are axis-major, and P and critical-section axes list
+		// their smallest point first, so a parallel sweep, dispatched
+		// from the last cell down, starts on its costliest row: cheap
+		// cells fill the tail, and each worker's machine is sized by
+		// its first cell (see forEachCell). A sequential sweep runs in
+		// axis order.
 		ai, aj := cell/len(algos), cell%len(algos)
 		vals, panicked, merr := measureSafe(ai, algos[aj], pool)
 		if panicked != "" {
@@ -279,13 +283,21 @@ func runMatrix[A any](o Options, parallel bool, algos []A, nameOf func(A) string
 // host cores (each must write only its own result slot); remaining
 // cells are skipped once any cell fails, so an early error does not
 // cost a full sweep's wall-clock. With parallel unset, cells run
-// sequentially in index order on the calling goroutine — the mode for
-// real-runtime measurements.
+// sequentially in ascending index order on the calling goroutine —
+// the mode for real-runtime measurements, whose cells time the host.
 //
 // Each worker owns a machine.Pool handed to every cell it runs, so a
 // worker's cells reuse one simulated machine (reset per cell) instead
 // of allocating megabytes of simulated memory each. Pools are
 // per-worker precisely because they are not concurrency-safe.
+//
+// A parallel call hands out cells from total-1 down to 0, on one
+// worker or several. Processor-count and critical-section axes list
+// their smallest point first, so a sweep over one ends in its
+// costliest cells. Starting there lets the cheap cells fill the tail
+// instead of one worker finishing the largest cell while the others
+// idle, and sizes each worker's pooled machine by its first cell, so
+// Reset does not regrow the memory arrays at every larger axis point.
 //
 // A panic escaping fn is recovered and returned as that cell's error: a
 // panic on a bare worker goroutine would kill the whole process, and no
@@ -333,24 +345,29 @@ func (o Options) forEachCell(parallel bool, names []string, total int, fn func(i
 	if workers <= 1 {
 		pool := new(machine.Pool)
 		for i := 0; i < total; i++ {
-			if err := call(i, pool); err != nil {
+			cell := i
+			if parallel {
+				cell = total - 1 - i
+			}
+			if err := call(cell, pool); err != nil {
 				return err
 			}
 		}
 		return nil
 	}
 	var (
-		next int64 = -1
+		next atomic.Int64 // counts down: each claim takes next-1
 		wg   sync.WaitGroup
 	)
+	next.Store(int64(total))
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			pool := new(machine.Pool)
 			for !failed.Load() {
-				cell := int(atomic.AddInt64(&next, 1))
-				if cell >= total {
+				cell := int(next.Add(-1))
+				if cell < 0 {
 					return
 				}
 				if err := call(cell, pool); err != nil {

@@ -29,18 +29,28 @@ func runT1(o Options) ([]Table, error) {
 		Note:  "tas cheapest; the queueing mechanism pays a few extra cycles for its scalability",
 		Cols:  []string{"lock", "bus cycles", "bus txns", "numa cycles", "numa refs"},
 	}
-	pool := new(machine.Pool)
-	for _, info := range algosFor(o, simsync.LockSet) {
-		busCyc, busTraf, err := simsync.UncontendedLockCostIn(pool, topo.Bus, info)
-		if err != nil {
-			return nil, err
+	infos := algosFor(o, simsync.LockSet)
+	names := make([]string, len(infos))
+	for i, li := range infos {
+		names[i] = li.Name
+	}
+	// One cell per lock, measuring both machines; cells fill their own
+	// row, so the table keeps registry order.
+	t.Rows = make([][]string, len(infos))
+	err := o.forEachCell(true, names, len(infos), func(cell int, pool *machine.Pool) error {
+		row := []string{names[cell]}
+		for _, tp := range []topo.Topology{topo.Bus, topo.NUMA} {
+			cyc, traf, err := simsync.UncontendedLockCostIn(pool, tp, infos[cell])
+			if err != nil {
+				return err
+			}
+			row = append(row, Fmt(float64(cyc)), Fmt(float64(traf)))
 		}
-		numaCyc, numaTraf, err := simsync.UncontendedLockCostIn(pool, topo.NUMA, info)
-		if err != nil {
-			return nil, err
-		}
-		t.AddRow(info.Name, Fmt(float64(busCyc)), Fmt(float64(busTraf)),
-			Fmt(float64(numaCyc)), Fmt(float64(numaTraf)))
+		t.Rows[cell] = row
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return []Table{t}, nil
 }
@@ -146,37 +156,41 @@ func runF5(o Options) ([]Table, error) {
 		Note:  "backoff needs tuning per workload; the mechanism is parameter-free and matches the best tuning",
 		Cols:  []string{"lock (base/cap)", "cycles/acq", "txns/acq"},
 	}
-	bases := []sim.Time{4, 16, 64, 256}
-	caps := []sim.Time{256, 2048, 16384}
-	pool := new(machine.Pool)
-	for _, base := range bases {
-		for _, cap := range caps {
+	// One cell per row: the twelve tuned tas-bo locks, then qsync. Row
+	// labels carry spaces, so the footer names each row's lock instead.
+	var infos []simsync.LockInfo
+	var names []string
+	for _, base := range []sim.Time{4, 16, 64, 256} {
+		for _, cap := range []sim.Time{256, 2048, 16384} {
 			base, cap := base, cap
-			info := simsync.LockInfo{
+			infos = append(infos, simsync.LockInfo{
 				Name: fmt.Sprintf("tas-bo %d/%d", base, cap),
 				Make: func(m *machine.Machine) simsync.Lock {
 					return simsync.NewTASBackoffParams(m, simsync.BackoffParams{Base: base, Cap: cap})
 				},
-			}
-			res, err := simsync.RunLockIn(pool,
-				machine.Config{Procs: p, Topo: topo.Bus, Seed: o.seed()},
-				info, simLockOpts(o.lockIters()),
-			)
-			if err != nil {
-				return nil, err
-			}
-			t.AddRow(info.Name, Fmt(res.CyclesPerAcq), Fmt(res.TrafficPerAcq))
+			})
+			names = append(names, "tas-bo")
 		}
 	}
 	qs, _ := simsync.LockByName("qsync")
-	res, err := simsync.RunLockIn(pool,
-		machine.Config{Procs: p, Topo: topo.Bus, Seed: o.seed()},
-		qs, simLockOpts(o.lockIters()),
-	)
+	names = append(names, qs.Name)
+	qs.Name += " (no tuning)"
+	infos = append(infos, qs)
+	t.Rows = make([][]string, len(infos))
+	err := o.forEachCell(true, names, len(infos), func(cell int, pool *machine.Pool) error {
+		res, err := simsync.RunLockIn(pool,
+			machine.Config{Procs: p, Topo: topo.Bus, Seed: o.seed()},
+			infos[cell], simLockOpts(o.lockIters()),
+		)
+		if err != nil {
+			return err
+		}
+		t.Rows[cell] = []string{infos[cell].Name, Fmt(res.CyclesPerAcq), Fmt(res.TrafficPerAcq)}
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	t.AddRow("qsync (no tuning)", Fmt(res.CyclesPerAcq), Fmt(res.TrafficPerAcq))
 	return []Table{t}, nil
 }
 

@@ -1,7 +1,7 @@
 // Package workload generates the real-runtime workloads the experiments
-// run: contended critical sections, read-mostly mixes, barrier-phased
-// computations, and bounded-buffer pipelines. Each runner returns
-// throughput figures the harness turns into tables.
+// run: contended critical sections, read-mostly mixes, hot-spot counters,
+// and bounded-buffer pipelines. Each runner returns throughput figures
+// the harness turns into tables.
 package workload
 
 import (
@@ -9,7 +9,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/barriers"
 	"repro/internal/core"
 	"repro/internal/locks"
 	"repro/internal/stats"
@@ -201,56 +200,6 @@ func RunReadMix(rw locks.RWLock, o RWOpts) (RWResult, bool) {
 		Lat:          summarizeLat(hists),
 	}
 	return res, bad.Load() == 0 && x == y && int64(x) == writes.Load()
-}
-
-// BarrierResult reports a phased-computation run.
-type BarrierResult struct {
-	Parties   int
-	Phases    int
-	Elapsed   time.Duration
-	NsPerWait float64
-}
-
-// BarrierOpts configures RunBarrierPhases.
-type BarrierOpts struct {
-	Parties int
-	Phases  int
-	Work    int // spin units per phase per party
-}
-
-// RunBarrierPhases drives an identified-party barrier through phased
-// work, verifying no early release. The boolean result is the safety
-// verdict.
-func RunBarrierPhases(b barriers.Barrier, o BarrierOpts) (BarrierResult, bool) {
-	arrivals := make([]atomic.Int32, o.Phases)
-	var bad atomic.Int32
-	var wg sync.WaitGroup
-	start := time.Now()
-	for id := 0; id < o.Parties; id++ {
-		id := id
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for ph := 0; ph < o.Phases; ph++ {
-				if o.Work > 0 {
-					spin(o.Work)
-				}
-				arrivals[ph].Add(1)
-				b.Wait(id)
-				if arrivals[ph].Load() != int32(o.Parties) {
-					bad.Add(1)
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-	return BarrierResult{
-		Parties:   o.Parties,
-		Phases:    o.Phases,
-		Elapsed:   elapsed,
-		NsPerWait: float64(elapsed.Nanoseconds()) / float64(o.Phases),
-	}, bad.Load() == 0
 }
 
 // CounterResult reports a hot-spot counter run.

@@ -3,7 +3,6 @@ package workload
 import (
 	"testing"
 
-	"repro/internal/barriers"
 	"repro/internal/core"
 	"repro/internal/locks"
 	"repro/internal/sharded"
@@ -85,24 +84,6 @@ func TestRunCounterHotspot(t *testing.T) {
 			}
 			if res.Total != 8*2000 || res.OpsPerSec <= 0 {
 				t.Fatalf("bad result: %+v", res)
-			}
-		})
-	}
-}
-
-func TestRunBarrierPhases(t *testing.T) {
-	for _, info := range barriers.All() {
-		info := info
-		t.Run(info.Name, func(t *testing.T) {
-			t.Parallel()
-			res, ok := RunBarrierPhases(info.New(6), BarrierOpts{
-				Parties: 6, Phases: 100, Work: 10,
-			})
-			if !ok {
-				t.Fatalf("%s released early", info.Name)
-			}
-			if res.NsPerWait <= 0 {
-				t.Fatalf("bad NsPerWait: %v", res.NsPerWait)
 			}
 		})
 	}
