@@ -147,7 +147,7 @@ func main() {
 			fmt.Printf("  acquisitions:      %d\n", res.Acquisitions)
 			fmt.Printf("  elapsed cycles:    %d\n", res.Cycles)
 			fmt.Printf("  cycles/acq:        %.1f\n", res.CyclesPerAcq)
-			fmt.Printf("  traffic/acq:       %.2f (%s)\n", res.TrafficPerAcq, trafficName(tp))
+			fmt.Printf("  traffic/acq:       %.2f (%s)\n", res.TrafficPerAcq, tp.Discipline().Unit())
 			fmt.Printf("  FIFO inversions:   %d\n", res.FIFOInversions)
 			fmt.Printf("  events simulated:  %d\n", res.Stats.Events)
 		}
@@ -162,7 +162,7 @@ func main() {
 			fmt.Printf("barrier=%s model=%s procs=%d episodes=%d\n", res.Barrier, res.Topo.Name(), res.Procs, res.Episodes)
 			fmt.Printf("  elapsed cycles:    %d\n", res.Cycles)
 			fmt.Printf("  cycles/episode:    %.1f\n", res.CyclesPerEpisode)
-			fmt.Printf("  traffic/episode:   %.2f (%s)\n", res.TrafficPerEpisode, trafficName(tp))
+			fmt.Printf("  traffic/episode:   %.2f (%s)\n", res.TrafficPerEpisode, tp.Discipline().Unit())
 			fmt.Printf("  events simulated:  %d\n", res.Stats.Events)
 		}
 	case "rw":
@@ -178,7 +178,7 @@ func main() {
 			fmt.Printf("  reads / writes:    %d / %d\n", res.Reads, res.Writes)
 			fmt.Printf("  elapsed cycles:    %d\n", res.Cycles)
 			fmt.Printf("  cycles/op:         %.1f\n", res.CyclesPerOp)
-			fmt.Printf("  traffic/op:        %.2f (%s)\n", res.TrafficPerOp, trafficName(tp))
+			fmt.Printf("  traffic/op:        %.2f (%s)\n", res.TrafficPerOp, tp.Discipline().Unit())
 			fmt.Printf("  events simulated:  %d\n", res.Stats.Events)
 		}
 	case "sem":
@@ -192,7 +192,7 @@ func main() {
 			fmt.Printf("semaphore=%s model=%s procs=%d items=%d\n", res.Semaphore, res.Topo.Name(), res.Procs, res.Items)
 			fmt.Printf("  elapsed cycles:    %d\n", res.Cycles)
 			fmt.Printf("  cycles/item:       %.1f\n", res.CyclesPerItem)
-			fmt.Printf("  traffic/item:      %.2f (%s)\n", res.TrafficPerItem, trafficName(tp))
+			fmt.Printf("  traffic/item:      %.2f (%s)\n", res.TrafficPerItem, tp.Discipline().Unit())
 			fmt.Printf("  events simulated:  %d\n", res.Stats.Events)
 		}
 	case "counter":
@@ -206,7 +206,7 @@ func main() {
 			fmt.Printf("counter=%s model=%s procs=%d incs=%d\n", res.Counter, res.Topo.Name(), res.Procs, res.Incs)
 			fmt.Printf("  elapsed cycles:    %d\n", res.Cycles)
 			fmt.Printf("  cycles/inc:        %.1f\n", res.CyclesPerInc)
-			fmt.Printf("  traffic/inc:       %.2f (%s)\n", res.TrafficPerInc, trafficName(tp))
+			fmt.Printf("  traffic/inc:       %.2f (%s)\n", res.TrafficPerInc, tp.Discipline().Unit())
 			fmt.Printf("  events simulated:  %d\n", res.Stats.Events)
 		}
 	default:
@@ -315,10 +315,6 @@ func selectFrom[T any](set interface {
 		fail("%v (try -names)", err)
 	}
 	return infos
-}
-
-func trafficName(t topo.Topology) string {
-	return t.Traffic().Unit()
 }
 
 // profileStops holds the -cpuprofile/-memprofile flush actions. They

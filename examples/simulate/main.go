@@ -22,8 +22,6 @@ type politeTAS struct {
 	l machine.Addr
 }
 
-func (t *politeTAS) Name() string { return "polite-tas" }
-
 func (t *politeTAS) Acquire(p *machine.Proc) {
 	for p.TestAndSet(t.l) != 0 {
 		p.Delay(100) // fixed politeness
@@ -58,7 +56,7 @@ func main() {
 				panic(err)
 			}
 			fmt.Printf("%12s: %7.0f cycles/acq  %6.2f %s/acq  (%d events simulated)\n",
-				tc.name, res.CyclesPerAcq, res.TrafficPerAcq, tp.Traffic().Unit(), res.Stats.Events)
+				tc.name, res.CyclesPerAcq, res.TrafficPerAcq, tp.Discipline().Unit(), res.Stats.Events)
 		}
 		fmt.Println()
 	}

@@ -84,6 +84,78 @@ func TestBarrierOversubscribed(t *testing.T) {
 	}
 }
 
+// TestBarrierSpinParkPartyCounts: no early release in SpinPark mode at
+// the small and non-power-of-two party counts the tests above skip.
+func TestBarrierSpinParkPartyCounts(t *testing.T) {
+	for _, parties := range []int{2, 3, 5, 13} {
+		t.Run(itoa(parties), func(t *testing.T) {
+			const episodes = 150
+			b := NewBarrier(parties, SpinPark)
+			arrivals := make([]atomic.Int32, episodes)
+			var bad atomic.Int32
+			var wg sync.WaitGroup
+			for g := 0; g < parties; g++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for e := 0; e < episodes; e++ {
+						arrivals[e].Add(1)
+						b.Wait()
+						if arrivals[e].Load() != int32(parties) {
+							bad.Add(1)
+						}
+					}
+				}()
+			}
+			wg.Wait()
+			if bad.Load() != 0 {
+				t.Fatalf("%d early releases with %d parties", bad.Load(), parties)
+			}
+		})
+	}
+}
+
+// TestBarrierPhasedVisibility: in a phased computation, every party
+// sees all of the previous phase's writes once it passes the barrier.
+func TestBarrierPhasedVisibility(t *testing.T) {
+	const parties, phases = 8, 40
+	spinPark := NewBarrier(parties, SpinPark)
+	tree := NewTreeBarrier(parties)
+	for _, tc := range []struct {
+		name string
+		wait func(id int)
+	}{
+		{"spin-park", func(int) { spinPark.Wait() }},
+		{"tree", tree.Wait},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cells := make([]atomic.Int64, parties)
+			var bad atomic.Int32
+			var wg sync.WaitGroup
+			for id := 0; id < parties; id++ {
+				wg.Add(1)
+				go func(id int) {
+					defer wg.Done()
+					for ph := 1; ph <= phases; ph++ {
+						cells[id].Store(int64(ph))
+						tc.wait(id)
+						for j := range cells {
+							if cells[j].Load() < int64(ph) {
+								bad.Add(1)
+							}
+						}
+						tc.wait(id) // no writer starts phase ph+1 before every check of ph
+					}
+				}(id)
+			}
+			wg.Wait()
+			if bad.Load() != 0 {
+				t.Fatalf("%d stale reads across phases", bad.Load())
+			}
+		})
+	}
+}
+
 func TestTreeBarrierEpisodes(t *testing.T) {
 	for _, parties := range []int{1, 2, 3, 5, 8, 13, 21} {
 		parties := parties

@@ -216,10 +216,10 @@ func (p *Plan) Validate() error {
 // kind; zero interval bounds fall back to sensible defaults relative
 // to Horizon.
 type Spec struct {
-	// Procs and Modules bound the indices drawn; both must be > 0 for
-	// the corresponding fault kinds to be drawn.
-	Procs   int
-	Modules int
+	// Procs bounds the processor and module indices drawn (a machine
+	// has one memory module per processor); no fault is drawn unless
+	// it is > 0.
+	Procs int
 	// Horizon is the time span faults are drawn in: starts land in
 	// [0, Horizon).
 	Horizon sim.Time
@@ -274,9 +274,6 @@ func (e *SpecError) Error() string {
 func (sp Spec) Validate() error {
 	if sp.Procs < 0 {
 		return &SpecError{Field: "Procs", Reason: "negative"}
-	}
-	if sp.Modules < 0 {
-		return &SpecError{Field: "Modules", Reason: "negative"}
 	}
 	if sp.Horizon < 0 {
 		return &SpecError{Field: "Horizon", Reason: "negative"}
@@ -391,14 +388,12 @@ func Generate(name string, seed uint64, sp Spec) *Plan {
 			delay := spanIn(sp.RestartDelayMin, sp.RestartDelayMax, defMin, defMax)
 			p.WithRestart(c.Proc, c.At+delay)
 		}
-	}
-	if sp.Modules > 0 {
 		factorMax := sp.FactorMax
 		if factorMax < 2 {
 			factorMax = 8
 		}
 		for i := 0; i < sp.Degrades; i++ {
-			mod := rng.Intn(sp.Modules)
+			mod := rng.Intn(sp.Procs)
 			start := rng.Time(horizon)
 			length := spanIn(sp.DegradeMin, sp.DegradeMax, defMin, defMax)
 			factor := 2 + rng.Intn(factorMax-1)

@@ -44,7 +44,7 @@ func TestNilPlanIsEmpty(t *testing.T) {
 // a different seed gives a different one. Plans are pure data, so a
 // config carrying a generated plan stays reproducible end to end.
 func TestGenerateDeterministic(t *testing.T) {
-	sp := Spec{Procs: 8, Modules: 8, Horizon: 10000,
+	sp := Spec{Procs: 8, Horizon: 10000,
 		Stalls: 5, Crashes: 2, Degrades: 3, FactorMax: 6}
 	a := Generate("g", 42, sp)
 	b := Generate("g", 42, sp)
@@ -60,7 +60,7 @@ func TestGenerateDeterministic(t *testing.T) {
 // TestGenerateRespectsSpec: counts, ranges, and the at-least-one-
 // survivor clamp on crashes.
 func TestGenerateRespectsSpec(t *testing.T) {
-	sp := Spec{Procs: 4, Modules: 4, Horizon: 5000,
+	sp := Spec{Procs: 4, Horizon: 5000,
 		Stalls: 6, StallMin: 100, StallMax: 300,
 		Crashes:  9, // over-asks: must clamp to Procs-1
 		Degrades: 4, DegradeMin: 200, DegradeMax: 400, FactorMax: 5}
@@ -111,7 +111,7 @@ func TestGenerateRespectsSpec(t *testing.T) {
 // TestGenerateZeroCounts: a spec asking for nothing generates an empty
 // (and therefore inert) plan.
 func TestGenerateZeroCounts(t *testing.T) {
-	p := Generate("zero", 1, Spec{Procs: 8, Modules: 8, Horizon: 1000})
+	p := Generate("zero", 1, Spec{Procs: 8, Horizon: 1000})
 	if !p.Empty() {
 		t.Errorf("zero-count spec generated %d/%d/%d entries",
 			len(p.Stalls()), len(p.Crashes()), len(p.Degrades()))

@@ -17,21 +17,20 @@ func TestSpecValidateRejectsDegenerate(t *testing.T) {
 		field string
 	}{
 		{"negative procs", Spec{Procs: -1}, "Procs"},
-		{"negative modules", Spec{Modules: -2}, "Modules"},
 		{"negative horizon", Spec{Procs: 4, Horizon: -5}, "Horizon"},
 		{"negative stall count", Spec{Procs: 4, Stalls: -1}, "Stalls"},
 		{"negative crash count", Spec{Procs: 4, Crashes: -3}, "Crashes"},
 		{"negative restart count", Spec{Procs: 4, Restarts: -1}, "Restarts"},
-		{"negative degrade count", Spec{Modules: 4, Degrades: -1}, "Degrades"},
+		{"negative degrade count", Spec{Procs: 4, Degrades: -1}, "Degrades"},
 		{"negative stall bound", Spec{Procs: 4, Stalls: 1, StallMin: -10}, "StallMin/StallMax"},
 		{"inverted stall range", Spec{Procs: 4, Stalls: 1, StallMin: 500, StallMax: 100}, "StallMax"},
 		{"restarts exceed crashes", Spec{Procs: 8, Crashes: 1, Restarts: 2}, "Restarts"},
 		{"negative restart delay", Spec{Procs: 8, Crashes: 2, Restarts: 1, RestartDelayMin: -1}, "RestartDelayMin/RestartDelayMax"},
 		{"inverted restart delay", Spec{Procs: 8, Crashes: 2, Restarts: 1, RestartDelayMin: 900, RestartDelayMax: 400}, "RestartDelayMax"},
-		{"negative degrade bound", Spec{Modules: 4, Degrades: 1, DegradeMax: -7}, "DegradeMin/DegradeMax"},
-		{"inverted degrade range", Spec{Modules: 4, Degrades: 1, DegradeMin: 300, DegradeMax: 200}, "DegradeMax"},
-		{"no-op factor", Spec{Modules: 4, Degrades: 1, FactorMax: 1}, "FactorMax"},
-		{"negative factor", Spec{Modules: 4, Degrades: 1, FactorMax: -4}, "FactorMax"},
+		{"negative degrade bound", Spec{Procs: 4, Degrades: 1, DegradeMax: -7}, "DegradeMin/DegradeMax"},
+		{"inverted degrade range", Spec{Procs: 4, Degrades: 1, DegradeMin: 300, DegradeMax: 200}, "DegradeMax"},
+		{"no-op factor", Spec{Procs: 4, Degrades: 1, FactorMax: 1}, "FactorMax"},
+		{"negative factor", Spec{Procs: 4, Degrades: 1, FactorMax: -4}, "FactorMax"},
 	}
 	for _, tc := range cases {
 		err := tc.spec.Validate()
@@ -63,10 +62,10 @@ func TestSpecValidateRejectsDegenerate(t *testing.T) {
 func TestSpecValidateAcceptsClampsAndDefaults(t *testing.T) {
 	ok := []Spec{
 		{},
-		{Procs: 4, Modules: 4, Horizon: 5000, Stalls: 2, Crashes: 9}, // over-ask clamps
+		{Procs: 4, Horizon: 5000, Stalls: 2, Crashes: 9}, // over-ask clamps
 		{Procs: 4, Crashes: 2, Restarts: 2},
 		{Procs: 4, Stalls: 3, StallMin: 100}, // open-ended max: default applies
-		{Modules: 4, Degrades: 2, FactorMax: 0},
+		{Procs: 4, Degrades: 2, FactorMax: 0},
 	}
 	for i, sp := range ok {
 		if err := sp.Validate(); err != nil {
@@ -80,7 +79,7 @@ func TestSpecValidateAcceptsClampsAndDefaults(t *testing.T) {
 // entries to one that never heard of restarts, so pre-recovery callers
 // see unchanged plans.
 func TestGenerateRestartsPreserveStream(t *testing.T) {
-	base := Spec{Procs: 8, Modules: 8, Horizon: 10000,
+	base := Spec{Procs: 8, Horizon: 10000,
 		Stalls: 4, Crashes: 3, Degrades: 2, FactorMax: 6}
 	withR := base
 	withR.Restarts = 2

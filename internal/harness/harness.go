@@ -255,6 +255,9 @@ func writeCSVFile(dir string, t Table) error {
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	return t.WriteCSV(f)
+	if err := t.WriteCSV(f); err != nil {
+		f.Close() // the write error is the one to report
+		return err
+	}
+	return f.Close()
 }

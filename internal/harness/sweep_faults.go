@@ -55,7 +55,6 @@ func mkFaultSpec(stalls, crashes, restarts, degrades, factorMax int) func(procs,
 		horizon := sim.Time(iters) * sim.Time(procs) * 30
 		return fault.Spec{
 			Procs:   procs,
-			Modules: procs,
 			Horizon: horizon,
 			Stalls:  stalls, StallMin: 500, StallMax: 2000,
 			Crashes:  crashes,

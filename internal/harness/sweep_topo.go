@@ -150,7 +150,7 @@ func runTopoBattery(o Options) ([]Table, error) {
 // runBatteryOn produces the six per-topology tables for tp.
 func (o Options) runBatteryOn(tp topo.Topology) ([]Table, error) {
 	name := tp.Name()
-	unit := tp.Traffic().Unit()
+	unit := tp.Discipline().Unit()
 	procs := o.topoProcs(tp)
 
 	tables, _, err := lockSweep(o, tp, procs, []metricSpec{
@@ -286,7 +286,7 @@ func (o Options) counterBatteryOn(tp topo.Topology) (Table, error) {
 	}
 	t := Table{
 		ID:    "C1-" + tp.Name(),
-		Title: fmt.Sprintf("Hot-spot counter on the %s machine: cycles and %s per increment", tp.Name(), tp.Traffic().Unit()),
+		Title: fmt.Sprintf("Hot-spot counter on the %s machine: cycles and %s per increment", tp.Name(), tp.Discipline().Unit()),
 		Note:  "the F16 sweep on this topology; group-home placement keeps sharded-counter traffic off the inter-cluster links",
 		Cols:  cols,
 	}

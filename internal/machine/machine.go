@@ -203,10 +203,10 @@ type Stats struct {
 // module machine, and the total operation count on uniform memory
 // (where every access is alike).
 func (s Stats) TrafficFor(t topo.Topology) uint64 {
-	switch t.Traffic() {
-	case topo.TrafficBusTxns:
+	switch t.Discipline() {
+	case topo.SnoopingBus:
 		return s.BusTxns
-	case topo.TrafficRemoteRefs:
+	case topo.Modules:
 		return s.RemoteRefs
 	default:
 		return s.Loads + s.Stores + s.RMWs

@@ -111,7 +111,9 @@ func (m *Machine) accessModules(p *Proc, a Addr, _ accessKind) sim.Time {
 		}
 	}
 	service := localMem + trav
-	if m.topo.Remote(p.id, mod) {
+	// Every access off p's own module is a remote reference, however
+	// near (an intra-cluster hop counts too).
+	if mod != p.id {
 		p.stats.RemoteRefs++
 		m.stats.RemoteRefs++
 	}

@@ -66,15 +66,20 @@ func NewGate(permits int64, maxWaiters int, stripes int) *Gate {
 // Capacity reports the permit count.
 func (g *Gate) Capacity() int64 { return g.permits }
 
-// admit records a successful acquisition, re-checking closure: a
-// permit grabbed concurrently with Close goes straight back so Drain
-// never waits on a caller admitted after the drain began.
+// admit records a successful acquisition. It counts the caller in
+// flight before re-checking closure, so a Close racing the permit grab
+// is seen by one side (Go's atomics are sequentially consistent):
+// either admit sees the close and hands the permit back, or Drain sees
+// the caller in flight and waits for its Release. The permit goes home
+// before the in-flight count drops, here and in Release, so Drain's
+// nil return finds every permit home.
 func (g *Gate) admit() error {
+	g.inflight.Add(1)
 	if g.closed.Load() {
 		g.sem.Release()
+		g.inflight.Add(-1)
 		return ErrClosed
 	}
-	g.inflight.Add(1)
 	g.admitted.Inc()
 	return nil
 }
@@ -151,8 +156,8 @@ func (g *Gate) Acquire(ctx context.Context) error {
 
 // Release returns an admitted caller's permit.
 func (g *Gate) Release() {
-	g.inflight.Add(-1)
 	g.sem.Release()
+	g.inflight.Add(-1)
 }
 
 // Close begins the drain: every subsequent (and every waiting) Acquire

@@ -196,43 +196,61 @@ func TestGateDrain(t *testing.T) {
 // TestGateDrainRace: Close racing a storm of acquirers — any acquire
 // that wins a permit concurrently with Close either completes (and is
 // awaited by Drain) or is rolled back; either way Drain's nil return
-// means zero callers inside and a full permit pool.
+// means zero callers inside and a full permit pool. Each winner holds
+// its permit briefly and counts it if Drain has already returned nil
+// by the time it releases: a caller admitted behind Drain's back. The
+// storm repeats over fresh gates to give that race more chances.
 func TestGateDrainRace(t *testing.T) {
-	const permits, goroutines = 2, 12
-	g := NewGate(permits, goroutines, 4)
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	for w := 0; w < goroutines; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
+	const permits, goroutines, rounds = 2, 12, 20
+	for round := 0; round < rounds; round++ {
+		g := NewGate(permits, goroutines, 4)
+		var drained atomic.Bool
+		var heldPastDrain atomic.Int64
+		var wg sync.WaitGroup
+		stop := make(chan struct{})
+		for w := 0; w < goroutines; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
+					if err := g.Acquire(ctx); err == nil {
+						time.Sleep(20 * time.Microsecond)
+						if drained.Load() {
+							heldPastDrain.Add(1)
+						}
+						g.Release()
+					}
+					cancel()
 				}
-				ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
-				if err := g.Acquire(ctx); err == nil {
-					g.Release()
-				}
-				cancel()
-			}
-		}()
-	}
-	time.Sleep(10 * time.Millisecond)
-	dctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	if err := g.Drain(dctx); err != nil {
-		t.Fatalf("Drain: %v", err)
-	}
-	close(stop)
-	wg.Wait()
-	if got := g.sem.Value(); got != permits {
-		t.Fatalf("permits after drain race = %d, want %d", got, permits)
-	}
-	if st := g.Stats(); st.InFlight != 0 {
-		t.Fatalf("inflight after drain = %d", st.InFlight)
+			}()
+		}
+		time.Sleep(2 * time.Millisecond)
+		dctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		err := g.Drain(dctx)
+		if err == nil {
+			drained.Store(true)
+		}
+		cancel()
+		close(stop)
+		wg.Wait()
+		if err != nil {
+			t.Fatalf("round %d: Drain: %v", round, err)
+		}
+		if n := heldPastDrain.Load(); n != 0 {
+			t.Fatalf("round %d: Drain returned nil while %d admitted callers held a permit", round, n)
+		}
+		if got := g.sem.Value(); got != permits {
+			t.Fatalf("round %d: permits after drain race = %d, want %d", round, got, permits)
+		}
+		if st := g.Stats(); st.InFlight != 0 {
+			t.Fatalf("round %d: inflight after drain = %d", round, st.InFlight)
+		}
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 // Barrier is a simulated barrier. Wait returns when all processors have
 // arrived at the same episode. Barriers are reusable across episodes.
 type Barrier interface {
-	Name() string
 	Wait(p *machine.Proc)
 }
 
@@ -44,8 +43,6 @@ func NewCentralBarrier(m *machine.Machine) Barrier {
 		localSense: make([]machine.Word, m.Procs()),
 	}
 }
-
-func (b *centralBarrier) Name() string { return "central" }
 
 func (b *centralBarrier) Wait(p *machine.Proc) {
 	ls := 1 - b.localSense[p.ID()]
@@ -139,8 +136,6 @@ func NewCombiningBarrier(m *machine.Machine) Barrier {
 	return b
 }
 
-func (b *combiningBarrier) Name() string { return "combining" }
-
 func (b *combiningBarrier) Wait(p *machine.Proc) {
 	ls := 1 - b.localSense[p.ID()]
 	b.localSense[p.ID()] = ls
@@ -210,8 +205,6 @@ func NewDisseminationBarrier(m *machine.Machine) Barrier {
 	return b
 }
 
-func (b *disseminationBarrier) Name() string { return "dissemination" }
-
 func (b *disseminationBarrier) Wait(p *machine.Proc) {
 	i := p.ID()
 	par := b.parity[i]
@@ -270,8 +263,6 @@ func NewTournamentBarrier(m *machine.Machine) Barrier {
 	}
 	return b
 }
-
-func (b *tournamentBarrier) Name() string { return "tournament" }
 
 func (b *tournamentBarrier) Wait(p *machine.Proc) {
 	i := p.ID()
@@ -343,8 +334,6 @@ func NewQSyncTreeBarrier(m *machine.Machine) Barrier {
 	}
 	return b
 }
-
-func (b *qsyncTreeBarrier) Name() string { return "qsync-tree" }
 
 func (b *qsyncTreeBarrier) Wait(p *machine.Proc) {
 	i := p.ID()

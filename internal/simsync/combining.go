@@ -13,7 +13,6 @@ import (
 // literature (histogram bins, loop indexes, job queues all reduce to
 // it).
 type Counter interface {
-	Name() string
 	// Inc adds one and returns the pre-increment value.
 	Inc(p *machine.Proc) machine.Word
 }
@@ -38,8 +37,6 @@ type faCounter struct {
 func NewFetchAddCounter(m *machine.Machine) Counter {
 	return &faCounter{w: m.AllocShared(1)}
 }
-
-func (c *faCounter) Name() string { return "ctr-fa" }
 
 func (c *faCounter) Inc(p *machine.Proc) machine.Word {
 	return p.FetchAdd(c.w, 1)
@@ -93,8 +90,6 @@ func NewCombiningCounter(m *machine.Machine) Counter {
 	}
 	return c
 }
-
-func (c *combiningCounter) Name() string { return "ctr-combine" }
 
 // lockedSlot marks a deposit captured by a combiner. The slot stays in
 // this state until the parked partner has consumed its result and

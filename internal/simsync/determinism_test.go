@@ -337,8 +337,6 @@ type mixedStormLock struct {
 	l machine.Addr
 }
 
-func (ml *mixedStormLock) Name() string { return "mixed-storm" }
-
 func (ml *mixedStormLock) Acquire(p *machine.Proc) {
 	if p.ID()%2 == 1 {
 		p.SpinTAS(ml.l, machine.Backoff{Base: 16, Cap: 1024, PropJitter: true})

@@ -54,7 +54,6 @@ func faultPlanFor(tp topo.Topology, procs int) *fault.Plan {
 		0xFA017+uint64(procs),
 		fault.Spec{
 			Procs:   procs,
-			Modules: procs,
 			Horizon: 20000,
 			Stalls:  procs/2 + 1, StallMin: 200, StallMax: 1000,
 			Degrades: 2, DegradeMin: 1000, DegradeMax: 4000, FactorMax: 4,

@@ -26,7 +26,6 @@ func arbitraryPlan(seed uint64, procs int, stalls, crashes, degrades uint8) *fau
 		seed|1,
 		fault.Spec{
 			Procs:   procs,
-			Modules: procs,
 			Horizon: 12000,
 			Stalls:  int(stalls % 5), StallMin: 100, StallMax: 1500,
 			Crashes:  int(crashes % 3),
@@ -79,7 +78,7 @@ func TestFaultLeaseSafetyProperty(t *testing.T) {
 		procs := int(procsRaw%7) + 2
 		plan := fault.Generate(
 			fmt.Sprintf("lease/s%d", seed), seed|1,
-			fault.Spec{Procs: procs, Modules: procs, Horizon: 8000,
+			fault.Spec{Procs: procs, Horizon: 8000,
 				Crashes: int(crashes%3) + 1})
 		_, err := RunLockIn(nil,
 			machine.Config{Procs: procs, Topo: topo.Bus, Seed: seed | 1, Faults: plan, MaxSteps: 400_000},

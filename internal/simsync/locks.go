@@ -19,7 +19,6 @@ import (
 // processor until it holds the lock; Release must be called by the
 // holder.
 type Lock interface {
-	Name() string
 	Acquire(p *machine.Proc)
 	Release(p *machine.Proc)
 }
@@ -31,8 +30,9 @@ type Lock interface {
 // (machine.RunScript), eliminating the holder-side goroutine handoffs.
 //
 // ReleaseScript must be called exactly once per Acquire, by the holder,
-// and replaces the Release call for that acquisition. It may perform
-// the same host-side bookkeeping Release would (ticket/slot tracking);
+// and replaces the Release call for that acquisition. Every
+// implementation's Release is p.Store(l.ReleaseScript(p)), so the store
+// and its host-side bookkeeping (gt's flag flip) are written once;
 // calling it any earlier than Release is safe because only processors
 // *holding* the lock mutate that state, and the simulation is
 // single-threaded. Under a fault plan a holder can die between
@@ -72,8 +72,6 @@ func NewTAS(m *machine.Machine) Lock {
 	return &tasLock{l: m.AllocShared(1)}
 }
 
-func (t *tasLock) Name() string { return "tas" }
-
 func (t *tasLock) Acquire(p *machine.Proc) {
 	// The raw probe storm, engine-batched: every retry is still an
 	// atomic read-modify-write hammering the interconnect, but the
@@ -87,7 +85,7 @@ func (t *tasLock) Acquire(p *machine.Proc) {
 }
 
 func (t *tasLock) Release(p *machine.Proc) {
-	p.Store(t.l, 0)
+	p.Store(t.ReleaseScript(p))
 }
 
 func (t *tasLock) ReleaseScript(p *machine.Proc) (machine.Addr, machine.Word) {
@@ -111,8 +109,6 @@ func NewTTAS(m *machine.Machine) Lock {
 	return &ttasLock{l: m.AllocShared(1)}
 }
 
-func (t *ttasLock) Name() string { return "ttas" }
-
 func (t *ttasLock) Acquire(p *machine.Proc) {
 	// The read-spin phase is event-silent on a coherent machine
 	// (watcher-parked until a write invalidates) and jitter-polled on
@@ -125,7 +121,7 @@ func (t *ttasLock) Acquire(p *machine.Proc) {
 }
 
 func (t *ttasLock) Release(p *machine.Proc) {
-	p.Store(t.l, 0)
+	p.Store(t.ReleaseScript(p))
 }
 
 func (t *ttasLock) ReleaseScript(p *machine.Proc) (machine.Addr, machine.Word) {
@@ -170,8 +166,6 @@ func NewTASBackoffParams(m *machine.Machine, bp BackoffParams) Lock {
 	return &backoffLock{l: m.AllocShared(1), params: bp}
 }
 
-func (t *backoffLock) Name() string { return "tas-bo" }
-
 func (t *backoffLock) Acquire(p *machine.Proc) {
 	// Anderson-style bounded exponential backoff with proportional
 	// jitter: delay cur + rng.Time(cur) after each failed probe, cur
@@ -186,7 +180,7 @@ func (t *backoffLock) Acquire(p *machine.Proc) {
 }
 
 func (t *backoffLock) Release(p *machine.Proc) {
-	p.Store(t.l, 0)
+	p.Store(t.ReleaseScript(p))
 }
 
 func (t *backoffLock) ReleaseScript(p *machine.Proc) (machine.Addr, machine.Word) {
@@ -272,13 +266,6 @@ func (w *ticketWait) test(_ *machine.Proc, s machine.Word) int {
 	return ticketBackoff
 }
 
-func (t *ticketLock) Name() string {
-	if t.propK > 0 {
-		return "ticket-bo"
-	}
-	return "ticket"
-}
-
 func (t *ticketLock) Acquire(p *machine.Proc) {
 	ticket := p.FetchAdd(t.next, 1)
 	if t.propK > 0 {
@@ -294,7 +281,7 @@ func (t *ticketLock) Acquire(p *machine.Proc) {
 }
 
 func (t *ticketLock) Release(p *machine.Proc) {
-	p.Store(t.serving, t.held+1)
+	p.Store(t.ReleaseScript(p))
 }
 
 func (t *ticketLock) ReleaseScript(p *machine.Proc) (machine.Addr, machine.Word) {
@@ -331,8 +318,6 @@ func NewAnderson(m *machine.Machine) Lock {
 	return a
 }
 
-func (a *andersonLock) Name() string { return "anderson" }
-
 func (a *andersonLock) Acquire(p *machine.Proc) {
 	idx := p.FetchAdd(a.tail, 1) % a.size
 	slot := a.slots + machine.Addr(idx)
@@ -342,8 +327,7 @@ func (a *andersonLock) Acquire(p *machine.Proc) {
 }
 
 func (a *andersonLock) Release(p *machine.Proc) {
-	next := (a.held + 1) % a.size
-	p.Store(a.slots+machine.Addr(next), 1)
+	p.Store(a.ReleaseScript(p))
 }
 
 func (a *andersonLock) ReleaseScript(p *machine.Proc) (machine.Addr, machine.Word) {
@@ -388,8 +372,6 @@ func (g *gtLock) pack(idx int, val machine.Word) machine.Word {
 	return machine.Word(idx)<<1 | (val & 1)
 }
 
-func (g *gtLock) Name() string { return "gt" }
-
 func (g *gtLock) Acquire(p *machine.Proc) {
 	me := p.ID()
 	myVal := g.vals[me]
@@ -406,9 +388,7 @@ func (g *gtLock) Acquire(p *machine.Proc) {
 }
 
 func (g *gtLock) Release(p *machine.Proc) {
-	me := p.ID()
-	g.vals[me] ^= 1
-	p.Store(g.flags+machine.Addr(me), g.vals[me])
+	p.Store(g.ReleaseScript(p))
 }
 
 func (g *gtLock) ReleaseScript(p *machine.Proc) (machine.Addr, machine.Word) {
@@ -453,8 +433,6 @@ func NewQSync(m *machine.Machine) Lock {
 	}
 	return q
 }
-
-func (q *qsyncLock) Name() string { return "qsync" }
 
 func (q *qsyncLock) Acquire(p *machine.Proc) {
 	n := q.nodes[p.ID()]

@@ -54,8 +54,8 @@ func init() {
 		BarrierInfo{Name: "reconf", Make: NewReconfBarrier},
 	)
 	RWLockSet.Register(
-		RWLockInfo{Name: "rw-ctr", Make: NewCounterRW, Fair: false},
-		RWLockInfo{Name: "rw-qsync", Make: NewQSyncRW, Fair: true},
+		RWLockInfo{Name: "rw-ctr", Make: NewCounterRW},
+		RWLockInfo{Name: "rw-qsync", Make: NewQSyncRW},
 	)
 	SemaphoreSet.Register(
 		SemaphoreInfo{Name: "sem-central", Make: NewCentralSemaphore},

@@ -70,8 +70,6 @@ func NewTASDeadlineSlice(m *machine.Machine, slice, penalty sim.Time) Lock {
 	}
 }
 
-func (t *deadlineTASLock) Name() string { return "tas-deadline" }
-
 func (t *deadlineTASLock) AcquireWithin(p *machine.Proc, budget sim.Time) bool {
 	if budget <= 0 {
 		budget = 1
@@ -198,8 +196,6 @@ func newLeaseLock(m *machine.Machine, lease, poll sim.Time) *leaseLock {
 // toTop is the branch that closes a poll loop: continue at pc 0.
 func toTop(*machine.Proc, machine.Word) int { return 0 }
 
-func (l *leaseLock) Name() string { return "lease" }
-
 func (l *leaseLock) pack(p *machine.Proc, exp sim.Time) machine.Word {
 	return machine.Word(p.ID()+1)<<leaseExpBits | machine.Word(exp)&leaseExpMask
 }
@@ -297,8 +293,6 @@ func NewStragglerBarrier(m *machine.Machine, budget sim.Time) Barrier {
 		epoch:    make([]machine.Word, m.Procs()),
 	}
 }
-
-func (b *stragglerBarrier) Name() string { return "straggler" }
 
 // raiseTo lifts the release word to at least e: the release step of
 // the straggler and reconf barriers. CAS-max rather than a plain store:

@@ -10,7 +10,6 @@ import (
 
 // RWLock is a simulated reader-writer lock.
 type RWLock interface {
-	Name() string
 	AcquireRead(p *machine.Proc)
 	ReleaseRead(p *machine.Proc)
 	AcquireWrite(p *machine.Proc)
@@ -24,7 +23,6 @@ type RWLockMaker func(m *machine.Machine) RWLock
 type RWLockInfo struct {
 	Name string
 	Make RWLockMaker
-	Fair bool // FIFO between classes (no writer starvation)
 }
 
 // ---------------------------------------------------------------------
@@ -45,8 +43,6 @@ type counterRW struct {
 func NewCounterRW(m *machine.Machine) RWLock {
 	return &counterRW{wlatch: m.AllocShared(1), readers: m.AllocShared(1)}
 }
-
-func (l *counterRW) Name() string { return "rw-ctr" }
 
 func (l *counterRW) AcquireRead(p *machine.Proc) {
 	for {
@@ -124,8 +120,6 @@ func NewQSyncRW(m *machine.Machine) RWLock {
 	}
 	return l
 }
-
-func (l *qsyncRW) Name() string { return "rw-qsync" }
 
 // setSucc merges a successor class into a node's state word.
 func setSucc(p *machine.Proc, state machine.Addr, sc machine.Word) {

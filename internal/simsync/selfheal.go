@@ -66,8 +66,6 @@ func NewLeaseFenceTerm(m *machine.Machine, lease, poll sim.Time) Lock {
 	}
 }
 
-func (l *fenceLock) Name() string { return "lease-fence" }
-
 // Acquire runs the lease lock's acquire script, then takes a token.
 func (l *fenceLock) Acquire(p *machine.Proc) {
 	l.lease.Acquire(p)
@@ -211,8 +209,6 @@ func NewHealQueueGrace(m *machine.Machine, grace, poll sim.Time) Lock {
 	}
 	return l
 }
-
-func (l *healQueueLock) Name() string { return "qheal" }
 
 func (l *healQueueLock) Acquire(p *machine.Proc) {
 	for {
@@ -412,8 +408,6 @@ func NewReconfBudget(m *machine.Machine, budget sim.Time) Barrier {
 		epoch:   make([]machine.Word, m.Procs()),
 	}
 }
-
-func (b *reconfBarrier) Name() string { return "reconf" }
 
 // scan runs one completion pass for episode e: every processor must be
 // arrived, evicted, or — when suspected dead — evicted now. Reports

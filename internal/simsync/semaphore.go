@@ -10,7 +10,6 @@ import (
 
 // Semaphore is a simulated counting semaphore.
 type Semaphore interface {
-	Name() string
 	P(p *machine.Proc) // acquire one permit
 	V(p *machine.Proc) // release one permit
 }
@@ -42,8 +41,6 @@ func NewCentralSemaphore(m *machine.Machine, permits int) Semaphore {
 	m.Poke(s.count, machine.Word(permits))
 	return s
 }
-
-func (s *centralSem) Name() string { return "sem-central" }
 
 // semLatchBackoff is the fixed 8-cycle pause between latch probes.
 var semLatchBackoff = machine.Backoff{Base: 8, Cap: 8}
@@ -106,8 +103,6 @@ const (
 	semNext = 0
 	semFlag = 1
 )
-
-func (s *qsyncSem) Name() string { return "sem-qsync" }
 
 func (s *qsyncSem) P(p *machine.Proc) {
 	s.lock.Acquire(p)

@@ -50,8 +50,6 @@ func NewShardedCounter(m *machine.Machine) Counter {
 	return c
 }
 
-func (c *shardedCounter) Name() string { return "ctr-sharded" }
-
 func (c *shardedCounter) Inc(p *machine.Proc) machine.Word {
 	g := c.group[p.ID()]
 	local := p.FetchAdd(c.stripes[g], 1)

@@ -108,8 +108,6 @@ func NewShardedSemaphore(m *machine.Machine, permits int) Semaphore {
 	return s
 }
 
-func (s *shardedSem) Name() string { return "sem-sharded" }
-
 func (s *shardedSem) P(p *machine.Proc) {
 	w := &s.sweeps[p.ID()]
 	w.k = 0

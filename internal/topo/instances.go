@@ -47,8 +47,6 @@ func (idealTopo) Name() string                             { return "ideal" }
 func (idealTopo) String() string                           { return "ideal" }
 func (idealTopo) Discipline() Discipline                   { return Uniform }
 func (idealTopo) Traversal(p, mod int, tm Timing) sim.Time { return 0 }
-func (idealTopo) Remote(p, mod int) bool                   { return false }
-func (idealTopo) Traffic() TrafficKind                     { return TrafficOps }
 
 // ---------------------------------------------------------------------
 // bus
@@ -71,8 +69,6 @@ func (busTopo) MaxProcs() int { return 64 }
 // serialization happens on the bus itself, which the machine prices
 // directly.
 func (busTopo) Traversal(p, mod int, tm Timing) sim.Time { return 0 }
-func (busTopo) Remote(p, mod int) bool                   { return false }
-func (busTopo) Traffic() TrafficKind                     { return TrafficBusTxns }
 
 // ---------------------------------------------------------------------
 // numa
@@ -90,10 +86,6 @@ func (numaTopo) Traversal(p, mod int, tm Timing) sim.Time {
 	}
 	return 0
 }
-
-func (numaTopo) Remote(p, mod int) bool { return mod != p }
-
-func (numaTopo) Traffic() TrafficKind { return TrafficRemoteRefs }
 
 // ---------------------------------------------------------------------
 // cluster
@@ -144,8 +136,6 @@ func (c clusterTopo) Traversal(p, mod int, tm Timing) sim.Time {
 	}
 }
 
-func (c clusterTopo) Remote(p, mod int) bool { return mod != p }
-
 // PollSpacing: polling across the cluster boundary is twice as
 // expensive, so spinners space far polls twice as wide — the era's
 // "poll less where it hurts more" folklore, now a topology property.
@@ -155,5 +145,3 @@ func (c clusterTopo) PollSpacing(p, mod int, tm Timing) sim.Time {
 	}
 	return 2 * tm.PollInterval
 }
-
-func (c clusterTopo) Traffic() TrafficKind { return TrafficRemoteRefs }

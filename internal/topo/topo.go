@@ -1,12 +1,14 @@
 // Package topo describes the shape of a simulated machine's memory
 // system: which module a word calls home, how processors group into
-// clusters, what a hop between a processor and a module costs, how
-// remote spinning is polled, and which interconnect metric the
-// topology's experiments headline. Every topology keeps one memory
-// module per processor (module i is attached to processor i) and
-// varies distance instead. internal/machine consumes a Topology
-// instead of switching on a machine-model enum, so new memory systems
-// — hierarchical cluster machines, near-data topologies, asymmetric
+// clusters, what a hop between a processor and a module costs, and how
+// remote spinning is polled. Every topology keeps one memory module per
+// processor (module i is attached to processor i) and varies distance
+// instead, so its discipline alone decides what counts as a remote
+// reference (any access off the processor's own module, under Modules)
+// and which interconnect metric its experiments headline
+// (Discipline.Unit). internal/machine consumes a Topology instead of
+// switching on a machine-model enum, so new memory systems —
+// hierarchical cluster machines, near-data topologies, asymmetric
 // interconnects — are one Register call away from every sweep, CLI
 // flag, and benchmark, exactly like algorithms are.
 //
@@ -46,26 +48,15 @@ const (
 	Modules
 )
 
-// TrafficKind names the headline interconnect metric of a topology's
-// experiments: what Stats.TrafficFor counts.
-type TrafficKind uint8
-
-const (
-	// TrafficOps counts every memory operation (uniform machines).
-	TrafficOps TrafficKind = iota
-	// TrafficBusTxns counts bus transactions.
-	TrafficBusTxns
-	// TrafficRemoteRefs counts remote references.
-	TrafficRemoteRefs
-)
-
-// Unit is the per-operation unit label for tables ("bus txns",
-// "remote refs").
-func (k TrafficKind) Unit() string {
-	switch k {
-	case TrafficBusTxns:
+// Unit is the per-operation label of the discipline's headline
+// interconnect metric, the count Stats.TrafficFor returns: bus
+// transactions on the coherent bus, remote references on module
+// machines, and every memory operation on uniform memory.
+func (d Discipline) Unit() string {
+	switch d {
+	case SnoopingBus:
 		return "bus txns"
-	case TrafficRemoteRefs:
+	case Modules:
 		return "remote refs"
 	}
 	return "ops"
@@ -107,15 +98,10 @@ type Topology interface {
 	// module mod, in cycles, on top of the module's service time.
 	// Zero means the access is module-local.
 	Traversal(p, mod int, tm Timing) sim.Time
-	// Remote reports whether an access by p to module mod counts as
-	// interconnect traffic (a remote reference).
-	Remote(p, mod int) bool
 	// PollSpacing is the base interval between successive polls when p
 	// spins on a remote word homed at mod (jitter is added by the
 	// machine on top).
 	PollSpacing(p, mod int, tm Timing) sim.Time
-	// Traffic names the headline interconnect metric.
-	Traffic() TrafficKind
 }
 
 // Groups returns the number of locality groups of a procs-processor

@@ -33,13 +33,13 @@ func TestRegistryCanonicalOrder(t *testing.T) {
 // TestCanonicalShapes pins the exact cost structure the hardcoded
 // models had: these numbers feed the bit-identity guarantee.
 func TestCanonicalShapes(t *testing.T) {
-	if Bus.Discipline() != SnoopingBus || Bus.MaxProcs() != 64 || Bus.Traffic() != TrafficBusTxns {
+	if Bus.Discipline() != SnoopingBus || Bus.MaxProcs() != 64 || Bus.Discipline().Unit() != "bus txns" {
 		t.Error("bus shape wrong")
 	}
-	if NUMA.Discipline() != Modules || NUMA.MaxProcs() != 0 || NUMA.Traffic() != TrafficRemoteRefs {
+	if NUMA.Discipline() != Modules || NUMA.MaxProcs() != 0 || NUMA.Discipline().Unit() != "remote refs" {
 		t.Error("numa shape wrong")
 	}
-	if Ideal.Discipline() != Uniform || Ideal.Traffic() != TrafficOps {
+	if Ideal.Discipline() != Uniform || Ideal.Discipline().Unit() != "ops" {
 		t.Error("ideal shape wrong")
 	}
 	// NUMA: uniform remote traversal of RemoteMem; local free.
@@ -48,9 +48,6 @@ func TestCanonicalShapes(t *testing.T) {
 	}
 	if c := NUMA.Traversal(3, 5, testTiming); c != testTiming.RemoteMem {
 		t.Errorf("numa remote traversal = %d, want %d", c, testTiming.RemoteMem)
-	}
-	if NUMA.Remote(3, 3) || !NUMA.Remote(3, 5) {
-		t.Error("numa remote classification wrong")
 	}
 	// One distance class: every remote hop costs exactly RemoteMem.
 	for p := 0; p < 16; p++ {
@@ -76,7 +73,7 @@ func TestCanonicalShapes(t *testing.T) {
 
 func TestClusterShape(t *testing.T) {
 	c := Cluster
-	if c.Discipline() != Modules || c.Traffic() != TrafficRemoteRefs || c.MaxProcs() != 0 {
+	if c.Discipline() != Modules || c.Discipline().Unit() != "remote refs" || c.MaxProcs() != 0 {
 		t.Fatal("cluster shape wrong")
 	}
 	// Span-4 grouping.
@@ -99,10 +96,6 @@ func TestClusterShape(t *testing.T) {
 	}
 	if d := c.Traversal(1, 4, testTiming); d != 2*testTiming.RemoteMem {
 		t.Errorf("inter-cluster traversal = %d, want %d", d, 2*testTiming.RemoteMem)
-	}
-	// An intra-cluster hop still counts as a remote reference.
-	if !c.Remote(1, 3) || c.Remote(1, 1) {
-		t.Error("cluster remote classification wrong")
 	}
 	// Distance-scaled polling.
 	if sp := c.PollSpacing(1, 3, testTiming); sp != testTiming.PollInterval {
