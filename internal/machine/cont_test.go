@@ -239,7 +239,14 @@ func TestScriptMatchesProcCalls(t *testing.T) {
 				if procs == 8 && script.stats.InlineDispatches == 0 {
 					t.Errorf("%s: script run advanced no dispatch in place", name)
 				}
-				script.stats.InlineDispatches = 0
+				// The Proc-call run resumes its goroutine at every
+				// dispatch the script run advanced in place, and passes
+				// the baton at its own rate.
+				if got, want := script.stats.InlineDispatches+script.stats.GoroutineDispatches, calls.stats.GoroutineDispatches; got != want {
+					t.Errorf("%s: script run routed %d dispatches past the spin machine, Proc-call run %d", name, got, want)
+				}
+				script.stats.InlineDispatches, script.stats.GoroutineDispatches = 0, calls.stats.GoroutineDispatches
+				script.stats.Handoffs = calls.stats.Handoffs
 				if !reflect.DeepEqual(script.stats, calls.stats) {
 					t.Errorf("%s: stats diverged:\n  script: %+v\n  calls:  %+v", name, script.stats, calls.stats)
 				}

@@ -182,20 +182,31 @@ type Stats struct {
 	// even the Events count (windowed pops are charged to the step
 	// counter exactly as if they had fired one by one).
 	WindowOps uint64
-	// InlineDispatches counts dispatches that advanced a continuation
-	// script in place in the drive loop (cont.go) instead of resuming
-	// the processor's goroutine. Like InlineOps and WindowOps it is a
-	// host-side efficiency metric with no effect on simulated time,
-	// traffic, or the Events count; it is the only Stats field allowed
-	// to differ between a scripted lock and its closure twin, which
-	// issues the same ops from its goroutine (zero for the twin).
-	InlineDispatches uint64
-	Loads            uint64
-	Stores           uint64
-	RMWs             uint64
-	BusTxns          uint64
-	RemoteRefs       uint64
-	PerProc          []ProcStats
+	// The dispatch routes: every processor dispatch the drive loop
+	// delivers takes one of three (stale and stall-deferred deliveries
+	// take none). SpinDispatches advanced a spin wait that is still
+	// waiting (spin.go); InlineDispatches advanced a continuation script
+	// in place (cont.go); GoroutineDispatches resumed a processor whose
+	// program runs in its goroutine. Handoffs counts the baton sends:
+	// each time a program resumes in a goroutine other than the one
+	// popping (after a goroutine dispatch, or a spin or script that
+	// completed), and each rebirth. A send is a channel send and a
+	// goroutine switch. All four are host-side efficiency metrics with
+	// no effect on simulated time, traffic, or the Events count. A
+	// scripted primitive and its closure twin (which issues the same ops
+	// from its goroutine) differ in InlineDispatches, GoroutineDispatches
+	// and Handoffs by design; spin windows move WindowOps pops out of
+	// SpinDispatches.
+	SpinDispatches      uint64
+	InlineDispatches    uint64
+	GoroutineDispatches uint64
+	Handoffs            uint64
+	Loads               uint64
+	Stores              uint64
+	RMWs                uint64
+	BusTxns             uint64
+	RemoteRefs          uint64
+	PerProc             []ProcStats
 }
 
 // TrafficFor returns the topology's headline interconnect transaction
@@ -666,6 +677,7 @@ func (m *Machine) drive(p *Proc) {
 			}
 			q.localNow = m.eng.Now()
 			if q.spin.active && !m.spinAdvance(q) {
+				m.stats.SpinDispatches++
 				m.spinStreak++
 				continue // still waiting: probes ran here, no handoff
 			}
@@ -678,6 +690,8 @@ func (m *Machine) drive(p *Proc) {
 				if !m.contAdvance(q) {
 					continue // script still running: ops ran here, no handoff
 				}
+			} else {
+				m.stats.GoroutineDispatches++
 			}
 		case sim.EvFault:
 			// Materialize a processor crash. The processor's live count
@@ -725,6 +739,7 @@ func (m *Machine) drive(p *Proc) {
 		if q == p {
 			return // our own wakeup: keep running, no handoff at all
 		}
+		m.stats.Handoffs++
 		q.resume <- struct{}{} // pass the baton
 		if p == nil || p.finished {
 			return

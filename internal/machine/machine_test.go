@@ -304,11 +304,13 @@ func TestLivelockStepLimit(t *testing.T) {
 	// lone is the Stats of a P=1 spinner; pair those of a P=2 spinner,
 	// whose P1 issues no memory operation.
 	lone := func(cycles sim.Time, ps ProcStats) Stats {
-		return Stats{Cycles: cycles, Events: 3, InlineOps: 19998, RMWs: ps.RMWs,
+		return Stats{Cycles: cycles, Events: 3, InlineOps: 19998,
+			SpinDispatches: 1, GoroutineDispatches: 1, Handoffs: 1, RMWs: ps.RMWs,
 			BusTxns: ps.BusTxns, RemoteRefs: ps.RemoteRefs, PerProc: []ProcStats{ps}}
 	}
 	pair := func(cycles sim.Time, ps ProcStats) Stats {
-		return Stats{Cycles: cycles, Events: 7, InlineOps: 19994, RMWs: ps.RMWs,
+		return Stats{Cycles: cycles, Events: 7, InlineOps: 19994,
+			SpinDispatches: 3, GoroutineDispatches: 3, Handoffs: 2, RMWs: ps.RMWs,
 			BusTxns: ps.BusTxns, RemoteRefs: ps.RemoteRefs, PerProc: []ProcStats{ps, {}}}
 	}
 	const limit = "sim: event step limit exceeded (livelock?) "
@@ -323,7 +325,7 @@ func TestLivelockStepLimit(t *testing.T) {
 		want     Stats
 	}{
 		{"delay/numa/P1", topo.NUMA, 1, 5000, 0, delayLoop, limit + "after 3 events at t=5000",
-			Stats{Cycles: 5000, Events: 3, InlineOps: 4998, PerProc: []ProcStats{{}}}},
+			Stats{Cycles: 5000, Events: 3, InlineOps: 4998, GoroutineDispatches: 2, Handoffs: 1, PerProc: []ProcStats{{}}}},
 		{"tas/bus/P1", topo.Bus, 1, 20000, 0, spin, limit + "after 3 events at t=20019",
 			lone(20019, ProcStats{RMWs: 20000, BusTxns: 1})},
 		{"tas/bus/P2", topo.Bus, 2, 20000, 0, spin, limit + "after 7 events at t=20017",

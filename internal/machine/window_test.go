@@ -66,8 +66,16 @@ func stormOn(m *Machine, iters int, acquire func(p *Proc, lock Addr)) (stormResu
 		res.Err = runErr.Error()
 	}
 	win := res.Stats.WindowOps
-	res.Stats.WindowOps = 0
+	res.Stats = unwindowed(res.Stats)
 	return res, win
+}
+
+// unwindowed returns st as a run with spin windows off reports it: a
+// windowed pop replays as a dispatch that advances a still-waiting spin.
+func unwindowed(st Stats) Stats {
+	st.SpinDispatches += st.WindowOps
+	st.WindowOps = 0
+	return st
 }
 
 // assertStormAB runs the same storm with windows enabled and disabled
@@ -215,8 +223,7 @@ func TestSpinWindowWatchedWordRefusal(t *testing.T) {
 		t.Errorf("windows batched %d ops across a permanently watched word", st.WindowOps)
 	}
 	offMsg, offStats := run(true)
-	st.WindowOps = 0
-	offStats.WindowOps = 0
+	st = unwindowed(st)
 	if msg != offMsg || !reflect.DeepEqual(st, offStats) {
 		t.Errorf("watched-word runs diverged:\n on:  %s %+v\n off: %s %+v", msg, st, offMsg, offStats)
 	}
@@ -241,9 +248,7 @@ func TestSpinWindowLivelockTrip(t *testing.T) {
 		if !errors.Is(runErr, sim.ErrStepLimit) {
 			t.Fatalf("want ErrStepLimit, got %v", runErr)
 		}
-		st := m.Stats()
-		st.WindowOps = 0
-		return runErr.Error(), st
+		return runErr.Error(), unwindowed(m.Stats())
 	}
 	onMsg, onStats := run(false)
 	offMsg, offStats := run(true)

@@ -145,7 +145,7 @@ func TestClusterMixedClassStorm(t *testing.T) {
 		t.Errorf("per-class remote-reference counts = %v, want %v", refs, wantRefs)
 	}
 
-	on.Stats.WindowOps = 0
+	on.Stats = unwindowed(on.Stats)
 	if !reflect.DeepEqual(on, off) {
 		t.Errorf("windows changed the mixed-class storm:\n  on:  %+v\n  off: %+v", on, off)
 	}

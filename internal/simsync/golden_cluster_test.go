@@ -93,12 +93,12 @@ func TestGoldenClusterEquivalence(t *testing.T) {
 			t.Errorf("%s/%s/%s/P%d: %v", w.Family, w.Algo, w.Model, w.Procs, err)
 			continue
 		}
-		// InlineDispatches is host-side dispatch accounting (cont.go),
-		// not a simulation observable; the recording predates it. The
-		// determinism suite pins every scripted lock to its closure
-		// twin, which counts none.
-		got.Stats.InlineDispatches = 0
-		w.Stats.InlineDispatches = 0
+		// The dispatch routes and handoffs are host-side dispatch
+		// accounting, not simulation observables; the recording
+		// predates them. The determinism suite pins every scripted
+		// primitive to its closure twin.
+		scrubRoutes(&got.Stats)
+		scrubRoutes(&w.Stats)
 		if !reflect.DeepEqual(got, w) {
 			t.Errorf("%s/%s/%s/P%d diverged from the pre-batcher baseline:\n  want: %+v\n  got:  %+v",
 				w.Family, w.Algo, w.Model, w.Procs, w, got)

@@ -135,11 +135,12 @@ func TestGoldenRobust(t *testing.T) {
 			t.Errorf("%s: %v", name, err)
 			continue
 		}
-		// Scrubbed as in TestGoldenBusNUMAEquivalence: both count host
-		// work (batched window pops, dispatches a script advanced in
-		// place), not simulated observables.
+		// Scrubbed as in TestGoldenBusNUMAEquivalence: these count host
+		// work (batched window pops, dispatch routes, handoffs), not
+		// simulated observables.
 		got.Stats.WindowOps, w.Stats.WindowOps = 0, 0
-		got.Stats.InlineDispatches, w.Stats.InlineDispatches = 0, 0
+		scrubRoutes(&got.Stats)
+		scrubRoutes(&w.Stats)
 		if !reflect.DeepEqual(got, w) {
 			t.Errorf("%s diverged from the poll-loop baseline:\n  want: %+v\n  got:  %+v", name, w, got)
 		}

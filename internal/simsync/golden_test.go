@@ -209,13 +209,13 @@ func TestGoldenBusNUMAEquivalence(t *testing.T) {
 		// the observables themselves, so the counter is scrubbed.
 		got.Stats.WindowOps = 0
 		w.Stats.WindowOps = 0
-		// InlineDispatches likewise counts dispatches that advanced a
-		// continuation script in the drive loop (cont.go) — dispatch
-		// accounting, not a simulation observable; the determinism
-		// suite pins every scripted lock to its closure twin, which
-		// issues the same ops from the goroutine and counts none.
-		got.Stats.InlineDispatches = 0
-		w.Stats.InlineDispatches = 0
+		// The dispatch routes and handoffs likewise count how the drive
+		// loop delivered dispatches (spin.go, cont.go) — host accounting,
+		// not simulation observables, and the recording predates most of
+		// them; the determinism suite pins every scripted primitive to
+		// its closure twin, which issues the same ops from the goroutine.
+		scrubRoutes(&got.Stats)
+		scrubRoutes(&w.Stats)
 		if !reflect.DeepEqual(got, w) {
 			t.Errorf("%s/%s/%s/P%d diverged from the enum-era baseline:\n  want: %+v\n  got:  %+v",
 				w.Family, w.Algo, w.Model, w.Procs, w, got)

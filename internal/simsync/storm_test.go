@@ -58,3 +58,46 @@ func TestStormHostCounts(t *testing.T) {
 		}
 	}
 }
+
+// TestHandoffCounts pins the baton handoffs (Stats.Handoffs) of every
+// lock and barrier, each summed over the quick-size cells of the sweeps
+// behind F1 and F3 (locks on bus and NUMA at P = 2, 4, 8, 25 iterations)
+// and F7 and F8 (barriers on the same machines, 8 episodes), at seed 1.
+// A handoff is a goroutine switch in the drive loop, the host cost the
+// continuation scripts exist to remove, so this is the test that notices
+// a primitive falling back to its goroutine, or a change that removes
+// handoffs and should re-pin them.
+func TestHandoffCounts(t *testing.T) {
+	want := map[string]uint64{
+		"tas": 1156, "ttas": 839, "tas-bo": 754, "ticket": 1481, "ticket-bo": 1579,
+		"anderson": 1978, "gt": 1557, "qsync": 5294, "tas-deadline": 1265,
+		"lease": 904, "lease-fence": 899, "qheal": 3012,
+		"central": 490, "combining": 526, "dissemination": 1174, "tournament": 694,
+		"qsync-tree": 662, "reconf": 2032,
+	}
+	got := map[string]uint64{}
+	for _, tp := range []topo.Topology{topo.Bus, topo.NUMA} {
+		for _, procs := range []int{2, 4, 8} {
+			cfg := machine.Config{Procs: procs, Topo: tp, Seed: 1}
+			for _, info := range Locks() {
+				res, err := RunLockIn(nil, cfg, info, LockOpts{Iters: 25, CS: 25, Think: 50, CheckMutex: true})
+				if err != nil {
+					t.Fatalf("%s/%s/P%d: %v", tp.Name(), info.Name, procs, err)
+				}
+				got[info.Name] += res.Stats.Handoffs
+			}
+			for _, info := range Barriers() {
+				res, err := RunBarrierIn(nil, cfg, info, BarrierOpts{Episodes: 8, Work: 150})
+				if err != nil {
+					t.Fatalf("%s/%s/P%d: %v", tp.Name(), info.Name, procs, err)
+				}
+				got[info.Name] += res.Stats.Handoffs
+			}
+		}
+	}
+	for name, n := range got {
+		if n != want[name] {
+			t.Errorf("%s: %d handoffs, want %d", name, n, want[name])
+		}
+	}
+}

@@ -244,8 +244,11 @@ func assertClosureTwin(t *testing.T, name string, cfg machine.Config, info LockI
 }
 
 // compareTwin holds a script run's result to its twin's: equal in every
-// field but Stats.InlineDispatches, which is zero for the twin and, at
-// P >= 8, nonzero for the script run.
+// field but the host-side InlineDispatches (zero for the twin and, at
+// P >= 8, nonzero for the script run), GoroutineDispatches and
+// Handoffs. The twin resumes its goroutine at every dispatch the script
+// run advanced in place, so its GoroutineDispatches must equal the
+// script run's InlineDispatches plus GoroutineDispatches.
 func compareTwin[R any](t *testing.T, name string, procs int, script, twin R, stats func(*R) *machine.Stats) {
 	t.Helper()
 	ss, ts := stats(&script), stats(&twin)
@@ -255,7 +258,10 @@ func compareTwin[R any](t *testing.T, name string, procs int, script, twin R, st
 	if procs >= 8 && ss.InlineDispatches == 0 {
 		t.Errorf("%s: script run advanced no dispatch in place", name)
 	}
-	ss.InlineDispatches = 0
+	if got := ss.InlineDispatches + ss.GoroutineDispatches; got != ts.GoroutineDispatches {
+		t.Errorf("%s: script run routed %d dispatches past the spin machine, twin %d", name, got, ts.GoroutineDispatches)
+	}
+	ss.InlineDispatches, ss.GoroutineDispatches, ss.Handoffs = 0, ts.GoroutineDispatches, ts.Handoffs
 	if !reflect.DeepEqual(script, twin) {
 		t.Errorf("%s: script run diverged from its closure twin:\n  script: %+v\n  twin:   %+v", name, script, twin)
 	}
