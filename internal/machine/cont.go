@@ -70,28 +70,88 @@ const (
 	// value, a backoff sized from a loaded value), and update host-side
 	// counters.
 	ContBranch
+	// ContFetchStore issues a charged fetch&store of Val to Addr, as
+	// Proc.FetchStore does; the old value lands in the accumulator.
+	ContFetchStore
+	// ContFetchAdd issues a charged fetch&add of Val to Addr, as
+	// Proc.FetchAdd does; the old value lands in the accumulator.
+	ContFetchAdd
+	// ContSpin enters the machine-driven spin wait (spin.go) that
+	// SpinUntilPred, SpinTAS, SpinTASFor or SpinTTAS would, built by
+	// SpinReadOp, SpinTASOp or SpinTTASOp; the last probed value lands
+	// in the accumulator (zero when a test&set spin won). The wait
+	// replays probe by probe in the drive loop exactly as it does for a
+	// goroutine, and the script continues in place when it completes.
+	ContSpin
+	// ContSub runs the script Sub(p) returns as a subroutine, starting
+	// with the accumulator cleared, and continues after this op when it
+	// ends (when its pc passes its last op, or a branch in it returns
+	// its length), with the accumulator the callee left. Branch targets stay relative to each script, so one
+	// script shared by every processor can call each processor's own
+	// scripts. Calls nest one level: a called script holds no ContSub.
+	ContSub
 )
 
 // ContOp is one data-encoded scripted operation. Each kind reads only
-// the operands its doc names.
+// the operands its doc names. A ContSpin keeps its wait in the other
+// fields (see SpinReadOp and SpinTASOp), so the op stays at 56 bytes.
 type ContOp struct {
-	Kind   ContOpKind
+	Kind ContOpKind
+	// ContSpin only: the wait kind, the predicate's comparison (read
+	// spins) and the backoff's proportional jitter (test&set spins).
+	spin   uint8
+	cmp    PredOp
+	jitter bool
 	Addr   Addr
 	Val    Word
 	New    Word // ContCAS: the value installed on success
 	Dur    sim.Time
 	Fn     func(*Proc)
 	Branch func(p *Proc, acc Word) int
+	Sub    func(*Proc) []ContOp
+}
+
+// SpinReadOp returns the ContSpin that SpinUntilPred(a, pred) performs:
+// Val holds the predicate's Want and New its Mask, so a branch can aim
+// the wait at a computed word and value.
+func SpinReadOp(a Addr, pred Pred) ContOp {
+	return ContOp{Kind: ContSpin, spin: spinRead, cmp: pred.Op, Addr: a, Val: pred.Want, New: pred.Mask}
+}
+
+// SpinTASOp returns the ContSpin that SpinTAS(a, bo) performs: Val holds
+// the backoff's Base and New its Cap. A positive within bounds the wait
+// as SpinTASFor(a, bo, entry+within) does, with the deadline taken from
+// the processor's clock when the op issues (in Dur).
+func SpinTASOp(a Addr, bo Backoff, within sim.Time) ContOp {
+	return ContOp{Kind: ContSpin, spin: spinTAS, jitter: bo.PropJitter, Addr: a,
+		Val: Word(bo.Base), New: Word(bo.Cap), Dur: within}
+}
+
+// SpinTTASOp returns the ContSpin that SpinTTAS(a) performs.
+func SpinTTASOp(a Addr) ContOp {
+	return ContOp{Kind: ContSpin, spin: spinTTAS, cmp: PredEq, Addr: a}
+}
+
+// spinWait decodes a ContSpin's predicate and backoff schedule.
+func (op *ContOp) spinWait() (Pred, Backoff) {
+	if op.spin == spinTAS {
+		return Pred{}, Backoff{Base: sim.Time(op.Val), Cap: sim.Time(op.New), PropJitter: op.jitter}
+	}
+	return Pred{Op: op.cmp, Mask: op.New, Want: op.Val}, Backoff{}
 }
 
 // contState is the per-processor continuation descriptor. It lives by
 // value in the Proc and is reused across scripts, so entering one
-// allocates nothing beyond the caller's op slice.
+// allocates nothing beyond the caller's op slices.
 type contState struct {
 	active bool
 	pc     int
-	acc    Word // last ContLoad value or ContCAS outcome
+	acc    Word // last ContLoad value, swap's old value, ContCAS outcome or spin's last probe
 	ops    []ContOp
+	// caller and ret are where a ContSub returns to; caller is nil
+	// outside a call.
+	caller []ContOp
+	ret    int
 }
 
 // contWhy maps an op kind to the blockedOn tag the equivalent Proc call
@@ -104,6 +164,10 @@ func contWhy(k ContOpKind) string {
 		return "store"
 	case ContCAS:
 		return "compare&swap"
+	case ContFetchStore:
+		return "fetch&store"
+	case ContFetchAdd:
+		return "fetch&add"
 	default:
 		return "delay"
 	}
@@ -112,12 +176,13 @@ func contWhy(k ContOpKind) string {
 // RunScript executes the ops as this processor's program, starting at
 // ops[0] and following ContBranch jumps, advancing the virtual clock
 // exactly as the equivalent Load/Delay/Store/CompareAndSwap calls
-// would. The goroutine parks while the drive loop advances the script
-// in place at each of its dispatches, and resumes when the script
-// completes — one handoff per script instead of one per operation that
-// crosses a pending event. Until RunScript returns, only the script's
-// own branches may mutate the op slice.
-func (p *Proc) RunScript(ops []ContOp) {
+// would, and returns the accumulator's final value. The goroutine parks
+// while the drive loop advances the script in place at each of its
+// dispatches, and resumes when the script completes — one handoff per
+// script instead of one per operation that crosses a pending event.
+// Until RunScript returns, only the script's own branches may mutate
+// the op slices.
+func (p *Proc) RunScript(ops []ContOp) Word {
 	c := &p.cont
 	c.active = true
 	c.pc = 0
@@ -129,6 +194,7 @@ func (p *Proc) RunScript(ops []ContOp) {
 	c.active = false
 	c.ops = nil
 	p.blockedOn = ""
+	return c.acc
 }
 
 // contAdvance runs p's continuation until the script completes (returns
@@ -136,10 +202,20 @@ func (p *Proc) RunScript(ops []ContOp) {
 // op must wait for an engine event (returns false). RunScript calls it
 // once on the processor's own goroutine to start the script; the drive
 // loop calls it each time the processor's EvDispatch fires while the
-// script is active.
+// script is active, after advancing a ContSpin's wait to its end.
 func (m *Machine) contAdvance(p *Proc) bool {
 	c := &p.cont
-	for c.pc < len(c.ops) {
+	if p.spin.active {
+		c.acc = p.spinFinish() // the drive loop just completed this ContSpin
+	}
+	for {
+		if c.pc >= len(c.ops) {
+			if c.caller == nil {
+				return true
+			}
+			c.ops, c.pc, c.caller = c.caller, c.ret, nil
+			continue
+		}
 		op := &c.ops[c.pc]
 		c.pc++
 		p.blockedOn = contWhy(op.Kind)
@@ -162,6 +238,26 @@ func (m *Machine) contAdvance(p *Proc) bool {
 			if ok {
 				c.acc = 1
 			}
+		case ContFetchStore:
+			c.acc, lat = p.swapIssue(op.Addr, op.Val, false)
+		case ContFetchAdd:
+			c.acc, lat = p.swapIssue(op.Addr, op.Val, true)
+		case ContSpin:
+			var deadline sim.Time
+			if op.Dur > 0 {
+				deadline = p.localNow + op.Dur
+			}
+			pred, bo := op.spinWait()
+			p.spinEnter(op.spin, op.Addr, pred, bo, deadline)
+			if !m.spinAdvance(p) {
+				return false // the drive loop advances the wait, then the script
+			}
+			c.acc = p.spinFinish()
+			continue
+		case ContSub:
+			c.caller, c.ret = c.ops, c.pc
+			c.ops, c.pc, c.acc = op.Sub(p), 0, 0
+			continue
 		case ContCall:
 			op.Fn(p)
 			continue
@@ -176,5 +272,4 @@ func (m *Machine) contAdvance(p *Proc) bool {
 			return false // the drive loop resumes the script at this dispatch
 		}
 	}
-	return true
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"reflect"
 	"testing"
+	"unsafe"
 
 	"repro/internal/sim"
 	"repro/internal/topo"
@@ -178,6 +179,139 @@ func contCases() []contCase {
 				}
 			}
 		}},
+		// The swaps leave the old value in the accumulator, which the
+		// next op stores.
+		{"fetchstore", func(w Addr, pid int, _ []int) ([]ContOp, func(*Proc)) {
+			v := Word(pid + 1)
+			return []ContOp{{Kind: ContFetchStore, Addr: w, Val: v}, {Kind: ContStoreAcc, Addr: w + 1}},
+				func(p *Proc) {
+					old := p.FetchStore(w, v)
+					p.Store(w+1, old)
+				}
+		}},
+		{"fetchadd", func(w Addr, pid int, _ []int) ([]ContOp, func(*Proc)) {
+			return []ContOp{{Kind: ContFetchAdd, Addr: w, Val: 3}, {Kind: ContStoreAcc, Addr: w + 2, Val: 1}},
+				func(p *Proc) {
+					old := p.FetchAdd(w, 3)
+					p.Store(w+2, old+1)
+				}
+		}},
+		// Spin locks on w+3: acquire by a ContSpin, hold, release.
+		{"spin-tas", func(w Addr, pid int, _ []int) ([]ContOp, func(*Proc)) {
+			return spinLockCase(w+3, SpinTASOp(w+3, Backoff{}, 0), func(p *Proc) { p.SpinTAS(w+3, Backoff{}) })
+		}},
+		{"spin-tas-bo", func(w Addr, pid int, _ []int) ([]ContOp, func(*Proc)) {
+			bo := Backoff{Base: 16, Cap: 256, PropJitter: true}
+			return spinLockCase(w+3, SpinTASOp(w+3, bo, 0), func(p *Proc) { p.SpinTAS(w+3, bo) })
+		}},
+		{"spin-ttas", func(w Addr, pid int, _ []int) ([]ContOp, func(*Proc)) {
+			return spinLockCase(w+3, SpinTTASOp(w+3), func(p *Proc) { p.SpinTTAS(w + 3) })
+		}},
+		// A bounded test&set spin: a timed-out wait (a non-zero
+		// accumulator) skips the critical section, and host counts it.
+		{"spin-tas-deadline", func(w Addr, pid int, host []int) ([]ContOp, func(*Proc)) {
+			bo := Backoff{Base: 16, Cap: 1024}
+			ops := []ContOp{
+				SpinTASOp(w+3, bo, 90),
+				{Kind: ContBranch, Branch: func(p *Proc, v Word) int {
+					if v != 0 {
+						host[p.ID()]++
+						return 4
+					}
+					return 2
+				}},
+				{Kind: ContDelay, Dur: 25},
+				{Kind: ContStore, Addr: w + 3},
+			}
+			return ops, func(p *Proc) {
+				if !p.SpinTASFor(w+3, bo, p.Now()+90) {
+					host[p.ID()]++
+					return
+				}
+				p.Delay(25)
+				p.Store(w+3, 0)
+			}
+		}},
+		// Processors take turns on w in pid order: each read-spins until
+		// w shows its turn (a branch aims the spin), then passes the
+		// turn on with the spun value plus one.
+		{"spin-read", func(w Addr, pid int, host []int) ([]ContOp, func(*Proc)) {
+			procs := Word(len(host))
+			turn := Word(pid)
+			ops := make([]ContOp, 4)
+			ops[0] = ContOp{Kind: ContBranch, Branch: func(*Proc, Word) int {
+				ops[1].Val = turn
+				return 1
+			}}
+			ops[1] = SpinReadOp(w, Pred{Op: PredEq, Want: turn})
+			ops[2] = ContOp{Kind: ContCall, Fn: func(*Proc) { turn += procs }}
+			ops[3] = ContOp{Kind: ContStoreAcc, Addr: w, Val: 1}
+			return ops, func(p *Proc) {
+				v := p.SpinUntilEq(w, turn)
+				turn += procs
+				p.Store(w, v+1)
+			}
+		}},
+		// A script calling another twice: the callee, an atomic
+		// increment loop, ends by a branch returning its length.
+		{"sub", func(w Addr, pid int, host []int) ([]ContOp, func(*Proc)) {
+			inc := make([]ContOp, 4)
+			inc[0] = ContOp{Kind: ContLoad, Addr: w}
+			inc[1] = ContOp{Kind: ContBranch, Branch: func(_ *Proc, v Word) int {
+				inc[2].Val, inc[2].New = v, v+1
+				return 2
+			}}
+			inc[2] = ContOp{Kind: ContCAS, Addr: w}
+			inc[3] = ContOp{Kind: ContBranch, Branch: func(p *Proc, ok Word) int {
+				if ok == 0 {
+					host[p.ID()]++
+					return 0
+				}
+				return len(inc)
+			}}
+			callee := func(*Proc) []ContOp { return inc }
+			ops := []ContOp{
+				{Kind: ContSub, Sub: callee},
+				{Kind: ContDelay, Dur: 5},
+				{Kind: ContSub, Sub: callee},
+				{Kind: ContStoreAcc, Addr: w + 1, Val: 1},
+			}
+			incLoop := func(p *Proc) {
+				for {
+					v := p.Load(w)
+					if p.CompareAndSwap(w, v, v+1) {
+						return
+					}
+					host[p.ID()]++
+				}
+			}
+			return ops, func(p *Proc) {
+				incLoop(p)
+				p.Delay(5)
+				incLoop(p)
+				p.Store(w+1, 2) // the accumulator returns holding the callee's winning CAS
+			}
+		}},
+	}
+}
+
+// spinLockCase is a critical section on lock word l, acquired by the
+// ContSpin acquire or the Go call spin.
+func spinLockCase(l Addr, acquire ContOp, spin func(*Proc)) ([]ContOp, func(*Proc)) {
+	return []ContOp{acquire, {Kind: ContDelay, Dur: 25}, {Kind: ContStore, Addr: l}},
+		func(p *Proc) {
+			spin(p)
+			p.Delay(25)
+			p.Store(l, 0)
+		}
+}
+
+// TestContOpSize holds a ContOp to 64 bytes: scripts are op slices
+// walked on every dispatch they advance, and a ContSpin's wait shares
+// the other kinds' operand fields to stay that small.
+func TestContOpSize(t *testing.T) {
+	if n := unsafe.Sizeof(ContOp{}); n > 64 {
+		t.Errorf("ContOp is %d bytes, want at most 64", n)
 	}
 }
 

@@ -420,9 +420,6 @@ func (m *Machine) Topo() topo.Topology { return m.topo }
 // Procs returns the processor count.
 func (m *Machine) Procs() int { return m.cfg.Procs }
 
-// Now returns the current virtual time.
-func (m *Machine) Now() sim.Time { return m.eng.Now() }
-
 // AllocShared reserves n words in the shared heap and returns the base
 // address. Memory is zeroed. Panics when the heap is exhausted, since
 // that is a configuration error in an experiment, not a runtime condition.

@@ -75,9 +75,6 @@ type Proc struct {
 // ID returns the processor index in [0, Procs).
 func (p *Proc) ID() int { return p.id }
 
-// Machine returns the owning machine.
-func (p *Proc) Machine() *Machine { return p.m }
-
 // Now returns the current virtual time as seen by this processor.
 func (p *Proc) Now() sim.Time { return p.localNow }
 
@@ -194,15 +191,23 @@ func (p *Proc) storeIssue(a Addr, v Word) sim.Time {
 	return lat
 }
 
-// tasIssue performs the issue half of a test&set.
-func (p *Proc) tasIssue(a Addr) (Word, sim.Time) {
+// swapIssue performs the issue half of a fetch&store of v, or with add
+// a fetch&add of v, returning the old value. A test&set is a
+// fetch&store of 1.
+func (p *Proc) swapIssue(a Addr, v Word, add bool) (Word, sim.Time) {
 	p.stats.RMWs++
 	lat := p.m.access(p, a, accRMW)
 	old := p.m.mem[a]
-	p.m.mem[a] = 1
+	if add {
+		v += old
+	}
+	p.m.mem[a] = v
 	p.m.wakeWatchers(a, p.localNow+lat)
 	return old, lat
 }
+
+// tasIssue performs the issue half of a test&set.
+func (p *Proc) tasIssue(a Addr) (Word, sim.Time) { return p.swapIssue(a, 1, false) }
 
 // casIssue performs the issue half of a compare&swap: one RMW charge
 // whether or not it succeeds, watchers woken only on success.
@@ -238,22 +243,14 @@ func (p *Proc) TestAndSet(a Addr) Word {
 
 // FetchStore atomically swaps in v and returns the old value.
 func (p *Proc) FetchStore(a Addr, v Word) Word {
-	p.stats.RMWs++
-	lat := p.m.access(p, a, accRMW)
-	old := p.m.mem[a]
-	p.m.mem[a] = v
-	p.m.wakeWatchers(a, p.localNow+lat)
+	old, lat := p.swapIssue(a, v, false)
 	p.complete(lat, "fetch&store")
 	return old
 }
 
 // FetchAdd atomically adds d and returns the old value.
 func (p *Proc) FetchAdd(a Addr, d Word) Word {
-	p.stats.RMWs++
-	lat := p.m.access(p, a, accRMW)
-	old := p.m.mem[a]
-	p.m.mem[a] = old + d
-	p.m.wakeWatchers(a, p.localNow+lat)
+	old, lat := p.swapIssue(a, d, true)
 	p.complete(lat, "fetch&add")
 	return old
 }

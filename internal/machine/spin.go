@@ -153,14 +153,25 @@ func (s *spinState) nextDelay(p *Proc) sim.Time {
 	return d
 }
 
-// spinBegin enters a machine-driven spin wait on the calling processor's
+// spinBegin runs a machine-driven spin wait on the calling processor's
 // goroutine. The state machine runs inline until the wait either
 // completes (every probe retired on the fast path — the uncontended
 // case, which schedules no event and performs no handoff, exactly like
 // the goroutine loop it replaces) or must wait for an event, in which
 // case the goroutine drives the engine like any blocked processor and
-// returns when its spin completes.
+// returns when its spin completes. A script's ContSpin (cont.go) calls
+// the same two halves, spinEnter and spinFinish.
 func (p *Proc) spinBegin(kind uint8, a Addr, pr Pred, bo Backoff, deadline sim.Time) Word {
+	p.spinEnter(kind, a, pr, bo, deadline)
+	if !p.m.spinAdvance(p) {
+		p.m.drive(p)
+	}
+	return p.spinFinish()
+}
+
+// spinEnter arms p's spin state machine for a wait; spinAdvance then
+// issues its first probe.
+func (p *Proc) spinEnter(kind uint8, a Addr, pr Pred, bo Backoff, deadline sim.Time) {
 	s := &p.spin
 	s.active = true
 	s.kind = kind
@@ -187,9 +198,12 @@ func (p *Proc) spinBegin(kind uint8, a Addr, pr Pred, bo Backoff, deadline sim.T
 	if kind == spinTAS {
 		s.phase = spTASIssue
 	}
-	if !p.m.spinAdvance(p) {
-		p.m.drive(p)
-	}
+}
+
+// spinFinish disarms p's completed spin wait and returns its last
+// probed value.
+func (p *Proc) spinFinish() Word {
+	s := &p.spin
 	s.active = false
 	if s.winStatic {
 		p.m.setWinMask(p.id, false) // the wait is over; no probe is pending

@@ -128,14 +128,9 @@ func TestDeterminismLocks(t *testing.T) {
 func TestDeterminismBarriers(t *testing.T) {
 	forEachConfig(t, func(tp topo.Topology, procs int) {
 		for _, info := range Barriers() {
-			info := info
 			name := fmt.Sprintf("%s/%s/P%d", tp.Name(), info.Name, procs)
-			assertIdentical(t, name, func(noWindows bool) (machine.Stats, error) {
-				res, err := RunBarrierIn(nil,
-					machine.Config{Procs: procs, Topo: tp, Seed: 7, NoSpinWindows: noWindows},
-					info, BarrierOpts{Episodes: 10, Work: 150})
-				return res.Stats, err
-			})
+			assertBarrierIdentical(t, name, machine.Config{Procs: procs, Topo: tp, Seed: 7},
+				info, BarrierOpts{Episodes: 10, Work: 150})
 		}
 	})
 }

@@ -75,15 +75,9 @@ func TestFaultDeterminismBarriers(t *testing.T) {
 	forEachConfig(t, func(tp topo.Topology, procs int) {
 		plan := faultPlanFor(tp, procs)
 		for _, info := range Barriers() {
-			info := info
 			name := fmt.Sprintf("%s/%s/P%d/faulted", tp.Name(), info.Name, procs)
-			assertIdentical(t, name, func(noWindows bool) (machine.Stats, error) {
-				res, err := RunBarrierIn(nil,
-					machine.Config{Procs: procs, Topo: tp, Seed: 7, NoSpinWindows: noWindows, Faults: plan},
-					info, BarrierOpts{Episodes: 10, Work: 150})
-				assertNoWindows(t, name, res.Stats)
-				return res.Stats, completed(err, res.Outcome)
-			})
+			assertBarrierIdentical(t, name, machine.Config{Procs: procs, Topo: tp, Seed: 7, Faults: plan},
+				info, BarrierOpts{Episodes: 10, Work: 150})
 		}
 	})
 }

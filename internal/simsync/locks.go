@@ -23,26 +23,37 @@ type Lock interface {
 	Release(p *machine.Proc)
 }
 
-// ScriptedRelease is implemented by locks whose Release is a single
-// plain store whose address and value are fixed from the moment the
-// lock is held. Workload runners use it to fold the critical section
-// and the release into one machine-driven continuation script
-// (machine.RunScript), eliminating the holder-side goroutine handoffs.
-//
-// ReleaseScript must be called exactly once per Acquire, by the holder,
-// and replaces the Release call for that acquisition. Every
-// implementation's Release is p.Store(l.ReleaseScript(p)), so the store
-// and its host-side bookkeeping (gt's flag flip) are written once;
-// calling it any earlier than Release is safe because only processors
-// *holding* the lock mutate that state, and the simulation is
-// single-threaded. Under a fault plan a holder can die between
-// ReleaseScript and the scripted store, leaving that bookkeeping done
-// without the release; none of the locks implementing it survives a
-// dead holder in any case. Locks whose release performs simulated reads
-// or RMWs (qsync's successor handoff) cannot implement it.
-type ScriptedRelease interface {
+// scriptedLock is a Lock whose acquire and release are continuation
+// scripts (machine.RunScript): acquireOps and releaseOps return
+// processor p's, which its Acquire and Release run. A lock whose
+// branches rewrite operands (an address computed from a swap, a value
+// observed by a load) keeps one op slice per processor. Every lock in
+// LockSet is one. RunLockIn's fault-free loop calls the scripts from
+// one iteration script every processor shares (machine.ContSub), so a
+// lock cell's goroutines hand off only when they start and finish.
+// Each script's Go form, verbatim, is the lock's closure twin in
+// twins_test.go, and the determinism suites hold the two bit-identical.
+type scriptedLock interface {
 	Lock
-	ReleaseScript(p *machine.Proc) (machine.Addr, machine.Word)
+	acquireOps(p *machine.Proc) []machine.ContOp
+	releaseOps(p *machine.Proc) []machine.ContOp
+}
+
+// sharedScripts is the scriptedLock half of a lock whose scripts no
+// branch rewrites, so every processor runs the same two slices.
+type sharedScripts struct {
+	acquire, release []machine.ContOp
+}
+
+func (s *sharedScripts) Acquire(p *machine.Proc) { p.RunScript(s.acquire) }
+func (s *sharedScripts) Release(p *machine.Proc) { p.RunScript(s.release) }
+
+func (s *sharedScripts) acquireOps(*machine.Proc) []machine.ContOp { return s.acquire }
+func (s *sharedScripts) releaseOps(*machine.Proc) []machine.ContOp { return s.release }
+
+// storeZero is the release script of a lock freed by one plain store.
+func storeZero(l machine.Addr) []machine.ContOp {
+	return []machine.ContOp{{Kind: machine.ContStore, Addr: l}}
 }
 
 // LockMaker constructs a lock on a machine, allocating whatever
@@ -63,33 +74,27 @@ type LockInfo struct {
 // tasLock is the naive test&set spin lock: every retry is an atomic
 // read-modify-write, so every spinning processor hammers the
 // interconnect for the whole time the lock is held.
+//
+// Acquire is one ContSpin: the raw probe storm, engine-batched. Every
+// retry is still an atomic read-modify-write hammering the
+// interconnect, but the whole run of failed probes is charged without
+// waking a goroutine once per probe. The zero Backoff declares the
+// schedule draw-free and constant-period, which is exactly what makes a
+// contended tas storm eligible for cross-processor spin windows:
+// interleaved probes from many spinners fast-forward in closed form
+// (machine/window.go). Release is one store of zero.
 type tasLock struct {
 	l machine.Addr
+	sharedScripts
 }
 
 // NewTAS builds a test&set lock.
 func NewTAS(m *machine.Machine) Lock {
-	return &tasLock{l: m.AllocShared(1)}
-}
-
-func (t *tasLock) Acquire(p *machine.Proc) {
-	// The raw probe storm, engine-batched: every retry is still an
-	// atomic read-modify-write hammering the interconnect, but the
-	// whole run of failed probes is charged without waking this
-	// goroutine once per probe. The zero Backoff declares the schedule
-	// draw-free and constant-period, which is exactly what makes a
-	// contended tas storm eligible for cross-processor spin windows:
-	// interleaved probes from many spinners fast-forward in closed
-	// form (machine/window.go).
-	p.SpinTAS(t.l, machine.Backoff{})
-}
-
-func (t *tasLock) Release(p *machine.Proc) {
-	p.Store(t.ReleaseScript(p))
-}
-
-func (t *tasLock) ReleaseScript(p *machine.Proc) (machine.Addr, machine.Word) {
-	return t.l, 0
+	l := m.AllocShared(1)
+	return &tasLock{l: l, sharedScripts: sharedScripts{
+		acquire: []machine.ContOp{machine.SpinTASOp(l, machine.Backoff{}, 0)},
+		release: storeZero(l),
+	}}
 }
 
 // ---------------------------------------------------------------------
@@ -100,32 +105,26 @@ func (t *tasLock) ReleaseScript(p *machine.Proc) (machine.Addr, machine.Word) {
 // and attempts the test&set only when the lock looks free. Traffic drops
 // from continuous to one burst per release — but the burst still grows
 // with the number of spinners.
+//
+// Acquire is one ContSpin. The read-spin phase is event-silent on a
+// coherent machine (watcher-parked until a write invalidates) and
+// jitter-polled on NUMA, and the post-release test&set burst falls back
+// to the read spin on failure — so TTAS waits never enter a
+// constant-period probe rotation. They are window-ineligible by
+// construction: their events (and the watchers they leave on the lock
+// word) bound any raw-TAS window instead of joining it.
 type ttasLock struct {
 	l machine.Addr
+	sharedScripts
 }
 
 // NewTTAS builds a test&test&set lock.
 func NewTTAS(m *machine.Machine) Lock {
-	return &ttasLock{l: m.AllocShared(1)}
-}
-
-func (t *ttasLock) Acquire(p *machine.Proc) {
-	// The read-spin phase is event-silent on a coherent machine
-	// (watcher-parked until a write invalidates) and jitter-polled on
-	// NUMA, and the post-release test&set burst falls back to the read
-	// spin on failure — so TTAS waits never enter a constant-period
-	// probe rotation. They are window-ineligible by construction:
-	// their events (and the watchers they leave on the lock word)
-	// bound any raw-TAS window instead of joining it.
-	p.SpinTTAS(t.l)
-}
-
-func (t *ttasLock) Release(p *machine.Proc) {
-	p.Store(t.ReleaseScript(p))
-}
-
-func (t *ttasLock) ReleaseScript(p *machine.Proc) (machine.Addr, machine.Word) {
-	return t.l, 0
+	l := m.AllocShared(1)
+	return &ttasLock{l: l, sharedScripts: sharedScripts{
+		acquire: []machine.ContOp{machine.SpinTTASOp(l)},
+		release: storeZero(l),
+	}}
 }
 
 // ---------------------------------------------------------------------
@@ -144,9 +143,19 @@ type BackoffParams struct {
 // bus transaction, cap near the expected total contention window.
 var DefaultBackoff = BackoffParams{Base: 16, Cap: 1024}
 
+// backoffLock is Anderson-style bounded exponential backoff with
+// proportional jitter: delay cur + rng.Time(cur) after each failed
+// probe, cur doubling up to Cap. Acquire is one ContSpin, whose
+// schedule (and its RNG draws) the engine's spin machine replays probe
+// for probe. PropJitter declares the schedule RNG-dependent, which
+// makes these waits window-ineligible: every probe must consume its
+// jitter draw at the right stream position, so tas-bo storms replay
+// per-event and their pending probes act as window horizons (the
+// mixed-storm determinism test pins the fallback).
 type backoffLock struct {
 	l      machine.Addr
 	params BackoffParams
+	sharedScripts
 }
 
 // NewTASBackoff builds a test&set lock with default exponential backoff.
@@ -163,28 +172,12 @@ func NewTASBackoffParams(m *machine.Machine, bp BackoffParams) Lock {
 	if bp.Cap < bp.Base {
 		bp.Cap = bp.Base
 	}
-	return &backoffLock{l: m.AllocShared(1), params: bp}
-}
-
-func (t *backoffLock) Acquire(p *machine.Proc) {
-	// Anderson-style bounded exponential backoff with proportional
-	// jitter: delay cur + rng.Time(cur) after each failed probe, cur
-	// doubling up to Cap. The schedule (and its RNG draws) is replayed
-	// by the engine's spin machine, probe for probe. PropJitter
-	// declares the schedule RNG-dependent, which makes these waits
-	// window-ineligible: every probe must consume its jitter draw at
-	// the right stream position, so tas-bo storms replay per-event and
-	// their pending probes act as window horizons (the mixed-storm
-	// determinism test pins the fallback).
-	p.SpinTAS(t.l, machine.Backoff{Base: t.params.Base, Cap: t.params.Cap, PropJitter: true})
-}
-
-func (t *backoffLock) Release(p *machine.Proc) {
-	p.Store(t.ReleaseScript(p))
-}
-
-func (t *backoffLock) ReleaseScript(p *machine.Proc) (machine.Addr, machine.Word) {
-	return t.l, 0
+	l := m.AllocShared(1)
+	bo := machine.Backoff{Base: bp.Base, Cap: bp.Cap, PropJitter: true}
+	return &backoffLock{l: l, params: bp, sharedScripts: sharedScripts{
+		acquire: []machine.ContOp{machine.SpinTASOp(l, bo, 0)},
+		release: storeZero(l),
+	}}
 }
 
 // ---------------------------------------------------------------------
@@ -196,9 +189,10 @@ func (t *backoffLock) ReleaseScript(p *machine.Proc) (machine.Addr, machine.Word
 // release invalidates every waiter); the backoff version estimates its
 // distance from the head and sleeps proportionally.
 //
-// The backoff version's wait is a continuation script
-// (machine.RunScript), one per processor, encoding this Go poll loop op
-// for op:
+// Acquire is a per-processor script: the fetch&add, a branch that
+// records the ticket, the wait, and a host call recording the held
+// ticket. The plain wait is a ContSpin aimed at the ticket; the
+// backoff wait encodes this Go poll loop op for op:
 //
 //	for {
 //		s := p.Load(serving)
@@ -208,86 +202,130 @@ func (t *backoffLock) ReleaseScript(p *machine.Proc) (machine.Addr, machine.Word
 //		p.Delay(sim.Time(ticket-s) * propK)
 //	}
 //
-// The loop itself, verbatim, is the closure twin in twins_test.go.
+// Release is a branch aiming the store of held+1 and the store.
 type ticketLock struct {
 	next    machine.Addr
 	serving machine.Addr
 	propK   sim.Time // 0: plain spin; >0: proportional backoff factor
 	held    machine.Word
-	waits   []ticketWait // propK > 0, per processor: the wait script
+	procs   []ticketProc
 }
 
-// The proportional-backoff wait script's ops, by pc.
+// The acquire scripts' ops, by pc. Both open with the fetch&add and a
+// branch that records the ticket and continues at ticketWait.
 const (
-	ticketLoad    = iota // ContLoad of now-serving
-	ticketTest           // ContBranch: our turn (end), or size the backoff
-	ticketBackoff        // ContDelay of (ticket-s)*propK
-	ticketLoop           // ContBranch: reload
-	ticketOps
+	ticketTake   = iota // ContFetchAdd of the dispenser
+	ticketRecord        // ContBranch: note the ticket, aim the plain spin
+	ticketWait          // the wait's first op
 )
 
-// ticketWait is one processor's wait script and the ticket it waits for.
-type ticketWait struct {
-	propK  sim.Time
-	ticket machine.Word
-	ops    [ticketOps]machine.ContOp
+// The plain wait's ops, by pc.
+const (
+	ticketSpin = ticketWait + iota // ContSpin until serving shows the ticket
+	ticketHeld                     // ContCall: record the held ticket
+)
+
+// The proportional-backoff wait's ops, by pc.
+const (
+	ticketLoad     = ticketWait + iota // ContLoad of now-serving
+	ticketTest                         // ContBranch: our turn, or size the backoff
+	ticketBackoff                      // ContDelay of (ticket-s)*propK
+	ticketLoop                         // ContBranch: reload
+	ticketPollHeld                     // ContCall: record the held ticket
+)
+
+// ticketProc is one processor's scripts and the ticket it waits for.
+type ticketProc struct {
+	t       *ticketLock
+	ticket  machine.Word
+	acquire []machine.ContOp
+	release [2]machine.ContOp
 }
 
 // NewTicket builds a plain ticket lock.
 func NewTicket(m *machine.Machine) Lock {
-	return &ticketLock{next: m.AllocShared(1), serving: m.AllocShared(1)}
+	return newTicket(m, 0)
 }
 
-// NewTicketBackoff builds a ticket lock with proportional backoff and
-// its per-processor wait scripts.
+// NewTicketBackoff builds a ticket lock with proportional backoff.
 func NewTicketBackoff(m *machine.Machine) Lock {
-	t := &ticketLock{next: m.AllocShared(1), serving: m.AllocShared(1), propK: 24}
-	t.waits = make([]ticketWait, m.Procs())
-	for i := range t.waits {
-		w := &t.waits[i]
-		w.propK = t.propK
-		w.ops = [ticketOps]machine.ContOp{
-			ticketLoad:    {Kind: machine.ContLoad, Addr: t.serving},
-			ticketTest:    {Kind: machine.ContBranch, Branch: w.test},
-			ticketBackoff: {Kind: machine.ContDelay},
-			ticketLoop:    {Kind: machine.ContBranch, Branch: toTop},
+	return newTicket(m, 24)
+}
+
+func newTicket(m *machine.Machine, propK sim.Time) *ticketLock {
+	t := &ticketLock{next: m.AllocShared(1), serving: m.AllocShared(1), propK: propK}
+	t.procs = make([]ticketProc, m.Procs())
+	for i := range t.procs {
+		w := &t.procs[i]
+		w.t = t
+		take := machine.ContOp{Kind: machine.ContFetchAdd, Addr: t.next, Val: 1}
+		record := machine.ContOp{Kind: machine.ContBranch, Branch: w.record}
+		held := machine.ContOp{Kind: machine.ContCall, Fn: w.held}
+		if propK > 0 {
+			w.acquire = []machine.ContOp{
+				ticketTake:     take,
+				ticketRecord:   record,
+				ticketLoad:     {Kind: machine.ContLoad, Addr: t.serving},
+				ticketTest:     {Kind: machine.ContBranch, Branch: w.test},
+				ticketBackoff:  {Kind: machine.ContDelay},
+				ticketLoop:     {Kind: machine.ContBranch, Branch: toPC(ticketLoad)},
+				ticketPollHeld: held,
+			}
+		} else {
+			w.acquire = []machine.ContOp{
+				ticketTake:   take,
+				ticketRecord: record,
+				ticketSpin:   machine.SpinReadOp(t.serving, machine.Pred{Op: machine.PredEq}),
+				ticketHeld:   held,
+			}
+		}
+		w.release = [2]machine.ContOp{
+			{Kind: machine.ContBranch, Branch: w.aimRelease},
+			{Kind: machine.ContStore, Addr: t.serving},
 		}
 	}
 	return t
 }
 
-// test judges the loaded now-serving value s: the script ends on our
-// ticket, and otherwise backs off in proportion to the distance.
-func (w *ticketWait) test(_ *machine.Proc, s machine.Word) int {
-	if s == w.ticket {
-		return ticketOps
+// record notes the ticket the fetch&add drew and aims a plain spin at
+// it.
+func (w *ticketProc) record(_ *machine.Proc, ticket machine.Word) int {
+	w.ticket = ticket
+	if w.t.propK == 0 {
+		w.acquire[ticketSpin].Val = ticket
 	}
-	w.ops[ticketBackoff].Dur = sim.Time(w.ticket-s) * w.propK
+	return ticketWait
+}
+
+// test judges the loaded now-serving value s: on our ticket the wait
+// is over, and otherwise it backs off in proportion to the distance.
+func (w *ticketProc) test(_ *machine.Proc, s machine.Word) int {
+	if s == w.ticket {
+		return ticketPollHeld
+	}
+	w.acquire[ticketBackoff].Dur = sim.Time(w.ticket-s) * w.t.propK
 	return ticketBackoff
 }
 
-func (t *ticketLock) Acquire(p *machine.Proc) {
-	ticket := p.FetchAdd(t.next, 1)
-	if t.propK > 0 {
-		w := &t.waits[p.ID()]
-		w.ticket = ticket
-		p.RunScript(w.ops[:])
-	} else {
-		p.SpinUntilEq(t.serving, ticket)
-	}
-	// Only the holder writes this host-side field; the simulation is
-	// single-threaded, so recording the held ticket here is safe.
-	t.held = ticket
+// held records the held ticket. Only the holder writes this host-side
+// field; the simulation is single-threaded, so recording it is safe.
+func (w *ticketProc) held(*machine.Proc) { w.t.held = w.ticket }
+
+// aimRelease aims the release store at the held ticket's successor.
+func (w *ticketProc) aimRelease(*machine.Proc, machine.Word) int {
+	w.release[1].Val = w.t.held + 1
+	return 1
 }
 
-func (t *ticketLock) Release(p *machine.Proc) {
-	p.Store(t.ReleaseScript(p))
-}
+func (t *ticketLock) Acquire(p *machine.Proc) { p.RunScript(t.acquireOps(p)) }
+func (t *ticketLock) Release(p *machine.Proc) { p.RunScript(t.releaseOps(p)) }
 
-func (t *ticketLock) ReleaseScript(p *machine.Proc) (machine.Addr, machine.Word) {
-	// t.held is stable for the whole critical section: the next holder
-	// records its ticket only after its spin sees our serving store.
-	return t.serving, t.held + 1
+func (t *ticketLock) acquireOps(p *machine.Proc) []machine.ContOp { return t.procs[p.ID()].acquire }
+func (t *ticketLock) releaseOps(p *machine.Proc) []machine.ContOp { return t.procs[p.ID()].release[:] }
+
+// toPC returns the branch that jumps to pc; toPC(0) closes a poll loop.
+func toPC(pc int) func(*machine.Proc, machine.Word) int {
+	return func(*machine.Proc, machine.Word) int { return pc }
 }
 
 // ---------------------------------------------------------------------
@@ -299,11 +337,41 @@ func (t *ticketLock) ReleaseScript(p *machine.Proc) (machine.Addr, machine.Word)
 // is statically sized at one slot per processor and lives in shared
 // (interleaved) memory — on a NUMA machine most waiters therefore spin
 // on a *remote* slot, the algorithm's documented weakness.
+//
+// Crash-restart costs the lock its safety, not only its liveness. A
+// reborn processor takes a second ticket while its dead incarnation's
+// ticket is still outstanding, so P+1 tickets share P slots: two
+// waiters spin on one slot, and one release admits both. The
+// mid-run-crash suite pins the resulting mutual-exclusion violation.
+//
+// Acquire is a per-processor script: the fetch&add, a branch aiming
+// the slot spin and reset, the ContSpin, the reset store, and a host
+// call recording the held slot. Release is a branch aiming the store
+// at the next slot, and the store.
 type andersonLock struct {
 	slots machine.Addr // ring of P flags
 	tail  machine.Addr // fetch&add ticket into the ring
 	size  machine.Word
 	held  machine.Word // ring index held; single holder, host-side
+	procs []andersonProc
+}
+
+// The acquire script's ops, by pc.
+const (
+	andersonTake  = iota // ContFetchAdd of the ring ticket
+	andersonAim          // ContBranch: aim the spin and reset at our slot
+	andersonSpin         // ContSpin until our slot reads 1
+	andersonReset        // ContStore of 0 to our slot, for the next lap
+	andersonHeld         // ContCall: record the held slot
+	andersonOps
+)
+
+// andersonProc is one processor's scripts and the slot it waits on.
+type andersonProc struct {
+	a       *andersonLock
+	idx     machine.Word
+	acquire [andersonOps]machine.ContOp
+	release [2]machine.ContOp
 }
 
 // NewAnderson builds an Anderson array-queue lock sized to the machine.
@@ -313,28 +381,55 @@ func NewAnderson(m *machine.Machine) Lock {
 		slots: m.AllocShared(size),
 		tail:  m.AllocShared(1),
 		size:  machine.Word(size),
+		procs: make([]andersonProc, size),
 	}
 	m.Poke(a.slots, 1) // slot 0 starts as "has lock"
+	for i := range a.procs {
+		w := &a.procs[i]
+		w.a = a
+		w.acquire = [andersonOps]machine.ContOp{
+			andersonTake:  {Kind: machine.ContFetchAdd, Addr: a.tail, Val: 1},
+			andersonAim:   {Kind: machine.ContBranch, Branch: w.aim},
+			andersonSpin:  machine.SpinReadOp(a.slots, machine.Pred{Op: machine.PredEq, Want: 1}),
+			andersonReset: {Kind: machine.ContStore},
+			andersonHeld:  {Kind: machine.ContCall, Fn: w.held},
+		}
+		w.release = [2]machine.ContOp{
+			{Kind: machine.ContBranch, Branch: w.aimRelease},
+			{Kind: machine.ContStore, Val: 1},
+		}
+	}
 	return a
 }
 
-func (a *andersonLock) Acquire(p *machine.Proc) {
-	idx := p.FetchAdd(a.tail, 1) % a.size
-	slot := a.slots + machine.Addr(idx)
-	p.SpinUntilEq(slot, 1)
-	p.Store(slot, 0) // reset for the next lap around the ring
-	a.held = idx
+// aim points the spin and the reset at the slot the ticket maps to.
+func (w *andersonProc) aim(_ *machine.Proc, ticket machine.Word) int {
+	w.idx = ticket % w.a.size
+	slot := w.a.slots + machine.Addr(w.idx)
+	w.acquire[andersonSpin].Addr = slot
+	w.acquire[andersonReset].Addr = slot
+	return andersonSpin
 }
 
-func (a *andersonLock) Release(p *machine.Proc) {
-	p.Store(a.ReleaseScript(p))
+// held records the held ring index; only the holder writes it.
+func (w *andersonProc) held(*machine.Proc) { w.a.held = w.idx }
+
+// aimRelease aims the release store at the slot after the held one.
+func (w *andersonProc) aimRelease(*machine.Proc, machine.Word) int {
+	next := (w.a.held + 1) % w.a.size
+	w.release[1].Addr = w.a.slots + machine.Addr(next)
+	return 1
 }
 
-func (a *andersonLock) ReleaseScript(p *machine.Proc) (machine.Addr, machine.Word) {
-	// a.held is stable for the whole critical section: the next holder
-	// records its ring index only after its slot spin sees our store.
-	next := (a.held + 1) % a.size
-	return a.slots + machine.Addr(next), 1
+func (a *andersonLock) Acquire(p *machine.Proc) { p.RunScript(a.acquireOps(p)) }
+func (a *andersonLock) Release(p *machine.Proc) { p.RunScript(a.releaseOps(p)) }
+
+func (a *andersonLock) acquireOps(p *machine.Proc) []machine.ContOp {
+	return a.procs[p.ID()].acquire[:]
+}
+
+func (a *andersonLock) releaseOps(p *machine.Proc) []machine.ContOp {
+	return a.procs[p.ID()].release[:]
 }
 
 // ---------------------------------------------------------------------
@@ -347,11 +442,35 @@ func (a *andersonLock) ReleaseScript(p *machine.Proc) (machine.Addr, machine.Wor
 // holder's own flag. Each waiter spins on its *predecessor's* flag —
 // fine with coherent caches, remote on NUMA (the same weakness as
 // Anderson's lock, which is exactly why it appears in the sweep).
+//
+// Acquire is a per-processor script: a branch packing our flag's
+// value into the swap, the fetch&store, a branch aiming the spin at
+// the predecessor's flag, and the ContSpin. Like every read-spin wait
+// (qsync's local spins included) the spin is window-ineligible by kind
+// — watcher-parked on Bus, jitter-polled on remote NUMA words — and
+// never appears in a probe rotation. Release is a branch flipping our
+// flag's host-tracked value, and the store of it.
 type gtLock struct {
 	lock  machine.Addr   // packed (flag index << 1 | expected value)
 	flags machine.Addr   // P per-processor flag words (shared placement)
 	vals  []machine.Word // host-tracked current value of each flag
-	procs int
+	procs []gtProc
+}
+
+// The acquire script's ops, by pc.
+const (
+	gtPack = iota // ContBranch: pack our flag's value into the swap
+	gtSwap        // ContFetchStore of the lock word
+	gtAim         // ContBranch: aim the spin at the predecessor's flag
+	gtSpin        // ContSpin until that flag flips
+	gtOps
+)
+
+// gtProc is one processor's scripts.
+type gtProc struct {
+	g       *gtLock
+	acquire [gtOps]machine.ContOp
+	release [2]machine.ContOp
 }
 
 // NewGraunkeThakkar builds a Graunke-Thakkar lock.
@@ -360,11 +479,25 @@ func NewGraunkeThakkar(m *machine.Machine) Lock {
 		lock:  m.AllocShared(1),
 		flags: m.AllocShared(m.Procs()),
 		vals:  make([]machine.Word, m.Procs()),
-		procs: m.Procs(),
+		procs: make([]gtProc, m.Procs()),
 	}
 	// The lock starts pointing at processor 0's flag with the *opposite*
 	// of its current value, so the first arrival proceeds immediately.
 	m.Poke(g.lock, g.pack(0, 1))
+	for i := range g.procs {
+		w := &g.procs[i]
+		w.g = g
+		w.acquire = [gtOps]machine.ContOp{
+			gtPack: {Kind: machine.ContBranch, Branch: w.packSwap},
+			gtSwap: {Kind: machine.ContFetchStore, Addr: g.lock},
+			gtAim:  {Kind: machine.ContBranch, Branch: w.aim},
+			gtSpin: machine.SpinReadOp(g.flags, machine.Pred{Op: machine.PredNe, Mask: 1}),
+		}
+		w.release = [2]machine.ContOp{
+			{Kind: machine.ContBranch, Branch: w.flip},
+			{Kind: machine.ContStore, Addr: g.flags + machine.Addr(i)},
+		}
+	}
 	return g
 }
 
@@ -372,34 +505,35 @@ func (g *gtLock) pack(idx int, val machine.Word) machine.Word {
 	return machine.Word(idx)<<1 | (val & 1)
 }
 
-func (g *gtLock) Acquire(p *machine.Proc) {
+// packSwap sets the swap to enqueue our flag with its current value.
+func (w *gtProc) packSwap(p *machine.Proc, _ machine.Word) int {
 	me := p.ID()
-	myVal := g.vals[me]
-	old := p.FetchStore(g.lock, g.pack(me, myVal))
-	prevIdx := int(old >> 1)
-	prevVal := old & 1
-	// Wait until the predecessor flips its flag away from the value it
-	// had when it enqueued. A read-spin on a per-processor flag: like
-	// every SpinUntilPred wait (qsync's local spins included) it is
-	// window-ineligible by kind — watcher-parked on Bus, jitter-polled
-	// on remote NUMA words — and never appears in a probe rotation.
-	p.SpinUntilPred(g.flags+machine.Addr(prevIdx),
-		machine.Pred{Op: machine.PredNe, Mask: 1, Want: prevVal})
+	w.acquire[gtSwap].Val = w.g.pack(me, w.g.vals[me])
+	return gtSwap
 }
 
-func (g *gtLock) Release(p *machine.Proc) {
-	p.Store(g.ReleaseScript(p))
+// aim points the spin at the predecessor's flag, waiting for it to
+// flip away from the value it had when the predecessor enqueued.
+func (w *gtProc) aim(_ *machine.Proc, old machine.Word) int {
+	w.acquire[gtSpin].Addr = w.g.flags + machine.Addr(old>>1)
+	w.acquire[gtSpin].Val = old & 1
+	return gtSpin
 }
 
-func (g *gtLock) ReleaseScript(p *machine.Proc) (machine.Addr, machine.Word) {
-	// Flipping the host-tracked flag value here (before the critical
-	// section) instead of at release time is safe: only processor me
-	// ever reads or writes vals[me], and the simulated flag word does
-	// not change until the scripted store issues.
+// flip flips our flag's host-tracked value and aims the release store
+// at it. Only processor me ever reads or writes vals[me].
+func (w *gtProc) flip(p *machine.Proc, _ machine.Word) int {
 	me := p.ID()
-	g.vals[me] ^= 1
-	return g.flags + machine.Addr(me), g.vals[me]
+	w.g.vals[me] ^= 1
+	w.release[1].Val = w.g.vals[me]
+	return 1
 }
+
+func (g *gtLock) Acquire(p *machine.Proc) { p.RunScript(g.acquireOps(p)) }
+func (g *gtLock) Release(p *machine.Proc) { p.RunScript(g.releaseOps(p)) }
+
+func (g *gtLock) acquireOps(p *machine.Proc) []machine.ContOp { return g.procs[p.ID()].acquire[:] }
+func (g *gtLock) releaseOps(p *machine.Proc) []machine.ContOp { return g.procs[p.ID()].release[:] }
 
 // ---------------------------------------------------------------------
 // QSync — the reconstructed "new synchronization mechanism"
@@ -420,43 +554,112 @@ const (
 // a direct hand-off: one store into the successor's record. Interconnect
 // cost per acquire/release pair is therefore constant, independent of
 // the number of waiters.
+//
+// Both halves are per-processor scripts. Acquire: a store clearing our
+// next pointer, the fetch&store of the cell, a branch (a free cell
+// ends it, otherwise it aims the link), two stores (waiting status,
+// then the link into the predecessor) and a local ContSpin on our
+// status. Release: a load of our next pointer, a branch (a successor
+// gets the hand-off), a compare&swap swinging a solitary cell back to
+// free, a branch, a ContSpin while the next pointer is zero (a
+// successor is mid-enqueue), the hand-off branch again, and the
+// hand-off store.
 type qsyncLock struct {
 	cell  machine.Addr   // queue tail; Word(0) = free
 	nodes []machine.Addr // per-processor record, in local memory
+	procs []qsyncProc
+}
+
+// The acquire script's ops, by pc.
+const (
+	qaClear  = iota // ContStore of 0 to our next pointer
+	qaSwap          // ContFetchStore of our record into the cell
+	qaLink          // ContBranch: free cell (end), or aim the link
+	qaStatus        // ContStore of 1 to our status
+	qaStore         // ContStore of our record into the predecessor's next
+	qaSpin          // ContSpin until our status is 0
+	qaOps
+)
+
+// The release script's ops, by pc.
+const (
+	qrLoad    = iota // ContLoad of our next pointer
+	qrNext           // ContBranch: hand off to a known successor, or try to free
+	qrCAS            // ContCAS of the cell from our record to free
+	qrFreed          // ContBranch: freed (end), or wait for the link
+	qrSpin           // ContSpin while our next pointer is zero
+	qrLinked         // ContBranch: hand off to the linked successor
+	qrHandoff        // ContStore of 0 to the successor's status
+	qrOps
+)
+
+// qsyncProc is one processor's scripts.
+type qsyncProc struct {
+	acquire [qaOps]machine.ContOp
+	release [qrOps]machine.ContOp
 }
 
 // NewQSync builds the mechanism's mutual-exclusion lock.
 func NewQSync(m *machine.Machine) Lock {
-	q := &qsyncLock{cell: m.AllocShared(1), nodes: make([]machine.Addr, m.Procs())}
+	q := &qsyncLock{cell: m.AllocShared(1), nodes: make([]machine.Addr, m.Procs()), procs: make([]qsyncProc, m.Procs())}
 	for i := range q.nodes {
-		q.nodes[i] = m.AllocLocal(i, qWords)
+		n := m.AllocLocal(i, qWords)
+		q.nodes[i] = n
+		w := &q.procs[i]
+		w.acquire = [qaOps]machine.ContOp{
+			qaClear:  {Kind: machine.ContStore, Addr: n + qNext},
+			qaSwap:   {Kind: machine.ContFetchStore, Addr: q.cell, Val: machine.PtrWord(n)},
+			qaLink:   {Kind: machine.ContBranch, Branch: w.link},
+			qaStatus: {Kind: machine.ContStore, Addr: n + qStatus, Val: 1},
+			qaStore:  {Kind: machine.ContStore, Val: machine.PtrWord(n)},
+			qaSpin:   machine.SpinReadOp(n+qStatus, machine.Pred{Op: machine.PredEq}),
+		}
+		w.release = [qrOps]machine.ContOp{
+			qrLoad:    {Kind: machine.ContLoad, Addr: n + qNext},
+			qrNext:    {Kind: machine.ContBranch, Branch: w.handoff},
+			qrCAS:     {Kind: machine.ContCAS, Addr: q.cell, Val: machine.PtrWord(n)},
+			qrFreed:   {Kind: machine.ContBranch, Branch: freed},
+			qrSpin:    machine.SpinReadOp(n+qNext, machine.Pred{Op: machine.PredNe}),
+			qrLinked:  {Kind: machine.ContBranch, Branch: w.handoff},
+			qrHandoff: {Kind: machine.ContStore},
+		}
 	}
 	return q
 }
 
-func (q *qsyncLock) Acquire(p *machine.Proc) {
-	n := q.nodes[p.ID()]
-	p.Store(n+qNext, 0)
-	pred := p.FetchStore(q.cell, machine.PtrWord(n))
+// link ends the acquire on a free cell (we hold the lock) and
+// otherwise aims the link store at the predecessor's next pointer. We
+// must appear "waiting" before the predecessor can see us, so the
+// status store comes first.
+func (w *qsyncProc) link(_ *machine.Proc, pred machine.Word) int {
 	if pred == 0 {
-		return // cell was free: we hold the lock
+		return qaOps
 	}
-	// Must appear "waiting" before the predecessor can see us.
-	p.Store(n+qStatus, 1)
-	p.Store(machine.WordPtr(pred)+qNext, machine.PtrWord(n))
-	p.SpinUntilEq(n+qStatus, 0) // local spin
+	w.acquire[qaStore].Addr = machine.WordPtr(pred) + qNext
+	return qaStatus
 }
 
-func (q *qsyncLock) Release(p *machine.Proc) {
-	n := q.nodes[p.ID()]
-	next := p.Load(n + qNext)
+// handoff aims the hand-off store at successor next's status, or, with
+// no known successor, tries to swing the cell back to free.
+func (w *qsyncProc) handoff(_ *machine.Proc, next machine.Word) int {
 	if next == 0 {
-		// No known successor: try to swing the cell back to free.
-		if p.CompareAndSwap(q.cell, machine.PtrWord(n), 0) {
-			return
-		}
-		// A successor is mid-enqueue; wait (locally) for the link.
-		next = p.SpinWhileEq(n+qNext, 0)
+		return qrCAS
 	}
-	p.Store(machine.WordPtr(next)+qStatus, 0) // direct hand-off
+	w.release[qrHandoff].Addr = machine.WordPtr(next) + qStatus
+	return qrHandoff
 }
+
+// freed ends the release when the cell swung back to free; otherwise a
+// successor is mid-enqueue, and we wait (locally) for its link.
+func freed(_ *machine.Proc, ok machine.Word) int {
+	if ok != 0 {
+		return qrOps
+	}
+	return qrSpin
+}
+
+func (q *qsyncLock) Acquire(p *machine.Proc) { p.RunScript(q.acquireOps(p)) }
+func (q *qsyncLock) Release(p *machine.Proc) { p.RunScript(q.releaseOps(p)) }
+
+func (q *qsyncLock) acquireOps(p *machine.Proc) []machine.ContOp { return q.procs[p.ID()].acquire[:] }
+func (q *qsyncLock) releaseOps(p *machine.Proc) []machine.ContOp { return q.procs[p.ID()].release[:] }

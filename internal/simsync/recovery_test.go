@@ -3,6 +3,7 @@ package simsync
 import (
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/fault"
@@ -47,19 +48,13 @@ func TestRecoveryDeterminismBarriers(t *testing.T) {
 	forEachConfig(t, func(tp topo.Topology, procs int) {
 		plan := recoveryPlanFor(tp, procs)
 		for _, info := range Barriers() {
-			info := info
 			name := fmt.Sprintf("%s/%s/P%d/recovery", tp.Name(), info.Name, procs)
 			// reconf evicts the crashed processor and completes episodes
 			// without it — correct under this plan, so the runner excuses
 			// its early releases (it can Leave, and a processor crashed);
 			// every other barrier keeps the all-arrive check.
-			assertIdentical(t, name, func(noWindows bool) (machine.Stats, error) {
-				res, err := RunBarrierIn(nil,
-					machine.Config{Procs: procs, Topo: tp, Seed: 7, NoSpinWindows: noWindows, Faults: plan},
-					info, BarrierOpts{Episodes: 10, Work: 150})
-				assertNoWindows(t, name, res.Stats)
-				return res.Stats, completed(err, res.Outcome)
-			})
+			assertBarrierIdentical(t, name, machine.Config{Procs: procs, Topo: tp, Seed: 7, Faults: plan},
+				info, BarrierOpts{Episodes: 10, Work: 150})
 		}
 	})
 }
@@ -111,30 +106,34 @@ func TestRecoveryDeterminismCounters(t *testing.T) {
 
 // TestRecoveryDeterminismMidRunCrash covers the hard case: a processor
 // crashes mid-workload — possibly inside the critical section — and is
-// reborn later. The full LockResult (outcome, orphan and timeout
-// counts, time-to-recovery) must be bit-identical across repeat
-// runs and the windows A/B switch, for resilient and non-resilient
-// locks alike (a wedged tas run is data too, and must wedge
-// identically), and the scripted locks (tas, lease, lease-fence,
-// qheal) must match their closure twins — a crash can cut a script off
-// mid-run.
+// reborn later. For every lock the full LockResult (outcome, orphan and
+// timeout counts, time-to-recovery) must be bit-identical across repeat
+// runs, the windows A/B switch and the lock's closure twin, resilient
+// and non-resilient locks alike (a wedged tas run is data too, and must
+// wedge identically; a crash can cut a script off mid-run). anderson is
+// the exception that proves the check: its reborn processor draws a
+// second ticket while its dead incarnation's is outstanding, P+1
+// tickets then share P ring slots, and the run must fail with the same
+// mutual-exclusion error on every leg.
 func TestRecoveryDeterminismMidRunCrash(t *testing.T) {
-	locks := []string{"tas", "tas-deadline", "lease", "lease-fence", "qheal"}
 	for _, tp := range []topo.Topology{topo.Bus, topo.NUMA} {
 		for _, procs := range []int{4, 8} {
 			plan := fault.NewPlan(fmt.Sprintf("recover/%s/P%d", tp.Name(), procs)).
 				WithStall(0, 300, 900).
 				WithCrash(procs-1, 700).
 				WithRestart(procs-1, 6000)
-			for _, lk := range locks {
-				info := mustLock(t, lk)
-				name := fmt.Sprintf("%s/%s/P%d/midrun", tp.Name(), lk, procs)
+			for _, info := range Locks() {
+				name := fmt.Sprintf("%s/%s/P%d/midrun", tp.Name(), info.Name, procs)
 				opts := LockOpts{Iters: 8, CS: 25, Think: 50, Budget: 2048}
 				cfg := machine.Config{Procs: procs, Topo: tp, Seed: 11, Faults: plan, MaxSteps: 500_000}
 				measure := func(noWindows bool) (LockResult, error) {
 					run := cfg
 					run.NoSpinWindows = noWindows
 					return RunLockIn(nil, run, info, opts)
+				}
+				if info.Name == "anderson" {
+					assertMidRunViolation(t, name, cfg, info, opts, measure)
+					continue
 				}
 				a, err := measure(false)
 				if err != nil {
@@ -164,6 +163,26 @@ func TestRecoveryDeterminismMidRunCrash(t *testing.T) {
 					t.Errorf("%s: plan crashes one processor, run reports %d", name, a.Crashed)
 				}
 			}
+		}
+	}
+}
+
+// assertMidRunViolation holds a mid-run crash cell that loses mutual
+// exclusion to failing the same way on both repeats, with windows off,
+// and in the closure twin.
+func assertMidRunViolation(t *testing.T, name string, cfg machine.Config, info LockInfo, opts LockOpts,
+	measure func(noWindows bool) (LockResult, error)) {
+	t.Helper()
+	_, first := measure(false)
+	if first == nil || !strings.Contains(first.Error(), "violated mutual exclusion") {
+		t.Fatalf("%s: want a mutual-exclusion violation, got %v", name, first)
+	}
+	_, second := measure(false)
+	_, off := measure(true)
+	_, twin := RunLockIn(nil, cfg, closureTwinOf(info), opts)
+	for leg, err := range map[string]error{"second run": second, "windows-off run": off, "closure twin": twin} {
+		if err == nil || err.Error() != first.Error() {
+			t.Errorf("%s: %s: got %v, want %v", name, leg, err, first)
 		}
 	}
 }

@@ -34,6 +34,11 @@ type BoundedLock interface {
 // world moved on. Deadline spins are window-ineligible by construction
 // (machine/spin.go), so adding this lock never perturbs the windowed
 // fast-forward of the plain tas storms running beside it.
+//
+// Acquire is a script every processor shares: a ContSpin bounded to one
+// slice, a branch that ends on a win and otherwise counts the timeout,
+// the penalty delay, and a jump back. AcquireWithin is one bounded
+// ContSpin. Release is one store of zero.
 type deadlineTASLock struct {
 	latch   machine.Addr
 	slice   sim.Time
@@ -43,7 +48,19 @@ type deadlineTASLock struct {
 	// timeouts counts expired slices. Host-side is safe: the simulation
 	// runs one goroutine at a time (baton passing).
 	timeouts uint64
+
+	sharedScripts
+	within []machine.ContOp // per processor: AcquireWithin's bounded spin
 }
+
+// The acquire script's ops, by pc.
+const (
+	deadlineSpin    = iota // ContSpin of test&set probes for one slice
+	deadlineJudge          // ContBranch: won (end), or count the timeout
+	deadlinePenalty        // ContDelay of the penalty
+	deadlineLoop           // ContBranch: spin again
+	deadlineOps
+)
 
 // NewTASDeadline builds a deadline test&set lock with default slice and
 // retry penalty.
@@ -60,32 +77,45 @@ func NewTASDeadlineSlice(m *machine.Machine, slice, penalty sim.Time) Lock {
 	if penalty < 0 {
 		penalty = 0
 	}
-	return &deadlineTASLock{
+	t := &deadlineTASLock{
 		latch:   m.AllocShared(1),
 		slice:   slice,
 		penalty: penalty,
 		// Deterministic bounded exponential backoff: no jitter draws, so
 		// the probe schedule is a pure function of the deadline.
-		bo: machine.Backoff{Base: 16, Cap: 1024},
+		bo:     machine.Backoff{Base: 16, Cap: 1024},
+		within: make([]machine.ContOp, m.Procs()),
 	}
+	t.acquire = []machine.ContOp{
+		deadlineSpin:    machine.SpinTASOp(t.latch, t.bo, slice),
+		deadlineJudge:   {Kind: machine.ContBranch, Branch: t.judge},
+		deadlinePenalty: {Kind: machine.ContDelay, Dur: penalty},
+		deadlineLoop:    {Kind: machine.ContBranch, Branch: toTop},
+	}
+	t.release = storeZero(t.latch)
+	for i := range t.within {
+		t.within[i] = machine.SpinTASOp(t.latch, t.bo, 1)
+	}
+	return t
+}
+
+// judge ends the acquire when the spin won the latch (a zero last
+// probe) and otherwise counts the expired slice.
+func (t *deadlineTASLock) judge(_ *machine.Proc, v machine.Word) int {
+	if v == 0 {
+		return deadlineOps
+	}
+	t.timeouts++
+	return deadlinePenalty
 }
 
 func (t *deadlineTASLock) AcquireWithin(p *machine.Proc, budget sim.Time) bool {
 	if budget <= 0 {
 		budget = 1
 	}
-	return p.SpinTASFor(t.latch, t.bo, p.Now()+budget)
-}
-
-func (t *deadlineTASLock) Acquire(p *machine.Proc) {
-	for !t.AcquireWithin(p, t.slice) {
-		t.timeouts++
-		p.Delay(t.penalty)
-	}
-}
-
-func (t *deadlineTASLock) Release(p *machine.Proc) {
-	p.Store(t.latch, 0)
+	ops := t.within[p.ID() : p.ID()+1]
+	ops[0].Dur = budget
+	return p.RunScript(ops) == 0
 }
 
 // Timeouts reports how many spin slices expired without an acquire.
@@ -125,17 +155,20 @@ const (
 //		p.Delay(poll)
 //	}
 //
-// The loop itself, verbatim, is the closure twin in twins_test.go.
+// Release is a script too: a load of the lease word, a branch that ends
+// unless we still own it, and the compare&swap back to free. The Go
+// forms, verbatim, are the closure twin in twins_test.go.
 type leaseLock struct {
 	word  machine.Addr
 	lease sim.Time // lease term stamped on acquire
 	poll  sim.Time // re-check period while held by a live lease
 
-	takeovers uint64         // host-side: acquires that usurped an expired lease
-	acquire   []leaseAcquire // per processor: the acquire script
+	takeovers uint64      // host-side: acquires that usurped an expired lease
+	procs     []leaseProc // per processor: the scripts
 }
 
-// The acquire script's ops, by pc.
+// The acquire script's ops, by pc. lease-fence extends it with two ops
+// that take a fencing token.
 const (
 	leaseLoad = iota // ContLoad of the lease word
 	leaseTest        // ContBranch: free or expired (CAS it), or held (poll)
@@ -143,14 +176,30 @@ const (
 	leaseWon         // ContBranch: acquired, or reload
 	leasePoll        // ContDelay of one poll period
 	leaseLoop        // ContBranch: reload
-	leaseOps
+	leaseOps         // the lease acquire's length; lease-fence's continues
 )
 
-// leaseAcquire is one processor's acquire script and its state.
-type leaseAcquire struct {
+// lease-fence's two further acquire ops, by pc.
+const (
+	fenceTake  = leaseOps + iota // ContFetchAdd of the epoch
+	fenceToken                   // ContBranch: record the fencing token
+	fenceOps
+)
+
+// The release script's ops, by pc.
+const (
+	leaseRelLoad = iota // ContLoad of the lease word
+	leaseRelMine        // ContBranch: usurped (end), or aim the CAS
+	leaseRelCAS         // ContCAS of the word from our lease to free
+	leaseRelOps
+)
+
+// leaseProc is one processor's scripts and the acquire's state.
+type leaseProc struct {
 	l        *leaseLock
 	takeover bool // the pending CAS usurps an expired lease
-	ops      [leaseOps]machine.ContOp
+	acquire  [fenceOps]machine.ContOp
+	release  [leaseRelOps]machine.ContOp
 }
 
 // NewLease builds a lease lock with an effectively infinite term: in
@@ -177,17 +226,22 @@ func newLeaseLock(m *machine.Machine, lease, poll sim.Time) *leaseLock {
 		poll = 1
 	}
 	l := &leaseLock{word: m.AllocShared(1), lease: lease, poll: poll}
-	l.acquire = make([]leaseAcquire, m.Procs())
-	for i := range l.acquire {
-		a := &l.acquire[i]
+	l.procs = make([]leaseProc, m.Procs())
+	for i := range l.procs {
+		a := &l.procs[i]
 		a.l = l
-		a.ops = [leaseOps]machine.ContOp{
+		a.acquire = [fenceOps]machine.ContOp{
 			leaseLoad: {Kind: machine.ContLoad, Addr: l.word},
 			leaseTest: {Kind: machine.ContBranch, Branch: a.test},
 			leaseCAS:  {Kind: machine.ContCAS, Addr: l.word},
 			leaseWon:  {Kind: machine.ContBranch, Branch: a.won},
 			leasePoll: {Kind: machine.ContDelay, Dur: poll},
 			leaseLoop: {Kind: machine.ContBranch, Branch: toTop},
+		}
+		a.release = [leaseRelOps]machine.ContOp{
+			leaseRelLoad: {Kind: machine.ContLoad, Addr: l.word},
+			leaseRelMine: {Kind: machine.ContBranch, Branch: a.mine},
+			leaseRelCAS:  {Kind: machine.ContCAS, Addr: l.word},
 		}
 	}
 	return l
@@ -200,12 +254,19 @@ func (l *leaseLock) pack(p *machine.Proc, exp sim.Time) machine.Word {
 	return machine.Word(p.ID()+1)<<leaseExpBits | machine.Word(exp)&leaseExpMask
 }
 
-func (l *leaseLock) Acquire(p *machine.Proc) {
-	p.RunScript(l.acquire[p.ID()].ops[:])
+func (l *leaseLock) Acquire(p *machine.Proc) { p.RunScript(l.acquireOps(p)) }
+func (l *leaseLock) Release(p *machine.Proc) { p.RunScript(l.releaseOps(p)) }
+
+func (l *leaseLock) acquireOps(p *machine.Proc) []machine.ContOp {
+	return l.procs[p.ID()].acquire[:leaseOps]
+}
+
+func (l *leaseLock) releaseOps(p *machine.Proc) []machine.ContOp {
+	return l.procs[p.ID()].release[:]
 }
 
 // test judges the loaded lease word v.
-func (a *leaseAcquire) test(p *machine.Proc, v machine.Word) int {
+func (a *leaseProc) test(p *machine.Proc, v machine.Word) int {
 	switch {
 	case v == 0:
 		a.takeover = false
@@ -217,13 +278,14 @@ func (a *leaseAcquire) test(p *machine.Proc, v machine.Word) int {
 	default:
 		return leasePoll
 	}
-	a.ops[leaseCAS].Val = v
-	a.ops[leaseCAS].New = a.l.pack(p, p.Now()+a.l.lease)
+	a.acquire[leaseCAS].Val = v
+	a.acquire[leaseCAS].New = a.l.pack(p, p.Now()+a.l.lease)
 	return leaseCAS
 }
 
-// won ends the script on a successful CAS and reloads on a lost one.
-func (a *leaseAcquire) won(_ *machine.Proc, ok machine.Word) int {
+// won ends the lease acquire on a successful CAS (at leaseOps, where
+// lease-fence takes its token) and reloads on a lost one.
+func (a *leaseProc) won(_ *machine.Proc, ok machine.Word) int {
 	if ok == 0 {
 		return leaseLoad
 	}
@@ -233,15 +295,16 @@ func (a *leaseAcquire) won(_ *machine.Proc, ok machine.Word) int {
 	return leaseOps
 }
 
-func (l *leaseLock) Release(p *machine.Proc) {
-	v := p.Load(l.word)
+// mine aims the release CAS at the loaded lease word v while it is
+// still ours. A usurped lease (ours expired and someone took over) is
+// theirs to release. CAS, not store: the lease may expire and be taken
+// over between the load and the write.
+func (a *leaseProc) mine(p *machine.Proc, v machine.Word) int {
 	if int(v>>leaseExpBits) != p.ID()+1 {
-		return // usurped after our lease expired; nothing left to release
+		return leaseRelOps
 	}
-	// CAS, not store: the lease may expire and be taken over between the
-	// load above and this write. Losing the CAS means the usurper owns
-	// the word now, and it is theirs to release.
-	p.CompareAndSwap(l.word, v, 0)
+	a.release[leaseRelCAS].Val = v
+	return leaseRelCAS
 }
 
 // Takeovers reports how many acquires usurped an expired lease.

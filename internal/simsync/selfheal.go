@@ -57,28 +57,40 @@ func NewLeaseFence(m *machine.Machine) Lock {
 }
 
 // NewLeaseFenceTerm builds a fencing lease lock with an explicit lease
-// term and poll period.
+// term and poll period. Its acquire script is the lease lock's, run on
+// into two more ops: the epoch fetch&add and a branch recording the
+// token. Its release script is the lease lock's.
 func NewLeaseFenceTerm(m *machine.Machine, lease, poll sim.Time) Lock {
-	return &fenceLock{
+	l := &fenceLock{
 		lease:  newLeaseLock(m, lease, poll),
 		epoch:  m.AllocShared(1),
 		tokens: make([]machine.Word, m.Procs()),
 	}
+	for i := range l.lease.procs {
+		a := &l.lease.procs[i]
+		a.acquire[fenceTake] = machine.ContOp{Kind: machine.ContFetchAdd, Addr: l.epoch, Val: 1}
+		a.acquire[fenceToken] = machine.ContOp{Kind: machine.ContBranch, Branch: l.token}
+	}
+	return l
 }
 
-// Acquire runs the lease lock's acquire script, then takes a token.
-func (l *fenceLock) Acquire(p *machine.Proc) {
-	l.lease.Acquire(p)
-	l.takeToken(p)
+func (l *fenceLock) Acquire(p *machine.Proc) { p.RunScript(l.acquireOps(p)) }
+func (l *fenceLock) Release(p *machine.Proc) { p.RunScript(l.releaseOps(p)) }
+
+func (l *fenceLock) acquireOps(p *machine.Proc) []machine.ContOp {
+	return l.lease.procs[p.ID()].acquire[:]
 }
 
-// takeToken records p's fencing token for the acquire it just won.
-func (l *fenceLock) takeToken(p *machine.Proc) {
-	// The token is the epoch value after our increment. Between the
-	// lease CAS and this fetch&add no other processor can acquire (the
-	// lease word is ours and unexpired for a full term), so tokens are
-	// issued in acquisition order.
-	l.tokens[p.ID()] = p.FetchAdd(l.epoch, 1) + 1
+func (l *fenceLock) releaseOps(p *machine.Proc) []machine.ContOp { return l.lease.releaseOps(p) }
+
+// token records p's fencing token for the acquire it just won: the
+// epoch value after our increment. Between the lease CAS and the
+// fetch&add no other processor can acquire (the lease word is ours and
+// unexpired for a full term), so tokens are issued in acquisition
+// order.
+func (l *fenceLock) token(p *machine.Proc, old machine.Word) int {
+	l.tokens[p.ID()] = old + 1
+	return fenceOps
 }
 
 // Renew extends the holder's lease by a full term from now, reporting
@@ -91,10 +103,6 @@ func (l *fenceLock) Renew(p *machine.Proc) bool {
 		return false // already usurped; nothing to renew
 	}
 	return p.CompareAndSwap(l.lease.word, v, l.lease.pack(p, p.Now()+l.lease.lease))
-}
-
-func (l *fenceLock) Release(p *machine.Proc) {
-	l.lease.Release(p)
 }
 
 // GuardedStore writes v to a only when this processor's fencing token
@@ -147,6 +155,33 @@ const (
 // suspected and the default grace is unreachable — so it registers in
 // the ordinary sweeps. This is the lock FT3 measures against qsync,
 // whose dead-node hand-off chain wedges forever under the same crash.
+//
+// Acquire is a continuation script (machine.RunScript), one per
+// processor, encoding this Go loop op for op, with the branches at the
+// Go conditions' program points:
+//
+//	for {
+//		t := p.FetchAdd(next, 1)
+//		p.Store(slots + t%procs, t<<healOwnerBits | owner)
+//		for { // wait for our turn
+//			s := p.Load(serving)
+//			if s == t { tickets[me] = t; return }
+//			if s > t { break } // excised: requeue
+//			// note when the head ticket s was first seen
+//			slot := p.Load(slots + s%procs)
+//			if the head's announced owner is another processor p.Suspects,
+//			   or the head has been stuck for a grace period {
+//				if p.CompareAndSwap(serving, s, s+1) { excisions++ }
+//				continue
+//			}
+//			p.Delay(poll)
+//		}
+//		requeues++
+//	}
+//
+// Release is a branch aiming the compare&swap at our ticket, and the
+// compare&swap. The Go forms, verbatim, are the closure twin in
+// twins_test.go.
 type healQueueLock struct {
 	next    machine.Addr // ticket dispenser
 	serving machine.Addr // lowest unserved ticket
@@ -158,7 +193,7 @@ type healQueueLock struct {
 	tickets   []machine.Word // host-side: each processor's current ticket
 	excisions uint64         // dead-head tickets removed from the queue
 	requeues  uint64         // acquires that had to take a fresh ticket
-	wait      []healWait     // per processor: the waitTurn script
+	wait      []healProc     // per processor: the scripts
 }
 
 // NewHealQueue builds a self-healing ticket lock with a grace timeout
@@ -191,12 +226,15 @@ func NewHealQueueGrace(m *machine.Machine, grace, poll sim.Time) Lock {
 		poll:    poll,
 		grace:   grace,
 		tickets: make([]machine.Word, m.Procs()),
-		wait:    make([]healWait, m.Procs()),
+		wait:    make([]healProc, m.Procs()),
 	}
 	for i := range l.wait {
 		w := &l.wait[i]
 		w.l = l
-		w.ops = [healOps]machine.ContOp{
+		w.acquire = [healOps]machine.ContOp{
+			healTake:        {Kind: machine.ContFetchAdd, Addr: l.next, Val: 1},
+			healAim:         {Kind: machine.ContBranch, Branch: w.aim},
+			healAnnounce:    {Kind: machine.ContStore},
 			healLoadServing: {Kind: machine.ContLoad, Addr: l.serving},
 			healCheck:       {Kind: machine.ContBranch, Branch: w.check},
 			healLoadSlot:    {Kind: machine.ContLoad},
@@ -204,97 +242,91 @@ func NewHealQueueGrace(m *machine.Machine, grace, poll sim.Time) Lock {
 			healExcise:      {Kind: machine.ContCAS, Addr: l.serving},
 			healExcised:     {Kind: machine.ContBranch, Branch: w.excised},
 			healPoll:        {Kind: machine.ContDelay, Dur: poll},
-			healLoop:        {Kind: machine.ContBranch, Branch: toTop},
+			healLoop:        {Kind: machine.ContBranch, Branch: toHealLoad},
+			healGranted:     {Kind: machine.ContCall, Fn: w.granted},
+		}
+		w.release = [2]machine.ContOp{
+			{Kind: machine.ContBranch, Branch: w.aimRelease},
+			{Kind: machine.ContCAS, Addr: l.serving},
 		}
 	}
 	return l
 }
 
-func (l *healQueueLock) Acquire(p *machine.Proc) {
-	for {
-		t := p.FetchAdd(l.next, 1)
-		// Announce the ticket so waiters behind us can identify (and,
-		// if we die, excise) us.
-		p.Store(l.slots+machine.Addr(int(t)%l.procs), t<<healOwnerBits|machine.Word(p.ID()+1))
-		if l.waitTurn(p, t) {
-			l.tickets[p.ID()] = t
-			return
-		}
-		l.requeues++ // our ticket was excised from under us: take another
-	}
-}
-
-// The waitTurn script's ops, by pc.
+// The acquire script's ops, by pc.
 const (
-	healLoadServing = iota // ContLoad of the serving counter
-	healCheck              // ContBranch: served, excised, or inspect the head
+	healTake        = iota // ContFetchAdd of the ticket dispenser
+	healAim                // ContBranch: note the ticket, aim the announcement
+	healAnnounce           // ContStore of the ticket and owner to its slot
+	healLoadServing        // ContLoad of the serving counter
+	healCheck              // ContBranch: served, excised (requeue), or inspect the head
 	healLoadSlot           // ContLoad of the head ticket's slot
 	healJudge              // ContBranch: excise the head, or poll
 	healExcise             // ContCAS of serving from the head ticket past it
 	healExcised            // ContBranch: count an excision; reload
 	healPoll               // ContDelay of one poll period
 	healLoop               // ContBranch: reload
+	healGranted            // ContCall: record the held ticket
 	healOps
 )
 
-// healWait is one processor's waitTurn script and the loop state its
-// branches keep. waitTurn resets the state on entry, so a processor
+// toHealLoad closes the wait's poll loop.
+func toHealLoad(*machine.Proc, machine.Word) int { return healLoadServing }
+
+// healProc is one processor's scripts and the loop state the acquire
+// branches keep. aim resets the state for each ticket, so a processor
 // reborn mid-wait starts its next wait clean.
-type healWait struct {
+type healProc struct {
 	l         *healQueueLock
 	t         machine.Word // the ticket being waited on
 	s         machine.Word // the serving value the last load saw
 	headSeen  machine.Word // the head ticket being timed
 	headSince sim.Time     // when headSeen was first seen
-	served    bool         // the outcome: t was served (true) or excised (false)
-	ops       [healOps]machine.ContOp
+	acquire   [healOps]machine.ContOp
+	release   [2]machine.ContOp
 }
 
-// waitTurn polls until ticket t is served (true) or excised (false),
-// healing the queue head along the way. It is a continuation script
-// (machine.RunScript), one per processor, encoding this Go poll loop op
-// for op, with the branches at the Go conditions' program points:
-//
-//	for {
-//		s := p.Load(serving)
-//		if s == t { return true }
-//		if s > t { return false }
-//		// note when the head ticket s was first seen
-//		slot := p.Load(slots + s%procs)
-//		if the head's announced owner is another processor p.Suspects,
-//		   or the head has been stuck for a grace period {
-//			if p.CompareAndSwap(serving, s, s+1) { excisions++ }
-//			continue
-//		}
-//		p.Delay(poll)
-//	}
-//
-// The loop itself, verbatim, is the closure twin in twins_test.go.
-func (l *healQueueLock) waitTurn(p *machine.Proc, t machine.Word) bool {
-	w := &l.wait[p.ID()]
-	// Every head check sees a serving value below t, so starting
-	// headSeen at t makes the first check start the head's clock.
+func (l *healQueueLock) Acquire(p *machine.Proc) { p.RunScript(l.acquireOps(p)) }
+func (l *healQueueLock) Release(p *machine.Proc) { p.RunScript(l.releaseOps(p)) }
+
+func (l *healQueueLock) acquireOps(p *machine.Proc) []machine.ContOp {
+	return l.wait[p.ID()].acquire[:]
+}
+
+func (l *healQueueLock) releaseOps(p *machine.Proc) []machine.ContOp {
+	return l.wait[p.ID()].release[:]
+}
+
+// aim notes the ticket t the fetch&add drew and aims its announcement,
+// so waiters behind us can identify (and, if we die, excise) us. Every
+// head check sees a serving value below t, so starting headSeen at t
+// makes the first check start the head's clock.
+func (w *healProc) aim(p *machine.Proc, t machine.Word) int {
 	w.t, w.headSeen = t, t
-	p.RunScript(w.ops[:])
-	return w.served
+	w.acquire[healAnnounce].Addr = w.l.slots + machine.Addr(int(t)%w.l.procs)
+	w.acquire[healAnnounce].Val = t<<healOwnerBits | machine.Word(p.ID()+1)
+	return healAnnounce
 }
 
 // check judges the loaded serving value s.
-func (w *healWait) check(p *machine.Proc, s machine.Word) int {
-	if s >= w.t {
-		w.served = s == w.t
-		return healOps
+func (w *healProc) check(p *machine.Proc, s machine.Word) int {
+	if s == w.t {
+		return healGranted
+	}
+	if s > w.t {
+		w.l.requeues++ // our ticket was excised from under us: take another
+		return healTake
 	}
 	if s != w.headSeen {
 		w.headSeen, w.headSince = s, p.Now()
 	}
 	w.s = s
-	w.ops[healLoadSlot].Addr = w.l.slots + machine.Addr(int(s)%w.l.procs)
+	w.acquire[healLoadSlot].Addr = w.l.slots + machine.Addr(int(s)%w.l.procs)
 	return healLoadSlot
 }
 
 // judge decides from the head's loaded slot whether to excise it.
-func (w *healWait) judge(p *machine.Proc, slot machine.Word) int {
+func (w *healProc) judge(p *machine.Proc, slot machine.Word) int {
 	s := w.s
 	// An owner field of 0 is a head ticket taken but not yet announced
 	// (its owner was cut off between the fetch&add and the store): it
@@ -319,25 +351,30 @@ func (w *healWait) judge(p *machine.Proc, slot machine.Word) int {
 }
 
 // excise aims the CAS at moving serving from head ticket s past it.
-func (w *healWait) excise(s machine.Word) int {
-	w.ops[healExcise].Val, w.ops[healExcise].New = s, s+1
+func (w *healProc) excise(s machine.Word) int {
+	w.acquire[healExcise].Val, w.acquire[healExcise].New = s, s+1
 	return healExcise
 }
 
 // excised counts a won excision; either way the wait reloads serving.
-func (w *healWait) excised(_ *machine.Proc, ok machine.Word) int {
+func (w *healProc) excised(_ *machine.Proc, ok machine.Word) int {
 	if ok != 0 {
 		w.l.excisions++
 	}
 	return healLoadServing
 }
 
-func (l *healQueueLock) Release(p *machine.Proc) {
-	// CAS, not store: if our ticket was grace-excised while we were in
-	// the critical section, serving has moved past us and the hand-off
-	// already happened — a blind increment would skip a live waiter.
-	t := l.tickets[p.ID()]
-	p.CompareAndSwap(l.serving, t, t+1)
+// granted records the ticket we were served on.
+func (w *healProc) granted(p *machine.Proc) { w.l.tickets[p.ID()] = w.t }
+
+// aimRelease aims the release CAS at moving serving past our ticket.
+// CAS, not store: if our ticket was grace-excised while we were in the
+// critical section, serving has moved past us and the hand-off already
+// happened — a blind increment would skip a live waiter.
+func (w *healProc) aimRelease(p *machine.Proc, _ machine.Word) int {
+	t := w.l.tickets[p.ID()]
+	w.release[1].Val, w.release[1].New = t, t+1
+	return 1
 }
 
 // Excisions reports how many dead head tickets waiters removed.
@@ -369,6 +406,27 @@ func (l *healQueueLock) Requeues() uint64 { return l.requeues }
 // all-arrive barrier (release is raised only when every processor has
 // arrived) and registers in the ordinary correctness sweeps, unlike
 // the straggler barrier whose budget expiry force-opens episodes.
+//
+// Wait is one continuation script (machine.RunScript) per processor,
+// encoding this Go program op for op: the rejoin check, the arrival,
+// the completion scan (loads and stores at addresses its branches
+// compute, and Suspects inside a branch), raiseTo's compare&swap loop,
+// and the poll with its re-scans.
+//
+//	if p.Load(dead+me) != 0 { p.Store(dead+me, 0); rejoins++ }
+//	e := epoch[me]+1; epoch[me] = e
+//	p.Store(arrive+me, e)
+//	if scan(p, e) { raiseTo(p, release, e); return }
+//	deadline := p.Now() + budget
+//	for p.Load(release) < e {
+//		if p.Now() >= deadline {
+//			if scan(p, e) { raiseTo(p, release, e); return }
+//			deadline = p.Now() + budget
+//		}
+//		p.Delay(poll)
+//	}
+//
+// The Go form, verbatim, is the closure twin in twins_test.go.
 type reconfBarrier struct {
 	arrive  machine.Addr // procs words: latest episode each processor arrived at
 	dead    machine.Addr // procs words: eviction marks
@@ -380,6 +438,7 @@ type reconfBarrier struct {
 	epoch     []machine.Word // host-side per-processor episode
 	evictions uint64         // suspected-dead processors removed from an episode
 	rejoins   uint64         // recovered processors that re-entered
+	wait      []reconfWait   // per processor: the Wait script
 }
 
 // NewReconfBarrier builds a reconfigurable barrier with the default
@@ -398,7 +457,7 @@ func NewReconfBudget(m *machine.Machine, budget sim.Time) Barrier {
 	if poll <= 0 {
 		poll = 1
 	}
-	return &reconfBarrier{
+	b := &reconfBarrier{
 		arrive:  m.AllocShared(m.Procs()),
 		dead:    m.AllocShared(m.Procs()),
 		release: m.AllocShared(1),
@@ -406,63 +465,185 @@ func NewReconfBudget(m *machine.Machine, budget sim.Time) Barrier {
 		budget:  budget,
 		poll:    poll,
 		epoch:   make([]machine.Word, m.Procs()),
+		wait:    make([]reconfWait, m.Procs()),
 	}
+	for i := range b.wait {
+		w := &b.wait[i]
+		w.b = b
+		mine := b.dead + machine.Addr(i)
+		w.ops = [reconfOps]machine.ContOp{
+			reconfLoadMark:    {Kind: machine.ContLoad, Addr: mine},
+			reconfEvicted:     {Kind: machine.ContBranch, Branch: evicted},
+			reconfClearMark:   {Kind: machine.ContStore, Addr: mine},
+			reconfRejoined:    {Kind: machine.ContCall, Fn: w.rejoined},
+			reconfArrive:      {Kind: machine.ContBranch, Branch: w.arrive},
+			reconfStoreArrive: {Kind: machine.ContStore, Addr: b.arrive + machine.Addr(i)},
+			reconfScanNext:    {Kind: machine.ContBranch, Branch: w.scanNext},
+			reconfLoadArrive:  {Kind: machine.ContLoad},
+			reconfArrived:     {Kind: machine.ContBranch, Branch: w.arrived},
+			reconfLoadDead:    {Kind: machine.ContLoad},
+			reconfJudge:       {Kind: machine.ContBranch, Branch: w.judge},
+			reconfEvict:       {Kind: machine.ContStore, Val: 1},
+			reconfEvictedOne:  {Kind: machine.ContBranch, Branch: w.evictedOne},
+			reconfLoadRelease: {Kind: machine.ContLoad, Addr: b.release},
+			reconfPolled:      {Kind: machine.ContBranch, Branch: w.polled},
+			reconfPoll:        {Kind: machine.ContDelay, Dur: poll},
+			reconfPollLoop:    {Kind: machine.ContBranch, Branch: toReconfLoadRelease},
+			reconfRaiseLoad:   {Kind: machine.ContLoad, Addr: b.release},
+			reconfRaiseTest:   {Kind: machine.ContBranch, Branch: w.raiseTest},
+			reconfRaiseCAS:    {Kind: machine.ContCAS, Addr: b.release},
+			reconfRaised:      {Kind: machine.ContBranch, Branch: raised},
+		}
+	}
+	return b
 }
 
-// scan runs one completion pass for episode e: every processor must be
-// arrived, evicted, or — when suspected dead — evicted now. Reports
-// whether the episode is complete over the surviving membership.
-func (b *reconfBarrier) scan(p *machine.Proc, e machine.Word) bool {
-	done := true
-	for q := 0; q < b.procs; q++ {
-		if machine.Word(p.Load(b.arrive+machine.Addr(q))) >= e {
-			continue
-		}
-		if p.Load(b.dead+machine.Addr(q)) != 0 {
-			continue
-		}
-		if p.Suspects(q) {
-			p.Store(b.dead+machine.Addr(q), 1)
-			b.evictions++
-			continue
-		}
-		done = false
-	}
-	return done
+// The Wait script's ops, by pc.
+const (
+	reconfLoadMark    = iota // ContLoad of our eviction mark
+	reconfEvicted            // ContBranch: evicted (clear the mark), or arrive
+	reconfClearMark          // ContStore of 0 to our mark
+	reconfRejoined           // ContCall: count the rejoin
+	reconfArrive             // ContBranch: next episode e, aim the arrival, start the scan
+	reconfStoreArrive        // ContStore of e to our arrival word
+	reconfScanNext           // ContBranch: next processor q, or the scan's verdict
+	reconfLoadArrive         // ContLoad of q's arrival word
+	reconfArrived            // ContBranch: q arrived (next), or check its mark
+	reconfLoadDead           // ContLoad of q's eviction mark
+	reconfJudge              // ContBranch: q evicted (next), suspected (evict), or pending
+	reconfEvict              // ContStore of 1 to q's mark
+	reconfEvictedOne         // ContBranch: count the eviction; next
+	reconfLoadRelease        // ContLoad of the release word
+	reconfPolled             // ContBranch: released (end), re-scan, or poll
+	reconfPoll               // ContDelay of one poll period
+	reconfPollLoop           // ContBranch: reload release
+	reconfRaiseLoad          // ContLoad of the release word (raiseTo)
+	reconfRaiseTest          // ContBranch: already raised (end), or aim the CAS
+	reconfRaiseCAS           // ContCAS of release up to e
+	reconfRaised             // ContBranch: raised (end), or reload
+	reconfOps
+)
+
+// reconfWait is one processor's Wait script and the state its branches
+// keep: the episode, the scan's position and verdict, and the re-scan
+// deadline.
+type reconfWait struct {
+	b        *reconfBarrier
+	e        machine.Word
+	q        int  // the processor the scan looks at next
+	done     bool // no pending processor found so far
+	rescan   bool // the scan runs from the poll loop
+	deadline sim.Time
+	ops      [reconfOps]machine.ContOp
 }
 
-func (b *reconfBarrier) Wait(p *machine.Proc) {
+func (b *reconfBarrier) Wait(p *machine.Proc) { p.RunScript(b.wait[p.ID()].ops[:]) }
+
+// evicted sends an evicted processor (dead, or falsely suspected) to
+// clear its mark and catch up from its own episode counter. Missed
+// episodes complete instantly — everyone else already arrived at them
+// or is evicted — so no survivor ever waits on a corpse that might not
+// return, yet a returning processor still gets its full episode count.
+func evicted(_ *machine.Proc, mark machine.Word) int {
+	if mark != 0 {
+		return reconfClearMark
+	}
+	return reconfArrive
+}
+
+func (w *reconfWait) rejoined(*machine.Proc) { w.b.rejoins++ }
+
+// arrive takes the next episode, aims the arrival store at it and
+// starts the first scan.
+func (w *reconfWait) arrive(p *machine.Proc, _ machine.Word) int {
 	me := p.ID()
-	if p.Load(b.dead+machine.Addr(me)) != 0 {
-		// We were evicted while dead (or falsely suspected): clear the
-		// mark and catch up from our own episode counter. Missed
-		// episodes complete instantly — everyone else already arrived
-		// at them or is evicted — so no survivor ever waits on a corpse
-		// that might not return, yet a returning processor still gets
-		// its full episode count.
-		p.Store(b.dead+machine.Addr(me), 0)
-		b.rejoins++
+	w.e = w.b.epoch[me] + 1
+	w.b.epoch[me] = w.e
+	w.ops[reconfStoreArrive].Val = w.e
+	w.q, w.done, w.rescan = 0, true, false
+	return reconfStoreArrive
+}
+
+// scanNext aims the scan at processor q, or, past the last one, acts on
+// the verdict: a complete episode raises release, and otherwise the
+// wait (re)arms its re-scan deadline and polls.
+func (w *reconfWait) scanNext(p *machine.Proc, _ machine.Word) int {
+	if w.q < w.b.procs {
+		w.ops[reconfLoadArrive].Addr = w.b.arrive + machine.Addr(w.q)
+		return reconfLoadArrive
 	}
-	e := b.epoch[me] + 1
-	b.epoch[me] = e
-	p.Store(b.arrive+machine.Addr(me), e)
-	if b.scan(p, e) {
-		raiseTo(p, b.release, e)
-		return
+	if w.done {
+		return reconfRaiseLoad
 	}
-	deadline := p.Now() + b.budget
-	for p.Load(b.release) < e {
-		if p.Now() >= deadline {
-			// Re-scan: late crashes become suspicions only with time, so
-			// waiting on release alone could park the survivors forever.
-			if b.scan(p, e) {
-				raiseTo(p, b.release, e)
-				return
-			}
-			deadline = p.Now() + b.budget
+	w.deadline = p.Now() + w.b.budget
+	if w.rescan {
+		return reconfPoll
+	}
+	return reconfLoadRelease
+}
+
+// arrived passes over a processor that arrived at (or past) episode e
+// and otherwise checks its eviction mark.
+func (w *reconfWait) arrived(_ *machine.Proc, v machine.Word) int {
+	if v >= w.e {
+		w.q++
+		return reconfScanNext
+	}
+	w.ops[reconfLoadDead].Addr = w.b.dead + machine.Addr(w.q)
+	return reconfLoadDead
+}
+
+// judge passes over an evicted processor, evicts a suspected one, and
+// otherwise marks the scan incomplete.
+func (w *reconfWait) judge(p *machine.Proc, mark machine.Word) int {
+	if mark == 0 {
+		if p.Suspects(w.q) {
+			w.ops[reconfEvict].Addr = w.b.dead + machine.Addr(w.q)
+			return reconfEvict
 		}
-		p.Delay(b.poll)
+		w.done = false
 	}
+	w.q++
+	return reconfScanNext
+}
+
+func (w *reconfWait) evictedOne(*machine.Proc, machine.Word) int {
+	w.b.evictions++
+	w.q++
+	return reconfScanNext
+}
+
+// polled ends the wait once release reaches e. Past the deadline it
+// re-scans: late crashes become suspicions only with time, so waiting
+// on release alone could park the survivors forever.
+func (w *reconfWait) polled(p *machine.Proc, v machine.Word) int {
+	if v >= w.e {
+		return reconfOps
+	}
+	if p.Now() >= w.deadline {
+		w.q, w.done, w.rescan = 0, true, true
+		return reconfScanNext
+	}
+	return reconfPoll
+}
+
+func toReconfLoadRelease(*machine.Proc, machine.Word) int { return reconfLoadRelease }
+
+// raiseTest is raiseTo's loop test: release already at e or past ends
+// the wait, and otherwise the CAS lifts it from the observed value.
+func (w *reconfWait) raiseTest(_ *machine.Proc, v machine.Word) int {
+	if v >= w.e {
+		return reconfOps
+	}
+	w.ops[reconfRaiseCAS].Val, w.ops[reconfRaiseCAS].New = v, w.e
+	return reconfRaiseCAS
+}
+
+func raised(_ *machine.Proc, ok machine.Word) int {
+	if ok != 0 {
+		return reconfOps
+	}
+	return reconfRaiseLoad
 }
 
 // Leave removes this processor from the group voluntarily: scans treat

@@ -30,11 +30,11 @@ func TestStormHostCounts(t *testing.T) {
 		iters int
 		want  [4]uint64 // Events, InlineOps, WindowOps, InlineDispatches
 	}{
-		{topo.Bus, 32, 200, [4]uint64{614618, 2528, 558272, 29755}},
-		{topo.Cluster, 32, 200, [4]uint64{218479, 8380, 151871, 24934}},
-		{topo.NUMA, 256, 8, [4]uint64{438461, 484, 414104, 9529}},
-		{topo.Cluster, 256, 8, [4]uint64{441626, 2482, 421190, 7541}},
-		{topo.Cluster, 1024, 2, [4]uint64{1367794, 2275, 1346397, 6958}},
+		{topo.Bus, 32, 200, [4]uint64{614618, 2528, 558272, 36184}},
+		{topo.Cluster, 32, 200, [4]uint64{218479, 8380, 151871, 31271}},
+		{topo.NUMA, 256, 8, [4]uint64{438461, 484, 414104, 11828}},
+		{topo.Cluster, 256, 8, [4]uint64{441626, 2482, 421190, 9841}},
+		{topo.Cluster, 1024, 2, [4]uint64{1367794, 2275, 1346397, 10029}},
 	} {
 		name := fmt.Sprintf("%s/P%d", c.tp.Name(), c.procs)
 		cfg := machine.Config{Procs: c.procs, Topo: c.tp, Seed: 1, SharedWords: 1 << 12, LocalWords: 1 << 8}
@@ -69,11 +69,11 @@ func TestStormHostCounts(t *testing.T) {
 // handoffs and should re-pin them.
 func TestHandoffCounts(t *testing.T) {
 	want := map[string]uint64{
-		"tas": 1156, "ttas": 839, "tas-bo": 754, "ticket": 1481, "ticket-bo": 1579,
-		"anderson": 1978, "gt": 1557, "qsync": 5294, "tas-deadline": 1265,
-		"lease": 904, "lease-fence": 899, "qheal": 3012,
+		"tas": 54, "ttas": 55, "tas-bo": 54, "ticket": 54, "ticket-bo": 54,
+		"anderson": 53, "gt": 52, "qsync": 54, "tas-deadline": 54,
+		"lease": 55, "lease-fence": 55, "qheal": 54,
 		"central": 490, "combining": 526, "dissemination": 1174, "tournament": 694,
-		"qsync-tree": 662, "reconf": 2032,
+		"qsync-tree": 662, "reconf": 377,
 	}
 	got := map[string]uint64{}
 	for _, tp := range []topo.Topology{topo.Bus, topo.NUMA} {

@@ -90,13 +90,28 @@ type grantRecord struct {
 // the lock's safety invariants as it goes. Any invariant violation is
 // returned as an error: a broken lock must never produce a data point.
 //
-// The same loop runs fault-free and under a fault plan
-// (machine.Config.Faults; its step cap is Config.MaxSteps). Progress
-// lives in host arrays indexed by processor, because the body is the
-// machine's recovery entry point: a reborn processor re-enters it with
-// fresh proc-local state and resumes where its dead incarnation left
-// off, and each rebirth's time to its first acquisition is measured.
-// The mutual-exclusion check tracks the host-side holder and its
+// A fault-free cell (no plan, no Budget) of a scripted lock — every
+// lock in LockSet — runs each processor's whole workload as one
+// continuation script (machine.RunScript) that every processor shares:
+// the loop-top test, the think time, the attempt bookkeeping, a call to
+// the lock's acquire script (machine.ContSub), the critical section
+// between the host-side bracket checks, a call to its release script,
+// and the done count. Callbacks find each processor's state by p.ID().
+// The goroutines then hand off only when they start and finish. The
+// script issues exactly the operations the closure loop below would,
+// in the same order with the same RNG draws, so results are
+// bit-identical (the determinism suite pins every lock against its
+// closure twin, which runs that loop).
+//
+// Every other run takes the closure loop, which reaches the same lock
+// scripts through Acquire and Release: runs under a fault plan
+// (machine.Config.Faults; its step cap is Config.MaxSteps), bounded
+// runs, and locks defined outside this package. Progress lives in host
+// arrays indexed by processor, because the body is the machine's
+// recovery entry point: a reborn processor re-enters it with fresh
+// proc-local state and resumes where its dead incarnation left off,
+// and each rebirth's time to its first acquisition is measured. The
+// mutual-exclusion check tracks the host-side holder and its
 // incarnation: an acquire that finds a live same-incarnation holder is
 // a violation, while one that reclaims the lock from a crashed holder,
 // or from a holder that died and was reborn since, is an orphaned
@@ -132,20 +147,6 @@ func RunLockIn(pool *machine.Pool, cfg machine.Config, info LockInfo, opts LockO
 			scratch = m.AllocShared(1)
 		}
 	}
-	// Locks whose release is a single plain store run the whole held
-	// section — counter load, CS delay, counter store, bookkeeping,
-	// release store, and (in fixed-iteration mode) the next think time —
-	// as one machine-driven continuation script: the holder's goroutine
-	// parks once per acquisition instead of once per operation that
-	// crosses a pending event. The script issues exactly the operations
-	// the plain body would, in the same order with the same RNG draws,
-	// so results are bit-identical (the golden and determinism suites
-	// pin this against the recorded pre-continuation numbers). A script
-	// has no guarded write, so a fenced lock keeps the closure path.
-	var scripted ScriptedRelease
-	if sr, ok := lock.(ScriptedRelease); ok && fenced == nil {
-		scripted = sr
-	}
 
 	procs := cfg.Procs
 	res := LockResult{Lock: info.Name, Topo: cfg.Topo, Procs: procs, AcqPerProc: make([]uint64, procs)}
@@ -156,6 +157,18 @@ func RunLockIn(pool *machine.Pool, cfg machine.Config, info LockInfo, opts LockO
 	violations := 0
 	var records []grantRecord
 
+	// more is the loop-top test: whether p makes another attempt.
+	more := func(p *machine.Proc) bool {
+		me := p.ID()
+		if opts.Duration > 0 {
+			if p.Now() >= opts.Duration {
+				return false
+			}
+		} else if int(done[me]) >= opts.Iters {
+			return false
+		}
+		return opts.MaxAttempts <= 0 || tries[me] < opts.MaxAttempts
+	}
 	// Host-side bracket check: the simulator interleaves only at yield
 	// points, so the recorded holder detects any overlap exactly.
 	enterCS := func(p *machine.Proc, enq sim.Time) {
@@ -184,98 +197,83 @@ func RunLockIn(pool *machine.Pool, cfg machine.Config, info LockInfo, opts LockO
 	}
 	released := func(p *machine.Proc) { done[p.ID()]++ }
 
-	body := func(p *machine.Proc) {
-		me := p.ID()
-		rng := p.RNG()
-		rb.enter(p)
-		var ops []machine.ContOp
-		relIdx := -1
-		thinkTail := false
-		if scripted != nil {
-			// Scripts overlap across processors (the think tail runs
-			// after the release store, while the next holder's script is
-			// already active), so each processor carries its own slice.
-			ops = make([]machine.ContOp, 0, 7)
-			if opts.CheckMutex {
-				ops = append(ops, machine.ContOp{Kind: machine.ContLoad, Addr: counter})
-				if opts.CS > 0 {
-					ops = append(ops, machine.ContOp{Kind: machine.ContDelay, Dur: opts.CS})
-				}
-				ops = append(ops, machine.ContOp{Kind: machine.ContStoreAcc, Addr: counter, Val: 1})
-			} else if opts.CS > 0 {
-				ops = append(ops, machine.ContOp{Kind: machine.ContDelay, Dur: opts.CS})
-			}
-			ops = append(ops, machine.ContOp{Kind: machine.ContCall, Fn: exitCS})
-			relIdx = len(ops)
-			ops = append(ops, machine.ContOp{Kind: machine.ContStore}, machine.ContOp{Kind: machine.ContCall, Fn: released})
-			// The loop-top think of the next iteration folds into this
-			// iteration's script tail — the draw lands at the same
-			// position in this processor's RNG stream. Duration mode keeps
-			// the think at the loop top: its clock check must precede the
-			// draw.
-			if opts.Think > 0 && opts.Duration <= 0 {
-				ops = append(ops, machine.ContOp{Kind: machine.ContExpDelay, Dur: opts.Think})
-				thinkTail = true
-			}
+	var body func(p *machine.Proc)
+	if sl, ok := lock.(scriptedLock); ok && cfg.Faults == nil && opts.Budget <= 0 {
+		enq := make([]sim.Time, procs) // each processor's current attempt's start
+		ops := make([]machine.ContOp, 1, 12)
+		if opts.Think > 0 {
+			ops = append(ops, machine.ContOp{Kind: machine.ContExpDelay, Dur: opts.Think})
 		}
-		thought := false // the last script's tail already drew this think
-		for {
-			if opts.Duration > 0 {
-				if p.Now() >= opts.Duration {
-					return
+		ops = append(ops,
+			machine.ContOp{Kind: machine.ContCall, Fn: func(p *machine.Proc) {
+				enq[p.ID()] = p.Now()
+				tries[p.ID()]++
+				res.Attempts++
+			}},
+			machine.ContOp{Kind: machine.ContSub, Sub: sl.acquireOps},
+			machine.ContOp{Kind: machine.ContCall, Fn: func(p *machine.Proc) { enterCS(p, enq[p.ID()]) }})
+		if opts.CheckMutex {
+			ops = append(ops, machine.ContOp{Kind: machine.ContLoad, Addr: counter})
+		}
+		if opts.CS > 0 {
+			ops = append(ops, machine.ContOp{Kind: machine.ContDelay, Dur: opts.CS})
+		}
+		if opts.CheckMutex {
+			ops = append(ops, machine.ContOp{Kind: machine.ContStoreAcc, Addr: counter, Val: 1})
+		}
+		ops = append(ops,
+			machine.ContOp{Kind: machine.ContCall, Fn: exitCS},
+			machine.ContOp{Kind: machine.ContSub, Sub: sl.releaseOps},
+			machine.ContOp{Kind: machine.ContCall, Fn: released},
+			machine.ContOp{Kind: machine.ContBranch, Branch: toTop})
+		end := len(ops)
+		ops[0] = machine.ContOp{Kind: machine.ContBranch, Branch: func(p *machine.Proc, _ machine.Word) int {
+			if more(p) {
+				return 1
+			}
+			return end
+		}}
+		body = func(p *machine.Proc) {
+			rb.enter(p)
+			p.RunScript(ops)
+		}
+	} else {
+		body = func(p *machine.Proc) {
+			me := p.ID()
+			rng := p.RNG()
+			rb.enter(p)
+			for more(p) {
+				if opts.Think > 0 {
+					p.Delay(rng.ExpTime(opts.Think))
 				}
-			} else if int(done[me]) >= opts.Iters {
-				return
-			}
-			if opts.MaxAttempts > 0 && tries[me] >= opts.MaxAttempts {
-				return
-			}
-			if opts.Think > 0 && !thought {
-				p.Delay(rng.ExpTime(opts.Think))
-			}
-			thought = false
-			enq := p.Now()
-			tries[me]++
-			res.Attempts++
-			if bounded != nil {
-				if !bounded.AcquireWithin(p, opts.Budget) {
-					res.Timeouts++
-					continue
-				}
-			} else {
-				lock.Acquire(p)
-			}
-			enterCS(p, enq)
-			if scripted != nil {
-				ops[relIdx].Addr, ops[relIdx].Val = scripted.ReleaseScript(p)
-				script := ops
-				if thinkTail {
-					// The plain loop draws no think after its last
-					// release; drop the tail to match.
-					last := int(done[me])+1 >= opts.Iters || opts.MaxAttempts > 0 && tries[me] >= opts.MaxAttempts
-					if last {
-						script = ops[:len(ops)-1]
+				enq := p.Now()
+				tries[me]++
+				res.Attempts++
+				if bounded != nil {
+					if !bounded.AcquireWithin(p, opts.Budget) {
+						res.Timeouts++
+						continue
 					}
-					thought = !last
+				} else {
+					lock.Acquire(p)
 				}
-				p.RunScript(script)
-				continue
-			}
-			if opts.CheckMutex {
-				v := p.Load(counter)
-				if opts.CS > 0 {
+				enterCS(p, enq)
+				if opts.CheckMutex {
+					v := p.Load(counter)
+					if opts.CS > 0 {
+						p.Delay(opts.CS)
+					}
+					p.Store(counter, v+1)
+				} else if opts.CS > 0 {
 					p.Delay(opts.CS)
 				}
-				p.Store(counter, v+1)
-			} else if opts.CS > 0 {
-				p.Delay(opts.CS)
+				if fenced != nil && !fenced.GuardedStore(p, scratch, machine.Word(me+1)) {
+					res.StaleWrites++
+				}
+				exitCS(p)
+				lock.Release(p)
+				released(p)
 			}
-			if fenced != nil && !fenced.GuardedStore(p, scratch, machine.Word(me+1)) {
-				res.StaleWrites++
-			}
-			exitCS(p)
-			lock.Release(p)
-			released(p)
 		}
 	}
 
