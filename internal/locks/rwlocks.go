@@ -12,7 +12,6 @@ import (
 // sweeps. RLock returns an opaque token passed back to RUnlock; lock
 // implementations that don't need one ignore it.
 type RWLock interface {
-	Name() string
 	Lock()
 	Unlock()
 	RLock() RWToken
@@ -53,7 +52,6 @@ type qsyncRW struct {
 	rw core.RWMutex
 }
 
-func (l *qsyncRW) Name() string      { return "rw-qsync" }
 func (l *qsyncRW) Lock()             { l.rw.Lock() }
 func (l *qsyncRW) Unlock()           { l.rw.Unlock() }
 func (l *qsyncRW) RLock() RWToken    { return l.rw.RLock() }
@@ -67,9 +65,8 @@ type shardedRW struct {
 	pool sync.Pool
 }
 
-func (l *shardedRW) Name() string { return "rw-sharded" }
-func (l *shardedRW) Lock()        { l.rw.Lock() }
-func (l *shardedRW) Unlock()      { l.rw.Unlock() }
+func (l *shardedRW) Lock()   { l.rw.Lock() }
+func (l *shardedRW) Unlock() { l.rw.Unlock() }
 
 func (l *shardedRW) RLock() RWToken {
 	t, _ := l.pool.Get().(*sharded.RToken)
@@ -93,7 +90,6 @@ type mutexRW struct {
 	m core.Mutex
 }
 
-func (l *mutexRW) Name() string    { return "rw-mutex" }
 func (l *mutexRW) Lock()           { l.m.Lock() }
 func (l *mutexRW) Unlock()         { l.m.Unlock() }
 func (l *mutexRW) RLock() RWToken  { l.m.Lock(); return nil }
@@ -104,7 +100,6 @@ type stdRW struct {
 	rw sync.RWMutex
 }
 
-func (l *stdRW) Name() string    { return "rw-stdlib" }
 func (l *stdRW) Lock()           { l.rw.Lock() }
 func (l *stdRW) Unlock()         { l.rw.Unlock() }
 func (l *stdRW) RLock() RWToken  { l.rw.RLock(); return nil }

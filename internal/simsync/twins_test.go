@@ -1,6 +1,7 @@
 package simsync
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -533,4 +534,30 @@ func assertBarrierIdentical(t *testing.T, name string, cfg machine.Config, info 
 		t.Fatalf("%s: closure twin advanced %d dispatches in place", name, twin.Stats.InlineDispatches)
 	}
 	compareTwin(t, name, cfg.Procs, script, twin, func(r *BarrierResult) *machine.Stats { return &r.Stats })
+}
+
+// FuzzLockTwin holds a generated fault-free lock cell — the lock, the
+// topology, P, Iters, CS, Think and the seed — to its closure twin: the
+// shared iteration script must reproduce the twin's closure loop in
+// every result field but the host-side dispatch routes and handoffs.
+// The seed corpus is one determinism-grid cell per lock and topology;
+// plain go test runs only those.
+func FuzzLockTwin(f *testing.F) {
+	locks, topos := Locks(), toposUnderTest()
+	for li := range locks {
+		for ti := range topos {
+			f.Add(uint8(li), uint8(ti), uint8(8), uint8(20), uint16(25), uint16(50), uint64(7))
+		}
+	}
+	f.Fuzz(func(t *testing.T, lock, tp, procs, iters uint8, cs, think uint16, seed uint64) {
+		info := locks[int(lock)%len(locks)]
+		cfg := machine.Config{Procs: 1 + int(procs)%32, Topo: topos[int(tp)%len(topos)], Seed: seed}
+		opts := LockOpts{Iters: 1 + int(iters)%40, CS: sim.Time(cs % 256), Think: sim.Time(think % 512), CheckMutex: true}
+		name := fmt.Sprintf("%s/%s/P%d/%+v/seed%d", cfg.Topo.Name(), info.Name, cfg.Procs, opts, seed)
+		script, err := RunLockIn(nil, cfg, info, opts)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		assertClosureTwin(t, name, cfg, info, opts, script)
+	})
 }
