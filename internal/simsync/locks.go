@@ -39,17 +39,32 @@ type scriptedLock interface {
 	releaseOps(p *machine.Proc) []machine.ContOp
 }
 
-// sharedScripts is the scriptedLock half of a lock whose scripts no
-// branch rewrites, so every processor runs the same two slices.
-type sharedScripts struct {
-	acquire, release []machine.ContOp
+// scripts is the scriptedLock half of a lock: each processor's acquire
+// and release scripts. A lock whose branches rewrite operands gives
+// every processor its own slices; one with no such branch shares two
+// slices among all processors (sharedScripts).
+type scripts struct {
+	acquire, release [][]machine.ContOp
 }
 
-func (s *sharedScripts) Acquire(p *machine.Proc) { p.RunScript(s.acquire) }
-func (s *sharedScripts) Release(p *machine.Proc) { p.RunScript(s.release) }
+func newScripts(procs int) scripts {
+	return scripts{acquire: make([][]machine.ContOp, procs), release: make([][]machine.ContOp, procs)}
+}
 
-func (s *sharedScripts) acquireOps(*machine.Proc) []machine.ContOp { return s.acquire }
-func (s *sharedScripts) releaseOps(*machine.Proc) []machine.ContOp { return s.release }
+// sharedScripts gives every processor the same acquire and release.
+func sharedScripts(procs int, acquire, release []machine.ContOp) scripts {
+	s := newScripts(procs)
+	for i := range s.acquire {
+		s.acquire[i], s.release[i] = acquire, release
+	}
+	return s
+}
+
+func (s *scripts) Acquire(p *machine.Proc) { p.RunScript(s.acquire[p.ID()]) }
+func (s *scripts) Release(p *machine.Proc) { p.RunScript(s.release[p.ID()]) }
+
+func (s *scripts) acquireOps(p *machine.Proc) []machine.ContOp { return s.acquire[p.ID()] }
+func (s *scripts) releaseOps(p *machine.Proc) []machine.ContOp { return s.release[p.ID()] }
 
 // storeZero is the release script of a lock freed by one plain store.
 func storeZero(l machine.Addr) []machine.ContOp {
@@ -85,16 +100,14 @@ type LockInfo struct {
 // (machine/window.go). Release is one store of zero.
 type tasLock struct {
 	l machine.Addr
-	sharedScripts
+	scripts
 }
 
 // NewTAS builds a test&set lock.
 func NewTAS(m *machine.Machine) Lock {
 	l := m.AllocShared(1)
-	return &tasLock{l: l, sharedScripts: sharedScripts{
-		acquire: []machine.ContOp{machine.SpinTASOp(l, machine.Backoff{}, 0)},
-		release: storeZero(l),
-	}}
+	return &tasLock{l: l, scripts: sharedScripts(m.Procs(),
+		[]machine.ContOp{machine.SpinTASOp(l, machine.Backoff{}, 0)}, storeZero(l))}
 }
 
 // ---------------------------------------------------------------------
@@ -115,16 +128,14 @@ func NewTAS(m *machine.Machine) Lock {
 // word) bound any raw-TAS window instead of joining it.
 type ttasLock struct {
 	l machine.Addr
-	sharedScripts
+	scripts
 }
 
 // NewTTAS builds a test&test&set lock.
 func NewTTAS(m *machine.Machine) Lock {
 	l := m.AllocShared(1)
-	return &ttasLock{l: l, sharedScripts: sharedScripts{
-		acquire: []machine.ContOp{machine.SpinTTASOp(l)},
-		release: storeZero(l),
-	}}
+	return &ttasLock{l: l, scripts: sharedScripts(m.Procs(),
+		[]machine.ContOp{machine.SpinTTASOp(l)}, storeZero(l))}
 }
 
 // ---------------------------------------------------------------------
@@ -155,7 +166,7 @@ var DefaultBackoff = BackoffParams{Base: 16, Cap: 1024}
 type backoffLock struct {
 	l      machine.Addr
 	params BackoffParams
-	sharedScripts
+	scripts
 }
 
 // NewTASBackoff builds a test&set lock with default exponential backoff.
@@ -174,10 +185,8 @@ func NewTASBackoffParams(m *machine.Machine, bp BackoffParams) Lock {
 	}
 	l := m.AllocShared(1)
 	bo := machine.Backoff{Base: bp.Base, Cap: bp.Cap, PropJitter: true}
-	return &backoffLock{l: l, params: bp, sharedScripts: sharedScripts{
-		acquire: []machine.ContOp{machine.SpinTASOp(l, bo, 0)},
-		release: storeZero(l),
-	}}
+	return &backoffLock{l: l, params: bp, scripts: sharedScripts(m.Procs(),
+		[]machine.ContOp{machine.SpinTASOp(l, bo, 0)}, storeZero(l))}
 }
 
 // ---------------------------------------------------------------------
@@ -209,6 +218,7 @@ type ticketLock struct {
 	propK   sim.Time // 0: plain spin; >0: proportional backoff factor
 	held    machine.Word
 	procs   []ticketProc
+	scripts
 }
 
 // The acquire scripts' ops, by pc. Both open with the fetch&add and a
@@ -253,8 +263,8 @@ func NewTicketBackoff(m *machine.Machine) Lock {
 }
 
 func newTicket(m *machine.Machine, propK sim.Time) *ticketLock {
-	t := &ticketLock{next: m.AllocShared(1), serving: m.AllocShared(1), propK: propK}
-	t.procs = make([]ticketProc, m.Procs())
+	t := &ticketLock{next: m.AllocShared(1), serving: m.AllocShared(1), propK: propK,
+		procs: make([]ticketProc, m.Procs()), scripts: newScripts(m.Procs())}
 	for i := range t.procs {
 		w := &t.procs[i]
 		w.t = t
@@ -283,6 +293,7 @@ func newTicket(m *machine.Machine, propK sim.Time) *ticketLock {
 			{Kind: machine.ContBranch, Branch: w.aimRelease},
 			{Kind: machine.ContStore, Addr: t.serving},
 		}
+		t.acquire[i], t.release[i] = w.acquire, w.release[:]
 	}
 	return t
 }
@@ -317,12 +328,6 @@ func (w *ticketProc) aimRelease(*machine.Proc, machine.Word) int {
 	return 1
 }
 
-func (t *ticketLock) Acquire(p *machine.Proc) { p.RunScript(t.acquireOps(p)) }
-func (t *ticketLock) Release(p *machine.Proc) { p.RunScript(t.releaseOps(p)) }
-
-func (t *ticketLock) acquireOps(p *machine.Proc) []machine.ContOp { return t.procs[p.ID()].acquire }
-func (t *ticketLock) releaseOps(p *machine.Proc) []machine.ContOp { return t.procs[p.ID()].release[:] }
-
 // toPC returns the branch that jumps to pc; toPC(0) closes a poll loop.
 func toPC(pc int) func(*machine.Proc, machine.Word) int {
 	return func(*machine.Proc, machine.Word) int { return pc }
@@ -354,6 +359,7 @@ type andersonLock struct {
 	size  machine.Word
 	held  machine.Word // ring index held; single holder, host-side
 	procs []andersonProc
+	scripts
 }
 
 // The acquire script's ops, by pc.
@@ -378,10 +384,11 @@ type andersonProc struct {
 func NewAnderson(m *machine.Machine) Lock {
 	size := m.Procs()
 	a := &andersonLock{
-		slots: m.AllocShared(size),
-		tail:  m.AllocShared(1),
-		size:  machine.Word(size),
-		procs: make([]andersonProc, size),
+		slots:   m.AllocShared(size),
+		tail:    m.AllocShared(1),
+		size:    machine.Word(size),
+		procs:   make([]andersonProc, size),
+		scripts: newScripts(size),
 	}
 	m.Poke(a.slots, 1) // slot 0 starts as "has lock"
 	for i := range a.procs {
@@ -398,6 +405,7 @@ func NewAnderson(m *machine.Machine) Lock {
 			{Kind: machine.ContBranch, Branch: w.aimRelease},
 			{Kind: machine.ContStore, Val: 1},
 		}
+		a.acquire[i], a.release[i] = w.acquire[:], w.release[:]
 	}
 	return a
 }
@@ -419,17 +427,6 @@ func (w *andersonProc) aimRelease(*machine.Proc, machine.Word) int {
 	next := (w.a.held + 1) % w.a.size
 	w.release[1].Addr = w.a.slots + machine.Addr(next)
 	return 1
-}
-
-func (a *andersonLock) Acquire(p *machine.Proc) { p.RunScript(a.acquireOps(p)) }
-func (a *andersonLock) Release(p *machine.Proc) { p.RunScript(a.releaseOps(p)) }
-
-func (a *andersonLock) acquireOps(p *machine.Proc) []machine.ContOp {
-	return a.procs[p.ID()].acquire[:]
-}
-
-func (a *andersonLock) releaseOps(p *machine.Proc) []machine.ContOp {
-	return a.procs[p.ID()].release[:]
 }
 
 // ---------------------------------------------------------------------
@@ -455,6 +452,7 @@ type gtLock struct {
 	flags machine.Addr   // P per-processor flag words (shared placement)
 	vals  []machine.Word // host-tracked current value of each flag
 	procs []gtProc
+	scripts
 }
 
 // The acquire script's ops, by pc.
@@ -476,10 +474,11 @@ type gtProc struct {
 // NewGraunkeThakkar builds a Graunke-Thakkar lock.
 func NewGraunkeThakkar(m *machine.Machine) Lock {
 	g := &gtLock{
-		lock:  m.AllocShared(1),
-		flags: m.AllocShared(m.Procs()),
-		vals:  make([]machine.Word, m.Procs()),
-		procs: make([]gtProc, m.Procs()),
+		lock:    m.AllocShared(1),
+		flags:   m.AllocShared(m.Procs()),
+		vals:    make([]machine.Word, m.Procs()),
+		procs:   make([]gtProc, m.Procs()),
+		scripts: newScripts(m.Procs()),
 	}
 	// The lock starts pointing at processor 0's flag with the *opposite*
 	// of its current value, so the first arrival proceeds immediately.
@@ -497,6 +496,7 @@ func NewGraunkeThakkar(m *machine.Machine) Lock {
 			{Kind: machine.ContBranch, Branch: w.flip},
 			{Kind: machine.ContStore, Addr: g.flags + machine.Addr(i)},
 		}
+		g.acquire[i], g.release[i] = w.acquire[:], w.release[:]
 	}
 	return g
 }
@@ -528,12 +528,6 @@ func (w *gtProc) flip(p *machine.Proc, _ machine.Word) int {
 	w.release[1].Val = w.g.vals[me]
 	return 1
 }
-
-func (g *gtLock) Acquire(p *machine.Proc) { p.RunScript(g.acquireOps(p)) }
-func (g *gtLock) Release(p *machine.Proc) { p.RunScript(g.releaseOps(p)) }
-
-func (g *gtLock) acquireOps(p *machine.Proc) []machine.ContOp { return g.procs[p.ID()].acquire[:] }
-func (g *gtLock) releaseOps(p *machine.Proc) []machine.ContOp { return g.procs[p.ID()].release[:] }
 
 // ---------------------------------------------------------------------
 // QSync — the reconstructed "new synchronization mechanism"
@@ -568,6 +562,7 @@ type qsyncLock struct {
 	cell  machine.Addr   // queue tail; Word(0) = free
 	nodes []machine.Addr // per-processor record, in local memory
 	procs []qsyncProc
+	scripts
 }
 
 // The acquire script's ops, by pc.
@@ -601,7 +596,8 @@ type qsyncProc struct {
 
 // NewQSync builds the mechanism's mutual-exclusion lock.
 func NewQSync(m *machine.Machine) Lock {
-	q := &qsyncLock{cell: m.AllocShared(1), nodes: make([]machine.Addr, m.Procs()), procs: make([]qsyncProc, m.Procs())}
+	q := &qsyncLock{cell: m.AllocShared(1), nodes: make([]machine.Addr, m.Procs()),
+		procs: make([]qsyncProc, m.Procs()), scripts: newScripts(m.Procs())}
 	for i := range q.nodes {
 		n := m.AllocLocal(i, qWords)
 		q.nodes[i] = n
@@ -623,6 +619,7 @@ func NewQSync(m *machine.Machine) Lock {
 			qrLinked:  {Kind: machine.ContBranch, Branch: w.handoff},
 			qrHandoff: {Kind: machine.ContStore},
 		}
+		q.acquire[i], q.release[i] = w.acquire[:], w.release[:]
 	}
 	return q
 }
@@ -657,9 +654,3 @@ func freed(_ *machine.Proc, ok machine.Word) int {
 	}
 	return qrSpin
 }
-
-func (q *qsyncLock) Acquire(p *machine.Proc) { p.RunScript(q.acquireOps(p)) }
-func (q *qsyncLock) Release(p *machine.Proc) { p.RunScript(q.releaseOps(p)) }
-
-func (q *qsyncLock) acquireOps(p *machine.Proc) []machine.ContOp { return q.procs[p.ID()].acquire[:] }
-func (q *qsyncLock) releaseOps(p *machine.Proc) []machine.ContOp { return q.procs[p.ID()].release[:] }

@@ -49,7 +49,7 @@ type deadlineTASLock struct {
 	// runs one goroutine at a time (baton passing).
 	timeouts uint64
 
-	sharedScripts
+	scripts
 	within []machine.ContOp // per processor: AcquireWithin's bounded spin
 }
 
@@ -86,13 +86,12 @@ func NewTASDeadlineSlice(m *machine.Machine, slice, penalty sim.Time) Lock {
 		bo:     machine.Backoff{Base: 16, Cap: 1024},
 		within: make([]machine.ContOp, m.Procs()),
 	}
-	t.acquire = []machine.ContOp{
+	t.scripts = sharedScripts(m.Procs(), []machine.ContOp{
 		deadlineSpin:    machine.SpinTASOp(t.latch, t.bo, slice),
 		deadlineJudge:   {Kind: machine.ContBranch, Branch: t.judge},
 		deadlinePenalty: {Kind: machine.ContDelay, Dur: penalty},
 		deadlineLoop:    {Kind: machine.ContBranch, Branch: toTop},
-	}
-	t.release = storeZero(t.latch)
+	}, storeZero(t.latch))
 	for i := range t.within {
 		t.within[i] = machine.SpinTASOp(t.latch, t.bo, 1)
 	}
@@ -164,7 +163,8 @@ type leaseLock struct {
 	poll  sim.Time // re-check period while held by a live lease
 
 	takeovers uint64      // host-side: acquires that usurped an expired lease
-	procs     []leaseProc // per processor: the scripts
+	procs     []leaseProc // per processor: the scripts and their state
+	scripts
 }
 
 // The acquire script's ops, by pc. lease-fence extends it with two ops
@@ -225,8 +225,8 @@ func newLeaseLock(m *machine.Machine, lease, poll sim.Time) *leaseLock {
 	if poll <= 0 {
 		poll = 1
 	}
-	l := &leaseLock{word: m.AllocShared(1), lease: lease, poll: poll}
-	l.procs = make([]leaseProc, m.Procs())
+	l := &leaseLock{word: m.AllocShared(1), lease: lease, poll: poll,
+		procs: make([]leaseProc, m.Procs()), scripts: newScripts(m.Procs())}
 	for i := range l.procs {
 		a := &l.procs[i]
 		a.l = l
@@ -243,6 +243,7 @@ func newLeaseLock(m *machine.Machine, lease, poll sim.Time) *leaseLock {
 			leaseRelMine: {Kind: machine.ContBranch, Branch: a.mine},
 			leaseRelCAS:  {Kind: machine.ContCAS, Addr: l.word},
 		}
+		l.acquire[i], l.release[i] = a.acquire[:leaseOps], a.release[:]
 	}
 	return l
 }
@@ -252,17 +253,6 @@ func toTop(*machine.Proc, machine.Word) int { return 0 }
 
 func (l *leaseLock) pack(p *machine.Proc, exp sim.Time) machine.Word {
 	return machine.Word(p.ID()+1)<<leaseExpBits | machine.Word(exp)&leaseExpMask
-}
-
-func (l *leaseLock) Acquire(p *machine.Proc) { p.RunScript(l.acquireOps(p)) }
-func (l *leaseLock) Release(p *machine.Proc) { p.RunScript(l.releaseOps(p)) }
-
-func (l *leaseLock) acquireOps(p *machine.Proc) []machine.ContOp {
-	return l.procs[p.ID()].acquire[:leaseOps]
-}
-
-func (l *leaseLock) releaseOps(p *machine.Proc) []machine.ContOp {
-	return l.procs[p.ID()].release[:]
 }
 
 // test judges the loaded lease word v.

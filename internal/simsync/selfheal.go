@@ -46,6 +46,7 @@ type fenceLock struct {
 	tokens []machine.Word // host-side: fencing token from each processor's last acquire
 
 	staleWrites uint64 // GuardedStores suppressed on a stale token
+	scripts
 }
 
 // NewLeaseFence builds a fencing lease lock with an effectively
@@ -66,22 +67,15 @@ func NewLeaseFenceTerm(m *machine.Machine, lease, poll sim.Time) Lock {
 		epoch:  m.AllocShared(1),
 		tokens: make([]machine.Word, m.Procs()),
 	}
+	l.scripts = newScripts(m.Procs())
 	for i := range l.lease.procs {
 		a := &l.lease.procs[i]
 		a.acquire[fenceTake] = machine.ContOp{Kind: machine.ContFetchAdd, Addr: l.epoch, Val: 1}
 		a.acquire[fenceToken] = machine.ContOp{Kind: machine.ContBranch, Branch: l.token}
+		l.acquire[i], l.release[i] = a.acquire[:], a.release[:]
 	}
 	return l
 }
-
-func (l *fenceLock) Acquire(p *machine.Proc) { p.RunScript(l.acquireOps(p)) }
-func (l *fenceLock) Release(p *machine.Proc) { p.RunScript(l.releaseOps(p)) }
-
-func (l *fenceLock) acquireOps(p *machine.Proc) []machine.ContOp {
-	return l.lease.procs[p.ID()].acquire[:]
-}
-
-func (l *fenceLock) releaseOps(p *machine.Proc) []machine.ContOp { return l.lease.releaseOps(p) }
 
 // token records p's fencing token for the acquire it just won: the
 // epoch value after our increment. Between the lease CAS and the
@@ -193,7 +187,8 @@ type healQueueLock struct {
 	tickets   []machine.Word // host-side: each processor's current ticket
 	excisions uint64         // dead-head tickets removed from the queue
 	requeues  uint64         // acquires that had to take a fresh ticket
-	wait      []healProc     // per processor: the scripts
+	wait      []healProc     // per processor: the scripts and their state
+	scripts
 }
 
 // NewHealQueue builds a self-healing ticket lock with a grace timeout
@@ -227,6 +222,7 @@ func NewHealQueueGrace(m *machine.Machine, grace, poll sim.Time) Lock {
 		grace:   grace,
 		tickets: make([]machine.Word, m.Procs()),
 		wait:    make([]healProc, m.Procs()),
+		scripts: newScripts(m.Procs()),
 	}
 	for i := range l.wait {
 		w := &l.wait[i]
@@ -249,6 +245,7 @@ func NewHealQueueGrace(m *machine.Machine, grace, poll sim.Time) Lock {
 			{Kind: machine.ContBranch, Branch: w.aimRelease},
 			{Kind: machine.ContCAS, Addr: l.serving},
 		}
+		l.acquire[i], l.release[i] = w.acquire[:], w.release[:]
 	}
 	return l
 }
@@ -284,17 +281,6 @@ type healProc struct {
 	headSince sim.Time     // when headSeen was first seen
 	acquire   [healOps]machine.ContOp
 	release   [2]machine.ContOp
-}
-
-func (l *healQueueLock) Acquire(p *machine.Proc) { p.RunScript(l.acquireOps(p)) }
-func (l *healQueueLock) Release(p *machine.Proc) { p.RunScript(l.releaseOps(p)) }
-
-func (l *healQueueLock) acquireOps(p *machine.Proc) []machine.ContOp {
-	return l.wait[p.ID()].acquire[:]
-}
-
-func (l *healQueueLock) releaseOps(p *machine.Proc) []machine.ContOp {
-	return l.wait[p.ID()].release[:]
 }
 
 // aim notes the ticket t the fetch&add drew and aims its announcement,
