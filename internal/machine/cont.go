@@ -84,11 +84,12 @@ const (
 	// goroutine, and the script continues in place when it completes.
 	ContSpin
 	// ContSub runs the script Sub(p) returns as a subroutine, starting
-	// with the accumulator cleared, and continues after this op when it
-	// ends (when its pc passes its last op, or a branch in it returns
-	// its length), with the accumulator the callee left. Branch targets stay relative to each script, so one
-	// script shared by every processor can call each processor's own
-	// scripts. Calls nest one level: a called script holds no ContSub.
+	// with the accumulator cleared, and continues after this op with
+	// the accumulator the callee left when the callee ends (its pc
+	// passes its last op, or a branch in it returns its length). Branch
+	// targets stay relative to each script, so one script shared by
+	// every processor can call each processor's own scripts. Calls nest
+	// one level: a called script holds no ContSub.
 	ContSub
 )
 

@@ -278,7 +278,7 @@ func newTicket(m *machine.Machine, propK sim.Time) *ticketLock {
 				ticketLoad:     {Kind: machine.ContLoad, Addr: t.serving},
 				ticketTest:     {Kind: machine.ContBranch, Branch: w.test},
 				ticketBackoff:  {Kind: machine.ContDelay},
-				ticketLoop:     {Kind: machine.ContBranch, Branch: toPC(ticketLoad)},
+				ticketLoop:     {Kind: machine.ContBranch, Branch: toTicketLoad},
 				ticketPollHeld: held,
 			}
 		} else {
@@ -328,10 +328,8 @@ func (w *ticketProc) aimRelease(*machine.Proc, machine.Word) int {
 	return 1
 }
 
-// toPC returns the branch that jumps to pc; toPC(0) closes a poll loop.
-func toPC(pc int) func(*machine.Proc, machine.Word) int {
-	return func(*machine.Proc, machine.Word) int { return pc }
-}
+// toTicketLoad closes the proportional-backoff poll loop.
+func toTicketLoad(*machine.Proc, machine.Word) int { return ticketLoad }
 
 // ---------------------------------------------------------------------
 // Anderson array-queue lock (1990)
