@@ -242,13 +242,13 @@ const (
 	ticketBackoff                      // ContDelay of (ticket-s)*propK
 	ticketLoop                         // ContBranch: reload
 	ticketPollHeld                     // ContCall: record the held ticket
+	ticketPollOps
 )
 
 // ticketProc is one processor's scripts and the ticket it waits for.
 type ticketProc struct {
-	t       *ticketLock
 	ticket  machine.Word
-	acquire []machine.ContOp
+	acquire [ticketPollOps]machine.ContOp // the plain spin uses the first ticketHeld+1
 	release [2]machine.ContOp
 }
 
@@ -262,47 +262,52 @@ func NewTicketBackoff(m *machine.Machine) Lock {
 	return newTicket(m, 24)
 }
 
+// newTicket builds a ticket lock and its per-processor scripts. The
+// branches are bound once per lock and find the processor's state by
+// p.ID(), as every lock's are, so a cell allocates no closure per
+// processor.
 func newTicket(m *machine.Machine, propK sim.Time) *ticketLock {
 	t := &ticketLock{next: m.AllocShared(1), serving: m.AllocShared(1), propK: propK,
 		procs: make([]ticketProc, m.Procs()), scripts: newScripts(m.Procs())}
+	take := machine.ContOp{Kind: machine.ContFetchAdd, Addr: t.next, Val: 1}
+	record := machine.ContOp{Kind: machine.ContBranch, Branch: t.record}
+	held := machine.ContOp{Kind: machine.ContCall, Fn: t.recordHeld}
+	test := machine.ContOp{Kind: machine.ContBranch, Branch: t.test}
+	aimRelease := machine.ContOp{Kind: machine.ContBranch, Branch: t.aimRelease}
 	for i := range t.procs {
 		w := &t.procs[i]
-		w.t = t
-		take := machine.ContOp{Kind: machine.ContFetchAdd, Addr: t.next, Val: 1}
-		record := machine.ContOp{Kind: machine.ContBranch, Branch: w.record}
-		held := machine.ContOp{Kind: machine.ContCall, Fn: w.held}
 		if propK > 0 {
-			w.acquire = []machine.ContOp{
+			w.acquire = [ticketPollOps]machine.ContOp{
 				ticketTake:     take,
 				ticketRecord:   record,
 				ticketLoad:     {Kind: machine.ContLoad, Addr: t.serving},
-				ticketTest:     {Kind: machine.ContBranch, Branch: w.test},
+				ticketTest:     test,
 				ticketBackoff:  {Kind: machine.ContDelay},
 				ticketLoop:     {Kind: machine.ContBranch, Branch: toTicketLoad},
 				ticketPollHeld: held,
 			}
+			t.acquire[i] = w.acquire[:]
 		} else {
-			w.acquire = []machine.ContOp{
+			w.acquire = [ticketPollOps]machine.ContOp{
 				ticketTake:   take,
 				ticketRecord: record,
 				ticketSpin:   machine.SpinReadOp(t.serving, machine.Pred{Op: machine.PredEq}),
 				ticketHeld:   held,
 			}
+			t.acquire[i] = w.acquire[:ticketHeld+1]
 		}
-		w.release = [2]machine.ContOp{
-			{Kind: machine.ContBranch, Branch: w.aimRelease},
-			{Kind: machine.ContStore, Addr: t.serving},
-		}
-		t.acquire[i], t.release[i] = w.acquire, w.release[:]
+		w.release = [2]machine.ContOp{aimRelease, {Kind: machine.ContStore, Addr: t.serving}}
+		t.release[i] = w.release[:]
 	}
 	return t
 }
 
 // record notes the ticket the fetch&add drew and aims a plain spin at
 // it.
-func (w *ticketProc) record(_ *machine.Proc, ticket machine.Word) int {
+func (t *ticketLock) record(p *machine.Proc, ticket machine.Word) int {
+	w := &t.procs[p.ID()]
 	w.ticket = ticket
-	if w.t.propK == 0 {
+	if t.propK == 0 {
 		w.acquire[ticketSpin].Val = ticket
 	}
 	return ticketWait
@@ -310,21 +315,23 @@ func (w *ticketProc) record(_ *machine.Proc, ticket machine.Word) int {
 
 // test judges the loaded now-serving value s: on our ticket the wait
 // is over, and otherwise it backs off in proportion to the distance.
-func (w *ticketProc) test(_ *machine.Proc, s machine.Word) int {
+func (t *ticketLock) test(p *machine.Proc, s machine.Word) int {
+	w := &t.procs[p.ID()]
 	if s == w.ticket {
 		return ticketPollHeld
 	}
-	w.acquire[ticketBackoff].Dur = sim.Time(w.ticket-s) * w.t.propK
+	w.acquire[ticketBackoff].Dur = sim.Time(w.ticket-s) * t.propK
 	return ticketBackoff
 }
 
-// held records the held ticket. Only the holder writes this host-side
-// field; the simulation is single-threaded, so recording it is safe.
-func (w *ticketProc) held(*machine.Proc) { w.t.held = w.ticket }
+// recordHeld records the held ticket. Only the holder writes this
+// host-side field; the simulation is single-threaded, so recording it
+// is safe.
+func (t *ticketLock) recordHeld(p *machine.Proc) { t.held = t.procs[p.ID()].ticket }
 
 // aimRelease aims the release store at the held ticket's successor.
-func (w *ticketProc) aimRelease(*machine.Proc, machine.Word) int {
-	w.release[1].Val = w.t.held + 1
+func (t *ticketLock) aimRelease(p *machine.Proc, _ machine.Word) int {
+	t.procs[p.ID()].release[1].Val = t.held + 1
 	return 1
 }
 
@@ -372,7 +379,6 @@ const (
 
 // andersonProc is one processor's scripts and the slot it waits on.
 type andersonProc struct {
-	a       *andersonLock
 	idx     machine.Word
 	acquire [andersonOps]machine.ContOp
 	release [2]machine.ContOp
@@ -389,41 +395,41 @@ func NewAnderson(m *machine.Machine) Lock {
 		scripts: newScripts(size),
 	}
 	m.Poke(a.slots, 1) // slot 0 starts as "has lock"
+	aim := machine.ContOp{Kind: machine.ContBranch, Branch: a.aim}
+	held := machine.ContOp{Kind: machine.ContCall, Fn: a.recordHeld}
+	aimRelease := machine.ContOp{Kind: machine.ContBranch, Branch: a.aimRelease}
 	for i := range a.procs {
 		w := &a.procs[i]
-		w.a = a
 		w.acquire = [andersonOps]machine.ContOp{
 			andersonTake:  {Kind: machine.ContFetchAdd, Addr: a.tail, Val: 1},
-			andersonAim:   {Kind: machine.ContBranch, Branch: w.aim},
+			andersonAim:   aim,
 			andersonSpin:  machine.SpinReadOp(a.slots, machine.Pred{Op: machine.PredEq, Want: 1}),
 			andersonReset: {Kind: machine.ContStore},
-			andersonHeld:  {Kind: machine.ContCall, Fn: w.held},
+			andersonHeld:  held,
 		}
-		w.release = [2]machine.ContOp{
-			{Kind: machine.ContBranch, Branch: w.aimRelease},
-			{Kind: machine.ContStore, Val: 1},
-		}
+		w.release = [2]machine.ContOp{aimRelease, {Kind: machine.ContStore, Val: 1}}
 		a.acquire[i], a.release[i] = w.acquire[:], w.release[:]
 	}
 	return a
 }
 
 // aim points the spin and the reset at the slot the ticket maps to.
-func (w *andersonProc) aim(_ *machine.Proc, ticket machine.Word) int {
-	w.idx = ticket % w.a.size
-	slot := w.a.slots + machine.Addr(w.idx)
+func (a *andersonLock) aim(p *machine.Proc, ticket machine.Word) int {
+	w := &a.procs[p.ID()]
+	w.idx = ticket % a.size
+	slot := a.slots + machine.Addr(w.idx)
 	w.acquire[andersonSpin].Addr = slot
 	w.acquire[andersonReset].Addr = slot
 	return andersonSpin
 }
 
-// held records the held ring index; only the holder writes it.
-func (w *andersonProc) held(*machine.Proc) { w.a.held = w.idx }
+// recordHeld records the held ring index; only the holder writes it.
+func (a *andersonLock) recordHeld(p *machine.Proc) { a.held = a.procs[p.ID()].idx }
 
 // aimRelease aims the release store at the slot after the held one.
-func (w *andersonProc) aimRelease(*machine.Proc, machine.Word) int {
-	next := (w.a.held + 1) % w.a.size
-	w.release[1].Addr = w.a.slots + machine.Addr(next)
+func (a *andersonLock) aimRelease(p *machine.Proc, _ machine.Word) int {
+	next := (a.held + 1) % a.size
+	a.procs[p.ID()].release[1].Addr = a.slots + machine.Addr(next)
 	return 1
 }
 
@@ -464,7 +470,6 @@ const (
 
 // gtProc is one processor's scripts.
 type gtProc struct {
-	g       *gtLock
 	acquire [gtOps]machine.ContOp
 	release [2]machine.ContOp
 }
@@ -481,19 +486,18 @@ func NewGraunkeThakkar(m *machine.Machine) Lock {
 	// The lock starts pointing at processor 0's flag with the *opposite*
 	// of its current value, so the first arrival proceeds immediately.
 	m.Poke(g.lock, g.pack(0, 1))
+	packSwap := machine.ContOp{Kind: machine.ContBranch, Branch: g.packSwap}
+	aim := machine.ContOp{Kind: machine.ContBranch, Branch: g.aim}
+	flip := machine.ContOp{Kind: machine.ContBranch, Branch: g.flip}
 	for i := range g.procs {
 		w := &g.procs[i]
-		w.g = g
 		w.acquire = [gtOps]machine.ContOp{
-			gtPack: {Kind: machine.ContBranch, Branch: w.packSwap},
+			gtPack: packSwap,
 			gtSwap: {Kind: machine.ContFetchStore, Addr: g.lock},
-			gtAim:  {Kind: machine.ContBranch, Branch: w.aim},
+			gtAim:  aim,
 			gtSpin: machine.SpinReadOp(g.flags, machine.Pred{Op: machine.PredNe, Mask: 1}),
 		}
-		w.release = [2]machine.ContOp{
-			{Kind: machine.ContBranch, Branch: w.flip},
-			{Kind: machine.ContStore, Addr: g.flags + machine.Addr(i)},
-		}
+		w.release = [2]machine.ContOp{flip, {Kind: machine.ContStore, Addr: g.flags + machine.Addr(i)}}
 		g.acquire[i], g.release[i] = w.acquire[:], w.release[:]
 	}
 	return g
@@ -504,26 +508,27 @@ func (g *gtLock) pack(idx int, val machine.Word) machine.Word {
 }
 
 // packSwap sets the swap to enqueue our flag with its current value.
-func (w *gtProc) packSwap(p *machine.Proc, _ machine.Word) int {
+func (g *gtLock) packSwap(p *machine.Proc, _ machine.Word) int {
 	me := p.ID()
-	w.acquire[gtSwap].Val = w.g.pack(me, w.g.vals[me])
+	g.procs[me].acquire[gtSwap].Val = g.pack(me, g.vals[me])
 	return gtSwap
 }
 
 // aim points the spin at the predecessor's flag, waiting for it to
 // flip away from the value it had when the predecessor enqueued.
-func (w *gtProc) aim(_ *machine.Proc, old machine.Word) int {
-	w.acquire[gtSpin].Addr = w.g.flags + machine.Addr(old>>1)
-	w.acquire[gtSpin].Val = old & 1
+func (g *gtLock) aim(p *machine.Proc, old machine.Word) int {
+	spin := &g.procs[p.ID()].acquire[gtSpin]
+	spin.Addr = g.flags + machine.Addr(old>>1)
+	spin.Val = old & 1
 	return gtSpin
 }
 
 // flip flips our flag's host-tracked value and aims the release store
 // at it. Only processor me ever reads or writes vals[me].
-func (w *gtProc) flip(p *machine.Proc, _ machine.Word) int {
+func (g *gtLock) flip(p *machine.Proc, _ machine.Word) int {
 	me := p.ID()
-	w.g.vals[me] ^= 1
-	w.release[1].Val = w.g.vals[me]
+	g.vals[me] ^= 1
+	g.procs[me].release[1].Val = g.vals[me]
 	return 1
 }
 
@@ -596,6 +601,8 @@ type qsyncProc struct {
 func NewQSync(m *machine.Machine) Lock {
 	q := &qsyncLock{cell: m.AllocShared(1), nodes: make([]machine.Addr, m.Procs()),
 		procs: make([]qsyncProc, m.Procs()), scripts: newScripts(m.Procs())}
+	link := machine.ContOp{Kind: machine.ContBranch, Branch: q.link}
+	handoff := machine.ContOp{Kind: machine.ContBranch, Branch: q.handoff}
 	for i := range q.nodes {
 		n := m.AllocLocal(i, qWords)
 		q.nodes[i] = n
@@ -603,18 +610,18 @@ func NewQSync(m *machine.Machine) Lock {
 		w.acquire = [qaOps]machine.ContOp{
 			qaClear:  {Kind: machine.ContStore, Addr: n + qNext},
 			qaSwap:   {Kind: machine.ContFetchStore, Addr: q.cell, Val: machine.PtrWord(n)},
-			qaLink:   {Kind: machine.ContBranch, Branch: w.link},
+			qaLink:   link,
 			qaStatus: {Kind: machine.ContStore, Addr: n + qStatus, Val: 1},
 			qaStore:  {Kind: machine.ContStore, Val: machine.PtrWord(n)},
 			qaSpin:   machine.SpinReadOp(n+qStatus, machine.Pred{Op: machine.PredEq}),
 		}
 		w.release = [qrOps]machine.ContOp{
 			qrLoad:    {Kind: machine.ContLoad, Addr: n + qNext},
-			qrNext:    {Kind: machine.ContBranch, Branch: w.handoff},
+			qrNext:    handoff,
 			qrCAS:     {Kind: machine.ContCAS, Addr: q.cell, Val: machine.PtrWord(n)},
 			qrFreed:   {Kind: machine.ContBranch, Branch: freed},
 			qrSpin:    machine.SpinReadOp(n+qNext, machine.Pred{Op: machine.PredNe}),
-			qrLinked:  {Kind: machine.ContBranch, Branch: w.handoff},
+			qrLinked:  handoff,
 			qrHandoff: {Kind: machine.ContStore},
 		}
 		q.acquire[i], q.release[i] = w.acquire[:], w.release[:]
@@ -626,21 +633,21 @@ func NewQSync(m *machine.Machine) Lock {
 // otherwise aims the link store at the predecessor's next pointer. We
 // must appear "waiting" before the predecessor can see us, so the
 // status store comes first.
-func (w *qsyncProc) link(_ *machine.Proc, pred machine.Word) int {
+func (q *qsyncLock) link(p *machine.Proc, pred machine.Word) int {
 	if pred == 0 {
 		return qaOps
 	}
-	w.acquire[qaStore].Addr = machine.WordPtr(pred) + qNext
+	q.procs[p.ID()].acquire[qaStore].Addr = machine.WordPtr(pred) + qNext
 	return qaStatus
 }
 
 // handoff aims the hand-off store at successor next's status, or, with
 // no known successor, tries to swing the cell back to free.
-func (w *qsyncProc) handoff(_ *machine.Proc, next machine.Word) int {
+func (q *qsyncLock) handoff(p *machine.Proc, next machine.Word) int {
 	if next == 0 {
 		return qrCAS
 	}
-	w.release[qrHandoff].Addr = machine.WordPtr(next) + qStatus
+	q.procs[p.ID()].release[qrHandoff].Addr = machine.WordPtr(next) + qStatus
 	return qrHandoff
 }
 

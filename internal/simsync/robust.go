@@ -196,7 +196,6 @@ const (
 
 // leaseProc is one processor's scripts and the acquire's state.
 type leaseProc struct {
-	l        *leaseLock
 	takeover bool // the pending CAS usurps an expired lease
 	acquire  [fenceOps]machine.ContOp
 	release  [leaseRelOps]machine.ContOp
@@ -227,20 +226,22 @@ func newLeaseLock(m *machine.Machine, lease, poll sim.Time) *leaseLock {
 	}
 	l := &leaseLock{word: m.AllocShared(1), lease: lease, poll: poll,
 		procs: make([]leaseProc, m.Procs()), scripts: newScripts(m.Procs())}
+	test := machine.ContOp{Kind: machine.ContBranch, Branch: l.test}
+	won := machine.ContOp{Kind: machine.ContBranch, Branch: l.won}
+	mine := machine.ContOp{Kind: machine.ContBranch, Branch: l.mine}
 	for i := range l.procs {
 		a := &l.procs[i]
-		a.l = l
 		a.acquire = [fenceOps]machine.ContOp{
 			leaseLoad: {Kind: machine.ContLoad, Addr: l.word},
-			leaseTest: {Kind: machine.ContBranch, Branch: a.test},
+			leaseTest: test,
 			leaseCAS:  {Kind: machine.ContCAS, Addr: l.word},
-			leaseWon:  {Kind: machine.ContBranch, Branch: a.won},
+			leaseWon:  won,
 			leasePoll: {Kind: machine.ContDelay, Dur: poll},
 			leaseLoop: {Kind: machine.ContBranch, Branch: toTop},
 		}
 		a.release = [leaseRelOps]machine.ContOp{
 			leaseRelLoad: {Kind: machine.ContLoad, Addr: l.word},
-			leaseRelMine: {Kind: machine.ContBranch, Branch: a.mine},
+			leaseRelMine: mine,
 			leaseRelCAS:  {Kind: machine.ContCAS, Addr: l.word},
 		}
 		l.acquire[i], l.release[i] = a.acquire[:leaseOps], a.release[:]
@@ -256,7 +257,8 @@ func (l *leaseLock) pack(p *machine.Proc, exp sim.Time) machine.Word {
 }
 
 // test judges the loaded lease word v.
-func (a *leaseProc) test(p *machine.Proc, v machine.Word) int {
+func (l *leaseLock) test(p *machine.Proc, v machine.Word) int {
+	a := &l.procs[p.ID()]
 	switch {
 	case v == 0:
 		a.takeover = false
@@ -269,18 +271,18 @@ func (a *leaseProc) test(p *machine.Proc, v machine.Word) int {
 		return leasePoll
 	}
 	a.acquire[leaseCAS].Val = v
-	a.acquire[leaseCAS].New = a.l.pack(p, p.Now()+a.l.lease)
+	a.acquire[leaseCAS].New = l.pack(p, p.Now()+l.lease)
 	return leaseCAS
 }
 
 // won ends the lease acquire on a successful CAS (at leaseOps, where
 // lease-fence takes its token) and reloads on a lost one.
-func (a *leaseProc) won(_ *machine.Proc, ok machine.Word) int {
+func (l *leaseLock) won(p *machine.Proc, ok machine.Word) int {
 	if ok == 0 {
 		return leaseLoad
 	}
-	if a.takeover {
-		a.l.takeovers++
+	if l.procs[p.ID()].takeover {
+		l.takeovers++
 	}
 	return leaseOps
 }
@@ -289,11 +291,11 @@ func (a *leaseProc) won(_ *machine.Proc, ok machine.Word) int {
 // still ours. A usurped lease (ours expired and someone took over) is
 // theirs to release. CAS, not store: the lease may expire and be taken
 // over between the load and the write.
-func (a *leaseProc) mine(p *machine.Proc, v machine.Word) int {
+func (l *leaseLock) mine(p *machine.Proc, v machine.Word) int {
 	if int(v>>leaseExpBits) != p.ID()+1 {
 		return leaseRelOps
 	}
-	a.release[leaseRelCAS].Val = v
+	l.procs[p.ID()].release[leaseRelCAS].Val = v
 	return leaseRelCAS
 }
 

@@ -68,10 +68,11 @@ func NewLeaseFenceTerm(m *machine.Machine, lease, poll sim.Time) Lock {
 		tokens: make([]machine.Word, m.Procs()),
 	}
 	l.scripts = newScripts(m.Procs())
+	take := machine.ContOp{Kind: machine.ContFetchAdd, Addr: l.epoch, Val: 1}
+	token := machine.ContOp{Kind: machine.ContBranch, Branch: l.token}
 	for i := range l.lease.procs {
 		a := &l.lease.procs[i]
-		a.acquire[fenceTake] = machine.ContOp{Kind: machine.ContFetchAdd, Addr: l.epoch, Val: 1}
-		a.acquire[fenceToken] = machine.ContOp{Kind: machine.ContBranch, Branch: l.token}
+		a.acquire[fenceTake], a.acquire[fenceToken] = take, token
 		l.acquire[i], l.release[i] = a.acquire[:], a.release[:]
 	}
 	return l
@@ -224,27 +225,27 @@ func NewHealQueueGrace(m *machine.Machine, grace, poll sim.Time) Lock {
 		wait:    make([]healProc, m.Procs()),
 		scripts: newScripts(m.Procs()),
 	}
+	acquire := [healOps]machine.ContOp{
+		healTake:        {Kind: machine.ContFetchAdd, Addr: l.next, Val: 1},
+		healAim:         {Kind: machine.ContBranch, Branch: l.aim},
+		healAnnounce:    {Kind: machine.ContStore},
+		healLoadServing: {Kind: machine.ContLoad, Addr: l.serving},
+		healCheck:       {Kind: machine.ContBranch, Branch: l.check},
+		healLoadSlot:    {Kind: machine.ContLoad},
+		healJudge:       {Kind: machine.ContBranch, Branch: l.judge},
+		healExcise:      {Kind: machine.ContCAS, Addr: l.serving},
+		healExcised:     {Kind: machine.ContBranch, Branch: l.excised},
+		healPoll:        {Kind: machine.ContDelay, Dur: poll},
+		healLoop:        {Kind: machine.ContBranch, Branch: toHealLoad},
+		healGranted:     {Kind: machine.ContCall, Fn: l.granted},
+	}
+	release := [2]machine.ContOp{
+		{Kind: machine.ContBranch, Branch: l.aimRelease},
+		{Kind: machine.ContCAS, Addr: l.serving},
+	}
 	for i := range l.wait {
 		w := &l.wait[i]
-		w.l = l
-		w.acquire = [healOps]machine.ContOp{
-			healTake:        {Kind: machine.ContFetchAdd, Addr: l.next, Val: 1},
-			healAim:         {Kind: machine.ContBranch, Branch: w.aim},
-			healAnnounce:    {Kind: machine.ContStore},
-			healLoadServing: {Kind: machine.ContLoad, Addr: l.serving},
-			healCheck:       {Kind: machine.ContBranch, Branch: w.check},
-			healLoadSlot:    {Kind: machine.ContLoad},
-			healJudge:       {Kind: machine.ContBranch, Branch: w.judge},
-			healExcise:      {Kind: machine.ContCAS, Addr: l.serving},
-			healExcised:     {Kind: machine.ContBranch, Branch: w.excised},
-			healPoll:        {Kind: machine.ContDelay, Dur: poll},
-			healLoop:        {Kind: machine.ContBranch, Branch: toHealLoad},
-			healGranted:     {Kind: machine.ContCall, Fn: w.granted},
-		}
-		w.release = [2]machine.ContOp{
-			{Kind: machine.ContBranch, Branch: w.aimRelease},
-			{Kind: machine.ContCAS, Addr: l.serving},
-		}
+		w.acquire, w.release = acquire, release
 		l.acquire[i], l.release[i] = w.acquire[:], w.release[:]
 	}
 	return l
@@ -274,7 +275,6 @@ func toHealLoad(*machine.Proc, machine.Word) int { return healLoadServing }
 // branches keep. aim resets the state for each ticket, so a processor
 // reborn mid-wait starts its next wait clean.
 type healProc struct {
-	l         *healQueueLock
 	t         machine.Word // the ticket being waited on
 	s         machine.Word // the serving value the last load saw
 	headSeen  machine.Word // the head ticket being timed
@@ -287,32 +287,35 @@ type healProc struct {
 // so waiters behind us can identify (and, if we die, excise) us. Every
 // head check sees a serving value below t, so starting headSeen at t
 // makes the first check start the head's clock.
-func (w *healProc) aim(p *machine.Proc, t machine.Word) int {
+func (l *healQueueLock) aim(p *machine.Proc, t machine.Word) int {
+	w := &l.wait[p.ID()]
 	w.t, w.headSeen = t, t
-	w.acquire[healAnnounce].Addr = w.l.slots + machine.Addr(int(t)%w.l.procs)
+	w.acquire[healAnnounce].Addr = l.slots + machine.Addr(int(t)%l.procs)
 	w.acquire[healAnnounce].Val = t<<healOwnerBits | machine.Word(p.ID()+1)
 	return healAnnounce
 }
 
 // check judges the loaded serving value s.
-func (w *healProc) check(p *machine.Proc, s machine.Word) int {
+func (l *healQueueLock) check(p *machine.Proc, s machine.Word) int {
+	w := &l.wait[p.ID()]
 	if s == w.t {
 		return healGranted
 	}
 	if s > w.t {
-		w.l.requeues++ // our ticket was excised from under us: take another
+		l.requeues++ // our ticket was excised from under us: take another
 		return healTake
 	}
 	if s != w.headSeen {
 		w.headSeen, w.headSince = s, p.Now()
 	}
 	w.s = s
-	w.acquire[healLoadSlot].Addr = w.l.slots + machine.Addr(int(s)%w.l.procs)
+	w.acquire[healLoadSlot].Addr = l.slots + machine.Addr(int(s)%l.procs)
 	return healLoadSlot
 }
 
 // judge decides from the head's loaded slot whether to excise it.
-func (w *healProc) judge(p *machine.Proc, slot machine.Word) int {
+func (l *healQueueLock) judge(p *machine.Proc, slot machine.Word) int {
+	w := &l.wait[p.ID()]
 	s := w.s
 	// An owner field of 0 is a head ticket taken but not yet announced
 	// (its owner was cut off between the fetch&add and the store): it
@@ -327,7 +330,7 @@ func (w *healProc) judge(p *machine.Proc, slot machine.Word) int {
 			return w.excise(s)
 		}
 	}
-	if p.Now()-w.headSince >= w.l.grace {
+	if p.Now()-w.headSince >= l.grace {
 		// Backstop: the head has not moved for a full grace period.
 		// Catches dead tickets whose owner already recovered (its
 		// suspicion cleared at rebirth, but its old ticket remains).
@@ -343,22 +346,23 @@ func (w *healProc) excise(s machine.Word) int {
 }
 
 // excised counts a won excision; either way the wait reloads serving.
-func (w *healProc) excised(_ *machine.Proc, ok machine.Word) int {
+func (l *healQueueLock) excised(_ *machine.Proc, ok machine.Word) int {
 	if ok != 0 {
-		w.l.excisions++
+		l.excisions++
 	}
 	return healLoadServing
 }
 
 // granted records the ticket we were served on.
-func (w *healProc) granted(p *machine.Proc) { w.l.tickets[p.ID()] = w.t }
+func (l *healQueueLock) granted(p *machine.Proc) { l.tickets[p.ID()] = l.wait[p.ID()].t }
 
 // aimRelease aims the release CAS at moving serving past our ticket.
 // CAS, not store: if our ticket was grace-excised while we were in the
 // critical section, serving has moved past us and the hand-off already
 // happened — a blind increment would skip a live waiter.
-func (w *healProc) aimRelease(p *machine.Proc, _ machine.Word) int {
-	t := w.l.tickets[p.ID()]
+func (l *healQueueLock) aimRelease(p *machine.Proc, _ machine.Word) int {
+	w := &l.wait[p.ID()]
+	t := l.tickets[p.ID()]
 	w.release[1].Val, w.release[1].New = t, t+1
 	return 1
 }
@@ -453,30 +457,37 @@ func NewReconfBudget(m *machine.Machine, budget sim.Time) Barrier {
 		epoch:   make([]machine.Word, m.Procs()),
 		wait:    make([]reconfWait, m.Procs()),
 	}
+	rejoined := machine.ContOp{Kind: machine.ContCall, Fn: b.rejoined}
+	takeEpisode := machine.ContOp{Kind: machine.ContBranch, Branch: b.takeEpisode}
+	scanNext := machine.ContOp{Kind: machine.ContBranch, Branch: b.scanNext}
+	arrived := machine.ContOp{Kind: machine.ContBranch, Branch: b.arrived}
+	judge := machine.ContOp{Kind: machine.ContBranch, Branch: b.judge}
+	evictedOne := machine.ContOp{Kind: machine.ContBranch, Branch: b.evictedOne}
+	polled := machine.ContOp{Kind: machine.ContBranch, Branch: b.polled}
+	raiseTest := machine.ContOp{Kind: machine.ContBranch, Branch: b.raiseTest}
 	for i := range b.wait {
 		w := &b.wait[i]
-		w.b = b
 		mine := b.dead + machine.Addr(i)
 		w.ops = [reconfOps]machine.ContOp{
 			reconfLoadMark:    {Kind: machine.ContLoad, Addr: mine},
 			reconfEvicted:     {Kind: machine.ContBranch, Branch: evicted},
 			reconfClearMark:   {Kind: machine.ContStore, Addr: mine},
-			reconfRejoined:    {Kind: machine.ContCall, Fn: w.rejoined},
-			reconfArrive:      {Kind: machine.ContBranch, Branch: w.arrive},
+			reconfRejoined:    rejoined,
+			reconfArrive:      takeEpisode,
 			reconfStoreArrive: {Kind: machine.ContStore, Addr: b.arrive + machine.Addr(i)},
-			reconfScanNext:    {Kind: machine.ContBranch, Branch: w.scanNext},
+			reconfScanNext:    scanNext,
 			reconfLoadArrive:  {Kind: machine.ContLoad},
-			reconfArrived:     {Kind: machine.ContBranch, Branch: w.arrived},
+			reconfArrived:     arrived,
 			reconfLoadDead:    {Kind: machine.ContLoad},
-			reconfJudge:       {Kind: machine.ContBranch, Branch: w.judge},
+			reconfJudge:       judge,
 			reconfEvict:       {Kind: machine.ContStore, Val: 1},
-			reconfEvictedOne:  {Kind: machine.ContBranch, Branch: w.evictedOne},
+			reconfEvictedOne:  evictedOne,
 			reconfLoadRelease: {Kind: machine.ContLoad, Addr: b.release},
-			reconfPolled:      {Kind: machine.ContBranch, Branch: w.polled},
+			reconfPolled:      polled,
 			reconfPoll:        {Kind: machine.ContDelay, Dur: poll},
 			reconfPollLoop:    {Kind: machine.ContBranch, Branch: toReconfLoadRelease},
 			reconfRaiseLoad:   {Kind: machine.ContLoad, Addr: b.release},
-			reconfRaiseTest:   {Kind: machine.ContBranch, Branch: w.raiseTest},
+			reconfRaiseTest:   raiseTest,
 			reconfRaiseCAS:    {Kind: machine.ContCAS, Addr: b.release},
 			reconfRaised:      {Kind: machine.ContBranch, Branch: raised},
 		}
@@ -514,7 +525,6 @@ const (
 // keep: the episode, the scan's position and verdict, and the re-scan
 // deadline.
 type reconfWait struct {
-	b        *reconfBarrier
 	e        machine.Word
 	q        int  // the processor the scan looks at next
 	done     bool // no pending processor found so far
@@ -537,14 +547,15 @@ func evicted(_ *machine.Proc, mark machine.Word) int {
 	return reconfArrive
 }
 
-func (w *reconfWait) rejoined(*machine.Proc) { w.b.rejoins++ }
+func (b *reconfBarrier) rejoined(*machine.Proc) { b.rejoins++ }
 
-// arrive takes the next episode, aims the arrival store at it and
+// takeEpisode takes the next episode, aims the arrival store at it and
 // starts the first scan.
-func (w *reconfWait) arrive(p *machine.Proc, _ machine.Word) int {
+func (b *reconfBarrier) takeEpisode(p *machine.Proc, _ machine.Word) int {
 	me := p.ID()
-	w.e = w.b.epoch[me] + 1
-	w.b.epoch[me] = w.e
+	w := &b.wait[me]
+	w.e = b.epoch[me] + 1
+	b.epoch[me] = w.e
 	w.ops[reconfStoreArrive].Val = w.e
 	w.q, w.done, w.rescan = 0, true, false
 	return reconfStoreArrive
@@ -553,15 +564,16 @@ func (w *reconfWait) arrive(p *machine.Proc, _ machine.Word) int {
 // scanNext aims the scan at processor q, or, past the last one, acts on
 // the verdict: a complete episode raises release, and otherwise the
 // wait (re)arms its re-scan deadline and polls.
-func (w *reconfWait) scanNext(p *machine.Proc, _ machine.Word) int {
-	if w.q < w.b.procs {
-		w.ops[reconfLoadArrive].Addr = w.b.arrive + machine.Addr(w.q)
+func (b *reconfBarrier) scanNext(p *machine.Proc, _ machine.Word) int {
+	w := &b.wait[p.ID()]
+	if w.q < b.procs {
+		w.ops[reconfLoadArrive].Addr = b.arrive + machine.Addr(w.q)
 		return reconfLoadArrive
 	}
 	if w.done {
 		return reconfRaiseLoad
 	}
-	w.deadline = p.Now() + w.b.budget
+	w.deadline = p.Now() + b.budget
 	if w.rescan {
 		return reconfPoll
 	}
@@ -570,21 +582,23 @@ func (w *reconfWait) scanNext(p *machine.Proc, _ machine.Word) int {
 
 // arrived passes over a processor that arrived at (or past) episode e
 // and otherwise checks its eviction mark.
-func (w *reconfWait) arrived(_ *machine.Proc, v machine.Word) int {
+func (b *reconfBarrier) arrived(p *machine.Proc, v machine.Word) int {
+	w := &b.wait[p.ID()]
 	if v >= w.e {
 		w.q++
 		return reconfScanNext
 	}
-	w.ops[reconfLoadDead].Addr = w.b.dead + machine.Addr(w.q)
+	w.ops[reconfLoadDead].Addr = b.dead + machine.Addr(w.q)
 	return reconfLoadDead
 }
 
 // judge passes over an evicted processor, evicts a suspected one, and
 // otherwise marks the scan incomplete.
-func (w *reconfWait) judge(p *machine.Proc, mark machine.Word) int {
+func (b *reconfBarrier) judge(p *machine.Proc, mark machine.Word) int {
+	w := &b.wait[p.ID()]
 	if mark == 0 {
 		if p.Suspects(w.q) {
-			w.ops[reconfEvict].Addr = w.b.dead + machine.Addr(w.q)
+			w.ops[reconfEvict].Addr = b.dead + machine.Addr(w.q)
 			return reconfEvict
 		}
 		w.done = false
@@ -593,8 +607,9 @@ func (w *reconfWait) judge(p *machine.Proc, mark machine.Word) int {
 	return reconfScanNext
 }
 
-func (w *reconfWait) evictedOne(*machine.Proc, machine.Word) int {
-	w.b.evictions++
+func (b *reconfBarrier) evictedOne(p *machine.Proc, _ machine.Word) int {
+	w := &b.wait[p.ID()]
+	b.evictions++
 	w.q++
 	return reconfScanNext
 }
@@ -602,7 +617,8 @@ func (w *reconfWait) evictedOne(*machine.Proc, machine.Word) int {
 // polled ends the wait once release reaches e. Past the deadline it
 // re-scans: late crashes become suspicions only with time, so waiting
 // on release alone could park the survivors forever.
-func (w *reconfWait) polled(p *machine.Proc, v machine.Word) int {
+func (b *reconfBarrier) polled(p *machine.Proc, v machine.Word) int {
+	w := &b.wait[p.ID()]
 	if v >= w.e {
 		return reconfOps
 	}
@@ -617,7 +633,8 @@ func toReconfLoadRelease(*machine.Proc, machine.Word) int { return reconfLoadRel
 
 // raiseTest is raiseTo's loop test: release already at e or past ends
 // the wait, and otherwise the CAS lifts it from the observed value.
-func (w *reconfWait) raiseTest(_ *machine.Proc, v machine.Word) int {
+func (b *reconfBarrier) raiseTest(p *machine.Proc, v machine.Word) int {
+	w := &b.wait[p.ID()]
 	if v >= w.e {
 		return reconfOps
 	}
