@@ -468,6 +468,22 @@ func TestReconfBarrierEvictsAndRejoins(t *testing.T) {
 		t.Errorf("time-to-recovery not measured: %+v", res)
 	}
 
+	// The Wait script must match its Go form across the crash, the
+	// evictions and the rejoin, host-side counts included.
+	var twinBar *reconfBarrier
+	twin, err := RunBarrierIn(nil, cfg, BarrierInfo{Name: "reconf", Make: func(m *machine.Machine) Barrier {
+		twinBar = NewReconfBudget(m, 4096).(*reconfBarrier)
+		return reconfTwin{twinBar}
+	}}, opts)
+	if err != nil {
+		t.Fatalf("closure twin: %v", err)
+	}
+	compareTwin(t, "reconf/crash+restart", cfg.Procs, res, twin, func(r *BarrierResult) *machine.Stats { return &r.Stats })
+	if bar.Evictions() != twinBar.Evictions() || bar.Rejoins() != twinBar.Rejoins() {
+		t.Errorf("evictions/rejoins: script %d/%d, twin %d/%d",
+			bar.Evictions(), bar.Rejoins(), twinBar.Evictions(), twinBar.Rejoins())
+	}
+
 	// The same plan wedges the plain central barrier until the restart
 	// lands, costing most of the episode budget; with no restart at all
 	// it would never complete. Here we only require reconf to beat it.
