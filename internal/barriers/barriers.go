@@ -37,7 +37,6 @@ func init() {
 		Info{Name: "dissemination", New: func(n int) Barrier { return NewDissemination(n) }},
 		Info{Name: "tournament", New: func(n int) Barrier { return NewTournament(n) }},
 		Info{Name: "qsync-tree", New: func(n int) Barrier { return &treeAdapter{b: core.NewTreeBarrier(n)} }},
-		Info{Name: "qsync-park", New: func(n int) Barrier { return &centralAdapter{b: core.NewBarrier(n, core.SpinPark), n: n} }},
 	)
 }
 
@@ -54,15 +53,6 @@ type treeAdapter struct {
 func (a *treeAdapter) Name() string { return "qsync-tree" }
 func (a *treeAdapter) Wait(id int)  { a.b.Wait(id) }
 func (a *treeAdapter) Parties() int { return a.b.Parties() }
-
-type centralAdapter struct {
-	b *core.Barrier
-	n int
-}
-
-func (a *centralAdapter) Name() string { return "qsync-park" }
-func (a *centralAdapter) Wait(int)     { a.b.Wait() }
-func (a *centralAdapter) Parties() int { return a.n }
 
 // spin waits for cond with periodic yields.
 func spin(cond func() bool) {
