@@ -319,9 +319,10 @@ func TestRunIDsDeduplicates(t *testing.T) {
 // TestColumnFooter: with a progress writer, RunIDs follows each
 // experiment with one footer line naming every sweep column and its
 // summed host seconds, and the tables stay byte-identical to a run
-// without one. F6 is a runMatrix sweep; F13 assembles its table from
-// its own cells, and so do T1 (one cell per lock) and F5, whose
-// footer names each row's lock because its row labels carry spaces.
+// without one. F6 is a runMatrix sweep; F13 (rwSweep) assembles its
+// table from its own cells, and so do T1 (one cell per lock) and F5,
+// whose footer names each row's lock because its row labels carry
+// spaces.
 func TestColumnFooter(t *testing.T) {
 	var lockNames, rwNames []string
 	for _, li := range algosFor(Options{}, simsync.LockSet) {

@@ -14,6 +14,7 @@ import (
 	"repro/internal/machine"
 	"repro/internal/registry"
 	"repro/internal/simsync"
+	"repro/internal/topo"
 )
 
 // errSkipCell is returned by a measure function for a cell that cannot
@@ -114,12 +115,13 @@ func failedCell(reason string) string {
 
 // This file is the backend-agnostic sweep engine shared by every
 // per-family experiment file (sweep_locks.go, sweep_barriers.go,
-// sweep_rw.go, sweep_sem.go, sweep_misc.go): algorithm selection comes
-// from the registry sets (filtered by Options.Algos), the matrix driver
-// below turns (axis point × algorithm × metric) measurements into
-// tables, and Table handles emission. Adding a backend to a registry
-// therefore adds a column to every sweep of its family with no harness
-// changes.
+// sweep_rw.go, sweep_sem.go, sweep_misc.go, ...): algorithm selection
+// comes from the registry sets (filtered by Options.Algos), the cell
+// driver below runs every simulated sweep's (row × column) cells, the
+// matrix driver on top of it turns (axis point × algorithm × metric)
+// measurements into tables, and Table handles emission. Adding a
+// backend to a registry therefore adds a column to every sweep of its
+// family with no harness changes.
 
 // algosFor applies the -algos selection to one family's registry. The
 // filter is per family and lenient: names that belong to other families
@@ -175,19 +177,60 @@ type metricSpec struct {
 	Note  string
 }
 
-// runMatrix is the shared sweep driver: one row per axis value, one
-// column per algorithm, one emitted table per metric. measure returns
-// one value per metric for a single (axis point, algorithm) cell,
-// drawing any machine it needs from the per-worker pool it is handed.
+// layout places one of the family sweeps that a canonical figure and
+// the per-topology battery share (rwSweep for F13 and R1-<topology>,
+// semSweep for F14 and S1-, counterSweep for F16 and C1-): the table's
+// id, title and note, the machine the sweep runs on, and whether the
+// table adds the figure's own columns, which each sweep names.
+type layout struct {
+	id, title, note string
+	tp              topo.Topology
+	figure          bool
+}
+
+// cells is the cell driver every sweep runs through: it measures a
+// rows × len(cols) matrix of cells and returns their results row-major,
+// cell (r, c) at index r*len(cols)+c. cols names each column on o's
+// column clock, which charges every cell's host time to its column; a
+// name may repeat, and its columns then share one footer entry. measure
+// draws any machine it needs from the per-worker pool it is handed.
 //
 // Simulated sweeps run their cells concurrently across host cores —
 // each cell resets its own deterministic Machine from its worker's
 // pool, so the numbers are bit-identical to a sequential unpooled run
-// and only wall-clock (and allocation) changes; the tables are
-// assembled in canonical (axis-major) order afterwards. Real-runtime
-// sweeps must instead pass parallel=false: their cells measure host
-// time and would perturb each other (they ignore the pool). Each cell's
-// host time is charged to its column on o's column clock, if any.
+// and only wall-clock (and allocation) changes. Rows are the sweep's
+// axis, and P and critical-section axes list their smallest point
+// first, so a parallel sweep, dispatched from the last cell down,
+// starts on its costliest row: cheap cells fill the tail, and each
+// worker's machine is sized by its first cell (see forEachCell).
+// Real-runtime sweeps and SC1 pass parallel=false: their cells run in
+// row order, because they time the host and would perturb each other.
+// The first cell error fails the sweep.
+func cells[R any](o Options, parallel bool, rows int, cols []string,
+	measure func(r, c int, pool *machine.Pool) (R, error)) ([]R, error) {
+
+	results := make([]R, rows*len(cols))
+	err := o.forEachCell(parallel, cols, len(results), func(i int, pool *machine.Pool) (err error) {
+		results[i], err = measure(i/len(cols), i%len(cols), pool)
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	return results, nil
+}
+
+// runMatrix is the shared table driver: one row per axis value, one
+// column per algorithm, one emitted table per metric. measure returns
+// one value per metric for a single (axis point, algorithm) cell; the
+// cells run through cells, and the tables are assembled in canonical
+// (axis-major) order afterwards.
+//
+// A cell whose measurement panics renders as a failed cell: one broken
+// algorithm marks its own cells and the rest of the battery still runs.
+// A cell returning errSkipCell renders as skipped and one returning
+// errCellTimeout as "!timeout"; any other measurement error stays fatal,
+// since it means the sweep itself is wrong, not one cell.
 func runMatrix[A any](o Options, parallel bool, algos []A, nameOf func(A) string, axisLabel string,
 	axis []string, metrics []metricSpec,
 	measure func(ai int, algo A, pool *machine.Pool) ([]float64, error)) ([]Table, error) {
@@ -196,83 +239,47 @@ func runMatrix[A any](o Options, parallel bool, algos []A, nameOf func(A) string
 	for aj, a := range algos {
 		names[aj] = nameOf(a)
 	}
-	tables := make([]Table, len(metrics))
-	for mi, ms := range metrics {
-		cols := append([]string{axisLabel}, names...)
-		tables[mi] = Table{ID: ms.ID, Title: ms.Title, Note: ms.Note, Cols: cols}
+	// A cell's outcome is its values, or nil values for a skipped cell,
+	// or the reason it failed.
+	type outcome struct {
+		vals   []float64
+		failed string
 	}
-
-	// results[ai][aj] holds one value per metric; cells are independent
-	// and written by at most one goroutine each. failures[ai][aj] holds
-	// the panic reason for a cell whose measurement panicked: one broken
-	// algorithm marks its own cells failed and the rest of the battery
-	// still runs (ordinary measurement *errors* stay fatal — they mean
-	// the sweep itself is wrong, not one cell).
-	results := make([][][]float64, len(axis))
-	failures := make([][]string, len(axis))
-	for ai := range results {
-		results[ai] = make([][]float64, len(algos))
-		failures[ai] = make([]string, len(algos))
-	}
-	measureSafe := func(ai int, algo A, pool *machine.Pool) (vals []float64, panicked string, err error) {
+	results, err := cells(o, parallel, len(axis), names, func(ai, aj int, pool *machine.Pool) (out outcome, err error) {
 		defer func() {
 			if r := recover(); r != nil {
-				vals, err = nil, nil
-				panicked = fmt.Sprintf("%v", r)
+				out, err = outcome{failed: fmt.Sprintf("%v", r)}, nil
 			}
 		}()
-		vals, err = measure(ai, algo, pool)
-		return
-	}
-	err := o.forEachCell(parallel, names, len(axis)*len(algos), func(cell int, pool *machine.Pool) error {
-		// Cells are axis-major, and P and critical-section axes list
-		// their smallest point first, so a parallel sweep, dispatched
-		// from the last cell down, starts on its costliest row: cheap
-		// cells fill the tail, and each worker's machine is sized by
-		// its first cell (see forEachCell). A sequential sweep runs in
-		// axis order.
-		ai, aj := cell/len(algos), cell%len(algos)
-		vals, panicked, merr := measureSafe(ai, algos[aj], pool)
-		if panicked != "" {
-			failures[ai][aj] = panicked
-			return nil
+		vals, err := measure(ai, algos[aj], pool)
+		switch {
+		case errors.Is(err, errSkipCell):
+			return outcome{}, nil
+		case errors.Is(err, errCellTimeout):
+			return outcome{failed: "timeout"}, nil
 		}
-		if merr != nil {
-			if errors.Is(merr, errSkipCell) {
-				return nil // leave the slot nil; rendered as skippedCell
-			}
-			if errors.Is(merr, errCellTimeout) {
-				failures[ai][aj] = "timeout" // rendered as "!timeout"
-				return nil
-			}
-			return merr
-		}
-		results[ai][aj] = vals
-		return nil
+		return outcome{vals: vals}, err
 	})
 	if err != nil {
 		return nil, err
 	}
 
-	for ai, x := range axis {
-		rows := make([][]string, len(metrics))
-		for mi := range rows {
-			rows[mi] = []string{x}
-		}
-		for aj := range algos {
-			for mi := range metrics {
+	tables := make([]Table, len(metrics))
+	for mi, ms := range metrics {
+		tables[mi] = Table{ID: ms.ID, Title: ms.Title, Note: ms.Note, Cols: append([]string{axisLabel}, names...)}
+		for ai, x := range axis {
+			row := []string{x}
+			for _, out := range results[ai*len(algos) : (ai+1)*len(algos)] {
 				switch {
-				case failures[ai][aj] != "":
-					rows[mi] = append(rows[mi], failedCell(failures[ai][aj]))
-				case results[ai][aj] == nil:
-					rows[mi] = append(rows[mi], skippedCell)
+				case out.failed != "":
+					row = append(row, failedCell(out.failed))
+				case out.vals == nil:
+					row = append(row, skippedCell)
 				default:
-					rows[mi] = append(rows[mi], Fmt(results[ai][aj][mi]))
+					row = append(row, Fmt(out.vals[mi]))
 				}
 			}
-		}
-		for mi := range tables {
-			tables[mi].Rows = append(tables[mi].Rows, rows[mi])
+			tables[mi].Rows = append(tables[mi].Rows, row)
 		}
 	}
 	return tables, nil
@@ -303,8 +310,7 @@ func runMatrix[A any](o Options, parallel bool, algos []A, nameOf func(A) string
 // panic on a bare worker goroutine would kill the whole process, and no
 // single sweep cell is worth the battery. (runMatrix recovers measure
 // panics one level earlier and downgrades them to failed *cells*; this
-// recovery is the backstop for direct forEachCell callers and for
-// panics outside the measure call.)
+// recovery is what fails a bespoke sweep whose cell panics.)
 //
 // A sweep's cells cycle through its columns: cell i belongs to column
 // names[i%len(names)]. forEachCell lists the columns on o's column
@@ -427,46 +433,13 @@ func simLockOpts(iters int) simsync.LockOpts {
 	return simsync.LockOpts{Iters: iters, CS: 25, Think: 50, CheckMutex: true}
 }
 
-// The remaining families' standard workload shapes, shared by the
-// canonical figures (F13/F14/F16) and the per-topology battery
-// (sweep_topo.go) so the two can never silently drift apart.
-
-// rwSweepSize is the simulated reader-writer sweep's size.
+// rwSweepSize is the simulated reader-writer sweep's size. rwSweep runs
+// it, and its callers name the processor count in their titles.
 func (o Options) rwSweepSize() (procs, iters int) {
 	if o.Quick {
 		return 8, 20
 	}
 	return 16, 60
-}
-
-// rwFracs is the read-fraction axis of the simulated rw sweeps.
-func rwFracs() []float64 { return []float64{0, 0.5, 0.9, 1} }
-
-// simRWOpts is the standard simulated reader-writer workload.
-func simRWOpts(iters int, frac float64) simsync.RWOpts {
-	return simsync.RWOpts{Iters: iters, ReadFraction: frac, Work: 40, Think: 60}
-}
-
-// semSweepSize is the simulated bounded-buffer sweep's size.
-func (o Options) semSweepSize() (items int, procsList []int) {
-	if o.Quick {
-		return 40, []int{2, 4, 8}
-	}
-	return 120, []int{2, 4, 8, 16, 32}
-}
-
-// simPCOpts is the standard simulated producer/consumer workload.
-func simPCOpts(items int) simsync.PCOpts {
-	return simsync.PCOpts{Items: items, Capacity: 4, Work: 20}
-}
-
-// counterSweepSize is the hot-spot counter sweep's size (F16 and the
-// per-topology battery; F15's two-algorithm study keeps its own).
-func (o Options) counterSweepSize() (incs int, procsList []int) {
-	if o.Quick {
-		return 20, []int{4, 16}
-	}
-	return 60, []int{4, 8, 16, 32, 64}
 }
 
 // clipProcs drops axis points above a topology's processor ceiling

@@ -199,14 +199,9 @@ func runFaultSweep(o Options) ([]Table, error) {
 		}
 	}
 
-	results := make([][]simsync.LockResult, len(rows))
-	for i := range results {
-		results[i] = make([]simsync.LockResult, len(infos))
-	}
-	err = o.forEachCell(true, cols[1:], len(rows)*len(infos), func(cell int, pool *machine.Pool) error {
-		ri, ci := cell/len(infos), cell%len(infos)
+	results, err := cells(o, true, len(rows), cols[1:], func(ri, ci int, pool *machine.Pool) (simsync.LockResult, error) {
 		row := rows[ri]
-		res, rerr := simsync.RunLockIn(pool,
+		res, err := simsync.RunLockIn(pool,
 			machine.Config{Procs: procs, Topo: row.tp, Seed: o.seed(), Faults: row.plan, MaxSteps: maxSteps},
 			infos[ci], simsync.LockOpts{
 				Iters: iters, CS: 25, Think: 50,
@@ -216,14 +211,12 @@ func runFaultSweep(o Options) ([]Table, error) {
 				// that got through.
 				MaxAttempts: iters,
 			})
-		if rerr != nil {
-			return rerr
+		if err == nil {
+			o.progressf("  %s %s %s: %s, %d/%d acq, %d timeouts, %d crashed\n",
+				row.tp.Name(), row.level.Name, res.Lock, res.Outcome,
+				res.Acquisitions, uint64(iters)*uint64(procs), res.Timeouts, res.Crashed)
 		}
-		o.progressf("  %s %s %s: %s, %d/%d acq, %d timeouts, %d crashed\n",
-			row.tp.Name(), row.level.Name, res.Lock, res.Outcome,
-			res.Acquisitions, uint64(iters)*uint64(procs), res.Timeouts, res.Crashed)
-		results[ri][ci] = res
-		return nil
+		return res, err
 	})
 	if err != nil {
 		return nil, err
@@ -246,8 +239,7 @@ func runFaultSweep(o Options) ([]Table, error) {
 		label := row.tp.Name() + "/" + row.level.Name
 		r1 := []string{label}
 		r2 := []string{label}
-		for ci := range infos {
-			res := results[ri][ci]
+		for _, res := range results[ri*len(infos) : (ri+1)*len(infos)] {
 			pct := 100 * float64(res.Acquisitions) / float64(offered)
 			r1 = append(r1, fmt.Sprintf("%s %.0f%%", res.Outcome, pct))
 			r2 = append(r2, Fmt(res.AcqPerKCycle()))

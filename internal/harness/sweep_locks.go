@@ -34,24 +34,23 @@ func runT1(o Options) ([]Table, error) {
 	for i, li := range infos {
 		names[i] = li.Name
 	}
-	// One cell per lock, measuring both machines; cells fill their own
+	// One cell per lock, measuring both machines and filling its own
 	// row, so the table keeps registry order.
-	t.Rows = make([][]string, len(infos))
-	err := o.forEachCell(true, names, len(infos), func(cell int, pool *machine.Pool) error {
-		row := []string{names[cell]}
+	rows, err := cells(o, true, 1, names, func(_, c int, pool *machine.Pool) ([]string, error) {
+		row := []string{names[c]}
 		for _, tp := range []topo.Topology{topo.Bus, topo.NUMA} {
-			cyc, traf, err := simsync.UncontendedLockCostIn(pool, tp, infos[cell])
+			cyc, traf, err := simsync.UncontendedLockCostIn(pool, tp, infos[c])
 			if err != nil {
-				return err
+				return nil, err
 			}
 			row = append(row, Fmt(float64(cyc)), Fmt(float64(traf)))
 		}
-		t.Rows[cell] = row
-		return nil
+		return row, nil
 	})
 	if err != nil {
 		return nil, err
 	}
+	t.Rows = rows
 	return []Table{t}, nil
 }
 
@@ -176,21 +175,17 @@ func runF5(o Options) ([]Table, error) {
 	names = append(names, qs.Name)
 	qs.Name += " (no tuning)"
 	infos = append(infos, qs)
-	t.Rows = make([][]string, len(infos))
-	err := o.forEachCell(true, names, len(infos), func(cell int, pool *machine.Pool) error {
+	rows, err := cells(o, true, 1, names, func(_, c int, pool *machine.Pool) ([]string, error) {
 		res, err := simsync.RunLockIn(pool,
 			machine.Config{Procs: p, Topo: topo.Bus, Seed: o.seed()},
-			infos[cell], simLockOpts(o.lockIters()),
+			infos[c], simLockOpts(o.lockIters()),
 		)
-		if err != nil {
-			return err
-		}
-		t.Rows[cell] = []string{infos[cell].Name, Fmt(res.CyclesPerAcq), Fmt(res.TrafficPerAcq)}
-		return nil
+		return []string{infos[c].Name, Fmt(res.CyclesPerAcq), Fmt(res.TrafficPerAcq)}, err
 	})
 	if err != nil {
 		return nil, err
 	}
+	t.Rows = rows
 	return []Table{t}, nil
 }
 
@@ -337,17 +332,11 @@ func runT3(o Options) ([]Table, error) {
 	for i, li := range infos {
 		names[i] = li.Name
 	}
-	results := make([]simsync.LockResult, len(infos))
-	err := o.forEachCell(true, names, len(infos), func(cell int, pool *machine.Pool) error {
-		res, rerr := simsync.RunLockIn(pool,
+	results, err := cells(o, true, 1, names, func(_, c int, pool *machine.Pool) (simsync.LockResult, error) {
+		return simsync.RunLockIn(pool,
 			machine.Config{Procs: p, Topo: topo.Bus, Seed: o.seed()},
-			infos[cell], simsync.LockOpts{Duration: duration, CS: 25, Think: 50, CheckMutex: true, RecordOrder: true},
+			infos[c], simsync.LockOpts{Duration: duration, CS: 25, Think: 50, CheckMutex: true, RecordOrder: true},
 		)
-		if rerr != nil {
-			return rerr
-		}
-		results[cell] = res
-		return nil
 	})
 	if err != nil {
 		return nil, err
@@ -410,15 +399,8 @@ func runA1(o Options) ([]Table, error) {
 			machine.Config{Procs: p, Topo: topo.NUMA, RemoteMem: remote, Seed: o.seed()}})
 	}
 	locksUnder := []simsync.LockInfo{tas, qs}
-	results := make([]simsync.LockResult, len(points)*len(locksUnder))
-	err := o.forEachCell(true, []string{tas.Name, qs.Name}, len(results), func(cell int, pool *machine.Pool) error {
-		pi, li := cell/len(locksUnder), cell%len(locksUnder)
-		res, rerr := simsync.RunLockIn(pool, points[pi].cfg, locksUnder[li], simLockOpts(o.lockIters()))
-		if rerr != nil {
-			return rerr
-		}
-		results[cell] = res
-		return nil
+	results, err := cells(o, true, len(points), []string{tas.Name, qs.Name}, func(pi, li int, pool *machine.Pool) (simsync.LockResult, error) {
+		return simsync.RunLockIn(pool, points[pi].cfg, locksUnder[li], simLockOpts(o.lockIters()))
 	})
 	if err != nil {
 		return nil, err

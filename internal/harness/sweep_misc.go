@@ -6,6 +6,7 @@ package harness
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/machine"
@@ -36,38 +37,24 @@ func runF15(o Options) ([]Table, error) {
 		Note:  "a single fetch&add word saturates its home module as P grows; pairwise software combining halves the root pressure and wins past the crossover, at the price of idle-case latency (the Ultracomputer trade)",
 		Cols:  []string{"P", "fetch&add", "combining", "fa/combining"},
 	}
-	var names []string
-	for _, info := range infos {
-		names = append(names, info.Name)
-	}
-	results := make([]simsync.CounterResult, len(procsList)*len(infos))
-	err = o.forEachCell(true, names, len(results), func(cell int, pool *machine.Pool) error {
-		pi, ii := cell/len(infos), cell%len(infos)
-		res, rerr := simsync.RunCounterIn(pool,
+	names := []string{infos[0].Name, infos[1].Name}
+	results, err := cells(o, true, len(procsList), names, func(pi, ii int, pool *machine.Pool) (simsync.CounterResult, error) {
+		res, err := simsync.RunCounterIn(pool,
 			machine.Config{Procs: procsList[pi], Topo: topo.NUMA, Seed: o.seed()},
 			infos[ii],
 			simsync.CounterOpts{Incs: incs},
 		)
-		if rerr != nil {
-			return rerr
+		if err == nil {
+			o.progressf("  %s P=%d: %.1f cyc/inc\n", infos[ii].Name, procsList[pi], res.CyclesPerInc)
 		}
-		o.progressf("  %s P=%d: %.1f cyc/inc\n", infos[ii].Name, procsList[pi], res.CyclesPerInc)
-		results[cell] = res
-		return nil
+		return res, err
 	})
 	if err != nil {
 		return nil, err
 	}
 	for pi, p := range procsList {
-		row := []string{Fmt(float64(p))}
-		var vals []float64
-		for ii := range infos {
-			res := results[pi*len(infos)+ii]
-			row = append(row, Fmt(res.CyclesPerInc))
-			vals = append(vals, res.CyclesPerInc)
-		}
-		row = append(row, fmt.Sprintf("%.2f", vals[0]/vals[1]))
-		t.Rows = append(t.Rows, row)
+		fa, comb := results[2*pi].CyclesPerInc, results[2*pi+1].CyclesPerInc
+		t.AddRow(Fmt(float64(p)), Fmt(fa), Fmt(comb), fmt.Sprintf("%.2f", fa/comb))
 	}
 	return []Table{t}, nil
 }
@@ -83,72 +70,70 @@ func runF15(o Options) ([]Table, error) {
 // striped counter's increments are local fetch&adds, so its cost stays
 // flat while the central word's home module queues ever deeper.
 func runF16(o Options) ([]Table, error) {
-	incs, procsList := o.counterSweepSize()
+	return counterSweep(o, layout{id: "F16",
+		title:  "Hot-spot counter at scale on the NUMA machine: sharded vs central (no think time)",
+		note:   "striping moves every increment into the caller's own module: cycles and remote references per increment stay flat with P while the central fetch&add climbs; the ratio is the scalability headroom sharding buys",
+		tp:     topo.NUMA,
+		figure: true,
+	})
+}
+
+// counterSweep runs every simulated counter on lay's machine across the
+// processor axis, clipped to the machine's ceiling: a column of cycles
+// per increment for each counter, then one of traffic per increment for
+// each. The figure adds the fa/sharded cycles ratio when both counters
+// are selected.
+func counterSweep(o Options, lay layout) ([]Table, error) {
+	incs, procsList := 60, []int{4, 8, 16, 32, 64}
+	if o.Quick {
+		incs, procsList = 20, []int{4, 16}
+	}
+	procsList = clipProcs(procsList, lay.tp.MaxProcs())
 	infos := algosFor(o, simsync.CounterSet)
-	cols := []string{"P"}
+	t := Table{ID: lay.id, Title: lay.title, Note: lay.note, Cols: []string{"P"}}
 	var names []string
 	for _, info := range infos {
 		names = append(names, info.Name)
-		cols = append(cols, info.Name+" cyc/inc")
+		t.Cols = append(t.Cols, info.Name+" cyc/inc")
 	}
 	for _, info := range infos {
-		cols = append(cols, info.Name+" refs/inc")
+		t.Cols = append(t.Cols, info.Name+" refs/inc")
 	}
-	haveRatio := containsName(infos, "ctr-fa") && containsName(infos, "ctr-sharded")
-	if haveRatio {
-		cols = append(cols, "fa/sharded")
+	fa, sharded := slices.Index(names, "ctr-fa"), slices.Index(names, "ctr-sharded")
+	ratio := lay.figure && fa >= 0 && sharded >= 0
+	if ratio {
+		t.Cols = append(t.Cols, "fa/sharded")
 	}
-	t := Table{
-		ID:    "F16",
-		Title: "Hot-spot counter at scale on the NUMA machine: sharded vs central (no think time)",
-		Note:  "striping moves every increment into the caller's own module: cycles and remote references per increment stay flat with P while the central fetch&add climbs; the ratio is the scalability headroom sharding buys",
-		Cols:  cols,
-	}
-	results := make([]simsync.CounterResult, len(procsList)*len(infos))
-	err := o.forEachCell(true, names, len(results), func(cell int, pool *machine.Pool) error {
-		pi, ii := cell/len(infos), cell%len(infos)
-		res, rerr := simsync.RunCounterIn(pool,
-			machine.Config{Procs: procsList[pi], Topo: topo.NUMA, Seed: o.seed()},
+	results, err := cells(o, true, len(procsList), names, func(pi, ii int, pool *machine.Pool) (simsync.CounterResult, error) {
+		res, err := simsync.RunCounterIn(pool,
+			machine.Config{Procs: procsList[pi], Topo: lay.tp, Seed: o.seed()},
 			infos[ii],
 			simsync.CounterOpts{Incs: incs},
 		)
-		if rerr != nil {
-			return rerr
+		if err == nil {
+			o.progressf("  %s %s P=%d: %.1f cyc/inc, %.2f refs/inc\n",
+				lay.tp.Name(), infos[ii].Name, procsList[pi], res.CyclesPerInc, res.TrafficPerInc)
 		}
-		o.progressf("  %s P=%d: %.1f cyc/inc, %.2f refs/inc\n",
-			infos[ii].Name, procsList[pi], res.CyclesPerInc, res.TrafficPerInc)
-		results[cell] = res
-		return nil
+		return res, err
 	})
 	if err != nil {
 		return nil, err
 	}
 	for pi, p := range procsList {
+		res := results[pi*len(infos) : (pi+1)*len(infos)]
 		row := []string{Fmt(float64(p))}
-		cycByName := make(map[string]float64, len(infos))
-		var refs []string
-		for ii, info := range infos {
-			res := results[pi*len(infos)+ii]
-			cycByName[info.Name] = res.CyclesPerInc
-			row = append(row, Fmt(res.CyclesPerInc))
-			refs = append(refs, Fmt(res.TrafficPerInc))
+		for _, r := range res {
+			row = append(row, Fmt(r.CyclesPerInc))
 		}
-		row = append(row, refs...)
-		if haveRatio {
-			row = append(row, fmt.Sprintf("%.2f", cycByName["ctr-fa"]/cycByName["ctr-sharded"]))
+		for _, r := range res {
+			row = append(row, Fmt(r.TrafficPerInc))
 		}
-		t.Rows = append(t.Rows, row)
+		if ratio {
+			row = append(row, fmt.Sprintf("%.2f", res[fa].CyclesPerInc/res[sharded].CyclesPerInc))
+		}
+		t.AddRow(row...)
 	}
 	return []Table{t}, nil
-}
-
-func containsName(infos []simsync.CounterInfo, name string) bool {
-	for _, i := range infos {
-		if i.Name == name {
-			return true
-		}
-	}
-	return false
 }
 
 // ---------------------------------------------------------------------

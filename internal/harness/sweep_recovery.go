@@ -163,68 +163,46 @@ func runRecoverySweep(o Options) ([]Table, error) {
 	}
 	empty := fault.NewPlan("L0")
 
-	// Fault-free twins: one per (topology, column), the availability
-	// denominator for every level row of that topology.
-	lockBase := make([][]uint64, len(topos))
-	barBase := make([][]uint64, len(topos))
-	for i := range topos {
-		lockBase[i] = make([]uint64, len(locks))
-		barBase[i] = make([]uint64, len(bars))
-	}
-	err = o.forEachCell(true, names, len(topos)*len(names), func(cell int, pool *machine.Pool) error {
-		per := len(locks) + len(bars)
-		ti, ci := cell/per, cell%per
+	// runCell runs column ci on tp: a lock under plan, or a barrier
+	// under bplan. The other result stays zero.
+	runCell := func(pool *machine.Pool, tp topo.Topology, ci int, plan, bplan *fault.Plan) (lr simsync.LockResult, br simsync.BarrierResult, err error) {
 		if ci < len(locks) {
-			res, rerr := simsync.RunLockIn(pool, lockCfg(topos[ti], empty), locks[ci], lockOpts)
-			if rerr != nil {
-				return rerr
-			}
-			lockBase[ti][ci] = res.Acquisitions
-			return nil
+			lr, err = simsync.RunLockIn(pool, lockCfg(tp, plan), locks[ci], lockOpts)
+		} else {
+			br, err = simsync.RunBarrierIn(pool, barCfg(tp, bplan), bars[ci-len(locks)], barOpts)
 		}
-		bi := ci - len(locks)
-		res, rerr := simsync.RunBarrierIn(pool, barCfg(topos[ti], empty), bars[bi], barOpts)
-		if rerr != nil {
-			return rerr
-		}
-		barBase[ti][bi] = res.Completed
-		return nil
+		return lr, br, err
+	}
+
+	// Fault-free twins: one per (topology, column), the availability
+	// denominator for every level row of that topology. A twin's count
+	// is its acquisitions or its completed episodes.
+	base, err := cells(o, true, len(topos), names, func(ti, ci int, pool *machine.Pool) (uint64, error) {
+		lr, br, err := runCell(pool, topos[ti], ci, empty, empty)
+		return lr.Acquisitions + br.Completed, err
 	})
 	if err != nil {
 		return nil, err
 	}
 
-	lockRes := make([][]simsync.LockResult, len(rows))
-	barRes := make([][]simsync.BarrierResult, len(rows))
-	for i := range rows {
-		lockRes[i] = make([]simsync.LockResult, len(locks))
-		barRes[i] = make([]simsync.BarrierResult, len(bars))
-	}
-	err = o.forEachCell(true, names, len(rows)*len(names), func(cell int, pool *machine.Pool) error {
-		per := len(locks) + len(bars)
-		ri, ci := cell/per, cell%per
+	// Each level cell renders against its topology's twin.
+	rendered, err := cells(o, true, len(rows), names, func(ri, ci int, pool *machine.Pool) (string, error) {
 		row := rows[ri]
-		if ci < len(locks) {
-			res, rerr := simsync.RunLockIn(pool, lockCfg(row.tp, row.plan), locks[ci], lockOpts)
-			if rerr != nil {
-				return rerr
-			}
-			o.progressf("  %s %s %s: %s, %d acq, %d orphaned, %d recovered\n",
-				row.tp.Name(), row.level.Name, res.Lock, res.Outcome,
-				res.Acquisitions, res.Orphaned, res.Recovered)
-			lockRes[ri][ci] = res
-			return nil
+		lr, br, err := runCell(pool, row.tp, ci, row.plan, row.bplan)
+		if err != nil {
+			return "", err
 		}
-		bi := ci - len(locks)
-		res, rerr := simsync.RunBarrierIn(pool, barCfg(row.tp, row.bplan), bars[bi], barOpts)
-		if rerr != nil {
-			return rerr
+		baseline := base[(ri/len(levels))*len(names)+ci]
+		if ci < len(locks) {
+			o.progressf("  %s %s %s: %s, %d acq, %d orphaned, %d recovered\n",
+				row.tp.Name(), row.level.Name, lr.Lock, lr.Outcome,
+				lr.Acquisitions, lr.Orphaned, lr.Recovered)
+			return recoveryCell(lr.Resilience, lr.Acquisitions, baseline, lr.Orphaned, lr.StaleWrites), nil
 		}
 		o.progressf("  %s %s %s: %s, %d episodes, %d recovered\n",
-			row.tp.Name(), row.level.Name, res.Barrier, res.Outcome,
-			res.Completed, res.Recovered)
-		barRes[ri][bi] = res
-		return nil
+			row.tp.Name(), row.level.Name, br.Barrier, br.Outcome,
+			br.Completed, br.Recovered)
+		return recoveryCell(br.Resilience, br.Completed, baseline, 0, 0), nil
 	})
 	if err != nil {
 		return nil, err
@@ -244,19 +222,9 @@ func runRecoverySweep(o Options) ([]Table, error) {
 	}
 	for ri, row := range rows {
 		label := row.tp.Name() + "/" + row.level.Name
-		ti := ri / len(levels)
-		r3 := []string{label}
-		for ci := range locks {
-			res := lockRes[ri][ci]
-			r3 = append(r3, recoveryCell(res.Resilience, res.Acquisitions, lockBase[ti][ci], res.Orphaned, res.StaleWrites))
-		}
-		ft3.Rows = append(ft3.Rows, r3)
-		r4 := []string{label}
-		for bi := range bars {
-			res := barRes[ri][bi]
-			r4 = append(r4, recoveryCell(res.Resilience, res.Completed, barBase[ti][bi], 0, 0))
-		}
-		ft4.Rows = append(ft4.Rows, r4)
+		r := rendered[ri*len(names) : (ri+1)*len(names)]
+		ft3.AddRow(append([]string{label}, r[:len(locks)]...)...)
+		ft4.AddRow(append([]string{label}, r[len(locks):]...)...)
 	}
 	return []Table{ft3, ft4}, nil
 }

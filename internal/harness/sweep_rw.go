@@ -68,44 +68,53 @@ func runF9(o Options) ([]Table, error) {
 // ---------------------------------------------------------------------
 
 func runF13(o Options) ([]Table, error) {
+	p, _ := o.rwSweepSize()
+	return rwSweep(o, layout{id: "F13",
+		title:  fmt.Sprintf("Reader-writer locks on the bus machine at P=%d: cycles and transactions per operation", p),
+		note:   "reader sharing pays off as the read fraction rises; the fair queue variant adds bounded overhead and removes writer starvation",
+		tp:     topo.Bus,
+		figure: true,
+	})
+}
+
+// rwSweep runs every simulated reader-writer lock on lay's machine
+// across the read-fraction axis: one column of cycles per operation for
+// each lock, which the figure pairs with the lock's transactions per
+// operation.
+func rwSweep(o Options, lay layout) ([]Table, error) {
 	p, iters := o.rwSweepSize()
 	infos := algosFor(o, simsync.RWLockSet)
-	cols := []string{"read fraction"}
+	t := Table{ID: lay.id, Title: lay.title, Note: lay.note, Cols: []string{"read fraction"}}
 	var names []string
 	for _, info := range infos {
 		names = append(names, info.Name)
-		cols = append(cols, info.Name+" cyc/op", info.Name+" txn/op")
-	}
-	t := Table{
-		ID:    "F13",
-		Title: fmt.Sprintf("Reader-writer locks on the bus machine at P=%d: cycles and transactions per operation", p),
-		Note:  "reader sharing pays off as the read fraction rises; the fair queue variant adds bounded overhead and removes writer starvation",
-		Cols:  cols,
-	}
-	fracs := rwFracs()
-	results := make([]simsync.RWResult, len(fracs)*len(infos))
-	err := o.forEachCell(true, names, len(results), func(cell int, pool *machine.Pool) error {
-		fi, ii := cell/len(infos), cell%len(infos)
-		res, rerr := simsync.RunRWIn(pool,
-			machine.Config{Procs: p, Topo: topo.Bus, Seed: o.seed()},
-			infos[ii],
-			simRWOpts(iters, fracs[fi]),
-		)
-		if rerr != nil {
-			return rerr
+		t.Cols = append(t.Cols, info.Name+" cyc/op")
+		if lay.figure {
+			t.Cols = append(t.Cols, info.Name+" txn/op")
 		}
-		o.progressf("  rw %s frac=%.2f: %.0f cyc/op\n", infos[ii].Name, fracs[fi], res.CyclesPerOp)
-		results[cell] = res
-		return nil
+	}
+	fracs := []float64{0, 0.5, 0.9, 1}
+	results, err := cells(o, true, len(fracs), names, func(fi, ii int, pool *machine.Pool) (simsync.RWResult, error) {
+		res, err := simsync.RunRWIn(pool,
+			machine.Config{Procs: p, Topo: lay.tp, Seed: o.seed()},
+			infos[ii],
+			simsync.RWOpts{Iters: iters, ReadFraction: fracs[fi], Work: 40, Think: 60},
+		)
+		if err == nil {
+			o.progressf("  %s rw %s frac=%.2f: %.0f cyc/op\n", lay.tp.Name(), infos[ii].Name, fracs[fi], res.CyclesPerOp)
+		}
+		return res, err
 	})
 	if err != nil {
 		return nil, err
 	}
 	for fi, frac := range fracs {
 		row := []string{fmt.Sprintf("%.2f", frac)}
-		for ii := range infos {
-			res := results[fi*len(infos)+ii]
-			row = append(row, Fmt(res.CyclesPerOp), Fmt(res.TrafficPerOp))
+		for _, res := range results[fi*len(infos) : (fi+1)*len(infos)] {
+			row = append(row, Fmt(res.CyclesPerOp))
+			if lay.figure {
+				row = append(row, Fmt(res.TrafficPerOp))
+			}
 		}
 		t.Rows = append(t.Rows, row)
 	}

@@ -56,60 +56,69 @@ func runF10(o Options) ([]Table, error) {
 // ---------------------------------------------------------------------
 
 func runF14(o Options) ([]Table, error) {
-	items, procsList := o.semSweepSize()
+	return semSweep(o, layout{id: "F14",
+		title:  "Bounded-buffer producer/consumer through counting semaphores (simulated)",
+		note:   "the central spin semaphore hammers its counter from every blocked processor; the mechanism's queueing semaphore hands permits off directly with bounded traffic",
+		tp:     topo.Bus,
+		figure: true,
+	})
+}
+
+// semSweep runs every simulated semaphore through the bounded-buffer
+// workload on lay's machine across the processor axis: one column of
+// cycles per item for each semaphore. The figure adds a column of
+// remote references per item on the numa machine for each semaphore
+// and names each column's machine.
+func semSweep(o Options, lay layout) ([]Table, error) {
+	items, procsList := 120, []int{2, 4, 8, 16, 32}
+	if o.Quick {
+		items, procsList = 40, []int{2, 4, 8}
+	}
 	infos := algosFor(o, simsync.SemaphoreSet)
-	models := []topo.Topology{topo.Bus, topo.NUMA}
-	cols := []string{"P"}
+	models := []topo.Topology{lay.tp}
+	if lay.figure {
+		models = append(models, topo.NUMA)
+	}
+	// A column is one (machine, semaphore) pair, charged to the
+	// semaphore on the -v clock.
+	t := Table{ID: lay.id, Title: lay.title, Note: lay.note, Cols: []string{"P"}}
 	var names []string
-	for _, info := range infos {
-		names = append(names, info.Name)
-	}
-	for _, model := range models {
-		unit := "cyc/item"
-		if model == topo.NUMA {
-			unit = "refs/item"
+	for mi, model := range models {
+		for _, info := range infos {
+			names = append(names, info.Name)
+			switch {
+			case !lay.figure:
+				t.Cols = append(t.Cols, info.Name+" cyc/item")
+			case mi == 0:
+				t.Cols = append(t.Cols, fmt.Sprintf("%s: %s cyc/item", model.Name(), info.Name))
+			default:
+				t.Cols = append(t.Cols, fmt.Sprintf("%s: %s refs/item", model.Name(), info.Name))
+			}
 		}
-		for _, name := range names {
-			cols = append(cols, fmt.Sprintf("%s: %s %s", model, name, unit))
-		}
 	}
-	t := Table{
-		ID:    "F14",
-		Title: "Bounded-buffer producer/consumer through counting semaphores (simulated)",
-		Note:  "the central spin semaphore hammers its counter from every blocked processor; the mechanism's queueing semaphore hands permits off directly with bounded traffic",
-		Cols:  cols,
-	}
-	perRow := len(models) * len(infos)
-	results := make([]simsync.PCResult, len(procsList)*perRow)
-	err := o.forEachCell(true, names, len(results), func(cell int, pool *machine.Pool) error {
-		pi, rest := cell/perRow, cell%perRow
-		model, info := models[rest/len(infos)], infos[rest%len(infos)]
-		res, rerr := simsync.RunProducerConsumerIn(pool,
+	results, err := cells(o, true, len(procsList), names, func(pi, c int, pool *machine.Pool) (simsync.PCResult, error) {
+		model, info := models[c/len(infos)], infos[c%len(infos)]
+		res, err := simsync.RunProducerConsumerIn(pool,
 			machine.Config{Procs: procsList[pi], Topo: model, Seed: o.seed()},
 			info,
-			simPCOpts(items),
+			simsync.PCOpts{Items: items, Capacity: 4, Work: 20},
 		)
-		if rerr != nil {
-			return rerr
+		if err == nil {
+			o.progressf("  %s %s P=%d: %.0f cyc/item %.1f traffic/item\n",
+				model.Name(), info.Name, procsList[pi], res.CyclesPerItem, res.TrafficPerItem)
 		}
-		o.progressf("  %s %s P=%d: %.0f cyc/item %.1f traffic/item\n",
-			model.Name(), info.Name, procsList[pi], res.CyclesPerItem, res.TrafficPerItem)
-		results[cell] = res
-		return nil
+		return res, err
 	})
 	if err != nil {
 		return nil, err
 	}
 	for pi, p := range procsList {
 		row := []string{Fmt(float64(p))}
-		for mi, model := range models {
-			for ii := range infos {
-				res := results[pi*perRow+mi*len(infos)+ii]
-				if model == topo.Bus {
-					row = append(row, Fmt(res.CyclesPerItem))
-				} else {
-					row = append(row, Fmt(res.TrafficPerItem))
-				}
+		for c, res := range results[pi*len(names) : (pi+1)*len(names)] {
+			if c < len(infos) {
+				row = append(row, Fmt(res.CyclesPerItem))
+			} else {
+				row = append(row, Fmt(res.TrafficPerItem))
 			}
 		}
 		t.Rows = append(t.Rows, row)

@@ -171,152 +171,26 @@ func (o Options) runBatteryOn(tp topo.Topology) ([]Table, error) {
 	}
 	tables = append(tables, bar...)
 
-	rw, err := o.rwBatteryOn(tp)
-	if err != nil {
-		return nil, err
-	}
-	sem, err := o.semBatteryOn(tp)
-	if err != nil {
-		return nil, err
-	}
-	ctr, err := o.counterBatteryOn(tp)
-	if err != nil {
-		return nil, err
-	}
-	return append(tables, rw, sem, ctr), nil
-}
-
-func (o Options) rwBatteryOn(tp topo.Topology) (Table, error) {
-	p, iters := o.rwSweepSize()
-	infos := algosFor(o, simsync.RWLockSet)
-	cols := []string{"read fraction"}
-	var names []string
-	for _, info := range infos {
-		names = append(names, info.Name)
-		cols = append(cols, info.Name+" cyc/op")
-	}
-	t := Table{
-		ID:    "R1-" + tp.Name(),
-		Title: fmt.Sprintf("Reader-writer locks on the %s machine at P=%d: cycles per operation", tp.Name(), p),
-		Note:  "the F13 sweep on this topology",
-		Cols:  cols,
-	}
-	fracs := rwFracs()
-	results := make([]simsync.RWResult, len(fracs)*len(infos))
-	err := o.forEachCell(true, names, len(results), func(cell int, pool *machine.Pool) error {
-		fi, ii := cell/len(infos), cell%len(infos)
-		res, rerr := simsync.RunRWIn(pool,
-			machine.Config{Procs: p, Topo: tp, Seed: o.seed()},
-			infos[ii],
-			simRWOpts(iters, fracs[fi]),
-		)
-		if rerr != nil {
-			return rerr
+	p, _ := o.rwSweepSize()
+	for _, sweep := range []struct {
+		run func(Options, layout) ([]Table, error)
+		lay layout
+	}{
+		{rwSweep, layout{id: "R1-" + name, tp: tp,
+			title: fmt.Sprintf("Reader-writer locks on the %s machine at P=%d: cycles per operation", name, p),
+			note:  "the F13 sweep on this topology"}},
+		{semSweep, layout{id: "S1-" + name, tp: tp,
+			title: fmt.Sprintf("Bounded-buffer producer/consumer on the %s machine: cycles per item", name),
+			note:  "the F14 sweep on this topology; the sharded semaphore keeps permits circulating inside a cluster"}},
+		{counterSweep, layout{id: "C1-" + name, tp: tp,
+			title: fmt.Sprintf("Hot-spot counter on the %s machine: cycles and %s per increment", name, unit),
+			note:  "the F16 sweep on this topology; group-home placement keeps sharded-counter traffic off the inter-cluster links"}},
+	} {
+		ts, err := sweep.run(o, sweep.lay)
+		if err != nil {
+			return nil, err
 		}
-		results[cell] = res
-		return nil
-	})
-	if err != nil {
-		return Table{}, err
+		tables = append(tables, ts...)
 	}
-	for fi, frac := range fracs {
-		row := []string{fmt.Sprintf("%.2f", frac)}
-		for ii := range infos {
-			row = append(row, Fmt(results[fi*len(infos)+ii].CyclesPerOp))
-		}
-		t.Rows = append(t.Rows, row)
-	}
-	return t, nil
-}
-
-func (o Options) semBatteryOn(tp topo.Topology) (Table, error) {
-	items, procsList := o.semSweepSize()
-	infos := algosFor(o, simsync.SemaphoreSet)
-	cols := []string{"P"}
-	var names []string
-	for _, info := range infos {
-		names = append(names, info.Name)
-		cols = append(cols, info.Name+" cyc/item")
-	}
-	t := Table{
-		ID:    "S1-" + tp.Name(),
-		Title: fmt.Sprintf("Bounded-buffer producer/consumer on the %s machine: cycles per item", tp.Name()),
-		Note:  "the F14 sweep on this topology; the sharded semaphore keeps permits circulating inside a cluster",
-		Cols:  cols,
-	}
-	results := make([]simsync.PCResult, len(procsList)*len(infos))
-	err := o.forEachCell(true, names, len(results), func(cell int, pool *machine.Pool) error {
-		pi, ii := cell/len(infos), cell%len(infos)
-		res, rerr := simsync.RunProducerConsumerIn(pool,
-			machine.Config{Procs: procsList[pi], Topo: tp, Seed: o.seed()},
-			infos[ii],
-			simPCOpts(items),
-		)
-		if rerr != nil {
-			return rerr
-		}
-		results[cell] = res
-		return nil
-	})
-	if err != nil {
-		return Table{}, err
-	}
-	for pi, p := range procsList {
-		row := []string{Fmt(float64(p))}
-		for ii := range infos {
-			row = append(row, Fmt(results[pi*len(infos)+ii].CyclesPerItem))
-		}
-		t.Rows = append(t.Rows, row)
-	}
-	return t, nil
-}
-
-func (o Options) counterBatteryOn(tp topo.Topology) (Table, error) {
-	incs, procsList := o.counterSweepSize()
-	procsList = clipProcs(procsList, tp.MaxProcs())
-	infos := algosFor(o, simsync.CounterSet)
-	cols := []string{"P"}
-	var names []string
-	for _, info := range infos {
-		names = append(names, info.Name)
-		cols = append(cols, info.Name+" cyc/inc")
-	}
-	for _, info := range infos {
-		cols = append(cols, info.Name+" refs/inc")
-	}
-	t := Table{
-		ID:    "C1-" + tp.Name(),
-		Title: fmt.Sprintf("Hot-spot counter on the %s machine: cycles and %s per increment", tp.Name(), tp.Discipline().Unit()),
-		Note:  "the F16 sweep on this topology; group-home placement keeps sharded-counter traffic off the inter-cluster links",
-		Cols:  cols,
-	}
-	results := make([]simsync.CounterResult, len(procsList)*len(infos))
-	err := o.forEachCell(true, names, len(results), func(cell int, pool *machine.Pool) error {
-		pi, ii := cell/len(infos), cell%len(infos)
-		res, rerr := simsync.RunCounterIn(pool,
-			machine.Config{Procs: procsList[pi], Topo: tp, Seed: o.seed()},
-			infos[ii],
-			simsync.CounterOpts{Incs: incs},
-		)
-		if rerr != nil {
-			return rerr
-		}
-		results[cell] = res
-		return nil
-	})
-	if err != nil {
-		return Table{}, err
-	}
-	for pi, p := range procsList {
-		row := []string{Fmt(float64(p))}
-		var refs []string
-		for ii := range infos {
-			res := results[pi*len(infos)+ii]
-			row = append(row, Fmt(res.CyclesPerInc))
-			refs = append(refs, Fmt(res.TrafficPerInc))
-		}
-		row = append(row, refs...)
-		t.Rows = append(t.Rows, row)
-	}
-	return t, nil
+	return tables, nil
 }
