@@ -155,21 +155,19 @@ func runRecoverySweep(o Options) ([]Table, error) {
 
 	lockOpts := simsync.LockOpts{Iters: iters, CS: 25, Think: 50, Budget: 4096}
 	barOpts := simsync.BarrierOpts{Episodes: episodes, Work: 150}
-	lockCfg := func(tp topo.Topology, plan *fault.Plan) machine.Config {
-		return machine.Config{Procs: procs, Topo: tp, Seed: o.seed(), Faults: plan, MaxSteps: maxSteps}
-	}
-	barCfg := func(tp topo.Topology, plan *fault.Plan) machine.Config {
-		return machine.Config{Procs: barProcs, Topo: tp, Seed: o.seed(), Faults: plan, MaxSteps: maxSteps}
-	}
 	empty := fault.NewPlan("L0")
 
 	// runCell runs column ci on tp: a lock under plan, or a barrier
 	// under bplan. The other result stays zero.
 	runCell := func(pool *machine.Pool, tp topo.Topology, ci int, plan, bplan *fault.Plan) (lr simsync.LockResult, br simsync.BarrierResult, err error) {
 		if ci < len(locks) {
-			lr, err = simsync.RunLockIn(pool, lockCfg(tp, plan), locks[ci], lockOpts)
+			lr, err = simsync.RunLockIn(pool,
+				machine.Config{Procs: procs, Topo: tp, Seed: o.seed(), Faults: plan, MaxSteps: maxSteps},
+				locks[ci], lockOpts)
 		} else {
-			br, err = simsync.RunBarrierIn(pool, barCfg(tp, bplan), bars[ci-len(locks)], barOpts)
+			br, err = simsync.RunBarrierIn(pool,
+				machine.Config{Procs: barProcs, Topo: tp, Seed: o.seed(), Faults: bplan, MaxSteps: maxSteps},
+				bars[ci-len(locks)], barOpts)
 		}
 		return lr, br, err
 	}
