@@ -1,8 +1,12 @@
 package harness
 
 import (
+	"slices"
 	"strings"
 	"testing"
+
+	"repro/internal/registry"
+	"repro/internal/topo"
 )
 
 func TestValidateFaults(t *testing.T) {
@@ -15,6 +19,51 @@ func TestValidateFaults(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "L9") || !strings.Contains(err.Error(), "R2") {
 		t.Fatalf("error should name the offender and the known levels: %v", err)
+	}
+}
+
+// The CLIs' -algos and -topo guards: a typo must fail, naming the bad
+// entry and listing the known names, instead of running a sweep that
+// silently ignores it.
+func TestValidateAlgosAndTopos(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		validate func([]string) error
+		list     string
+		bad      string   // the entry the error must name; "" if the list passes
+		known    []string // names the error must list
+	}{
+		{"every registry", ValidateAlgos, "tas,central,rw-ctr,sem-sharded,ctr-fa,stdlib,rw-stdlib", "", nil},
+		{"no algos", ValidateAlgos, "", "", nil},
+		{"algo typo", ValidateAlgos, "tas,tsa", "tsa", []string{"tas", "central", "rw-ctr", "sem-sharded", "ctr-fa", "stdlib", "rw-stdlib"}},
+		{"every topology", ValidateTopos, strings.Join(topo.Names(), ","), "", nil},
+		{"no topologies", ValidateTopos, "", "", nil},
+		{"unknown topology", ValidateTopos, "bus,mesh", "mesh", topo.Names()},
+		// Unlike fault levels, topology names are case-sensitive.
+		{"topology case", ValidateTopos, "Cluster", "Cluster", topo.Names()},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			err := tc.validate(registry.SplitList(tc.list))
+			if tc.bad == "" {
+				if err != nil {
+					t.Fatalf("%q rejected: %v", tc.list, err)
+				}
+				return
+			}
+			if err == nil {
+				t.Fatalf("%q accepted", tc.list)
+			}
+			named, listed, ok := strings.Cut(err.Error(), "(known: ")
+			if !ok || !slices.Contains(strings.Fields(named), tc.bad) {
+				t.Fatalf("error should name %q before the known list: %v", tc.bad, err)
+			}
+			listedNames := strings.Fields(strings.TrimSuffix(listed, ")"))
+			for _, n := range tc.known {
+				if !slices.Contains(listedNames, n) {
+					t.Errorf("known list lacks %q: %v", n, err)
+				}
+			}
+		})
 	}
 }
 

@@ -137,19 +137,19 @@ func runRecoverySweep(o Options) ([]Table, error) {
 	type rowKey struct {
 		tp    topo.Topology
 		level FaultLevel
-		plan  *fault.Plan // lock-sweep plan
+		plan  *fault.Plan // lock-sweep plan; nil for a fault-free level
 		bplan *fault.Plan // barrier-sweep plan (sized to barProcs)
 	}
 	var rows []rowKey
 	for ti, tp := range topos {
 		for li, lv := range levels {
-			plan, bplan := fault.NewPlan(lv.Name), fault.NewPlan(lv.Name)
+			row := rowKey{tp: tp, level: lv}
 			if !lv.None {
 				seed := o.seed()*4096 + uint64(ti)*64 + uint64(li)
-				plan = fault.Generate(fmt.Sprintf("%s/%s", tp.Name(), lv.Name), seed, lv.Spec(procs, iters))
-				bplan = fault.Generate(fmt.Sprintf("%s/%s/bar", tp.Name(), lv.Name), seed+17, lv.Spec(barProcs, episodes))
+				row.plan = fault.Generate(fmt.Sprintf("%s/%s", tp.Name(), lv.Name), seed, lv.Spec(procs, iters))
+				row.bplan = fault.Generate(fmt.Sprintf("%s/%s/bar", tp.Name(), lv.Name), seed+17, lv.Spec(barProcs, episodes))
 			}
-			rows = append(rows, rowKey{tp: tp, level: lv, plan: plan, bplan: bplan})
+			rows = append(rows, row)
 		}
 	}
 
@@ -173,11 +173,16 @@ func runRecoverySweep(o Options) ([]Table, error) {
 	}
 
 	// Fault-free twins: one per (topology, column), the availability
-	// denominator for every level row of that topology. A twin's count
-	// is its acquisitions or its completed episodes.
-	base, err := cells(o, true, len(topos), names, func(ti, ci int, pool *machine.Pool) (uint64, error) {
+	// denominator for every level row of that topology (a twin's count
+	// is its acquisitions or its completed episodes) and the result a
+	// fault-free level's row renders without running the cell again.
+	type twin struct {
+		lr simsync.LockResult
+		br simsync.BarrierResult
+	}
+	twins, err := cells(o, true, len(topos), names, func(ti, ci int, pool *machine.Pool) (twin, error) {
 		lr, br, err := runCell(pool, topos[ti], ci, empty, empty)
-		return lr.Acquisitions + br.Completed, err
+		return twin{lr, br}, err
 	})
 	if err != nil {
 		return nil, err
@@ -186,11 +191,15 @@ func runRecoverySweep(o Options) ([]Table, error) {
 	// Each level cell renders against its topology's twin.
 	rendered, err := cells(o, true, len(rows), names, func(ri, ci int, pool *machine.Pool) (string, error) {
 		row := rows[ri]
-		lr, br, err := runCell(pool, row.tp, ci, row.plan, row.bplan)
-		if err != nil {
-			return "", err
+		tw := twins[(ri/len(levels))*len(names)+ci]
+		lr, br := tw.lr, tw.br
+		if !row.level.None {
+			var err error
+			if lr, br, err = runCell(pool, row.tp, ci, row.plan, row.bplan); err != nil {
+				return "", err
+			}
 		}
-		baseline := base[(ri/len(levels))*len(names)+ci]
+		baseline := tw.lr.Acquisitions + tw.br.Completed
 		if ci < len(locks) {
 			o.progressf("  %s %s %s: %s, %d acq, %d orphaned, %d recovered\n",
 				row.tp.Name(), row.level.Name, lr.Lock, lr.Outcome,

@@ -1,7 +1,7 @@
 // Package workload generates the real-runtime workloads the experiments
-// run: contended critical sections, read-mostly mixes, hot-spot counters,
-// and bounded-buffer pipelines. Each runner returns throughput figures
-// the harness turns into tables.
+// run: contended critical sections, read-mostly mixes and bounded-buffer
+// pipelines. Each runner returns throughput figures the harness turns
+// into tables.
 package workload
 
 import (
@@ -200,56 +200,6 @@ func RunReadMix(rw locks.RWLock, o RWOpts) (RWResult, bool) {
 		Lat:          summarizeLat(hists),
 	}
 	return res, bad.Load() == 0 && x == y && int64(x) == writes.Load()
-}
-
-// CounterResult reports a hot-spot counter run.
-type CounterResult struct {
-	Goroutines int
-	Total      int64
-	Elapsed    time.Duration
-	OpsPerSec  float64
-}
-
-// CounterOpts configures RunCounterHotspot.
-type CounterOpts struct {
-	Goroutines int
-	Iters      int // increments per goroutine
-	ThinkWork  int // spin units between increments
-}
-
-// AddLoader is the real-runtime counter surface the hot-spot workload
-// drives (both sharded.Counter and sharded.CentralCounter satisfy it).
-type AddLoader interface {
-	Inc()
-	Load() int64
-}
-
-// RunCounterHotspot hammers a counter from many goroutines and reports
-// increment throughput. The boolean result verifies no update was lost.
-func RunCounterHotspot(c AddLoader, o CounterOpts) (CounterResult, bool) {
-	var wg sync.WaitGroup
-	start := time.Now()
-	for g := 0; g < o.Goroutines; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < o.Iters; i++ {
-				c.Inc()
-				if o.ThinkWork > 0 {
-					spin(o.ThinkWork)
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-	total := int64(o.Goroutines) * int64(o.Iters)
-	return CounterResult{
-		Goroutines: o.Goroutines,
-		Total:      total,
-		Elapsed:    elapsed,
-		OpsPerSec:  float64(total) / elapsed.Seconds(),
-	}, c.Load() == total
 }
 
 // PipelineResult reports a bounded-buffer pipeline run.

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/locks"
-	"repro/internal/sharded"
 )
 
 func TestRunCriticalSections(t *testing.T) {
@@ -62,28 +61,6 @@ func TestRunReadMix(t *testing.T) {
 				if frac == 1 && got != 1 {
 					t.Fatalf("frac 1 produced writes")
 				}
-			}
-		})
-	}
-}
-
-func TestRunCounterHotspot(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		c    AddLoader
-	}{
-		{"central", sharded.NewCentralCounter()},
-		{"sharded", sharded.NewCounter(0)},
-	} {
-		tc := tc
-		t.Run(tc.name, func(t *testing.T) {
-			t.Parallel()
-			res, ok := RunCounterHotspot(tc.c, CounterOpts{Goroutines: 8, Iters: 2000})
-			if !ok {
-				t.Fatalf("%s lost updates", tc.name)
-			}
-			if res.Total != 8*2000 || res.OpsPerSec <= 0 {
-				t.Fatalf("bad result: %+v", res)
 			}
 		})
 	}
