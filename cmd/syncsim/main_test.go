@@ -94,3 +94,40 @@ func TestFlagsAtBounds(t *testing.T) {
 		}
 	}
 }
+
+// TestFaults drives -faults: a faulted lock run prints one outcome per
+// selected lock, a faulted barrier run completes, and an unsupported
+// kind or an unknown level stops the command with a message naming
+// what is supported.
+func TestFaults(t *testing.T) {
+	stdout, stderr, code := syncsim(t, "-kind", "lock", "-faults", "R1", "-algos", "tas-deadline,lease-fence,qheal",
+		"-procs", "8", "-iters", "20")
+	if code != 0 || strings.Count(stdout, "  outcome:") != 3 {
+		t.Errorf("faulted lock run: exit %d, stderr %q, want three outcome lines in:\n%s", code, stderr, stdout)
+	}
+	for _, lock := range []string{"tas-deadline", "lease-fence", "qheal"} {
+		if !strings.Contains(stdout, "lock="+lock+" ") {
+			t.Errorf("faulted lock run printed no result for %s:\n%s", lock, stdout)
+		}
+	}
+	if stdout, stderr, code := syncsim(t, "-kind", "barrier", "-faults", "L2", "-algos", "central,reconf",
+		"-procs", "8", "-episodes", "10"); code != 0 || strings.Count(stdout, "  outcome:") != 2 {
+		t.Errorf("faulted barrier run: exit %d, stderr %q, stdout:\n%s", code, stderr, stdout)
+	}
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-kind", "rw", "-faults", "L2"}, "-kind lock and barrier"},
+		{[]string{"-faults", "bogus"}, "known: L0 L1 L2 L3 R1 R2"},
+	} {
+		name := strings.Join(c.args, " ")
+		stdout, stderr, code := syncsim(t, c.args...)
+		if code == 0 || !strings.Contains(stderr, c.want) {
+			t.Errorf("%s: exit %d, stderr %q; want non-zero and %q", name, code, stderr, c.want)
+		}
+		if stdout != "" {
+			t.Errorf("%s: ran a workload before rejecting it:\n%s", name, stdout)
+		}
+	}
+}

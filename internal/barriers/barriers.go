@@ -11,7 +11,6 @@ import (
 	"runtime"
 	"sync/atomic"
 
-	"repro/internal/core"
 	"repro/internal/registry"
 )
 
@@ -36,7 +35,6 @@ func init() {
 		Info{Name: "central", New: func(n int) Barrier { return NewCentral(n) }},
 		Info{Name: "dissemination", New: func(n int) Barrier { return NewDissemination(n) }},
 		Info{Name: "tournament", New: func(n int) Barrier { return NewTournament(n) }},
-		Info{Name: "qsync-tree", New: func(n int) Barrier { return &treeAdapter{b: core.NewTreeBarrier(n)} }},
 	)
 }
 
@@ -45,14 +43,6 @@ func All() []Info { return Registry.All() }
 
 // ByName returns the registry entry for name, or false.
 func ByName(name string) (Info, bool) { return Registry.ByName(name) }
-
-type treeAdapter struct {
-	b *core.TreeBarrier
-}
-
-func (a *treeAdapter) Name() string { return "qsync-tree" }
-func (a *treeAdapter) Wait(id int)  { a.b.Wait(id) }
-func (a *treeAdapter) Parties() int { return a.b.Parties() }
 
 // spin waits for cond with periodic yields.
 func spin(cond func() bool) {

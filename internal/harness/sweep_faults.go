@@ -131,7 +131,7 @@ func (o Options) ft12Defaults() []string {
 }
 
 // faultLocks is the FT column set: the blocking baselines (tas, tas-bo,
-// qsync), the bounded-wait lock (driven through AcquireWithin), and a
+// qsync), the bounded-wait lock (driven by its bounded attempt), and a
 // lease lock whose term is long enough that no stall can outlive it —
 // only a crash triggers takeover, so its mutual-exclusion check stays
 // exact under every level.

@@ -1,6 +1,6 @@
 // Package locks provides real-runtime implementations of the 1991
-// baseline spin locks, sharing an interface with the core mechanism so
-// the benchmark harness can sweep all of them uniformly.
+// baseline spin locks. Each is a sync.Locker, like the core mechanism,
+// so the benchmark harness can sweep all of them uniformly.
 //
 // A caveat the repro band predicted: goroutines are not processors. The
 // Go scheduler multiplexes them, so raw spin loops must yield
@@ -20,18 +20,12 @@ import (
 	"repro/internal/registry"
 )
 
-// Lock is the common interface: sync.Locker plus a registry name.
-type Lock interface {
-	sync.Locker
-	Name() string
-}
-
 // Info describes one algorithm for registries and sweeps.
 type Info struct {
 	Name string
 	// New constructs a lock sized for at most maxWaiters concurrent
 	// lockers (only the array lock cares).
-	New func(maxWaiters int) Lock
+	New func(maxWaiters int) sync.Locker
 }
 
 // Registry is the lock family's registry.Set, in canonical order:
@@ -41,14 +35,14 @@ var Registry = registry.NewSet[Info]("locks", func(i Info) string { return i.Nam
 
 func init() {
 	Registry.Register(
-		Info{Name: "tas", New: func(int) Lock { return new(TASLock) }},
-		Info{Name: "ttas", New: func(int) Lock { return new(TTASLock) }},
-		Info{Name: "tas-bo", New: func(int) Lock { return NewBackoffLock(4, 4096) }},
-		Info{Name: "ticket", New: func(int) Lock { return new(TicketLock) }},
-		Info{Name: "anderson", New: func(n int) Lock { return NewAndersonLock(n) }},
-		Info{Name: "qsync", New: func(int) Lock { return &QSyncLock{name: "qsync", m: core.Mutex{Mode: core.Spin}} }},
-		Info{Name: "qsync-park", New: func(int) Lock { return &QSyncLock{name: "qsync-park", m: core.Mutex{Mode: core.SpinPark}} }},
-		Info{Name: "stdlib", New: func(int) Lock { return new(StdMutex) }},
+		Info{Name: "tas", New: func(int) sync.Locker { return new(TASLock) }},
+		Info{Name: "ttas", New: func(int) sync.Locker { return new(TTASLock) }},
+		Info{Name: "tas-bo", New: func(int) sync.Locker { return NewBackoffLock(4, 4096) }},
+		Info{Name: "ticket", New: func(int) sync.Locker { return new(TicketLock) }},
+		Info{Name: "anderson", New: func(n int) sync.Locker { return NewAndersonLock(n) }},
+		Info{Name: "qsync", New: func(int) sync.Locker { return &core.Mutex{Mode: core.Spin} }},
+		Info{Name: "qsync-park", New: func(int) sync.Locker { return &core.Mutex{Mode: core.SpinPark} }},
+		Info{Name: "stdlib", New: func(int) sync.Locker { return new(sync.Mutex) }},
 	)
 }
 
@@ -76,9 +70,6 @@ type TASLock struct {
 	v atomic.Uint32
 }
 
-// Name implements Lock.
-func (l *TASLock) Name() string { return "tas" }
-
 // Lock implements sync.Locker.
 func (l *TASLock) Lock() {
 	for i := 0; l.v.Swap(1) != 0; i++ {
@@ -95,9 +86,6 @@ func (l *TASLock) Unlock() { l.v.Store(0) }
 type TTASLock struct {
 	v atomic.Uint32
 }
-
-// Name implements Lock.
-func (l *TTASLock) Name() string { return "ttas" }
 
 // Lock implements sync.Locker.
 func (l *TTASLock) Lock() {
@@ -137,9 +125,6 @@ func NewBackoffLock(base, cap int) *BackoffLock {
 	return l
 }
 
-// Name implements Lock.
-func (l *BackoffLock) Name() string { return "tas-bo" }
-
 // Lock implements sync.Locker.
 func (l *BackoffLock) Lock() {
 	b := l.base
@@ -167,9 +152,6 @@ type TicketLock struct {
 	next    atomic.Uint32
 	serving atomic.Uint32
 }
-
-// Name implements Lock.
-func (l *TicketLock) Name() string { return "ticket" }
 
 // Lock implements sync.Locker.
 func (l *TicketLock) Lock() {
@@ -210,9 +192,6 @@ func NewAndersonLock(maxWaiters int) *AndersonLock {
 	return l
 }
 
-// Name implements Lock.
-func (l *AndersonLock) Name() string { return "anderson" }
-
 // Lock implements sync.Locker.
 func (l *AndersonLock) Lock() {
 	idx := l.tail.Add(1) - 1
@@ -230,29 +209,3 @@ func (l *AndersonLock) Lock() {
 func (l *AndersonLock) Unlock() {
 	l.slots[int(l.held+1)%len(l.slots)].v.Store(1)
 }
-
-// QSyncLock adapts core.Mutex (the mechanism) to the registry
-// interface, carrying the waiter-mode distinction in its name.
-type QSyncLock struct {
-	name string
-	m    core.Mutex
-}
-
-// Name implements Lock.
-func (l *QSyncLock) Name() string { return l.name }
-
-// Lock implements sync.Locker.
-func (l *QSyncLock) Lock() { l.m.Lock() }
-
-// Unlock implements sync.Locker.
-func (l *QSyncLock) Unlock() { l.m.Unlock() }
-
-// StdMutex wraps sync.Mutex as the modern reference point (it is
-// itself a futex-style adaptive lock — the design that superseded the
-// 1991 mechanisms).
-type StdMutex struct {
-	sync.Mutex
-}
-
-// Name implements Lock.
-func (l *StdMutex) Name() string { return "stdlib" }

@@ -48,15 +48,6 @@ func TestAllLocksUncontended(t *testing.T) {
 	}
 }
 
-func TestNamesMatchRegistry(t *testing.T) {
-	for _, info := range All() {
-		l := info.New(4)
-		if l.Name() != info.Name {
-			t.Errorf("registry %q constructs lock named %q", info.Name, l.Name())
-		}
-	}
-}
-
 func TestByName(t *testing.T) {
 	if _, ok := ByName("ticket"); !ok {
 		t.Fatal("ticket missing from registry")

@@ -28,10 +28,10 @@ type Lock interface {
 // processor p's, which its Acquire and Release run. A lock whose
 // branches rewrite operands (an address computed from a swap, a value
 // observed by a load) keeps one op slice per processor. Every lock in
-// LockSet is one. RunLockIn's fault-free loop calls the scripts from
-// one iteration script every processor shares (machine.ContSub), so a
-// lock cell's goroutines hand off only when they start and finish.
-// Each script's Go form, verbatim, is the lock's closure twin in
+// LockSet is one. RunLockIn calls the scripts from one iteration script
+// every processor shares (machine.ContSub), so a lock cell's goroutines
+// hand off only when they start, finish, crash or are reborn. Each
+// script's Go form, verbatim, is the lock's closure twin in
 // twins_test.go, and the determinism suites hold the two bit-identical.
 type scriptedLock interface {
 	Lock

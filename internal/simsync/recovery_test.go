@@ -325,50 +325,65 @@ func TestHealQueueUnannouncedHead(t *testing.T) {
 // discipline without any fault plan at all: a holder whose lease
 // expires mid-critical-section is usurped by a live waiter, and the
 // zombie's guarded write must be suppressed and counted while the
-// usurper's goes through.
+// usurper's goes through. No sweep cell records a stale write, so this
+// is where the guarded-write script meets its Go form: the closure twin
+// must replay the scenario with the same outcome, counters and Stats
+// but the dispatch routes and handoffs.
 func TestLeaseFenceSuppressesStaleWrites(t *testing.T) {
-	run := func() (staleBlocked, freshOK bool, l *fenceLock) {
+	type outcome struct {
+		StaleBlocked, FreshOK  bool
+		Takeovers, StaleWrites uint64
+		Stats                  machine.Stats
+	}
+	run := func(goForms bool) outcome {
 		m, err := machine.New(machine.Config{Procs: 2, Topo: topo.Bus, Seed: 5})
 		if err != nil {
 			t.Fatal(err)
 		}
-		l = NewLeaseFenceTerm(m, 500, 16).(*fenceLock)
+		l := NewLeaseFenceTerm(m, 500, 16).(*fenceLock)
+		var lk FencedLock = l
+		if goForms {
+			lk = twinOf(l).(FencedLock)
+		}
 		data := m.AllocShared(1)
+		var o outcome
 		if err := m.Run(func(p *machine.Proc) {
 			if p.ID() == 0 {
-				l.Acquire(p)
+				lk.Acquire(p)
 				p.Delay(2000) // sleep through our own lease
-				staleBlocked = !l.GuardedStore(p, data, 1)
-				l.Release(p) // usurped: must be a no-op
+				o.StaleBlocked = !lk.GuardedStore(p, data, 1)
+				lk.Release(p) // usurped: must be a no-op
 			} else {
 				p.Delay(100)
-				l.Acquire(p) // blocks until P0's lease expires, then usurps
-				freshOK = l.GuardedStore(p, data, 2)
-				l.Release(p)
+				lk.Acquire(p) // blocks until P0's lease expires, then usurps
+				o.FreshOK = lk.GuardedStore(p, data, 2)
+				lk.Release(p)
 			}
 		}); err != nil {
 			t.Fatal(err)
 		}
-		return staleBlocked, freshOK, l
+		o.Takeovers, o.StaleWrites, o.Stats = l.Takeovers(), lk.StaleWrites(), m.Stats()
+		return o
 	}
-	stale, fresh, l := run()
-	if !stale {
+	o := run(false)
+	if !o.StaleBlocked {
 		t.Error("usurped holder's guarded store went through")
 	}
-	if !fresh {
+	if !o.FreshOK {
 		t.Error("usurper's guarded store was suppressed")
 	}
-	if l.Takeovers() != 1 {
-		t.Errorf("want 1 takeover, got %d", l.Takeovers())
+	if o.Takeovers != 1 {
+		t.Errorf("want 1 takeover, got %d", o.Takeovers)
 	}
-	if l.StaleWrites() != 1 {
-		t.Errorf("want 1 stale write, got %d", l.StaleWrites())
+	if o.StaleWrites != 1 {
+		t.Errorf("want 1 stale write, got %d", o.StaleWrites)
 	}
-	// Determinism: the usurpation race must replay bit-identically.
-	stale2, fresh2, l2 := run()
-	if stale2 != stale || fresh2 != fresh || l2.Takeovers() != l.Takeovers() || l2.StaleWrites() != l.StaleWrites() {
-		t.Error("usurpation outcome diverged between identical runs")
+	// Determinism: the usurpation race must replay bit-identically, and
+	// the Go forms must replay it too.
+	if again := run(false); !reflect.DeepEqual(again, o) {
+		t.Errorf("usurpation outcome diverged between identical runs:\n  first:  %+v\n  second: %+v", o, again)
 	}
+	compareTwin(t, "lease-fence usurpation", 2, o, run(true), func(r *outcome) *machine.Stats { return &r.Stats })
 }
 
 // TestLeaseExpiryTieIsDeterministic pins the contested instant: the

@@ -23,6 +23,12 @@ type BoundedLock interface {
 	AcquireWithin(p *machine.Proc, budget sim.Time) bool
 }
 
+// boundedScript is a scripted BoundedLock: withinOps returns p's bounded
+// attempt, which leaves zero in the accumulator when it won.
+type boundedScript interface {
+	withinOps(p *machine.Proc, budget sim.Time) []machine.ContOp
+}
+
 // ---------------------------------------------------------------------
 // test&set with a deadline
 // ---------------------------------------------------------------------
@@ -108,13 +114,17 @@ func (t *deadlineTASLock) judge(_ *machine.Proc, v machine.Word) int {
 	return deadlinePenalty
 }
 
-func (t *deadlineTASLock) AcquireWithin(p *machine.Proc, budget sim.Time) bool {
+func (t *deadlineTASLock) withinOps(p *machine.Proc, budget sim.Time) []machine.ContOp {
 	if budget <= 0 {
 		budget = 1
 	}
 	ops := t.within[p.ID() : p.ID()+1]
 	ops[0].Dur = budget
-	return p.RunScript(ops) == 0
+	return ops
+}
+
+func (t *deadlineTASLock) AcquireWithin(p *machine.Proc, budget sim.Time) bool {
+	return p.RunScript(t.withinOps(p, budget)) == 0
 }
 
 // Timeouts reports how many spin slices expired without an acquire.

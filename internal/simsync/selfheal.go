@@ -25,6 +25,13 @@ import (
 type FencedLock interface {
 	Lock
 	GuardedStore(p *machine.Proc, a machine.Addr, v machine.Word) bool
+	StaleWrites() uint64 // GuardedStores suppressed so far
+}
+
+// fencedScript is a scripted FencedLock: guardedStoreOps returns p's
+// guarded write of v to a.
+type fencedScript interface {
+	guardedStoreOps(p *machine.Proc, a machine.Addr, v machine.Word) []machine.ContOp
 }
 
 // ---------------------------------------------------------------------
@@ -45,9 +52,14 @@ type fenceLock struct {
 	epoch  machine.Addr
 	tokens []machine.Word // host-side: fencing token from each processor's last acquire
 
-	staleWrites uint64 // GuardedStores suppressed on a stale token
+	staleWrites uint64                     // GuardedStores suppressed on a stale token
+	guard       [][guardOps]machine.ContOp // per processor: GuardedStore's script
 	scripts
 }
+
+// The guarded write's ops are a ContLoad of the epoch, a ContBranch that
+// counts a stale token and ends, and the ContStore.
+const guardStore, guardOps = 2, 3
 
 // NewLeaseFence builds a fencing lease lock with an effectively
 // infinite term: fault-free (every registry sweep) it is a plain
@@ -66,6 +78,7 @@ func NewLeaseFenceTerm(m *machine.Machine, lease, poll sim.Time) Lock {
 		lease:  newLeaseLock(m, lease, poll),
 		epoch:  m.AllocShared(1),
 		tokens: make([]machine.Word, m.Procs()),
+		guard:  make([][guardOps]machine.ContOp, m.Procs()),
 	}
 	l.scripts = newScripts(m.Procs())
 	take := machine.ContOp{Kind: machine.ContFetchAdd, Addr: l.epoch, Val: 1}
@@ -74,6 +87,8 @@ func NewLeaseFenceTerm(m *machine.Machine, lease, poll sim.Time) Lock {
 		a := &l.lease.procs[i]
 		a.acquire[fenceTake], a.acquire[fenceToken] = take, token
 		l.acquire[i], l.release[i] = a.acquire[:], a.release[:]
+		l.guard[i] = [guardOps]machine.ContOp{{Kind: machine.ContLoad, Addr: l.epoch},
+			{Kind: machine.ContBranch, Branch: l.judge}, {Kind: machine.ContStore}}
 	}
 	return l
 }
@@ -105,12 +120,24 @@ func (l *fenceLock) Renew(p *machine.Proc) bool {
 // over and the write is suppressed (and counted) instead of stomping
 // the usurper's critical section.
 func (l *fenceLock) GuardedStore(p *machine.Proc, a machine.Addr, v machine.Word) bool {
-	if p.Load(l.epoch) != l.tokens[p.ID()] {
+	stale := l.staleWrites
+	p.RunScript(l.guardedStoreOps(p, a, v))
+	return l.staleWrites == stale
+}
+
+func (l *fenceLock) guardedStoreOps(p *machine.Proc, a machine.Addr, v machine.Word) []machine.ContOp {
+	ops := &l.guard[p.ID()]
+	ops[guardStore].Addr, ops[guardStore].Val = a, v
+	return ops[:]
+}
+
+// judge suppresses and counts a write under a stale token.
+func (l *fenceLock) judge(p *machine.Proc, epoch machine.Word) int {
+	if epoch != l.tokens[p.ID()] {
 		l.staleWrites++
-		return false
+		return guardOps
 	}
-	p.Store(a, v)
-	return true
+	return guardStore
 }
 
 // Takeovers reports how many acquires usurped an expired lease.

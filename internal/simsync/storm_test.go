@@ -2,8 +2,10 @@ package simsync
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
+	"repro/internal/fault"
 	"repro/internal/machine"
 	"repro/internal/topo"
 )
@@ -67,6 +69,16 @@ func TestStormHostCounts(t *testing.T) {
 // continuation scripts exist to remove, so this is the test that notices
 // a primitive falling back to its goroutine, or a change that removes
 // handoffs and should re-pin them.
+//
+// Its faulted leg runs every lock on the same machines under
+// TestRecoveryDeterminismMidRunCrash's plan (processor 0 stalls, the
+// last processor crashes at cycle 700 and is reborn at 6000) with a
+// bounded attempt (Budget 2048), the shape of the FT sweeps' cells. A
+// lock cell that fell back to the closure loop would hand off around
+// every acquire and release: hundreds per lock, and ~100,000 for
+// tas-deadline's bounded attempts. anderson loses mutual exclusion in
+// four of its six cells (see TestRecoveryDeterminismMidRunCrash), so
+// only its two completed cells are summed.
 func TestHandoffCounts(t *testing.T) {
 	want := map[string]uint64{
 		"tas": 54, "ttas": 55, "tas-bo": 54, "ticket": 54, "ticket-bo": 54,
@@ -75,7 +87,12 @@ func TestHandoffCounts(t *testing.T) {
 		"central": 490, "combining": 526, "dissemination": 1174, "tournament": 694,
 		"qsync-tree": 662, "reconf": 377,
 	}
-	got := map[string]uint64{}
+	wantFaulted := map[string]uint64{
+		"tas": 52, "ttas": 52, "tas-bo": 52, "ticket": 30, "ticket-bo": 42,
+		"anderson": 12, "gt": 30, "qsync": 34, "tas-deadline": 43,
+		"lease": 50, "lease-fence": 50, "qheal": 56,
+	}
+	got, gotFaulted := map[string]uint64{}, map[string]uint64{}
 	for _, tp := range []topo.Topology{topo.Bus, topo.NUMA} {
 		for _, procs := range []int{2, 4, 8} {
 			cfg := machine.Config{Procs: procs, Topo: tp, Seed: 1}
@@ -93,11 +110,32 @@ func TestHandoffCounts(t *testing.T) {
 				}
 				got[info.Name] += res.Stats.Handoffs
 			}
+			faulted := cfg
+			faulted.MaxSteps = 500_000
+			faulted.Faults = fault.NewPlan(fmt.Sprintf("handoffs/%s/P%d", tp.Name(), procs)).
+				WithStall(0, 300, 900).
+				WithCrash(procs-1, 700).
+				WithRestart(procs-1, 6000)
+			for _, info := range Locks() {
+				res, err := RunLockIn(nil, faulted, info, LockOpts{Iters: 25, CS: 25, Think: 50, Budget: 2048})
+				if err != nil {
+					if info.Name == "anderson" && strings.Contains(err.Error(), "violated mutual exclusion") {
+						continue
+					}
+					t.Fatalf("%s/%s/P%d/faulted: %v", tp.Name(), info.Name, procs, err)
+				}
+				gotFaulted[info.Name] += res.Stats.Handoffs
+			}
 		}
 	}
 	for name, n := range got {
 		if n != want[name] {
 			t.Errorf("%s: %d handoffs, want %d", name, n, want[name])
+		}
+	}
+	for name, n := range gotFaulted {
+		if n != wantFaulted[name] {
+			t.Errorf("%s: %d handoffs under the plan, want %d", name, n, wantFaulted[name])
 		}
 	}
 }

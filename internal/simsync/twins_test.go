@@ -3,10 +3,13 @@ package simsync
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
+	"repro/internal/fault"
 	"repro/internal/machine"
 	"repro/internal/sim"
+	"repro/internal/topo"
 )
 
 // Closure twins: the reference every scripted primitive is checked
@@ -181,6 +184,15 @@ func (l *fenceLock) takeToken(p *machine.Proc) {
 
 func (l *fenceLock) releaseGo(p *machine.Proc) { l.lease.releaseGo(p) }
 
+func (l *fenceLock) guardedStoreGo(p *machine.Proc, a machine.Addr, v machine.Word) bool {
+	if p.Load(l.epoch) != l.tokens[p.ID()] {
+		l.staleWrites++
+		return false
+	}
+	p.Store(a, v)
+	return true
+}
+
 func (l *healQueueLock) acquireGo(p *machine.Proc) {
 	for {
 		t := p.FetchAdd(l.next, 1)
@@ -351,16 +363,19 @@ func (c boundedTwin) AcquireWithin(p *machine.Proc, budget sim.Time) bool {
 	return c.l.acquireWithinGo(p, budget)
 }
 
-// fencedTwin keeps a FencedLock's guarded write on its twin, so under a
-// fault plan the twin's critical section issues it like the original.
+// fencedTwin keeps lease-fence's guarded write on its twin, as its Go
+// form, so under a fault plan the twin's critical section issues it
+// like the original.
 type fencedTwin struct {
 	closureTwin
-	fenced FencedLock
+	l *fenceLock
 }
 
 func (c fencedTwin) GuardedStore(p *machine.Proc, a machine.Addr, v machine.Word) bool {
-	return c.fenced.GuardedStore(p, a, v)
+	return c.l.guardedStoreGo(p, a, v)
 }
+
+func (c fencedTwin) StaleWrites() uint64 { return c.l.StaleWrites() }
 
 // twinOf wraps scripted lock l as its closure twin.
 func twinOf(l Lock) Lock {
@@ -383,8 +398,9 @@ func closureTwinOf(info LockInfo) LockInfo {
 }
 
 // isScripted reports whether info builds a scripted lock. It also holds
-// the lock to having Go forms, and the twin to keeping every interface
-// RunLockIn consults except the scripts.
+// the lock to having Go forms and a script behind every optional
+// interface RunLockIn consults, and the twin to keeping every such
+// interface but none of the scripts.
 func isScripted(t *testing.T, info LockInfo) bool {
 	t.Helper()
 	m, err := machine.New(machine.Config{Procs: 1, SharedWords: 64, LocalWords: 16})
@@ -398,10 +414,15 @@ func isScripted(t *testing.T, info LockInfo) bool {
 	if _, ok := l.(goForms); !ok {
 		t.Fatalf("%s: scripted lock has no closure twin", info.Name)
 	}
-	twin := twinOf(l)
 	_, lb := l.(BoundedLock)
-	_, tb := twin.(BoundedLock)
 	_, lf := l.(FencedLock)
+	_, bs := l.(boundedScript)
+	_, fs := l.(fencedScript)
+	if lb != bs || lf != fs {
+		t.Fatalf("%s: BoundedLock %v with a bounded script %v, FencedLock %v with a guard script %v", info.Name, lb, bs, lf, fs)
+	}
+	twin := twinOf(l)
+	_, tb := twin.(BoundedLock)
 	_, tf := twin.(FencedLock)
 	if _, ts := twin.(scriptedLock); ts || lb != tb || lf != tf {
 		t.Fatalf("%s: closure twin changes the lock's interfaces (scripted %v, BoundedLock %v->%v, FencedLock %v->%v)",
@@ -536,27 +557,69 @@ func assertBarrierIdentical(t *testing.T, name string, cfg machine.Config, info 
 	compareTwin(t, name, cfg.Procs, script, twin, func(r *BarrierResult) *machine.Stats { return &r.Stats })
 }
 
-// FuzzLockTwin holds a generated fault-free lock cell — the lock, the
-// topology, P, Iters, CS, Think and the seed — to its closure twin: the
-// shared iteration script must reproduce the twin's closure loop in
-// every result field but the host-side dispatch routes and handoffs.
-// The seed corpus is one determinism-grid cell per lock and topology;
-// plain go test runs only those.
+// FuzzLockTwin holds a generated lock cell to its closure twin: the
+// lock, the topology, P, Iters, CS, Think, the seed, a bounded attempt
+// (Budget 0 or 256-4351), an attempt cap (MaxAttempts 0 to Iters), an
+// open-ended run (Duration 0 or 1000-4999 cycles, replacing Iters) and a
+// fault plan drawn by fault.Generate from up to 3 stalls, 2 crashes and
+// as many restarts (none of each is a fault-free cell). The shared
+// iteration script must reproduce the twin's closure loop in every
+// result field but the host-side dispatch routes and handoffs, or fail
+// with the twin's error. A faulted cell caps its steps at 200,000, so a
+// wedge ends fast, and checks mutual exclusion only through the
+// host-side holder (CheckMutex's counter assumes no holder dies). The
+// seed corpus is one fault-free determinism-grid cell per lock and
+// topology, and one crash-with-restart cell per lock on the bus at P=8
+// with Budget 2048; plain go test runs only those.
 func FuzzLockTwin(f *testing.F) {
 	locks, topos := Locks(), toposUnderTest()
 	for li := range locks {
 		for ti := range topos {
-			f.Add(uint8(li), uint8(ti), uint8(8), uint8(20), uint16(25), uint16(50), uint64(7))
+			f.Add(uint8(li), uint8(ti), uint8(8), uint8(20), uint16(25), uint16(50), uint64(7),
+				uint16(0), uint8(0), uint16(0), uint8(0), uint8(0), uint8(0))
 		}
 	}
-	f.Fuzz(func(t *testing.T, lock, tp, procs, iters uint8, cs, think uint16, seed uint64) {
+	for li := range locks {
+		f.Add(uint8(li), uint8(slices.Index(topos, topo.Bus)), uint8(8), uint8(20), uint16(25), uint16(50), uint64(7),
+			uint16(2048-256), uint8(0), uint16(0), uint8(1), uint8(1), uint8(1))
+	}
+	f.Fuzz(func(t *testing.T, lock, tp, procs, iters uint8, cs, think uint16, seed uint64,
+		budget uint16, attempts uint8, duration uint16, stalls, crashes, restarts uint8) {
 		info := locks[int(lock)%len(locks)]
 		cfg := machine.Config{Procs: 1 + int(procs)%32, Topo: topos[int(tp)%len(topos)], Seed: seed}
-		opts := LockOpts{Iters: 1 + int(iters)%40, CS: sim.Time(cs % 256), Think: sim.Time(think % 512), CheckMutex: true}
-		name := fmt.Sprintf("%s/%s/P%d/%+v/seed%d", cfg.Topo.Name(), info.Name, cfg.Procs, opts, seed)
+		opts := LockOpts{Iters: 1 + int(iters)%40, CS: sim.Time(cs % 256), Think: sim.Time(think % 512)}
+		opts.MaxAttempts = int(attempts) % (opts.Iters + 1)
+		if budget > 0 {
+			opts.Budget = 256 + sim.Time(budget%4096)
+		}
+		horizon := sim.Time(opts.Iters*cfg.Procs) * 30
+		if duration > 0 {
+			opts.Duration = 1000 + sim.Time(duration%4000)
+			horizon = opts.Duration
+		}
+		spec := fault.Spec{Procs: cfg.Procs, Horizon: horizon,
+			Stalls: int(stalls % 4), StallMin: 500, StallMax: 2000,
+			Crashes: int(crashes % 3), RestartDelayMin: 3000, RestartDelayMax: 8000}
+		spec.Restarts = int(restarts) % (spec.Crashes + 1)
+		if spec.Stalls+spec.Crashes > 0 {
+			cfg.Faults = fault.Generate("fuzz", seed, spec)
+			cfg.MaxSteps = 200_000
+		} else {
+			opts.CheckMutex = true
+		}
+		name := fmt.Sprintf("%s/%s/P%d/%+v/%+v/seed%d", cfg.Topo.Name(), info.Name, cfg.Procs, opts, spec, seed)
 		script, err := RunLockIn(nil, cfg, info, opts)
 		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+			if cfg.Faults == nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if !isScripted(t, info) {
+				return
+			}
+			if _, twin := RunLockIn(nil, cfg, closureTwinOf(info), opts); twin == nil || twin.Error() != err.Error() {
+				t.Fatalf("%s: script run failed with %v, closure twin with %v", name, err, twin)
+			}
+			return
 		}
 		assertClosureTwin(t, name, cfg, info, opts, script)
 	})

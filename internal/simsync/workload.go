@@ -90,39 +90,39 @@ type grantRecord struct {
 // the lock's safety invariants as it goes. Any invariant violation is
 // returned as an error: a broken lock must never produce a data point.
 //
-// A fault-free cell (no plan, no Budget) of a scripted lock — every
-// lock in LockSet — runs each processor's whole workload as one
-// continuation script (machine.RunScript) that every processor shares:
-// the loop-top test, the think time, the attempt bookkeeping, a call to
-// the lock's acquire script (machine.ContSub), the critical section
-// between the host-side bracket checks, a call to its release script,
-// and the done count. Callbacks find each processor's state by p.ID().
-// The goroutines then hand off only when they start and finish. The
-// script issues exactly the operations the closure loop below would,
-// in the same order with the same RNG draws, so results are
-// bit-identical (the determinism suite pins every lock against its
-// closure twin, which runs that loop).
+// A scripted lock — every lock in LockSet — runs each processor's
+// whole workload as one continuation script (machine.RunScript) that
+// every processor shares, under any plan or option: the loop-top test,
+// the think time, the attempt bookkeeping, a call to the lock's acquire
+// script (machine.ContSub; under a Budget, to a BoundedLock's bounded
+// attempt and a branch that counts its timeout and jumps to the top),
+// the critical section between the host-side bracket checks, a call to
+// its release script, and the done count. Callbacks find each
+// processor's state by p.ID(). The goroutines then hand off only when
+// they start, finish, crash or are reborn. The script issues exactly
+// the operations the closure loop below would, in the same order with
+// the same RNG draws, so results are bit-identical (the determinism
+// suites pin every lock against its closure twin, which runs that loop).
 //
-// Every other run takes the closure loop, which reaches the same lock
-// scripts through Acquire and Release: runs under a fault plan
-// (machine.Config.Faults; its step cap is Config.MaxSteps), bounded
-// runs, and locks defined outside this package. Progress lives in host
-// arrays indexed by processor, because the body is the machine's
-// recovery entry point: a reborn processor re-enters it with fresh
-// proc-local state and resumes where its dead incarnation left off,
-// and each rebirth's time to its first acquisition is measured. The
-// mutual-exclusion check tracks the host-side holder and its
-// incarnation: an acquire that finds a live same-incarnation holder is
-// a violation, while one that reclaims the lock from a crashed holder,
-// or from a holder that died and was reborn since, is an orphaned
-// acquisition — the reclaim the resilient locks exist to make.
+// Locks without scripts take the closure loop: the closure twins, and
+// locks defined outside this package. Progress lives in host arrays
+// indexed by processor, because the body is the machine's recovery
+// entry point: a reborn processor re-enters it with fresh proc-local
+// state (no script in flight) and resumes where its dead incarnation
+// left off, and each rebirth's time to its first acquisition is
+// measured. The mutual-exclusion check tracks the host-side holder and
+// its incarnation: an acquire that finds a live same-incarnation holder
+// is a violation, while one that reclaims the lock from a crashed
+// holder, or from a holder that died and was reborn since, is an
+// orphaned acquisition — the reclaim the resilient locks exist to make.
 //
-// A plan switches on the rest of fault mode: a run cut off by the step
-// limit or wedged in deadlock reports its Outcome instead of an error,
-// and a FencedLock's critical section issues one guarded write to a
-// scratch word, so a usurped holder's suppressed writes are counted.
-// CheckMutex's lost-update count assumes no holder dies inside its
-// critical section, and is skipped for a run that did not complete.
+// A plan (machine.Config.Faults; its step cap is Config.MaxSteps)
+// switches on the rest of fault mode: a run cut off by the step limit
+// or wedged in deadlock reports its Outcome instead of an error, and a
+// FencedLock's critical section issues one guarded write to a scratch
+// word, so a usurped holder's suppressed writes are counted (by the
+// lock). CheckMutex's lost-update count assumes no holder dies inside
+// its critical section, and is skipped for a run that did not complete.
 func RunLockIn(pool *machine.Pool, cfg machine.Config, info LockInfo, opts LockOpts) (LockResult, error) {
 	cfg = cfg.Defaults()
 	m, err := pool.Get(cfg)
@@ -198,20 +198,32 @@ func RunLockIn(pool *machine.Pool, cfg machine.Config, info LockInfo, opts LockO
 	released := func(p *machine.Proc) { done[p.ID()]++ }
 
 	var body func(p *machine.Proc)
-	if sl, ok := lock.(scriptedLock); ok && cfg.Faults == nil && opts.Budget <= 0 {
+	if sl, ok := lock.(scriptedLock); ok {
 		enq := make([]sim.Time, procs) // each processor's current attempt's start
-		ops := make([]machine.ContOp, 1, 12)
+		ops := make([]machine.ContOp, 1, 14)
 		if opts.Think > 0 {
 			ops = append(ops, machine.ContOp{Kind: machine.ContExpDelay, Dur: opts.Think})
 		}
-		ops = append(ops,
-			machine.ContOp{Kind: machine.ContCall, Fn: func(p *machine.Proc) {
-				enq[p.ID()] = p.Now()
-				tries[p.ID()]++
-				res.Attempts++
-			}},
-			machine.ContOp{Kind: machine.ContSub, Sub: sl.acquireOps},
-			machine.ContOp{Kind: machine.ContCall, Fn: func(p *machine.Proc) { enterCS(p, enq[p.ID()]) }})
+		ops = append(ops, machine.ContOp{Kind: machine.ContCall, Fn: func(p *machine.Proc) {
+			enq[p.ID()] = p.Now()
+			tries[p.ID()]++
+			res.Attempts++
+		}})
+		if bounded != nil {
+			within, won := lock.(boundedScript).withinOps, len(ops)+2
+			ops = append(ops,
+				machine.ContOp{Kind: machine.ContSub, Sub: func(p *machine.Proc) []machine.ContOp { return within(p, opts.Budget) }},
+				machine.ContOp{Kind: machine.ContBranch, Branch: func(_ *machine.Proc, last machine.Word) int {
+					if last == 0 {
+						return won
+					}
+					res.Timeouts++ // the attempt expired holding nothing: back to the loop top
+					return 0
+				}})
+		} else {
+			ops = append(ops, machine.ContOp{Kind: machine.ContSub, Sub: sl.acquireOps})
+		}
+		ops = append(ops, machine.ContOp{Kind: machine.ContCall, Fn: func(p *machine.Proc) { enterCS(p, enq[p.ID()]) }})
 		if opts.CheckMutex {
 			ops = append(ops, machine.ContOp{Kind: machine.ContLoad, Addr: counter})
 		}
@@ -220,6 +232,11 @@ func RunLockIn(pool *machine.Pool, cfg machine.Config, info LockInfo, opts LockO
 		}
 		if opts.CheckMutex {
 			ops = append(ops, machine.ContOp{Kind: machine.ContStoreAcc, Addr: counter, Val: 1})
+		}
+		if fenced != nil {
+			guard := lock.(fencedScript).guardedStoreOps
+			sub := func(p *machine.Proc) []machine.ContOp { return guard(p, scratch, machine.Word(p.ID()+1)) }
+			ops = append(ops, machine.ContOp{Kind: machine.ContSub, Sub: sub})
 		}
 		ops = append(ops,
 			machine.ContOp{Kind: machine.ContCall, Fn: exitCS},
@@ -267,8 +284,8 @@ func RunLockIn(pool *machine.Pool, cfg machine.Config, info LockInfo, opts LockO
 				} else if opts.CS > 0 {
 					p.Delay(opts.CS)
 				}
-				if fenced != nil && !fenced.GuardedStore(p, scratch, machine.Word(me+1)) {
-					res.StaleWrites++
+				if fenced != nil {
+					fenced.GuardedStore(p, scratch, machine.Word(me+1))
 				}
 				exitCS(p)
 				lock.Release(p)
@@ -280,6 +297,9 @@ func RunLockIn(pool *machine.Pool, cfg machine.Config, info LockInfo, opts LockO
 	runErr := m.Run(body)
 	if res.Resilience, err = settle(m, cfg, rb, runErr); err != nil {
 		return LockResult{}, fmt.Errorf("%s: %w", runLabel("lock", info.Name, cfg), err)
+	}
+	if fenced != nil {
+		res.StaleWrites = fenced.StaleWrites()
 	}
 	if violations > 0 {
 		return LockResult{}, fmt.Errorf("%s violated mutual exclusion %d times among live processors", runLabel("lock", info.Name, cfg), violations)

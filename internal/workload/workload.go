@@ -80,7 +80,7 @@ type CSOpts struct {
 // It also verifies mutual exclusion with an unprotected counter: on any
 // violation the count will (overwhelmingly likely) come up short, which
 // callers should treat as a failed run.
-func RunCriticalSections(l locks.Lock, o CSOpts) (CSResult, bool) {
+func RunCriticalSections(l sync.Locker, o CSOpts) (CSResult, bool) {
 	counter := 0
 	// One histogram per goroutine: Record is allocation-free and the
 	// pair of clock reads it costs per op is identical for every lock
