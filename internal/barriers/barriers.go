@@ -32,7 +32,6 @@ var Registry = registry.NewSet[Info]("barriers", func(i Info) string { return i.
 
 func init() {
 	Registry.Register(
-		Info{Name: "central", New: func(n int) Barrier { return NewCentral(n) }},
 		Info{Name: "dissemination", New: func(n int) Barrier { return NewDissemination(n) }},
 		Info{Name: "tournament", New: func(n int) Barrier { return NewTournament(n) }},
 	)
@@ -57,41 +56,6 @@ func spin(cond func() bool) {
 type padded64 struct {
 	v atomic.Uint64
 	_ [56]byte
-}
-
-// Central is the sense-reversing counter barrier: one atomic counter,
-// one broadcast word. Simple and compact; every release invalidates
-// every spinner.
-type Central struct {
-	n     int64
-	count atomic.Int64
-	sense atomic.Uint64 // episode number, acts as the broadcast flag
-}
-
-// NewCentral builds a central barrier for n parties.
-func NewCentral(n int) *Central {
-	if n < 1 {
-		panic("barriers: NewCentral with fewer than one party")
-	}
-	return &Central{n: int64(n)}
-}
-
-// Name implements Barrier.
-func (b *Central) Name() string { return "central" }
-
-// Parties implements Barrier.
-func (b *Central) Parties() int { return int(b.n) }
-
-// Wait implements Barrier. The id is unused; central barriers are
-// anonymous.
-func (b *Central) Wait(int) {
-	epoch := b.sense.Load()
-	if b.count.Add(1) == b.n {
-		b.count.Store(0)
-		b.sense.Add(1)
-		return
-	}
-	spin(func() bool { return b.sense.Load() != epoch })
 }
 
 // Dissemination is the log-round pairwise-signal barrier: in round r,

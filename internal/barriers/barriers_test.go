@@ -63,15 +63,6 @@ func TestByName(t *testing.T) {
 	}
 }
 
-func TestCentralInvalidPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("NewCentral(0) did not panic")
-		}
-	}()
-	NewCentral(0)
-}
-
 func TestDisseminationInvalidPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

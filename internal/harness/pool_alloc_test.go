@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/machine"
@@ -9,13 +10,13 @@ import (
 )
 
 // Machine pooling exists so that a sweep's steady-state cell cost is
-// the simulation itself, not allocation: a fresh 8-processor machine is
-// megabytes of simulated memory plus watcher and coherence arrays,
-// while a pooled cell only pays the algorithm's own small bookkeeping
-// (lock records, result slices, goroutine stacks). This test pins that
-// property with a hard budget; a regression that quietly reintroduces
-// per-cell machine construction blows the budget by orders of
-// magnitude.
+// the simulation itself, not allocation: a fresh 8-processor bus
+// machine is ~0.7 MB (the event calendar, simulated memory, watcher and
+// coherence arrays), while a pooled cell only pays the algorithm's own
+// small bookkeeping (lock records, result slices, goroutine stacks).
+// This test pins that property with a hard budget in objects, which a
+// regression that quietly reintroduces per-cell machine construction
+// exceeds.
 func TestPooledCellAllocationBudget(t *testing.T) {
 	info, ok := simsync.LockByName("tas")
 	if !ok {
@@ -34,7 +35,7 @@ func TestPooledCellAllocationBudget(t *testing.T) {
 
 	// Measured steady state is ~17 objects/run (result slices, lock
 	// records, goroutine bookkeeping); a fresh machine costs ~3.5x that
-	// in objects and megabytes in bytes. The budget leaves headroom for
+	// in objects and ~0.7 MB in bytes. The budget leaves headroom for
 	// runtime noise while catching any return to per-cell construction.
 	const budget = 48
 	avg := testing.AllocsPerRun(20, cell)
@@ -92,5 +93,57 @@ func TestPooledT1AllocationBudget(t *testing.T) {
 	})
 	if unpooled <= avg {
 		t.Fatalf("unpooled T1 point (%.0f allocs) not dearer than pooled (%.0f) — pool no longer reuses machines?", unpooled, avg)
+	}
+}
+
+// TestDefaultHeapFitsEveryAlgorithm builds every simulated algorithm a
+// sweep can run, the FT columns included, on default-sized machines at
+// the largest sizes their topologies allow: P=1024 (the machine's
+// ceiling) on cluster and NUMA, P=64 on the bus. The default heaps are
+// sized near what the algorithms allocate (see machine.Config), so one
+// that outgrows them panics here ("heap exhausted") instead of in a
+// large sweep.
+func TestDefaultHeapFitsEveryAlgorithm(t *testing.T) {
+	type maker struct {
+		name string
+		make func(m *machine.Machine)
+	}
+	var makers []maker
+	for _, li := range slices.Concat(simsync.Locks(), faultLocks(), recoveryLocks()) {
+		makers = append(makers, maker{"lock " + li.Name, func(m *machine.Machine) { li.Make(m) }})
+	}
+	for _, bi := range slices.Concat(simsync.Barriers(), recoveryBarriers()) {
+		makers = append(makers, maker{"barrier " + bi.Name, func(m *machine.Machine) { bi.Make(m) }})
+	}
+	for _, ri := range simsync.RWLocks() {
+		makers = append(makers, maker{"rwlock " + ri.Name, func(m *machine.Machine) { ri.Make(m) }})
+	}
+	for _, si := range simsync.Semaphores() {
+		makers = append(makers, maker{"semaphore " + si.Name, func(m *machine.Machine) { si.Make(m, 4) }})
+	}
+	for _, ci := range simsync.Counters() {
+		makers = append(makers, maker{"counter " + ci.Name, func(m *machine.Machine) { ci.Make(m) }})
+	}
+
+	pool := new(machine.Pool)
+	for _, c := range []struct {
+		tp    topo.Topology
+		procs int
+	}{{topo.Cluster, 1024}, {topo.NUMA, 1024}, {topo.Bus, 64}} {
+		for _, mk := range makers {
+			m, err := pool.Get(machine.Config{Procs: c.procs, Topo: c.tp})
+			if err != nil {
+				t.Fatal(err)
+			}
+			func() {
+				defer func() {
+					if r := recover(); r != nil {
+						t.Errorf("%s P=%d, %s: %v", c.tp.Name(), c.procs, mk.name, r)
+					}
+				}()
+				mk.make(m)
+			}()
+			pool.Put(m)
+		}
 	}
 }

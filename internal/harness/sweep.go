@@ -295,8 +295,8 @@ func runMatrix[A any](o Options, parallel bool, algos []A, nameOf func(A) string
 //
 // Each worker owns a machine.Pool handed to every cell it runs, so a
 // worker's cells reuse one simulated machine (reset per cell) instead
-// of allocating megabytes of simulated memory each. Pools are
-// per-worker precisely because they are not concurrency-safe.
+// of allocating a machine each. Pools are per-worker precisely because
+// they are not concurrency-safe.
 //
 // A parallel call hands out cells from total-1 down to 0, on one
 // worker or several. Processor-count and critical-section axes list

@@ -77,8 +77,15 @@ type Config struct {
 	BusLatency sim.Time // full bus transaction; default 20
 	RemoteMem  sim.Time // reference network traversal for remote refs; default 12
 
-	SharedWords int // size of the shared heap; default 1<<16
-	LocalWords  int // per-module local region; default 1<<12
+	// Heap sizes, in words. The defaults fit every algorithm at the
+	// 1,024-processor ceiling with room to spare: the largest shared
+	// need is ~2P+1 words (reconf's arrive and dead arrays, ctr-combine's
+	// tree) and the largest local need 20 words per processor
+	// (dissemination's and tournament's 2·log2 P flags). Every word
+	// costs the machine 16 bytes or more whether a cell touches it or
+	// not, so the defaults stay near those needs.
+	SharedWords int // size of the shared heap; default 1<<12
+	LocalWords  int // per-module local region; default 1<<8
 
 	Seed     uint64 // RNG seed; default 1
 	MaxSteps uint64 // event limit; default sim.DefaultMaxSteps
@@ -127,10 +134,10 @@ func (c Config) Defaults() Config {
 		c.RemoteMem = 12
 	}
 	if c.SharedWords == 0 {
-		c.SharedWords = 1 << 16
+		c.SharedWords = 1 << 12
 	}
 	if c.LocalWords == 0 {
-		c.LocalWords = 1 << 12
+		c.LocalWords = 1 << 8
 	}
 	if c.Seed == 0 {
 		c.Seed = 1

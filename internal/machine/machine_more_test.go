@@ -2,6 +2,7 @@ package machine
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -177,7 +178,7 @@ func TestWatcherSpuriousWakeRearms(t *testing.T) {
 func TestConfigDefaults(t *testing.T) {
 	c := Config{}.Defaults()
 	if c.Procs != 1 || c.Topo != topo.Ideal || c.BusLatency != 20 || c.RemoteMem != 12 ||
-		c.SharedWords != 1<<16 || c.LocalWords != 1<<12 || c.Seed != 1 ||
+		c.SharedWords != 1<<12 || c.LocalWords != 1<<8 || c.Seed != 1 ||
 		c.MaxSteps != 0 || c.NoSpinWindows || c.Faults != nil {
 		t.Fatalf("defaults wrong: %+v", c)
 	}
@@ -185,6 +186,29 @@ func TestConfigDefaults(t *testing.T) {
 	c2 := Config{Procs: 7, BusLatency: 5}.Defaults()
 	if c2.Procs != 7 || c2.BusLatency != 5 {
 		t.Fatalf("explicit values overwritten: %+v", c2)
+	}
+}
+
+// TestMachineFootprint bounds what New allocates for the largest
+// default-sized machine, a 1,024-processor cluster. Every heap word
+// costs 16 bytes or more whether a cell touches it or not, so defaults
+// grown back to 2^16 shared and 2^12 local words (66 MiB here) fail
+// it. Not parallel: TotalAlloc counts the whole process.
+func TestMachineFootprint(t *testing.T) {
+	const budget = 8 << 20
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	m, err := New(Config{Procs: 1024, Topo: topo.Cluster})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.KeepAlive(m)
+	got := after.TotalAlloc - before.TotalAlloc
+	t.Logf("New(cluster P=1024) allocates %.1f MiB", float64(got)/(1<<20))
+	if got >= budget {
+		t.Fatalf("over the %d MiB budget", budget>>20)
 	}
 }
 
